@@ -40,7 +40,10 @@ from .grassmann import (
 )
 from .quadrics import (
     AffineFlat,
+    LineConditions,
+    Meets,
     Quadric,
+    TangentTo,
     TangencyReport,
     contains_flat,
     cylinder,
@@ -62,9 +65,7 @@ from .tetra32 import (
 )
 from .tracker import (
     DoublingResult,
-    Meets,
     TangencySystem,
-    TangentTo,
     TrackOptions,
     TrackResult,
     TrackedPath,

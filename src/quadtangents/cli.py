@@ -18,11 +18,13 @@ from .exactnum import rational
 from .grassmann import (
     counts as grassmann_counts,
     moment_osculating_flat,
+    normalize_endpoint,
     sphere_tangent_line_count,
     tetrahedron_lines,
     transversals_to_4_lines,
 )
 from .scenes import (
+    DISTINCT_TOL,
     Certificate,
     Scene,
     SceneFormatError,
@@ -47,7 +49,6 @@ from .tracker import (
     TangentTo,
     TrackOptions,
     doubling_experiment,
-    normalize_endpoint,
     solve_tangency,
 )
 
@@ -76,7 +77,8 @@ def _common_options() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0,
                         help="seed for every random choice (default 0)")
     common.add_argument("--tol", type=float, default=1e-12,
-                        help="endpoint residual tolerance (default 1e-12)")
+                        help="residual tolerance: endpoint polish when solving, "
+                             "bound on every residual for verify (default 1e-12)")
     common.add_argument("--format", choices=("json", "csv"), default=None,
                         help="output format (certificates default to json, "
                              "tables to plain text)")
@@ -249,10 +251,9 @@ def cmd_tetra(args) -> int:
     n_real = 0
     for i, sol in enumerate(solutions):
         vec = sol.numeric()
-        # max over the scene conditions and the full defining-equation check
-        # (eliminated row and equal-squares chain included)
-        residual = max(max(solution_residuals(scene, vec).values()),
-                       verify_solution(sol, params).max_residual)
+        # the scene's quadrics are family(params), so this holds every residual
+        # `verify` re-evaluates, plus the eliminated row and the square chain
+        residual = verify_solution(sol, params).max_residual
         real = sol.is_real()
         n_real += real
         entries.append(_solution_entry(
@@ -263,7 +264,7 @@ def cmd_tetra(args) -> int:
         solutions=entries,
         counts={"total": len(entries), "real": n_real,
                 "nonreal": len(entries) - n_real},
-        tolerances={"residual": args.tol, "real": 1e-8, "distinct": 1e-6},
+        tolerances={"residual": args.tol, "real": 1e-8, "distinct": DISTINCT_TOL},
         params={"alpha": encode_rational(params.alpha),
                 "beta": encode_rational(params.beta)},
         seed=args.seed,
@@ -315,14 +316,10 @@ def cmd_track(args) -> int:
                                           rational(args.start_beta)))
     if args.path_log:
         _write_path_log(args.path_log, result.paths)
-    reality = result.reality()
-    real_flags = []
-    for v in result.endpoints:
-        w = normalize_endpoint(v)
-        real_flags.append(bool(np.max(np.abs(w.imag)) < options.real_tol))
+    reality = result.reality(options.real_tol)
     entries = []
     kept = [p for p in result.paths if p.converged and p.duplicate_of is None]
-    for i, (p, real) in enumerate(zip(kept, real_flags)):
+    for i, (p, real) in enumerate(zip(kept, reality.is_real)):
         vec = normalize_endpoint(p.end)
         residual = max(solution_residuals(scene, vec).values())
         entries.append(_solution_entry(
@@ -398,7 +395,7 @@ def cmd_doubling(args) -> int:
 def cmd_verify(args) -> int:
     cert = Certificate.from_dict(read_json(args.certificate))
     expected = Scene.from_dict(read_json(args.scene)) if args.scene else None
-    report = verify_certificate(cert, expected_scene=expected)
+    report = verify_certificate(cert, expected_scene=expected, tol=args.tol)
     print(report.summary())
     return EXIT_OK if report.passed else EXIT_NUMERIC
 

@@ -191,15 +191,6 @@ class RatMatrix:
         c = rational(c)
         return RatMatrix(self.rows, self.cols, tuple(c * a for a in self.entries))
 
-    def hstack(self, other: "RatMatrix") -> "RatMatrix":
-        if self.rows != other.rows:
-            raise DimensionError("row count mismatch in hstack")
-        out = []
-        for i in range(self.rows):
-            out.extend(self.row(i))
-            out.extend(other.row(i))
-        return RatMatrix(self.rows, self.cols + other.cols, tuple(out))
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RatMatrix":
         return RatMatrix(len(row_idx), len(col_idx),
                          tuple(self[i, j] for i in row_idx for j in col_idx))
@@ -548,10 +539,6 @@ class Surd:
 
     def __rtruediv__(self, other):
         return self._lift(other) * self.inverse()
-
-    def conjugate_radical(self) -> "Surd":
-        """a - b*sqrt(d); the complex conjugate when d < 0."""
-        return Surd(self.a, -self.b, self.d)
 
     # -- numeric --------------------------------------------------------------
 

@@ -18,7 +18,8 @@ so the Grassmannian of lines is a quadric hypersurface in P^5.
 This module keeps everything exact: coordinates are rationals, or elements of
 a quadratic extension Q(sqrt(d)) when a transversal problem forces one square
 root.  Counting utilities (dimension and degree of the Grassmannian, Catalan
-numbers) use arbitrary-precision integers.
+numbers) use arbitrary-precision integers.  Numeric helpers: the Pluecker
+relation as a 6x6 form, canonical numeric vectors and projective distance.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .exactnum import (
     DimensionError,
@@ -173,24 +176,35 @@ class PluckerVector:
 
     def normalized(self) -> "PluckerVector":
         """Canonical representative: first nonzero coordinate scaled to 1
-        (exact data), or unit norm with the largest-magnitude coordinate
-        rotated to the positive real axis (numeric data)."""
+        (exact data), or ``normalize_endpoint`` (numeric data)."""
         if self.is_exact:
             lead = next(c for c in self.coords if not _is_zero_scalar(c))
             coords = tuple(c / lead for c in self.coords)
             return PluckerVector(self.k, self.n, coords)
-        import numpy as np
-
-        v = np.asarray(self.coords, dtype=complex)
-        v = v / np.linalg.norm(v)
-        z = v[int(np.argmax(np.abs(v)))]
-        v = v * (z.conjugate() / abs(z))
-        return PluckerVector(self.k, self.n, tuple(v))
+        return PluckerVector(self.k, self.n, tuple(normalize_endpoint(self.coords)))
 
     def numeric(self):
-        import numpy as np
-
         return np.array([complex(c) for c in self.coords])
+
+
+def normalize_endpoint(v) -> np.ndarray:
+    """Unit norm with the largest-magnitude coordinate rotated real-positive."""
+    v = np.asarray(v, dtype=complex)
+    v = v / np.linalg.norm(v)
+    z = v[int(np.argmax(np.abs(v)))]
+    return v * (z.conjugate() / abs(z))
+
+
+def chordal_distance(u: np.ndarray, v: np.ndarray) -> float:
+    """Projective distance min over phases of ||u - e^(i phi) v|| for unit
+    representatives.  Computed via the optimal phase directly, which stays
+    accurate down to machine precision for nearly equal rays (the naive
+    sqrt(2 - 2|<u,v>|) loses half the digits to cancellation)."""
+    u = u / np.linalg.norm(u)
+    v = v / np.linalg.norm(v)
+    ip = np.vdot(v, u)
+    phase = ip / abs(ip) if ip != 0 else 1.0
+    return float(np.linalg.norm(u - phase * v))
 
 
 def _permutation_sign(seq: Sequence[int]) -> int:
@@ -340,6 +354,12 @@ class TransversalResult:
 
 
 _PLUCKER_QUADRIC_PAIRS = (((0, 5), 1), ((1, 4), -1), ((2, 3), 1))
+
+# the same relation as a symmetric 6x6 form: p^T PLUCKER_FORM p = Phi(p)
+PLUCKER_FORM = np.zeros((6, 6))
+for (_i, _j), _s in _PLUCKER_QUADRIC_PAIRS:
+    PLUCKER_FORM[_i, _j] = PLUCKER_FORM[_j, _i] = _s / 2
+PLUCKER_FORM.flags.writeable = False
 
 
 def _plucker_quadric(u, v) -> Fraction | Surd:

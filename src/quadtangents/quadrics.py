@@ -11,6 +11,10 @@ with wedge^{k+1} Q the compound matrix of (k+1)-minors.  Containment of the
 plane in the quadric also satisfies this, so callers that care about honest
 geometric tangency can ask for the containment flag separately.
 
+For lines in P^3, tangency and incidence conditions are compiled once into
+numeric arrays (``LineConditions``): the one numeric form that the tracker,
+certificates, their verification and the closed-form check evaluate.
+
 Also here: distance-r cylinder quadrics around affine flats (built exactly
 from a rational orthogonal projector) and the smooth low-rank perturbations
 used to replace singular cylinders by smooth quadrics of chosen signature.
@@ -22,6 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from .exactnum import (
     DimensionError,
     RatMatrix,
@@ -32,8 +38,9 @@ from .exactnum import (
     rational,
     signature,
     solve_linear,
+    subsets,
 )
-from .grassmann import PluckerVector, ProjFlat
+from .grassmann import PLUCKER_FORM, DualFlat, PluckerVector, ProjFlat, dual_plucker
 
 
 @dataclass(frozen=True)
@@ -142,8 +149,6 @@ def is_tangent(q: Quadric, p: PluckerVector):
             total = total + p.coords[i] * sum(
                 (row[j] * p.coords[j] for j in range(form.cols)), Fraction(0))
         return total
-    import numpy as np
-
     m = form.to_numpy(float).astype(complex)
     v = np.asarray(p.coords, dtype=complex)
     raw = v @ m @ v
@@ -174,6 +179,94 @@ def tangency_report(q: Quadric, p: PluckerVector,
     """
     contained = contains_flat(q, flat) if flat is not None else None
     return TangencyReport(is_tangent(q, p), contained)
+
+
+# ---------------------------------------------------------------------------
+# line conditions in P^3, compiled to numeric arrays
+
+
+@dataclass(frozen=True)
+class TangentTo:
+    """Condition: the line is tangent to the given quadric."""
+
+    quadric: object  # Quadric or 4x4 array-like
+
+    degree = 2
+
+    def form(self) -> np.ndarray:
+        """The 6x6 tangency form wedge^2 Q: exact, then rounded, for a
+        Quadric; in floating point for an array."""
+        if isinstance(self.quadric, Quadric):
+            return tangency_form(self.quadric, 1).to_numpy(float).astype(complex)
+        q = np.asarray(self.quadric, dtype=complex)
+        if q.shape != (4, 4) or not np.allclose(q, q.T):
+            raise ValueError("tangency condition needs a symmetric 4x4 matrix")
+        pairs = subsets(4, 2)
+        return np.array([[q[i, k] * q[j, l] - q[i, l] * q[j, k] for k, l in pairs]
+                         for i, j in pairs])
+
+
+@dataclass(frozen=True)
+class Meets:
+    """Condition: the line meets the given line (dual Pluecker hyperplane)."""
+
+    flat: object  # DualFlat, ProjFlat, or length-6 dual coordinate vector
+
+    degree = 1
+
+    def coefficients(self) -> np.ndarray:
+        f = self.flat
+        if isinstance(f, ProjFlat):
+            f = f.dual()
+        if isinstance(f, DualFlat):
+            return np.array([complex(c) for c in dual_plucker(f).coords])
+        v = np.asarray(f, dtype=complex)
+        if v.shape != (6,):
+            raise ValueError("incidence condition needs 6 dual coordinates")
+        return v
+
+
+@dataclass(frozen=True, eq=False)
+class LineConditions:
+    """Labeled line conditions compiled once: row i is the polynomial
+    v^T quad[i] v + lin[i] . v in the Pluecker coordinates v, and the last
+    row is the Pluecker relation itself."""
+
+    labels: tuple            # one per condition, then "plucker"
+    quad: np.ndarray         # (m, 6, 6) complex, zero for incidence rows
+    lin: np.ndarray          # (m, 6) complex, zero for quadratic rows
+    scale: np.ndarray        # (m,) norm of each row's coefficients; 1 for plucker
+    degree: np.ndarray       # (m,) 2 or 1
+
+    @classmethod
+    def compile(cls, conditions) -> "LineConditions":
+        """Compile ``(label, TangentTo | Meets)`` pairs, in order."""
+        conditions = list(conditions)
+        m = len(conditions) + 1
+        quad = np.zeros((m, 6, 6), dtype=complex)
+        lin = np.zeros((m, 6), dtype=complex)
+        scale, degree = np.ones(m), np.full(m, 2)
+        for i, (_, cond) in enumerate(conditions):
+            if cond.degree == 2:
+                quad[i] = cond.form()
+                scale[i] = np.linalg.norm(quad[i])
+            else:
+                lin[i] = cond.coefficients()
+                scale[i] = np.linalg.norm(lin[i])
+            degree[i] = cond.degree
+        quad[-1] = PLUCKER_FORM
+        labels = tuple(label for label, _ in conditions) + ("plucker",)
+        return cls(labels, quad, lin, scale, degree)
+
+    def residuals(self, v) -> dict[str, float]:
+        """Residual of a Pluecker 6-vector for every row, normalized by the
+        row's coefficient norm and ||v||^degree, so it does not depend on
+        the representative.  Extended precision input is evaluated as such."""
+        v = np.asarray(v)
+        norm = np.sqrt(np.sum(np.abs(v) ** 2))
+        raw = np.abs((self.quad @ v) @ v + self.lin @ v)
+        res = raw / (self.scale * norm ** self.degree)
+        return {label: float(r) for label, r in zip(self.labels, res)}
 
 
 # ---------------------------------------------------------------------------

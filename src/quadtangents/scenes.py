@@ -21,16 +21,19 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .exactnum import RatMatrix, rational, subsets
-from .grassmann import DualFlat, PluckerVector, ProjFlat, dual_plucker
-from .quadrics import Quadric
-from .tracker import numeric_compound2
+from .grassmann import DualFlat, PluckerVector, ProjFlat, chordal_distance
+from .quadrics import LineConditions, Meets, Quadric, TangentTo
 
 SCENE_SCHEMA = "quadtangents.scene.v1"
 CERTIFICATE_SCHEMA = "quadtangents.certificate.v1"
+
+# solutions of one certificate closer than this are not distinct
+DISTINCT_TOL = 1e-6
 
 
 class SceneFormatError(ValueError):
@@ -133,6 +136,13 @@ class Scene:
     def condition_count(self) -> int:
         return len(self.quadrics) + len(self.flats)
 
+    @cached_property
+    def conditions(self) -> LineConditions:
+        """Tangency to every quadric and incidence with every flat, compiled once."""
+        return LineConditions.compile(
+            [(f"tangency_{q.label}", TangentTo(q)) for q in self.quadrics]
+            + [(f"incidence_{label}", Meets(f)) for label, f in self.flats])
+
     def to_dict(self) -> dict:
         flats = []
         for label, f in self.flats:
@@ -198,36 +208,10 @@ def scene_hash(scene: Scene | dict) -> str:
 # residual evaluation (shared by certificate generation and verification)
 
 
-def _scene_condition_arrays(scene: Scene):
-    """Compile scene conditions to numeric arrays: tangency forms and dual
-    incidence vectors, with labels."""
-    conditions = []
-    for q in scene.quadrics:
-        form = numeric_compound2(q.matrix.to_numpy(float).astype(complex))
-        conditions.append(("tangency", q.label, form))
-    for label, f in scene.flats:
-        dual = f.dual() if isinstance(f, ProjFlat) else f
-        vec = np.array([complex(c) for c in dual_plucker(dual).coords])
-        conditions.append(("incidence", label, vec))
-    return conditions
-
-
 def solution_residuals(scene: Scene, vec: np.ndarray) -> dict[str, float]:
     """Normalized residual of one Pluecker 6-vector against every scene
     condition, plus the Pluecker relation itself."""
-    v = np.asarray(vec, dtype=complex)
-    norm2 = float(np.sum(np.abs(v) ** 2))
-    out = {}
-    p01, p02, p03, p12, p13, p23 = v
-    out["plucker"] = abs(p01 * p23 - p02 * p13 + p03 * p12) / norm2
-    for kind, label, data in _scene_condition_arrays(scene):
-        if kind == "tangency":
-            raw = abs(v @ data @ v)
-            out[f"tangency_{label}"] = raw / (float(np.linalg.norm(data)) * norm2)
-        else:
-            raw = abs(data @ v)
-            out[f"incidence_{label}"] = raw / (float(np.linalg.norm(data)) * np.sqrt(norm2))
-    return out
+    return scene.conditions.residuals(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +262,8 @@ class Certificate:
             params=obj.get("params"),
             metadata=obj.get("metadata", {}),
         )
+        if not all(isinstance(x, (int, float)) for x in cert.tolerances.values()):
+            raise SceneFormatError("certificate tolerances must be numbers")
         cert._recorded_hash = obj["scene_hash"]
         return cert
 
@@ -307,15 +293,15 @@ class VerificationReport:
 
 def verify_certificate(cert: Certificate,
                        expected_scene: Scene | None = None,
-                       residual_slack: float = 10.0,
-                       residual_floor: float = 1e-13) -> VerificationReport:
+                       tol: float = 1e-12) -> VerificationReport:
     """Re-evaluate every solution of a certificate from scratch.
 
     Checks: the recorded scene hash matches the embedded scene (and the
-    externally supplied one, if given); each solution still satisfies every
-    scene condition and the Pluecker relation, with residual within
-    ``residual_slack`` times the recorded value (or the floor); the counts
-    summary is consistent with the solution list.
+    externally supplied one, if given); the declared tolerances are no looser
+    than ``tol`` and ``DISTINCT_TOL``; every residual of every solution is at
+    most ``tol``, whatever the certificate records; no two solutions are
+    closer than ``DISTINCT_TOL``; the counts match the solution list, which
+    stays within the root bound and, with ``params`` (closed form), has 32.
     """
     issues: list[VerificationIssue] = []
     embedded_hash = scene_hash(cert.scene)
@@ -323,9 +309,16 @@ def verify_certificate(cert: Certificate,
         issues.append(VerificationIssue(None, "scene hash does not match embedded scene"))
     if expected_scene is not None and scene_hash(expected_scene) != embedded_hash:
         issues.append(VerificationIssue(None, "certificate was issued for a different scene"))
+    declared = cert.tolerances
+    if not (declared.get("residual", tol) <= tol
+            and declared.get("distinct", DISTINCT_TOL) >= DISTINCT_TOL):
+        issues.append(VerificationIssue(
+            None, f"declared tolerances {declared} are looser than the verifier's "
+                  f"(residual {tol:g}, distinct {DISTINCT_TOL:g})"))
 
     worst = 0.0
     n_real = 0
+    vectors = []
     for i, sol in enumerate(cert.solutions):
         try:
             vec = decode_plucker_numeric(sol["plucker"])
@@ -333,22 +326,38 @@ def verify_certificate(cert: Certificate,
             issues.append(VerificationIssue(i, f"unreadable solution: {exc}"))
             continue
         res = solution_residuals(cert.scene, vec)
-        new = max(res.values())
-        worst = max(worst, new)
-        recorded = float(sol.get("residual", 0.0))
-        allowed = max(residual_slack * recorded, residual_floor)
-        if new > allowed:
-            culprit = max(res, key=res.get)
+        worst = max(worst, *res.values())
+        over = [f"{key} {r:.3e}" for key, r in res.items() if not r <= tol]  # NaN too
+        if over:
             issues.append(VerificationIssue(
-                i, f"residual {new:.3e} exceeds allowed {allowed:.3e} ({culprit})"))
+                i, f"residual exceeds tolerance {tol:.3e}: {', '.join(over)}"))
+        else:
+            vectors.append((i, vec))
         if sol.get("real"):
             n_real += 1
+    if vectors:
+        index, vecs = zip(*vectors)
+        unit = np.array([v / np.linalg.norm(v) for v in vecs])
+        # rays at chordal distance d have overlap |<u,v>| = 1 - d^2/2, so only
+        # pairs with overlap above 1 - DISTINCT_TOL^2 can be too close
+        overlap = np.triu(np.abs(unit.conj() @ unit.T), 1)
+        for a, b in zip(*np.nonzero(overlap > 1 - DISTINCT_TOL ** 2)):
+            if chordal_distance(vecs[a], vecs[b]) < DISTINCT_TOL:
+                issues.append(VerificationIssue(
+                    index[b], f"coincides with solution {index[a]}"))
 
-    counts = cert.counts
-    if counts.get("total") != len(cert.solutions):
+    counts, scene, total = cert.counts, cert.scene, len(cert.solutions)
+    if counts.get("total") != total:
         issues.append(VerificationIssue(None, "counts.total differs from solution list"))
     if "real" in counts and counts["real"] != n_real:
         issues.append(VerificationIssue(None, "counts.real differs from solution flags"))
+    bound = (1 << len(scene.quadrics)) * 2  # for four conditions in P^3
+    if scene.n == 3 and scene.condition_count == 4 and total > bound:
+        issues.append(VerificationIssue(
+            None, f"{total} solutions exceed the root bound {bound}"))
+    if cert.params is not None and total != 32:
+        issues.append(VerificationIssue(
+            None, f"closed-form certificate lists {total} of 32 lines"))
     return VerificationReport(not issues, issues, worst)
 
 

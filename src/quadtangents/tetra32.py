@@ -41,11 +41,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .exactnum import RatMatrix, Surd, rational
-from .quadrics import Quadric, tangency_form
+from .grassmann import chordal_distance
+from .quadrics import LineConditions, Quadric, TangentTo, tangency_form
 
 
 class DegeneracyError(ValueError):
@@ -84,8 +86,11 @@ class TetraParams:
     def vanishing_factors(self) -> list[str]:
         return [name for name, value in self.genericity_factors() if value == 0]
 
-    def is_generic(self) -> bool:
-        return not self.vanishing_factors()
+    @cached_property
+    def conditions(self) -> LineConditions:
+        """The family's four tangency conditions, compiled once."""
+        return LineConditions.compile(
+            (f"tangency_{q.label}", TangentTo(q)) for q in family(self))
 
 
 def family(params: TetraParams) -> tuple[Quadric, Quadric, Quadric, Quadric]:
@@ -256,19 +261,12 @@ def verify_solution(sol: SignedRadicalSolution, params: TetraParams,
     linear row -beta p02^2 - beta p13^2 + (1-alpha)(1-beta) p03^2, and the
     equal-squares chain alpha p01^2 = alpha p03^2 = beta p12^2 = beta p23^2.
     """
-    dtype = np.clongdouble if precision == "longdouble" else complex
     p = sol.numeric(precision)
-    a = dtype(float(params.alpha)) if precision == "double" else _surd_longdouble(Surd(params.alpha))
-    b = dtype(float(params.beta)) if precision == "double" else _surd_longdouble(Surd(params.beta))
+    a = complex(float(params.alpha)) if precision == "double" else _surd_longdouble(Surd(params.alpha))
+    b = complex(float(params.beta)) if precision == "double" else _surd_longdouble(Surd(params.beta))
     norm2 = float(np.sum(np.abs(p) ** 2))
-    residuals = {}
-    for q in family(params):
-        form = tangency_form(q, 1)
-        m = np.array([[dtype(float(x)) for x in form.row(i)] for i in range(6)])
-        raw = abs(complex(p @ m @ p))
-        residuals[f"tangency_{q.label}"] = raw / (float(np.linalg.norm(m.astype(complex))) * norm2)
+    residuals = params.conditions.residuals(p)
     p01, p02, p03, p12, p13, p23 = p
-    residuals["plucker"] = abs(complex(p01 * p23 - p02 * p13 + p03 * p12)) / norm2
     row = -b * p02 ** 2 - b * p13 ** 2 + (1 - a) * (1 - b) * p03 ** 2
     residuals["eliminated_row"] = abs(complex(row)) / norm2
     chain = [a * p01 ** 2 - a * p03 ** 2,
@@ -280,14 +278,6 @@ def verify_solution(sol: SignedRadicalSolution, params: TetraParams,
 
 def pairwise_min_distance(solutions: list[SignedRadicalSolution],
                           precision: str = "double") -> float:
-    """Smallest pairwise chordal distance between normalized solutions."""
-    vecs = []
-    for s in solutions:
-        v = np.asarray(s.numeric(precision), dtype=complex)
-        vecs.append(v / np.linalg.norm(v))
-    best = float("inf")
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            ip = abs(np.vdot(vecs[i], vecs[j]))
-            best = min(best, float(np.sqrt(max(0.0, 2 - 2 * ip))))
-    return best
+    """Smallest pairwise chordal distance between the solutions."""
+    vecs = [np.asarray(s.numeric(precision), dtype=complex) for s in solutions]
+    return min(chordal_distance(u, v) for u, v in itertools.combinations(vecs, 2))

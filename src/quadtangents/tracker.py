@@ -33,72 +33,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grassmann import (
-    DualFlat,
-    PluckerVector,
-    ProjFlat,
-    check_plucker_relations,
-    dual_plucker,
-    transversals_to_4_lines,
-)
-from .quadrics import AffineFlat, Quadric, cylinder, tangency_form
+from .grassmann import chordal_distance, normalize_endpoint, transversals_to_4_lines
+from .quadrics import AffineFlat, LineConditions, Meets, TangentTo, cylinder
 from .tetra32 import TetraParams, enumerate_tangents, family
 
-# Pluecker quadric p01 p23 - p02 p13 + p03 p12 as a symmetric 6x6 form
-PLUCKER_FORM = np.zeros((6, 6), dtype=complex)
-for (_i, _j), _s in (((0, 5), 0.5), ((1, 4), -0.5), ((2, 3), 0.5)):
-    PLUCKER_FORM[_i, _j] = PLUCKER_FORM[_j, _i] = _s
-
-
-def numeric_compound2(q: np.ndarray) -> np.ndarray:
-    """Second compound matrix (2x2 minors, lex pair order) of a 4x4 matrix."""
-    pairs = list(itertools.combinations(range(4), 2))
-    out = np.empty((6, 6), dtype=complex)
-    for r, (i, j) in enumerate(pairs):
-        for c, (k, l) in enumerate(pairs):
-            out[r, c] = q[i, k] * q[j, l] - q[i, l] * q[j, k]
-    return out
-
-
 # ---------------------------------------------------------------------------
-# conditions and systems
-
-
-@dataclass(frozen=True)
-class TangentTo:
-    """Condition: the line is tangent to the given quadric."""
-
-    quadric: object  # Quadric or 4x4 array-like
-
-    def form(self) -> np.ndarray:
-        if isinstance(self.quadric, Quadric):
-            return tangency_form(self.quadric, 1).to_numpy(float).astype(complex)
-        q = np.asarray(self.quadric, dtype=complex)
-        if q.shape != (4, 4) or not np.allclose(q, q.T):
-            raise ValueError("tangency condition needs a symmetric 4x4 matrix")
-        return numeric_compound2(q)
-
-    degree = 2
-
-
-@dataclass(frozen=True)
-class Meets:
-    """Condition: the line meets the given line (dual Pluecker hyperplane)."""
-
-    flat: object  # DualFlat, ProjFlat, or length-6 dual coordinate vector
-
-    def coefficients(self) -> np.ndarray:
-        f = self.flat
-        if isinstance(f, ProjFlat):
-            f = f.dual()
-        if isinstance(f, DualFlat):
-            return np.array([complex(c) for c in dual_plucker(f).coords])
-        v = np.asarray(f, dtype=complex)
-        if v.shape != (6,):
-            raise ValueError("incidence condition needs 6 dual coordinates")
-        return v
-
-    degree = 1
+# systems
 
 
 @dataclass(frozen=True)
@@ -157,15 +97,11 @@ class SquareSystem:
 
 def build_square_system(system: TangencySystem, patch: np.ndarray) -> SquareSystem:
     """Four conditions + Pluecker quadric + affine patch (patch . x = 1)."""
+    compiled = LineConditions.compile(enumerate(system.conditions))
     quad = np.zeros((6, 6, 6), dtype=complex)
     lin = np.zeros((6, 6), dtype=complex)
     const = np.zeros(6, dtype=complex)
-    for i, cond in enumerate(system.conditions):
-        if isinstance(cond, TangentTo):
-            quad[i] = cond.form()
-        else:
-            lin[i] = cond.coefficients()
-    quad[4] = PLUCKER_FORM
+    quad[:5], lin[:5] = compiled.quad, compiled.lin
     lin[5] = np.asarray(patch, dtype=complex)
     const[5] = -1.0
     return SquareSystem(quad, lin, const)
@@ -248,12 +184,6 @@ class _Homotopy:
         self.dquad = target.quad - gamma * start.quad
         self.dlin = target.lin - gamma * start.lin
         self.dconst = target.const - gamma * start.const
-
-    def at(self, t: float) -> SquareSystem:
-        g = (1 - t) * self.gamma
-        return SquareSystem(g * self.start.quad + t * self.target.quad,
-                            g * self.start.lin + t * self.target.lin,
-                            g * self.start.const + t * self.target.const)
 
     def eval(self, x, t):
         g = (1 - t) * self.gamma
@@ -339,26 +269,6 @@ def _track_one(h: _Homotopy, x0: np.ndarray, opts: TrackOptions) -> TrackedPath:
     return TrackedPath(x0, x, status, steps, res, singular=singular)
 
 
-def normalize_endpoint(v: np.ndarray) -> np.ndarray:
-    """Unit norm with the largest-magnitude coordinate rotated real-positive."""
-    v = np.asarray(v, dtype=complex)
-    v = v / np.linalg.norm(v)
-    z = v[int(np.argmax(np.abs(v)))]
-    return v * (z.conjugate() / abs(z))
-
-
-def chordal_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """Projective distance min over phases of ||u - e^(i phi) v|| for unit
-    representatives.  Computed via the optimal phase directly, which stays
-    accurate down to machine precision for nearly equal rays (the naive
-    sqrt(2 - 2|<u,v>|) loses half the digits to cancellation)."""
-    u = u / np.linalg.norm(u)
-    v = v / np.linalg.norm(v)
-    ip = np.vdot(v, u)
-    phase = ip / abs(ip) if ip != 0 else 1.0
-    return float(np.linalg.norm(u - phase * v))
-
-
 def track(start_sys: SquareSystem, start_solutions, target_sys: SquareSystem,
           options: TrackOptions | None = None) -> list[TrackedPath]:
     """Track every start solution to the target system.
@@ -424,14 +334,14 @@ def distinct_endpoints(paths: list[TrackedPath]) -> list[np.ndarray]:
 
 @dataclass
 class RealityReport:
-    real: list[np.ndarray]
+    is_real: list[bool]  # one flag per endpoint, in endpoint order
     conjugate_pairs: list[tuple[int, int]]
     unpaired: list[int]
     at_infinity: int
 
     @property
     def real_count(self) -> int:
-        return len(self.real)
+        return sum(self.is_real)
 
     @property
     def nonreal_count(self) -> int:
@@ -454,15 +364,9 @@ def classify_real(paths: list[TrackedPath] | list[np.ndarray],
     else:
         endpoints = list(paths)
     normalized = [normalize_endpoint(v) for v in endpoints]
-    real, nonreal_idx = [], []
-    at_infinity = 0
-    for i, v in enumerate(normalized):
-        if np.max(np.abs(v[:3])) < tol:
-            at_infinity += 1
-        if float(np.max(np.abs(v.imag))) < tol:
-            real.append(v)
-        else:
-            nonreal_idx.append(i)
+    is_real = [bool(np.max(np.abs(v.imag)) < tol) for v in normalized]
+    at_infinity = sum(1 for v in normalized if np.max(np.abs(v[:3])) < tol)
+    nonreal_idx = [i for i, real in enumerate(is_real) if not real]
     pairs, unpaired, used = [], [], set()
     for pos, i in enumerate(nonreal_idx):
         if i in used:
@@ -479,7 +383,7 @@ def classify_real(paths: list[TrackedPath] | list[np.ndarray],
         else:
             pairs.append((i, best_j))
             used.update((i, best_j))
-    return RealityReport(real, pairs, unpaired, at_infinity)
+    return RealityReport(is_real, pairs, unpaired, at_infinity)
 
 
 def match_endpoints(first, second) -> float:
@@ -525,13 +429,6 @@ class TrackResult:
     def max_residual(self) -> float:
         res = [p.residual for p in self.paths if p.converged]
         return max(res) if res else float("inf")
-
-    def plucker_residual(self) -> float:
-        worst = 0.0
-        for v in self.endpoints:
-            p = PluckerVector(1, 3, tuple(normalize_endpoint(v)))
-            worst = max(worst, float(check_plucker_relations(p)))
-        return worst
 
 
 DEFAULT_START_PARAMS = (Fraction(1, 10), Fraction(1, 10))

@@ -204,6 +204,43 @@ def test_verify_detects_wrong_scene(capsys, tmp_path):
     assert code == 4 and "different scene" in out
 
 
+def _forge_arbitrary_coordinates(cert):
+    cert["solutions"][0]["plucker"]["coords"] = {
+        key: 1.0 for key in ("01", "02", "03", "12", "13", "23")}
+    cert["solutions"][0]["residual"] = 1.0
+
+
+def _forge_trimmed(cert):
+    cert["solutions"] = cert["solutions"][:1]
+    cert["counts"] = {"total": 1, "real": 1, "nonreal": 0}
+
+
+def _forge_repeated_solution(cert):
+    cert["solutions"].append(dict(cert["solutions"][0], index=32))
+    cert["counts"] = {"total": 33, "real": 33, "nonreal": 0}
+
+
+def _forge_loose_tolerance(cert):
+    cert["tolerances"]["residual"] = 1.0
+
+
+def _forge_nan_coordinates(cert):
+    cert["solutions"][0]["plucker"]["coords"]["01"] = float("nan")
+
+
+@pytest.mark.parametrize("forge", [
+    _forge_arbitrary_coordinates, _forge_trimmed, _forge_repeated_solution,
+    _forge_loose_tolerance, _forge_nan_coordinates])
+def test_verify_rejects_forged_certificate(capsys, tmp_path, forge):
+    cert_path = tmp_path / "cert.json"
+    run(capsys, "tetra", "1/10", "1/20", "--output", str(cert_path))
+    cert = json.loads(cert_path.read_text())
+    forge(cert)
+    cert_path.write_text(json.dumps(cert))
+    code, out, _ = run(capsys, "verify", str(cert_path))
+    assert code == 4 and out.startswith("FAIL")
+
+
 def test_verify_rejects_non_certificates(capsys, tmp_path):
     path = tmp_path / "junk.json"
     path.write_text('{"schema": "something-else"}')

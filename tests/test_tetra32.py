@@ -242,13 +242,15 @@ def test_degeneracy_names_vanishing_factor(alpha, beta, factor):
 
 
 def test_near_degenerate_parameters_still_verify():
-    # just off the discriminant zero at (1/9, 1/4): tiny but nonzero gap
-    params = TetraParams.of(F(1, 9), F(1, 4) + F(1, 10 ** 7))
-    disc = params.discriminant()
-    assert disc != 0 and abs(disc) < F(1, 10 ** 6)
-    sols = enumerate_tangents(params)
-    for sol in sols:
-        assert verify_solution(sol, params).max_residual < 1e-9
-    gap = pairwise_min_distance(sols)
-    assert gap > 0  # distinctness gap shrinks with the discriminant
-    assert pairwise_min_distance(sols, precision="longdouble") > 0
+    # just off the discriminant zero at (1/9, 1/4): tiny but nonzero gap,
+    # 5.7e-9 at the closer point, below what sqrt(2 - 2|<u,v>|) resolves
+    for offset in (F(1, 10 ** 7), F(1, 10 ** 17)):
+        params = TetraParams.of(F(1, 9), F(1, 4) + offset)
+        disc = params.discriminant()
+        assert disc != 0 and abs(disc) < F(1, 10 ** 6)
+        sols = enumerate_tangents(params)
+        for sol in sols:
+            assert verify_solution(sol, params).max_residual < 1e-9
+        gap = pairwise_min_distance(sols)
+        assert gap > 0  # distinctness gap shrinks with the discriminant
+        assert pairwise_min_distance(sols, precision="longdouble") > 0
