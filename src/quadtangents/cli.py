@@ -288,7 +288,9 @@ def _scene_system(scene: Scene) -> TangencySystem:
             f"tracking needs exactly 4 conditions, scene has {scene.condition_count}")
     conditions = [TangentTo(q) for q in scene.quadrics]
     conditions += [Meets(f) for _, f in scene.flats]
-    return TangencySystem(tuple(conditions))
+    # Scene.conditions compiles the same conditions in the same order; the
+    # tracker's target and the certificate residuals share it
+    return TangencySystem(tuple(conditions), compiled=scene.conditions)
 
 
 def _write_path_log(path, paths) -> None:
@@ -302,7 +304,8 @@ def _write_path_log(path, paths) -> None:
                 endpoint = [[z.real, z.imag] for z in p.end]
             residual = p.residual if math.isfinite(p.residual) else None
             fh.write(json.dumps({"index": i, "status": p.status,
-                                 "steps": p.steps, "residual": residual,
+                                 "steps": p.steps, "solves": p.solves,
+                                 "residual": residual,
                                  "endpoint": endpoint}) + "\n")
 
 

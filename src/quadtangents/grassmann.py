@@ -207,6 +207,25 @@ def chordal_distance(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.linalg.norm(u - phase * v))
 
 
+def close_pairs(vectors, tol: float) -> list[tuple[int, int]]:
+    """Index pairs (a, b), a < b, of rays closer than ``tol`` in chordal
+    distance, in ascending order.
+
+    Rays at chordal distance d have overlap |<u,v>| = 1 - d^2/2 as unit
+    vectors, so one Gram matrix screens every pair: only those with overlap
+    above 1 - tol^2 can be that close, and ``chordal_distance`` decides
+    those.  The screen is widened to 1 - 1e-12 for smaller ``tol``, since
+    the overlap's rounding error (~1e-15) would hide the margin tol^2/2.
+    """
+    if len(vectors) < 2:
+        return []
+    unit = np.array([v / np.linalg.norm(v) for v in vectors])
+    overlap = np.triu(np.abs(unit.conj() @ unit.T), 1)
+    return [(int(a), int(b))
+            for a, b in zip(*np.nonzero(overlap > 1 - max(tol * tol, 1e-12)))
+            if chordal_distance(vectors[a], vectors[b]) < tol]
+
+
 def _permutation_sign(seq: Sequence[int]) -> int:
     sign = 1
     seq = list(seq)

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .exactnum import RatMatrix, rational, subsets
-from .grassmann import DualFlat, PluckerVector, ProjFlat, chordal_distance
+from .grassmann import DualFlat, PluckerVector, ProjFlat, close_pairs
 from .quadrics import LineConditions, Meets, Quadric, TangentTo
 
 SCENE_SCHEMA = "quadtangents.scene.v1"
@@ -337,14 +337,9 @@ def verify_certificate(cert: Certificate,
             n_real += 1
     if vectors:
         index, vecs = zip(*vectors)
-        unit = np.array([v / np.linalg.norm(v) for v in vecs])
-        # rays at chordal distance d have overlap |<u,v>| = 1 - d^2/2, so only
-        # pairs with overlap above 1 - DISTINCT_TOL^2 can be too close
-        overlap = np.triu(np.abs(unit.conj() @ unit.T), 1)
-        for a, b in zip(*np.nonzero(overlap > 1 - DISTINCT_TOL ** 2)):
-            if chordal_distance(vecs[a], vecs[b]) < DISTINCT_TOL:
-                issues.append(VerificationIssue(
-                    index[b], f"coincides with solution {index[a]}"))
+        for a, b in close_pairs(vecs, DISTINCT_TOL):
+            issues.append(VerificationIssue(
+                index[b], f"coincides with solution {index[a]}"))
 
     counts, scene, total = cert.counts, cert.scene, len(cert.solutions)
     if counts.get("total") != total:

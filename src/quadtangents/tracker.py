@@ -15,25 +15,37 @@ predictor on the implicit-derivative ODE  dx/dt = -J_x^{-1} dH/dt  and a
 short Newton corrector, with adaptive step halving/growth, then the
 endpoint is polished by Newton at t = 1.
 
+Tracking is lockstep: all paths of a homotopy advance together as one
+(P, 6) array with their own t, step size and counters, and every predictor
+stage, corrector iteration and polish iteration is one stacked 6x6 solve
+over the paths still live.  Each path keeps the step rule, acceptance and
+iteration counts it would have alone; a path leaves each loop as soon as it
+is done, and a singular Jacobian or non-finite prediction fails only its
+own path.
+
 Start systems: the 32 closed-form tangents of the tetrahedral quadric
 family when the target consists of four tangency conditions, otherwise a
 total-degree start whose Bezout count already equals the root bound, so no
 excess paths need discarding.
 
 Determinism: gamma, the patch, and all start data are drawn from a seeded
-generator; a fixed seed reproduces every path.  Paths share no mutable
-state and may be tracked concurrently.
+generator; a fixed seed reproduces every path.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .grassmann import chordal_distance, normalize_endpoint, transversals_to_4_lines
+from .grassmann import (
+    chordal_distance,
+    close_pairs,
+    normalize_endpoint,
+    transversals_to_4_lines,
+)
 from .quadrics import AffineFlat, LineConditions, Meets, TangentTo, cylinder
 from .tetra32 import TetraParams, enumerate_tangents, family
 
@@ -43,9 +55,15 @@ from .tetra32 import TetraParams, enumerate_tangents, family
 
 @dataclass(frozen=True)
 class TangencySystem:
-    """Four tangency/incidence conditions on lines in P^3."""
+    """Four tangency/incidence conditions on lines in P^3.
+
+    ``compiled`` is their numeric form; it is compiled here unless given,
+    so a scene can share the one it already compiled for the same
+    conditions in the same order.
+    """
 
     conditions: tuple
+    compiled: LineConditions | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.conditions) != 4:
@@ -53,6 +71,9 @@ class TangencySystem:
         for c in self.conditions:
             if not isinstance(c, (TangentTo, Meets)):
                 raise TypeError("conditions must be TangentTo or Meets")
+        if self.compiled is None:
+            object.__setattr__(self, "compiled",
+                               LineConditions.compile(enumerate(self.conditions)))
 
     @property
     def tangency_count(self) -> int:
@@ -66,7 +87,11 @@ class TangencySystem:
 
 @dataclass
 class SquareSystem:
-    """Six complex equations x^T A_i x + b_i . x + c_i in six unknowns."""
+    """Six complex equations x^T A_i x + b_i . x + c_i in six unknowns.
+
+    ``eval``, ``jac`` and ``residual`` take one point (6,) or a stack of
+    points (..., 6) and return one value per point.
+    """
 
     quad: np.ndarray   # (6, 6, 6), symmetric in the trailing axes
     lin: np.ndarray    # (6, 6)
@@ -83,21 +108,27 @@ class SquareSystem:
             out *= d
         return out
 
+    def _quad_x(self, x: np.ndarray) -> np.ndarray:
+        """(..., 6, 6) with row i equal to quad[i] @ x, per point."""
+        return (self.quad @ x[..., None, :, None])[..., 0]
+
     def eval(self, x: np.ndarray) -> np.ndarray:
-        return (self.quad @ x) @ x + self.lin @ x + self.const
+        col = np.asarray(x)[..., None]
+        return ((self._quad_x(col[..., 0]) @ col)[..., 0]
+                + (self.lin @ col)[..., 0] + self.const)
 
     def jac(self, x: np.ndarray) -> np.ndarray:
-        return 2 * (self.quad @ x) + self.lin
+        return 2 * self._quad_x(np.asarray(x)) + self.lin
 
-    def residual(self, x: np.ndarray) -> float:
+    def residual(self, x: np.ndarray):
         """Relative infinity-norm residual (scales like the equations)."""
-        scale = (1.0 + float(np.max(np.abs(x)))) ** 2
-        return float(np.max(np.abs(self.eval(x)))) / scale
+        scale = (1.0 + np.max(np.abs(x), axis=-1)) ** 2
+        return np.max(np.abs(self.eval(x)), axis=-1) / scale
 
 
 def build_square_system(system: TangencySystem, patch: np.ndarray) -> SquareSystem:
     """Four conditions + Pluecker quadric + affine patch (patch . x = 1)."""
-    compiled = LineConditions.compile(enumerate(system.conditions))
+    compiled = system.compiled
     quad = np.zeros((6, 6, 6), dtype=complex)
     lin = np.zeros((6, 6), dtype=complex)
     const = np.zeros(6, dtype=complex)
@@ -170,6 +201,7 @@ class TrackedPath:
     residual: float        # relative Newton residual at the endpoint
     singular: bool = False     # endpoint Jacobian condition beyond the limit
     duplicate_of: int | None = None  # index of an earlier coinciding path
+    solves: int = 0        # linear systems solved for this start, all attempts
 
     @property
     def converged(self) -> bool:
@@ -177,125 +209,197 @@ class TrackedPath:
 
 
 class _Homotopy:
-    """H(x,t) = (1-t) gamma S(x) + t T(x) for two quadratic systems."""
+    """H(x,t) = (1-t) gamma S(x) + t T(x) for two quadratic systems, at one
+    point or a stack of points with one t each."""
 
     def __init__(self, start: SquareSystem, target: SquareSystem, gamma: complex):
         self.start, self.target, self.gamma = start, target, gamma
-        self.dquad = target.quad - gamma * start.quad
-        self.dlin = target.lin - gamma * start.lin
-        self.dconst = target.const - gamma * start.const
+        self.delta = SquareSystem(target.quad - gamma * start.quad,
+                                  target.lin - gamma * start.lin,
+                                  target.const - gamma * start.const)
 
     def eval(self, x, t):
-        g = (1 - t) * self.gamma
-        return g * self.start.eval(x) + t * self.target.eval(x)
+        t = np.asarray(t)[..., None]
+        return (1 - t) * self.gamma * self.start.eval(x) + t * self.target.eval(x)
 
     def jac(self, x, t):
-        g = (1 - t) * self.gamma
-        return g * self.start.jac(x) + t * self.target.jac(x)
+        t = np.asarray(t)[..., None, None]
+        return (1 - t) * self.gamma * self.start.jac(x) + t * self.target.jac(x)
 
     def dt(self, x):
-        return (self.dquad @ x) @ x + self.dlin @ x + self.dconst
+        return self.delta.eval(x)
 
 
-def _newton(h: _Homotopy, x: np.ndarray, t: float, iters: int, tol: float):
-    for _ in range(iters):
+def _solve(a, b, solves, rows):
+    """Solve the stack a[k] dx[k] = b[k] in one call and count one system
+    per path in ``solves[rows]``.  numpy raises for the whole stack when one
+    matrix is singular; only then are the rows solved (and counted) again
+    one by one.  Returns dx and a mask of the rows solved; a singular row's
+    dx is NaN."""
+    solves[rows] += 1
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0], np.ones(len(rows), bool)
+    except np.linalg.LinAlgError:
+        pass
+    solves[rows] += 1
+    dx = np.full(b.shape, np.nan, dtype=complex)
+    solved = np.zeros(len(rows), bool)
+    for k in range(len(rows)):
         try:
-            dx = np.linalg.solve(h.jac(x, t), -h.eval(x, t))
+            dx[k] = np.linalg.solve(a[k], b[k, :, None])[:, 0]
+            solved[k] = True
         except np.linalg.LinAlgError:
-            return x, False
-        x = x + dx
-        if np.linalg.norm(dx) < tol * max(1.0, float(np.linalg.norm(x))):
-            return x, True
-    return x, False
+            pass
+    return dx, solved
 
 
-def _rk4_predict(h: _Homotopy, x: np.ndarray, t: float, step: float):
-    def slope(xx, tt):
-        return np.linalg.solve(h.jac(xx, tt), -h.dt(xx))
+def _predict(h: _Homotopy, x, t, step, solves, rows):
+    """RK4 step of the given sizes on dx/dt = -J_x^{-1} dH/dt for each row.
+    A row whose Jacobian is singular at some stage drops out of the later
+    stages and comes back NaN."""
+    k = np.zeros((4,) + x.shape, dtype=complex)
+    live = np.arange(len(x))
+    for stage, c in enumerate((0.0, 0.5, 0.5, 1.0)):
+        xs, ts = x[live], t[live]
+        if stage:
+            xs = xs + (c * step[live])[:, None] * k[stage - 1, live]
+            ts = ts + c * step[live]
+        k[stage, live], solved = _solve(h.jac(xs, ts), -h.dt(xs), solves, rows[live])
+        live = live[solved]
+    pred = np.full(x.shape, np.nan, dtype=complex)
+    k1, k2, k3, k4 = k[:, live]
+    pred[live] = x[live] + (step[live] / 6)[:, None] * (k1 + 2 * k2 + 2 * k3 + k4)
+    return pred
 
-    k1 = slope(x, t)
-    k2 = slope(x + step / 2 * k1, t + step / 2)
-    k3 = slope(x + step / 2 * k2, t + step / 2)
-    k4 = slope(x + step * k3, t + step)
-    return x + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+def _correct(h: _Homotopy, x, t, opts: TrackOptions, solves, rows):
+    """Newton at fixed t for each row.  A row stops when its update falls
+    below the corrector tolerance (ok) or its Jacobian is singular."""
+    x = x.copy()
+    ok = np.zeros(len(x), bool)
+    live = np.arange(len(x))
+    for _ in range(opts.corrector_iters):
+        if not live.size:
+            break
+        xs, ts = x[live], t[live]
+        dx, solved = _solve(h.jac(xs, ts), -h.eval(xs, ts), solves, rows[live])
+        live, dx = live[solved], dx[solved]
+        xs = xs[solved] + dx
+        x[live] = xs
+        done = (np.linalg.norm(dx, axis=-1)
+                < opts.corrector_tol * np.maximum(1.0, np.linalg.norm(xs, axis=-1)))
+        ok[live[done]] = True
+        live = live[~done]
+    return x, ok
 
 
-def _track_one(h: _Homotopy, x0: np.ndarray, opts: TrackOptions) -> TrackedPath:
-    x = np.asarray(x0, dtype=complex)
-    t, step, steps, successes = 0.0, opts.first_step, 0, 0
-    while t < 1.0:
-        remaining = 1.0 - t
-        if remaining < opts.min_step:
-            break  # at the target up to roundoff; the polish below finishes
-        if step < opts.min_step:
-            return TrackedPath(x0, None, "diverged", steps, float("inf"))
-        step = min(step, remaining)
-        try:
-            pred = _rk4_predict(h, x, t, step)
-        except np.linalg.LinAlgError:
-            pred = None
-        if pred is not None and np.all(np.isfinite(pred)):
-            corr, ok = _newton(h, pred, t + step, opts.corrector_iters,
-                               opts.corrector_tol)
-        else:
-            ok = False
-        steps += 1
-        if ok:
-            x, t = corr, t + step
-            successes += 1
-            if successes >= opts.successes_to_grow:
-                step, successes = min(step * opts.grow_factor, opts.max_step), 0
-        else:
-            step, successes = step / 2, 0
+def _track_lockstep(h: _Homotopy, starts: np.ndarray,
+                    opts: TrackOptions) -> list[TrackedPath]:
+    """Track all start points together, one stacked solve per stage."""
+    n = len(starts)
+    x = starts.copy()
+    t = np.zeros(n)
+    step = np.full(n, opts.first_step)
+    steps = np.zeros(n, dtype=int)
+    successes = np.zeros(n, dtype=int)
+    solves = np.zeros(n, dtype=int)
+    running = np.ones(n, bool)
+    underflow = np.zeros(n, bool)
+    while True:
+        # a path within min_step of t = 1 is there up to roundoff; the
+        # polish below finishes it
+        running &= (t < 1.0) & ~(1.0 - t < opts.min_step)
+        lost = running & (step < opts.min_step)
+        underflow |= lost
+        running &= ~lost
+        rows = np.flatnonzero(running)
+        if not rows.size:
+            break
+        step[rows] = np.minimum(step[rows], 1.0 - t[rows])
+        s, t0 = step[rows], t[rows]
+        pred = _predict(h, x[rows], t0, s, solves, rows)
+        finite = np.all(np.isfinite(pred), axis=-1)
+        corr, ok = _correct(h, pred[finite], t0[finite] + s[finite], opts,
+                            solves, rows[finite])
+        accept = np.zeros(len(rows), bool)
+        accept[finite] = ok
+        steps[rows] += 1
+        good, bad = rows[accept], rows[~accept]
+        x[good] = corr[ok]
+        t[good] = t0[accept] + s[accept]
+        successes[good] += 1
+        grow = good[successes[good] >= opts.successes_to_grow]
+        step[grow] = np.minimum(step[grow] * opts.grow_factor, opts.max_step)
+        successes[grow] = 0
+        step[bad] /= 2
+        successes[bad] = 0
+
     # endpoint polish at t = 1
     target = h.target
+    ends = np.flatnonzero(~underflow)
+    live = ends
     for _ in range(opts.endpoint_iters):
-        if target.residual(x) < opts.endpoint_tol:
+        live = live[~(target.residual(x[live]) < opts.endpoint_tol)]
+        if not live.size:
             break
+        xs = x[live]
+        dx, solved = _solve(target.jac(xs), -target.eval(xs), solves, live)
+        ok = solved & np.all(np.isfinite(dx), axis=-1)
+        live = live[ok]
+        x[live] += dx[ok]
+    residual = np.full(n, np.inf)
+    cond = np.zeros(n)
+    if ends.size:
+        residual[ends] = target.residual(x[ends])
+        jac = target.jac(x[ends])
         try:
-            dx = np.linalg.solve(target.jac(x), -target.eval(x))
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(dx)):
-            break
-        x = x + dx
-    res = target.residual(x)
-    try:
-        cond = float(np.linalg.cond(target.jac(x)))
-    except np.linalg.LinAlgError:
-        cond = float("inf")
-    singular = cond > opts.cond_limit
-    status = "converged" if res < opts.endpoint_tol else "diverged"
-    return TrackedPath(x0, x, status, steps, res, singular=singular)
+            cond[ends] = np.linalg.cond(jac)
+        except np.linalg.LinAlgError:  # an SVD failed: only its row is inf
+            for i, a in zip(ends, jac):
+                try:
+                    cond[i] = np.linalg.cond(a)
+                except np.linalg.LinAlgError:
+                    cond[i] = np.inf
+    return [TrackedPath(starts[i], None if underflow[i] else x[i],
+                        "converged" if residual[i] < opts.endpoint_tol else "diverged",
+                        int(steps[i]), float(residual[i]),
+                        singular=bool(cond[i] > opts.cond_limit),
+                        solves=int(solves[i]))
+            for i in range(n)]
 
 
 def track(start_sys: SquareSystem, start_solutions, target_sys: SquareSystem,
           options: TrackOptions | None = None) -> list[TrackedPath]:
     """Track every start solution to the target system.
 
-    Endpoints closer than the distinctness tolerance are re-tracked with
-    10x tighter step control; any that still coincide are flagged as
-    suspected path jumps (``duplicate_of``) rather than silently counted
-    as multiple solutions.
+    All paths run as one lockstep batch.  Paths that do not converge are
+    re-tracked, together, with 10x tighter step control; so are endpoints
+    closer than the distinctness tolerance, and any that still coincide are
+    flagged as suspected path jumps (``duplicate_of``) rather than silently
+    counted as multiple solutions.
     """
     opts = options or TrackOptions()
     rng = np.random.default_rng(opts.seed)
     gamma = complex(np.exp(2j * np.pi * rng.random()))
     h = _Homotopy(start_sys, target_sys, gamma)
-    paths = [_track_one(h, np.asarray(x, dtype=complex), opts)
-             for x in start_solutions]
+    starts = np.array(start_solutions, dtype=complex).reshape(len(start_solutions), 6)
+    paths = _track_lockstep(h, starts, opts)
 
     tight = replace(opts, first_step=opts.first_step / 10,
                     max_step=opts.max_step / 10)
-    for i, p in enumerate(paths):
-        if not p.converged:
-            paths[i] = _track_one(h, p.start, tight)
 
+    def retrack(indices):
+        if not indices:
+            return
+        again = _track_lockstep(h, np.array([paths[i].start for i in indices]), tight)
+        for i, p in zip(indices, again):
+            p.solves += paths[i].solves
+            paths[i] = p
+
+    retrack([i for i, p in enumerate(paths) if not p.converged])
     clusters = _coincident_clusters(paths, opts.distinct_tol)
     if clusters:
-        for cluster in clusters:
-            for idx in cluster:
-                paths[idx] = _track_one(h, paths[idx].start, tight)
+        retrack([i for cluster in clusters for i in cluster])
         for cluster in _coincident_clusters(paths, opts.distinct_tol):
             keep = cluster[0]
             for idx in cluster[1:]:
@@ -305,23 +409,16 @@ def track(start_sys: SquareSystem, start_solutions, target_sys: SquareSystem,
 
 
 def _coincident_clusters(paths: list[TrackedPath], tol: float) -> list[list[int]]:
+    """Greedy clusters of converged endpoints closer than ``tol``: each path
+    not yet taken, in order, collects every later untaken path close to it."""
     idx = [i for i, p in enumerate(paths) if p.converged and p.end is not None]
-    used = set()
-    clusters = []
-    for a_pos, i in enumerate(idx):
-        if i in used:
-            continue
-        cluster = [i]
-        for j in idx[a_pos + 1:]:
-            if j in used:
-                continue
-            if chordal_distance(paths[i].end, paths[j].end) < tol:
-                cluster.append(j)
-                used.add(j)
-        if len(cluster) > 1:
-            clusters.append(cluster)
-            used.update(cluster)
-    return clusters
+    members: dict[int, list[int]] = {}
+    taken = set()
+    for a, b in close_pairs([paths[i].end for i in idx], tol):
+        if a not in taken and b not in taken:
+            members.setdefault(a, [idx[a]]).append(idx[b])
+            taken.add(b)
+    return list(members.values())
 
 
 def distinct_endpoints(paths: list[TrackedPath]) -> list[np.ndarray]:

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from quadtangents.cli import CSV_COLUMNS, main
-from quadtangents.quadrics import cylinder
+from quadtangents.quadrics import LineConditions, cylinder
 from quadtangents.scenes import Scene, write_json
 from quadtangents.tetra32 import TetraParams, family
 from quadtangents.tracker import regular_tetrahedron_lines
@@ -163,6 +163,40 @@ def test_track_path_log_jsonl(capsys, tmp_path):
         assert rec["status"] == "converged"
         assert isinstance(rec["steps"], int)
         assert len(rec["endpoint"]) == 6
+
+
+def test_track_path_log_counts_solves(capsys, tmp_path):
+    scene = Scene(3, quadrics=list(family(TetraParams.of(F(1, 10), F(1, 20)))))
+    scene_path = make_scene_file(tmp_path, "scene.json", scene)
+    log_path = tmp_path / "paths.jsonl"
+    code, _, _ = run(capsys, "track", "--scene", scene_path,
+                     "--path-log", str(log_path))
+    assert code == 0
+    records = [json.loads(line) for line in log_path.read_text().splitlines()]
+    assert len(records) == 32
+    for rec in records:
+        # at least one RK4 step (4 solves) and one corrector solve per step
+        assert isinstance(rec["solves"], int) and rec["solves"] >= 5 * rec["steps"]
+
+
+def test_track_compiles_the_scene_once(capsys, tmp_path, monkeypatch):
+    compiled = []
+    compile_ = LineConditions.compile.__func__
+
+    def counted(cls, conditions):
+        conditions = list(conditions)
+        compiled.append([label for label, _ in conditions])
+        return compile_(cls, conditions)
+
+    monkeypatch.setattr(LineConditions, "compile", classmethod(counted))
+    scene = Scene(3, quadrics=list(family(TetraParams.of(F(1, 10), F(1, 20)))))
+    scene_path = make_scene_file(tmp_path, "scene.json", scene)
+    code, _, _ = run(capsys, "track", "--scene", scene_path)
+    assert code == 0
+    # the scene once (tracker target and certificate residuals share it),
+    # and the closed-form start system once
+    assert compiled == [["tangency_Q1", "tangency_Q2", "tangency_Q3", "tangency_Q4"],
+                        [0, 1, 2, 3]]
 
 
 def test_track_deterministic_output(capsys, tmp_path):

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,8 @@ from quadtangents.grassmann import (
     PluckerVector,
     ProjFlat,
     check_plucker_relations,
+    chordal_distance,
+    close_pairs,
     counts,
     dual_plucker,
     incidence,
@@ -318,3 +321,18 @@ def test_moment_osculating_plane_in_p4():
     assert flat.span.col(0) == (F(1), F(0), F(0), F(0), F(0))
     assert flat.span.col(1) == (F(0), F(1), F(0), F(0), F(0))
     assert flat.span.col(2) == (F(0), F(0), F(2), F(0), F(0))
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-3, 1e-9])
+def test_close_pairs_matches_every_pair_distance(tol):
+    rng = np.random.default_rng(4)
+    base = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    vectors = []
+    for v in base:  # each ray, rescaled copies of it at distances around tol
+        for d in (0.0, 0.3 * tol, 0.9 * tol, 1.1 * tol, 3 * tol):
+            w = v + d * np.linalg.norm(v) * rng.normal(size=6) / np.sqrt(6)
+            vectors.append(w * (2.0 + rng.random()) * np.exp(2j * np.pi * rng.random()))
+    expected = [(a, b) for a in range(len(vectors)) for b in range(a + 1, len(vectors))
+                if chordal_distance(vectors[a], vectors[b]) < tol]
+    assert close_pairs(vectors, tol) == expected
+    assert len(expected) > len(base)

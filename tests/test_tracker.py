@@ -251,3 +251,66 @@ def test_duplicate_endpoints_flagged():
     assert dupes[0].status == "path-jump-suspected"
     distinct = [p for p in paths if p.converged and p.duplicate_of is None]
     assert len(distinct) == 32
+
+
+# -- lockstep batches -----------------------------------------------------------
+
+
+def _tetra_to_random_scene(seed):
+    rng = np.random.default_rng(seed)
+    patch = random_patch(rng)
+    square, starts = tetra_start_points(P10, patch)
+    target = build_square_system(random_quadric_system(seed), patch)
+    return square, starts, target
+
+
+def test_batch_tracks_each_path_as_alone():
+    square, starts, target = _tetra_to_random_scene(15)
+    opts = TrackOptions(seed=15)
+    together = track(square, starts, target, opts)
+    assert len({p.steps for p in together}) > 1  # paths of unequal length
+    for x, p in zip(starts, together):
+        (alone,) = track(square, [x], target, opts)
+        assert alone.status == p.status and alone.steps == p.steps
+        assert np.max(np.abs(alone.end - p.end)) < 1e-12
+
+
+def test_singular_start_fails_alone():
+    # at x = 0 only the patch row of the Jacobian survives, so every stacked
+    # solve holding this path raises; the path must fail without the others
+    square, starts, target = _tetra_to_random_scene(16)
+    opts = TrackOptions(seed=16)
+    plain = track(square, starts, target, opts)
+    padded = track(square, np.vstack([starts, np.zeros(6)]), target, opts)
+    zero = padded[-1]
+    # the tight retrack halves 0.005 below min_step = 1e-14 in 39 steps
+    assert zero.status == "diverged" and zero.end is None and zero.steps == 39
+    for a, b in zip(plain, padded):
+        assert a.status == b.status and a.steps == b.steps
+        assert np.array_equal(a.end, b.end)
+
+
+def test_path_solves_sum_to_solved_systems(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        calls.append(int(np.prod(np.shape(a)[:-2])))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    square, starts, target = _tetra_to_random_scene(17)
+    paths = track(square, starts, target, TrackOptions(seed=17))
+    assert all(p.solves > 0 for p in paths)
+    assert sum(p.solves for p in paths) == sum(calls)
+    assert len(calls) <= sum(calls) / 8  # stacked, not one call per system
+    # a path leaves each Newton loop once converged, so batching adds no
+    # solves: the one-path-at-a-time tracker solved 6697 systems here
+    assert sum(calls) == 6697
+
+    # a singular path makes its stacks fall back to one call per row; those
+    # systems are counted too
+    calls.clear()
+    paths = track(square, np.vstack([starts, np.zeros(6)]), target,
+                  TrackOptions(seed=17))
+    assert sum(p.solves for p in paths) == sum(calls)
