@@ -10,14 +10,13 @@ relation, and classified as real or conjugate pairs.
 import numpy as np
 
 from quadtangents import (
+    LineConditions,
     PluckerVector,
-    TangencySystem,
     TangentTo,
     TetraParams,
     TrackOptions,
     check_plucker_relations,
     enumerate_tangents,
-    family,
     match_endpoints,
     solve_tangency,
 )
@@ -26,7 +25,7 @@ from quadtangents.tracker import normalize_endpoint
 # %% sanity run: track between two members of the closed-form family
 
 target_params = TetraParams.of("1/10", "1/20")
-system = TangencySystem(tuple(TangentTo(q) for q in family(target_params)))
+system = target_params.conditions  # the family's four tangencies, compiled
 result = solve_tangency(system, TrackOptions(seed=7), start_policy="tetra")
 print(f"{result.converged_count}/32 paths converged; "
       f"max endpoint residual {result.max_residual():.2e}")
@@ -42,7 +41,7 @@ conditions = []
 for _ in range(4):
     m = rng.uniform(-1, 1, size=(4, 4))
     conditions.append(TangentTo((m + m.T) / 2))
-system = TangencySystem(tuple(conditions))
+system = LineConditions.compile(enumerate(conditions))
 result = solve_tangency(system, TrackOptions(seed=1))
 
 report = result.reality()

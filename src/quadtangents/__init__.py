@@ -44,13 +44,10 @@ from .quadrics import (
     Meets,
     Quadric,
     TangentTo,
-    TangencyReport,
-    contains_flat,
     cylinder,
     is_tangent,
     perturbed_smooth_quadric,
     tangency_form,
-    tangency_report,
 )
 from .tetra32 import (
     DegeneracyError,
@@ -65,7 +62,6 @@ from .tetra32 import (
 )
 from .tracker import (
     DoublingResult,
-    TangencySystem,
     TrackOptions,
     TrackResult,
     TrackedPath,

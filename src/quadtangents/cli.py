@@ -16,6 +16,8 @@ import numpy as np
 from . import __version__
 from .exactnum import rational
 from .grassmann import (
+    DISTINCT_TOL,
+    REAL_TOL,
     counts as grassmann_counts,
     moment_osculating_flat,
     normalize_endpoint,
@@ -24,7 +26,6 @@ from .grassmann import (
     transversals_to_4_lines,
 )
 from .scenes import (
-    DISTINCT_TOL,
     Certificate,
     Scene,
     SceneFormatError,
@@ -43,14 +44,7 @@ from .tetra32 import (
     family,
     verify_solution,
 )
-from .tracker import (
-    Meets,
-    TangencySystem,
-    TangentTo,
-    TrackOptions,
-    doubling_experiment,
-    solve_tangency,
-)
+from .tracker import TrackOptions, doubling_experiment, solve_tangency
 
 EXIT_OK = 0
 EXIT_DEGENERATE = 2
@@ -116,8 +110,6 @@ def build_parser() -> _Parser:
     p.add_argument("--scene", required=True, help="scene JSON file")
     p.add_argument("--start-policy", choices=("auto", "tetra", "total-degree"),
                    default="auto")
-    p.add_argument("--start-alpha", default="1/10")
-    p.add_argument("--start-beta", default="1/10")
     p.add_argument("--first-step", type=float, default=0.05)
     p.add_argument("--max-step", type=float, default=0.25)
     p.add_argument("--path-log", default=None,
@@ -133,7 +125,6 @@ def build_parser() -> _Parser:
                        help="search radii by halving from 1/10 (default)")
     group.add_argument("--radii", default=None,
                        help='four comma-separated rationals, e.g. "1/10,1/10,1/10,1/10"')
-    p.add_argument("--max-halvings", type=int, default=20)
     p.set_defaults(func=cmd_doubling)
 
     p = sub.add_parser("verify", parents=[common],
@@ -264,7 +255,7 @@ def cmd_tetra(args) -> int:
         solutions=entries,
         counts={"total": len(entries), "real": n_real,
                 "nonreal": len(entries) - n_real},
-        tolerances={"residual": args.tol, "real": 1e-8, "distinct": DISTINCT_TOL},
+        tolerances={"residual": args.tol, "real": REAL_TOL, "distinct": DISTINCT_TOL},
         params={"alpha": encode_rational(params.alpha),
                 "beta": encode_rational(params.beta)},
         seed=args.seed,
@@ -280,19 +271,6 @@ def cmd_tetra(args) -> int:
 # track
 
 
-def _scene_system(scene: Scene) -> TangencySystem:
-    if scene.n != 3:
-        raise SceneFormatError("tracking requires a scene in P^3")
-    if scene.condition_count != 4:
-        raise SceneFormatError(
-            f"tracking needs exactly 4 conditions, scene has {scene.condition_count}")
-    conditions = [TangentTo(q) for q in scene.quadrics]
-    conditions += [Meets(f) for _, f in scene.flats]
-    # Scene.conditions compiles the same conditions in the same order; the
-    # tracker's target and the certificate residuals share it
-    return TangencySystem(tuple(conditions), compiled=scene.conditions)
-
-
 def _write_path_log(path, paths) -> None:
     import json
     import math
@@ -303,26 +281,26 @@ def _write_path_log(path, paths) -> None:
             if p.end is not None:
                 endpoint = [[z.real, z.imag] for z in p.end]
             residual = p.residual if math.isfinite(p.residual) else None
+            cond = p.cond if math.isfinite(p.cond) else None
             fh.write(json.dumps({"index": i, "status": p.status,
                                  "steps": p.steps, "solves": p.solves,
-                                 "residual": residual,
+                                 "residual": residual, "cond": cond,
                                  "endpoint": endpoint}) + "\n")
 
 
 def cmd_track(args) -> int:
     scene = Scene.from_dict(read_json(args.scene))
-    system = _scene_system(scene)
+    if scene.n != 3:
+        raise SceneFormatError("tracking requires a scene in P^3")
     options = TrackOptions(seed=args.seed, endpoint_tol=args.tol,
                            first_step=args.first_step, max_step=args.max_step)
-    result = solve_tangency(system, options, start_policy=args.start_policy,
-                            start_params=(rational(args.start_alpha),
-                                          rational(args.start_beta)))
+    # the tracker's target and the certificate residuals share one compile
+    result = solve_tangency(scene.conditions, options, start_policy=args.start_policy)
     if args.path_log:
         _write_path_log(args.path_log, result.paths)
-    reality = result.reality(options.real_tol)
+    reality = result.reality()
     entries = []
-    kept = [p for p in result.paths if p.converged and p.duplicate_of is None]
-    for i, (p, real) in enumerate(zip(kept, reality.is_real)):
+    for i, (p, real) in enumerate(zip(result.distinct_paths, reality.is_real)):
         vec = normalize_endpoint(p.end)
         residual = max(solution_residuals(scene, vec).values())
         entries.append(_solution_entry(
@@ -333,12 +311,11 @@ def cmd_track(args) -> int:
         solutions=entries,
         counts={"total": len(entries), "real": reality.real_count,
                 "nonreal": reality.nonreal_count},
-        tolerances={"residual": args.tol, "real": options.real_tol,
-                    "distinct": options.distinct_tol},
+        tolerances={"residual": args.tol, "real": REAL_TOL, "distinct": DISTINCT_TOL},
         seed=args.seed,
         metadata={
             "start_policy": result.start_policy,
-            "root_bound": system.root_bound,
+            "root_bound": scene.conditions.root_bound,
             "paths": {"total": len(result.paths),
                       "converged": result.converged_count,
                       "diverged": sum(1 for p in result.paths
@@ -371,8 +348,7 @@ def cmd_doubling(args) -> int:
             raise SceneFormatError("cylinder radii must be > 0")
     options = TrackOptions(seed=args.seed, endpoint_tol=args.tol,
                            first_step=args.first_step, max_step=args.max_step)
-    result = doubling_experiment(radii, seed=args.seed, options=options,
-                                 max_halvings=args.max_halvings)
+    result = doubling_experiment(radii, seed=args.seed, options=options)
     if args.format == "json":
         write_json(args.output, {
             "exact_stage0": result.exact_stage0_count,

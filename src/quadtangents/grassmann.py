@@ -98,11 +98,6 @@ class DualFlat:
     def n(self) -> int:
         return self.hyperplanes.rows - 1
 
-    def flat(self) -> ProjFlat:
-        """Column-span description (the kernel of the hyperplane system)."""
-        basis = nullspace(self.hyperplanes.transpose())
-        return ProjFlat(RatMatrix.from_rows([list(v) for v in basis]).transpose())
-
 
 def line_through(p, q) -> ProjFlat:
     """Line in P^3 through two projective points."""
@@ -185,6 +180,12 @@ class PluckerVector:
 
     def numeric(self):
         return np.array([complex(c) for c in self.coords])
+
+
+# a normalized endpoint is real when no imaginary part reaches REAL_TOL;
+# rays closer than DISTINCT_TOL in chordal distance are one solution
+REAL_TOL = 1e-8
+DISTINCT_TOL = 1e-6
 
 
 def normalize_endpoint(v) -> np.ndarray:

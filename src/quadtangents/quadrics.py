@@ -8,8 +8,7 @@ single quadratic condition
     p^T (wedge^{k+1} Q) p = 0,
 
 with wedge^{k+1} Q the compound matrix of (k+1)-minors.  Containment of the
-plane in the quadric also satisfies this, so callers that care about honest
-geometric tangency can ask for the containment flag separately.
+plane in the quadric also satisfies this.
 
 For lines in P^3, tangency and incidence conditions are compiled once into
 numeric arrays (``LineConditions``): the one numeric form that the tracker,
@@ -156,31 +155,6 @@ def is_tangent(q: Quadric, p: PluckerVector):
     return abs(raw) / scale
 
 
-def contains_flat(q: Quadric, f: ProjFlat) -> bool:
-    """Exact containment test: the flat lies inside the quadric iff the
-    restricted form L^T Q L vanishes identically."""
-    restricted = f.span.transpose() @ q.matrix @ f.span
-    return all(x == 0 for x in restricted.entries)
-
-
-@dataclass(frozen=True)
-class TangencyReport:
-    residual: object
-    contained: bool | None  # None when no span was available
-
-
-def tangency_report(q: Quadric, p: PluckerVector,
-                    flat: ProjFlat | None = None) -> TangencyReport:
-    """Tangency residual plus a containment flag when the flat is known.
-
-    Containment (rulings of a ruled quadric, flats inside a singular quadric)
-    makes the algebraic residual vanish; downstream counts of honest tangents
-    need to tell the two apart.
-    """
-    contained = contains_flat(q, flat) if flat is not None else None
-    return TangencyReport(is_tangent(q, p), contained)
-
-
 # ---------------------------------------------------------------------------
 # line conditions in P^3, compiled to numeric arrays
 
@@ -247,6 +221,8 @@ class LineConditions:
         lin = np.zeros((m, 6), dtype=complex)
         scale, degree = np.ones(m), np.full(m, 2)
         for i, (_, cond) in enumerate(conditions):
+            if not isinstance(cond, (TangentTo, Meets)):
+                raise TypeError("conditions must be TangentTo or Meets")
             if cond.degree == 2:
                 quad[i] = cond.form()
                 scale[i] = np.linalg.norm(quad[i])
@@ -257,6 +233,11 @@ class LineConditions:
         quad[-1] = PLUCKER_FORM
         labels = tuple(label for label, _ in conditions) + ("plucker",)
         return cls(labels, quad, lin, scale, degree)
+
+    @property
+    def root_bound(self) -> int:
+        """2^(#tangency) * 2, the generic root count of four line conditions."""
+        return (1 << int(np.sum(self.degree[:-1] == 2))) * 2
 
     def residuals(self, v) -> dict[str, float]:
         """Residual of a Pluecker 6-vector for every row, normalized by the

@@ -26,14 +26,11 @@ from functools import cached_property
 import numpy as np
 
 from .exactnum import RatMatrix, rational, subsets
-from .grassmann import DualFlat, PluckerVector, ProjFlat, close_pairs
+from .grassmann import DISTINCT_TOL, DualFlat, PluckerVector, ProjFlat, close_pairs
 from .quadrics import LineConditions, Meets, Quadric, TangentTo
 
 SCENE_SCHEMA = "quadtangents.scene.v1"
 CERTIFICATE_SCHEMA = "quadtangents.certificate.v1"
-
-# solutions of one certificate closer than this are not distinct
-DISTINCT_TOL = 1e-6
 
 
 class SceneFormatError(ValueError):
@@ -346,10 +343,11 @@ def verify_certificate(cert: Certificate,
         issues.append(VerificationIssue(None, "counts.total differs from solution list"))
     if "real" in counts and counts["real"] != n_real:
         issues.append(VerificationIssue(None, "counts.real differs from solution flags"))
-    bound = (1 << len(scene.quadrics)) * 2  # for four conditions in P^3
-    if scene.n == 3 and scene.condition_count == 4 and total > bound:
+    if (scene.n == 3 and scene.condition_count == 4
+            and total > scene.conditions.root_bound):
         issues.append(VerificationIssue(
-            None, f"{total} solutions exceed the root bound {bound}"))
+            None, f"{total} solutions exceed the root bound "
+                  f"{scene.conditions.root_bound}"))
     if cert.params is not None and total != 32:
         issues.append(VerificationIssue(
             None, f"closed-form certificate lists {total} of 32 lines"))

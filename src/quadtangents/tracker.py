@@ -24,9 +24,9 @@ is done, and a singular Jacobian or non-finite prediction fails only its
 own path.
 
 Start systems: the 32 closed-form tangents of the tetrahedral quadric
-family when the target consists of four tangency conditions, otherwise a
-total-degree start whose Bezout count already equals the root bound, so no
-excess paths need discarding.
+family at alpha = beta = 1/10 (solved once per process) for four tangency
+conditions, otherwise a total-degree start whose Bezout count already
+equals the root bound, so no excess paths need discarding.
 
 Determinism: gamma, the patch, and all start data are drawn from a seeded
 generator; a fixed seed reproduces every path.
@@ -34,13 +34,16 @@ generator; a fixed seed reproduces every path.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .grassmann import (
+    DISTINCT_TOL,
+    REAL_TOL,
     chordal_distance,
     close_pairs,
     normalize_endpoint,
@@ -51,38 +54,6 @@ from .tetra32 import TetraParams, enumerate_tangents, family
 
 # ---------------------------------------------------------------------------
 # systems
-
-
-@dataclass(frozen=True)
-class TangencySystem:
-    """Four tangency/incidence conditions on lines in P^3.
-
-    ``compiled`` is their numeric form; it is compiled here unless given,
-    so a scene can share the one it already compiled for the same
-    conditions in the same order.
-    """
-
-    conditions: tuple
-    compiled: LineConditions | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if len(self.conditions) != 4:
-            raise ValueError("exactly four conditions required")
-        for c in self.conditions:
-            if not isinstance(c, (TangentTo, Meets)):
-                raise TypeError("conditions must be TangentTo or Meets")
-        if self.compiled is None:
-            object.__setattr__(self, "compiled",
-                               LineConditions.compile(enumerate(self.conditions)))
-
-    @property
-    def tangency_count(self) -> int:
-        return sum(1 for c in self.conditions if isinstance(c, TangentTo))
-
-    @property
-    def root_bound(self) -> int:
-        """Bezout-style bound 2^(#tangency) * 2, attained generically."""
-        return (1 << self.tangency_count) * 2
 
 
 @dataclass
@@ -126,13 +97,12 @@ class SquareSystem:
         return np.max(np.abs(self.eval(x)), axis=-1) / scale
 
 
-def build_square_system(system: TangencySystem, patch: np.ndarray) -> SquareSystem:
+def build_square_system(conditions: LineConditions, patch: np.ndarray) -> SquareSystem:
     """Four conditions + Pluecker quadric + affine patch (patch . x = 1)."""
-    compiled = system.compiled
     quad = np.zeros((6, 6, 6), dtype=complex)
     lin = np.zeros((6, 6), dtype=complex)
     const = np.zeros(6, dtype=complex)
-    quad[:5], lin[:5] = compiled.quad, compiled.lin
+    quad[:5], lin[:5] = conditions.quad, conditions.lin
     lin[5] = np.asarray(patch, dtype=complex)
     const[5] = -1.0
     return SquareSystem(quad, lin, const)
@@ -171,23 +141,26 @@ def total_degree_start(target: SquareSystem,
 # tracking
 
 
+# a path diverges when its step falls below MIN_STEP; a step is accepted when
+# Newton's update falls below CORRECTOR_TOL (relative) within CORRECTOR_ITERS
+# iterations; steps halve on failure and grow by GROW_FACTOR after
+# SUCCESSES_TO_GROW accepted steps in a row
+MIN_STEP = 1e-14
+CORRECTOR_ITERS = 3
+CORRECTOR_TOL = 1e-10
+SUCCESSES_TO_GROW = 5
+GROW_FACTOR = 1.5
+ENDPOINT_ITERS = 15  # Newton polish iterations at t = 1
+
+
 @dataclass(frozen=True)
 class TrackOptions:
-    """All tracker tolerances, with reproducible defaults."""
+    """The tracker settings a caller chooses, with reproducible defaults."""
 
     seed: int = 0
+    endpoint_tol: float = 1e-12
     first_step: float = 0.05
     max_step: float = 0.25
-    min_step: float = 1e-14
-    corrector_iters: int = 3
-    corrector_tol: float = 1e-10
-    successes_to_grow: int = 5
-    grow_factor: float = 1.5
-    endpoint_tol: float = 1e-12
-    endpoint_iters: int = 15
-    cond_limit: float = 1e12
-    real_tol: float = 1e-8
-    distinct_tol: float = 1e-6
 
 
 @dataclass
@@ -199,7 +172,7 @@ class TrackedPath:
     status: str            # "converged" | "diverged" | "path-jump-suspected"
     steps: int
     residual: float        # relative Newton residual at the endpoint
-    singular: bool = False     # endpoint Jacobian condition beyond the limit
+    cond: float            # endpoint Jacobian condition number; inf without one
     duplicate_of: int | None = None  # index of an earlier coinciding path
     solves: int = 0        # linear systems solved for this start, all attempts
 
@@ -272,13 +245,13 @@ def _predict(h: _Homotopy, x, t, step, solves, rows):
     return pred
 
 
-def _correct(h: _Homotopy, x, t, opts: TrackOptions, solves, rows):
+def _correct(h: _Homotopy, x, t, solves, rows):
     """Newton at fixed t for each row.  A row stops when its update falls
     below the corrector tolerance (ok) or its Jacobian is singular."""
     x = x.copy()
     ok = np.zeros(len(x), bool)
     live = np.arange(len(x))
-    for _ in range(opts.corrector_iters):
+    for _ in range(CORRECTOR_ITERS):
         if not live.size:
             break
         xs, ts = x[live], t[live]
@@ -287,7 +260,7 @@ def _correct(h: _Homotopy, x, t, opts: TrackOptions, solves, rows):
         xs = xs[solved] + dx
         x[live] = xs
         done = (np.linalg.norm(dx, axis=-1)
-                < opts.corrector_tol * np.maximum(1.0, np.linalg.norm(xs, axis=-1)))
+                < CORRECTOR_TOL * np.maximum(1.0, np.linalg.norm(xs, axis=-1)))
         ok[live[done]] = True
         live = live[~done]
     return x, ok
@@ -308,8 +281,8 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray,
     while True:
         # a path within min_step of t = 1 is there up to roundoff; the
         # polish below finishes it
-        running &= (t < 1.0) & ~(1.0 - t < opts.min_step)
-        lost = running & (step < opts.min_step)
+        running &= (t < 1.0) & ~(1.0 - t < MIN_STEP)
+        lost = running & (step < MIN_STEP)
         underflow |= lost
         running &= ~lost
         rows = np.flatnonzero(running)
@@ -319,7 +292,7 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray,
         s, t0 = step[rows], t[rows]
         pred = _predict(h, x[rows], t0, s, solves, rows)
         finite = np.all(np.isfinite(pred), axis=-1)
-        corr, ok = _correct(h, pred[finite], t0[finite] + s[finite], opts,
+        corr, ok = _correct(h, pred[finite], t0[finite] + s[finite],
                             solves, rows[finite])
         accept = np.zeros(len(rows), bool)
         accept[finite] = ok
@@ -328,8 +301,8 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray,
         x[good] = corr[ok]
         t[good] = t0[accept] + s[accept]
         successes[good] += 1
-        grow = good[successes[good] >= opts.successes_to_grow]
-        step[grow] = np.minimum(step[grow] * opts.grow_factor, opts.max_step)
+        grow = good[successes[good] >= SUCCESSES_TO_GROW]
+        step[grow] = np.minimum(step[grow] * GROW_FACTOR, opts.max_step)
         successes[grow] = 0
         step[bad] /= 2
         successes[bad] = 0
@@ -338,7 +311,7 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray,
     target = h.target
     ends = np.flatnonzero(~underflow)
     live = ends
-    for _ in range(opts.endpoint_iters):
+    for _ in range(ENDPOINT_ITERS):
         live = live[~(target.residual(x[live]) < opts.endpoint_tol)]
         if not live.size:
             break
@@ -348,7 +321,7 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray,
         live = live[ok]
         x[live] += dx[ok]
     residual = np.full(n, np.inf)
-    cond = np.zeros(n)
+    cond = np.full(n, np.inf)
     if ends.size:
         residual[ends] = target.residual(x[ends])
         jac = target.jac(x[ends])
@@ -362,8 +335,7 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray,
                     cond[i] = np.inf
     return [TrackedPath(starts[i], None if underflow[i] else x[i],
                         "converged" if residual[i] < opts.endpoint_tol else "diverged",
-                        int(steps[i]), float(residual[i]),
-                        singular=bool(cond[i] > opts.cond_limit),
+                        int(steps[i]), float(residual[i]), float(cond[i]),
                         solves=int(solves[i]))
             for i in range(n)]
 
@@ -397,10 +369,10 @@ def track(start_sys: SquareSystem, start_solutions, target_sys: SquareSystem,
             paths[i] = p
 
     retrack([i for i, p in enumerate(paths) if not p.converged])
-    clusters = _coincident_clusters(paths, opts.distinct_tol)
+    clusters = _coincident_clusters(paths)
     if clusters:
         retrack([i for cluster in clusters for i in cluster])
-        for cluster in _coincident_clusters(paths, opts.distinct_tol):
+        for cluster in _coincident_clusters(paths):
             keep = cluster[0]
             for idx in cluster[1:]:
                 paths[idx].status = "path-jump-suspected"
@@ -408,21 +380,17 @@ def track(start_sys: SquareSystem, start_solutions, target_sys: SquareSystem,
     return paths
 
 
-def _coincident_clusters(paths: list[TrackedPath], tol: float) -> list[list[int]]:
-    """Greedy clusters of converged endpoints closer than ``tol``: each path
-    not yet taken, in order, collects every later untaken path close to it."""
+def _coincident_clusters(paths: list[TrackedPath]) -> list[list[int]]:
+    """Greedy clusters of converged endpoints closer than DISTINCT_TOL: each
+    path not yet taken, in order, collects every later untaken path close to it."""
     idx = [i for i, p in enumerate(paths) if p.converged and p.end is not None]
     members: dict[int, list[int]] = {}
     taken = set()
-    for a, b in close_pairs([paths[i].end for i in idx], tol):
+    for a, b in close_pairs([paths[i].end for i in idx], DISTINCT_TOL):
         if a not in taken and b not in taken:
             members.setdefault(a, [idx[a]]).append(idx[b])
             taken.add(b)
     return list(members.values())
-
-
-def distinct_endpoints(paths: list[TrackedPath]) -> list[np.ndarray]:
-    return [p.end for p in paths if p.converged and p.duplicate_of is None]
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +413,8 @@ class RealityReport:
         return 2 * len(self.conjugate_pairs) + len(self.unpaired)
 
 
-def classify_real(paths: list[TrackedPath] | list[np.ndarray],
-                  tol: float = 1e-8) -> RealityReport:
-    """Split converged endpoints into real ones and conjugate pairs.
+def classify_real(endpoints: list[np.ndarray]) -> RealityReport:
+    """Split endpoints into real ones and conjugate pairs.
 
     Endpoints are normalized (unit norm, dominant coordinate real-positive);
     an endpoint is real when no imaginary part survives the normalization.
@@ -456,19 +423,15 @@ def classify_real(paths: list[TrackedPath] | list[np.ndarray],
     in the plane at infinity (all coordinates p_{0i} below tolerance), which
     an affine-reality claim must exclude.
     """
-    if paths and isinstance(paths[0], TrackedPath):
-        endpoints = distinct_endpoints(paths)
-    else:
-        endpoints = list(paths)
     normalized = [normalize_endpoint(v) for v in endpoints]
-    is_real = [bool(np.max(np.abs(v.imag)) < tol) for v in normalized]
-    at_infinity = sum(1 for v in normalized if np.max(np.abs(v[:3])) < tol)
+    is_real = [bool(np.max(np.abs(v.imag)) < REAL_TOL) for v in normalized]
+    at_infinity = sum(1 for v in normalized if np.max(np.abs(v[:3])) < REAL_TOL)
     nonreal_idx = [i for i, real in enumerate(is_real) if not real]
     pairs, unpaired, used = [], [], set()
     for pos, i in enumerate(nonreal_idx):
         if i in used:
             continue
-        best_j, best_d = None, tol
+        best_j, best_d = None, REAL_TOL
         for j in nonreal_idx[pos + 1:]:
             if j in used:
                 continue
@@ -506,49 +469,58 @@ def match_endpoints(first, second) -> float:
 
 @dataclass
 class TrackResult:
-    system: TangencySystem
+    conditions: LineConditions
     paths: list[TrackedPath]
     patch: np.ndarray
-    seed: int
     start_policy: str
 
     @property
+    def distinct_paths(self) -> list[TrackedPath]:
+        """Converged paths that are not suspected duplicates of another."""
+        return [p for p in self.paths if p.converged and p.duplicate_of is None]
+
+    @property
     def endpoints(self) -> list[np.ndarray]:
-        return distinct_endpoints(self.paths)
+        return [p.end for p in self.distinct_paths]
 
     @property
     def converged_count(self) -> int:
         return sum(1 for p in self.paths if p.converged)
 
-    def reality(self, tol: float = 1e-8) -> RealityReport:
-        return classify_real(self.paths, tol)
+    def reality(self) -> RealityReport:
+        """Reality of ``endpoints``, one flag per distinct path in order."""
+        return classify_real(self.endpoints)
 
     def max_residual(self) -> float:
         res = [p.residual for p in self.paths if p.converged]
         return max(res) if res else float("inf")
 
 
-DEFAULT_START_PARAMS = (Fraction(1, 10), Fraction(1, 10))
+# the closed-form start family, inside the region where all 32 lines are real
+START_PARAMS = TetraParams.of(Fraction(1, 10), Fraction(1, 10))
 
 
-def tetra_start_points(params: TetraParams, patch: np.ndarray) -> tuple[SquareSystem, np.ndarray]:
-    """The 32 closed-form tangents of the tetrahedral family, rescaled onto
-    the affine patch, together with their (patched) defining square system."""
-    system = TangencySystem(tuple(TangentTo(q) for q in family(params)))
-    square = build_square_system(system, patch)
-    sols = enumerate_tangents(params)
-    pts = []
-    for s in sols:
-        v = s.numeric()
-        v = v / (patch @ v)
-        pts.append(v)
-    return square, np.array(pts)
+@functools.cache
+def _tetra_start() -> tuple[LineConditions, np.ndarray]:
+    """The start family's conditions and 32 numeric tangents, shared read-only."""
+    conditions = LineConditions.compile(
+        enumerate(TangentTo(q) for q in family(START_PARAMS)))
+    tangents = np.array([s.numeric() for s in enumerate_tangents(START_PARAMS)])
+    tangents.flags.writeable = False
+    return conditions, tangents
 
 
-def solve_tangency(system: TangencySystem,
+def tetra_start_points(patch: np.ndarray) -> tuple[SquareSystem, np.ndarray]:
+    """The 32 closed-form tangents of the start family, rescaled onto the
+    affine patch, together with their (patched) defining square system."""
+    conditions, tangents = _tetra_start()
+    return (build_square_system(conditions, patch),
+            np.array([v / (patch @ v) for v in tangents]))
+
+
+def solve_tangency(conditions: LineConditions,
                    options: TrackOptions | None = None,
-                   start_policy: str = "auto",
-                   start_params=DEFAULT_START_PARAMS) -> TrackResult:
+                   start_policy: str = "auto") -> TrackResult:
     """Solve a four-condition line system by continuation.
 
     ``start_policy``: "tetra" tracks from the 32 certified closed-form
@@ -556,23 +528,27 @@ def solve_tangency(system: TangencySystem,
     tracks a Bezout-count start, "auto" picks "tetra" exactly when all four
     conditions are tangencies.
     """
+    if len(conditions.labels) != 5:  # four conditions and the Pluecker row
+        raise ValueError("tracking needs exactly 4 conditions, "
+                         f"got {len(conditions.labels) - 1}")
     opts = options or TrackOptions()
     rng = np.random.default_rng(opts.seed)
     patch = random_patch(rng)
-    target = build_square_system(system, patch)
+    target = build_square_system(conditions, patch)
+    all_tangent = bool(np.all(conditions.degree == 2))
     policy = start_policy
     if policy == "auto":
-        policy = "tetra" if system.tangency_count == 4 else "total-degree"
+        policy = "tetra" if all_tangent else "total-degree"
     if policy == "tetra":
-        if system.tangency_count != 4:
+        if not all_tangent:
             raise ValueError("tetra start policy needs four tangency conditions")
-        start_sq, starts = tetra_start_points(TetraParams.of(*start_params), patch)
+        start_sq, starts = tetra_start_points(patch)
     elif policy == "total-degree":
         start_sq, starts = total_degree_start(target, rng)
     else:
         raise ValueError(f"unknown start policy {policy!r}")
     paths = track(start_sq, starts, target, opts)
-    return TrackResult(system, paths, patch, opts.seed, policy)
+    return TrackResult(conditions, paths, patch, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -618,17 +594,19 @@ class DoublingResult:
         return [row.real_count for row in self.rows]
 
 
+MAX_HALVINGS = 20  # radius halvings per stage in "auto" mode
+
+
 def doubling_experiment(radii="auto", seed: int = 0,
-                        options: TrackOptions | None = None,
-                        max_halvings: int = 20) -> DoublingResult:
+                        options: TrackOptions | None = None) -> DoublingResult:
     """Replace incidence conditions by cylinder tangencies one at a time.
 
     Stage i surrounds the first i tetrahedron edge lines with distance-r_i
     cylinders and keeps incidence conditions on the rest; each tangency
     doubles the solution count, so small enough radii give 2, 4, 8, 16, 32
     real lines at stages 0..4.  In "auto" mode all radii start at 1/10 and
-    are halved together until the stage reaches its target count (up to
-    ``max_halvings``); explicit radii are used as given, and a stage that
+    are halved together until the stage reaches its target count (at most
+    MAX_HALVINGS times); explicit radii are used as given, and a stage that
     misses its target is reported honestly.
     """
     opts = options or TrackOptions(seed=seed)
@@ -652,15 +630,14 @@ def doubling_experiment(radii="auto", seed: int = 0,
         halvings = 0
         while True:
             stage_radii = tuple([r] * stage) if auto else tuple(fixed[:stage])
-            conditions = tuple(
-                TangentTo(cylinder(lines[j], stage_radii[j])) if j < stage
-                else Meets(proj[j].dual())
+            conditions = LineConditions.compile(
+                (j, TangentTo(cylinder(lines[j], stage_radii[j])) if j < stage
+                 else Meets(proj[j].dual()))
                 for j in range(4))
-            result = solve_tangency(TangencySystem(conditions), opts,
-                                    start_policy="total-degree")
-            real_count = result.reality(opts.real_tol).real_count
+            result = solve_tangency(conditions, opts, start_policy="total-degree")
+            real_count = result.reality().real_count
             done = (real_count == target_count or not auto or stage == 0
-                    or halvings >= max_halvings)
+                    or halvings >= MAX_HALVINGS)
             if done:
                 rows.append(DoublingRow(stage, target_count, real_count,
                                         result.converged_count, stage_radii,

@@ -26,10 +26,9 @@ from quadtangents.grassmann import (
     tetrahedron_lines,
     transversals_to_4_lines,
 )
-from quadtangents.quadrics import cylinder, is_tangent
+from quadtangents.quadrics import LineConditions, cylinder, is_tangent
 from quadtangents.tetra32 import TetraParams, enumerate_tangents, family
 from quadtangents.tracker import (
-    TangencySystem,
     TangentTo,
     TrackOptions,
     doubling_experiment,
@@ -141,8 +140,8 @@ def test_criterion_4_tracker_consistency(announce):
     announce["label"] = "4 tracker vs closed form"
     announce["passed"] = False
     t0 = time.perf_counter()
-    target = TangencySystem(
-        tuple(TangentTo(q) for q in family(TetraParams.of(F(1, 10), F(1, 20)))))
+    target = LineConditions.compile(
+        enumerate(TangentTo(q) for q in family(TetraParams.of(F(1, 10), F(1, 20)))))
     res = solve_tangency(target, TrackOptions(seed=7), start_policy="tetra")
     assert res.converged_count == 32
     assert len(res.endpoints) == 32
@@ -296,7 +295,8 @@ def test_criterion_7e_conjugate_pairing(announce):
         for _ in range(4):
             m = rng.uniform(-1, 1, size=(4, 4))
             conds.append(TangentTo((m + m.T) / 2))
-        res = solve_tangency(TangencySystem(tuple(conds)), TrackOptions(seed=seed))
+        res = solve_tangency(LineConditions.compile(enumerate(conds)),
+                             TrackOptions(seed=seed))
         rep = res.reality()
         assert rep.nonreal_count % 2 == 0 and not rep.unpaired
     announce["passed"] = True
@@ -311,7 +311,7 @@ def test_criterion_7f_gamma_independence(announce):
         for _ in range(4):
             m = rng.uniform(-1, 1, size=(4, 4))
             conds.append(TangentTo((m + m.T) / 2))
-        system = TangencySystem(tuple(conds))
+        system = LineConditions.compile(enumerate(conds))
         res1 = solve_tangency(system, TrackOptions(seed=1000 + scene_seed))
         res2 = solve_tangency(system, TrackOptions(seed=2000 + scene_seed))
         assert match_endpoints(res1.endpoints, res2.endpoints) < 1e-8
@@ -331,7 +331,7 @@ def test_criterion_8_random_scene_robustness(announce):
         for _ in range(4):
             m = rng.uniform(-1, 1, size=(4, 4))
             conds.append(TangentTo((m + m.T) / 2))
-        res = solve_tangency(TangencySystem(tuple(conds)),
+        res = solve_tangency(LineConditions.compile(enumerate(conds)),
                              TrackOptions(seed=scene_idx))
         rep = res.reality()
         ok = (res.converged_count == 32

@@ -1,9 +1,14 @@
+import argparse
 import json
+import math
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from quadtangents.cli import CSV_COLUMNS, main
+from quadtangents import tracker
+from quadtangents.cli import CSV_COLUMNS, build_parser, main
 from quadtangents.quadrics import LineConditions, cylinder
 from quadtangents.scenes import Scene, write_json
 from quadtangents.tetra32 import TetraParams, family
@@ -177,6 +182,8 @@ def test_track_path_log_counts_solves(capsys, tmp_path):
     for rec in records:
         # at least one RK4 step (4 solves) and one corrector solve per step
         assert isinstance(rec["solves"], int) and rec["solves"] >= 5 * rec["steps"]
+        if rec["status"] == "converged":
+            assert rec["cond"] is not None and math.isfinite(rec["cond"])
 
 
 def test_track_compiles_the_scene_once(capsys, tmp_path, monkeypatch):
@@ -189,12 +196,13 @@ def test_track_compiles_the_scene_once(capsys, tmp_path, monkeypatch):
         return compile_(cls, conditions)
 
     monkeypatch.setattr(LineConditions, "compile", classmethod(counted))
+    tracker._tetra_start.cache_clear()  # a process's first track builds its start
     scene = Scene(3, quadrics=list(family(TetraParams.of(F(1, 10), F(1, 20)))))
     scene_path = make_scene_file(tmp_path, "scene.json", scene)
     code, _, _ = run(capsys, "track", "--scene", scene_path)
     assert code == 0
     # the scene once (tracker target and certificate residuals share it),
-    # and the closed-form start system once
+    # and the closed-form start system once per process
     assert compiled == [["tangency_Q1", "tangency_Q2", "tangency_Q3", "tangency_Q4"],
                         [0, 1, 2, 3]]
 
@@ -332,3 +340,17 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["counts", "--bogus"])
     assert exc.value.code == 3
+
+
+# -- docs ---------------------------------------------------------------------
+
+
+def test_readme_flags_are_accepted():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme))
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = {option for p in [parser, *sub.choices.values()]
+                for action in p._actions for option in action.option_strings}
+    assert "--path-log" in flags
+    assert flags <= accepted, sorted(flags - accepted)

@@ -12,7 +12,6 @@ from quadtangents.quadrics import (
     is_tangent,
     perturbed_smooth_quadric,
     tangency_form,
-    tangency_report,
 )
 
 
@@ -123,20 +122,6 @@ def test_rescaling_keeps_the_verdict():
     assert (is_tangent(scaled_q, scaled_p) == 0) == (base == 0)
     secant = plucker(line_to_proj([0, 0, 0], [1, 0, 0]))
     assert is_tangent(scaled_q, secant) != 0
-
-
-def test_contained_line_flagged():
-    # x0^2 + x1^2 - x2^2 - x3^2 contains the line (s, t, s, t)
-    q = Quadric.from_diagonal([1, 1, -1, -1])
-    line = ProjFlat.from_points([[1, 0, 1, 0], [0, 1, 0, 1]])
-    report = tangency_report(q, plucker(line), flat=line)
-    assert report.residual == 0 and report.contained is True
-
-
-def test_honest_tangent_not_flagged_as_contained():
-    line = line_to_proj([0, 0, 1], [1, 0, 0])
-    report = tangency_report(UNIT_SPHERE, plucker(line), flat=line)
-    assert report.residual == 0 and report.contained is False
 
 
 # -- cylinders ----------------------------------------------------------------

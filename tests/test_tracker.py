@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from quadtangents.grassmann import PluckerVector, check_plucker_relations
-from quadtangents.quadrics import cylinder, is_tangent
+from quadtangents import tracker
+from quadtangents.quadrics import LineConditions, cylinder, is_tangent
 from quadtangents.tetra32 import TetraParams, enumerate_tangents, family
 from quadtangents.tracker import (
     Meets,
-    TangencySystem,
     TangentTo,
     TrackOptions,
     build_square_system,
@@ -28,17 +28,25 @@ P10 = TetraParams.of(F(1, 10), F(1, 10))
 P20 = TetraParams.of(F(1, 10), F(1, 20))
 
 
-def tetra_system(params) -> TangencySystem:
-    return TangencySystem(tuple(TangentTo(q) for q in family(params)))
+def line_system(conditions) -> LineConditions:
+    return LineConditions.compile(enumerate(conditions))
 
 
-def random_quadric_system(seed) -> TangencySystem:
+def tetra_system(params) -> LineConditions:
+    return params.conditions
+
+
+def random_quadrics(seed) -> list[TangentTo]:
     rng = np.random.default_rng(seed)
     conds = []
     for _ in range(4):
         m = rng.uniform(-1, 1, size=(4, 4))
         conds.append(TangentTo((m + m.T) / 2))
-    return TangencySystem(tuple(conds))
+    return conds
+
+
+def random_quadric_system(seed) -> LineConditions:
+    return line_system(random_quadrics(seed))
 
 
 # -- square systems -----------------------------------------------------------
@@ -47,11 +55,11 @@ def random_quadric_system(seed) -> TangencySystem:
 def test_root_bounds():
     lines = [ln.to_projective() for ln in regular_tetrahedron_lines()]
     meets = [Meets(p.dual()) for p in lines]
-    assert TangencySystem(tuple(meets)).root_bound == 2
+    assert line_system(meets).root_bound == 2
     assert tetra_system(P10).root_bound == 32
     for i in range(5):
         conds = [TangentTo(q) for q in family(P10)[:i]] + meets[i:]
-        assert TangencySystem(tuple(conds[:4])).root_bound == 2 ** i * 2
+        assert line_system(conds[:4]).root_bound == 2 ** i * 2
 
 
 def test_square_system_degrees_match_root_bound():
@@ -61,9 +69,16 @@ def test_square_system_degrees_match_root_bound():
         lines = [ln.to_projective() for ln in regular_tetrahedron_lines()]
         conds = tuple([TangentTo(q) for q in family(P10)[:i]]
                       + [Meets(p.dual()) for p in lines][i:])[:4]
-        system = TangencySystem(conds)
+        system = line_system(conds)
         square = build_square_system(system, patch)
         assert square.total_degree == system.root_bound
+
+
+def test_systems_take_four_line_conditions():
+    with pytest.raises(TypeError):
+        line_system([TangentTo(np.eye(4)), "not a condition"])
+    with pytest.raises(ValueError, match="exactly 4 conditions"):
+        solve_tangency(line_system(TangentTo(q) for q in family(P10)[:3]))
 
 
 def test_total_degree_start_solves_its_system():
@@ -79,7 +94,7 @@ def test_total_degree_start_solves_its_system():
 def test_tetra_start_points_satisfy_their_system():
     rng = np.random.default_rng(2)
     patch = random_patch(rng)
-    square, starts = tetra_start_points(P10, patch)
+    square, starts = tetra_start_points(patch)
     assert len(starts) == 32
     for x in starts:
         assert square.residual(x) < 1e-12
@@ -91,7 +106,7 @@ def test_tetra_start_points_satisfy_their_system():
 def test_constant_homotopy_returns_start_points():
     rng = np.random.default_rng(3)
     patch = random_patch(rng)
-    square, starts = tetra_start_points(P10, patch)
+    square, starts = tetra_start_points(patch)
     paths = track(square, starts, square, TrackOptions(seed=3))
     assert all(p.converged for p in paths)
     for p in paths:
@@ -107,13 +122,13 @@ def test_tracking_matches_closed_form():
 
 
 def test_endpoints_satisfy_target_conditions():
-    res = solve_tangency(random_quadric_system(5), TrackOptions(seed=5))
-    system = res.system
+    conditions = random_quadrics(5)
+    res = solve_tangency(line_system(conditions), TrackOptions(seed=5))
     for v in res.endpoints:
         w = normalize_endpoint(v)
         p = PluckerVector(1, 3, tuple(w))
         assert check_plucker_relations(p) < 1e-9
-        for cond in system.conditions:
+        for cond in conditions:
             form = cond.form()
             raw = abs(w @ form @ w) / np.linalg.norm(form)
             assert raw < 1e-9
@@ -129,6 +144,22 @@ def test_random_real_scene_counts():
     assert rep.nonreal_count % 2 == 0 and not rep.unpaired
 
 
+def test_closed_form_start_is_solved_once(monkeypatch):
+    calls = []
+    enumerate_ = tracker.enumerate_tangents
+
+    def counted(params):
+        calls.append(params)
+        return enumerate_(params)
+
+    monkeypatch.setattr(tracker, "enumerate_tangents", counted)
+    for seed in (1, 2):
+        res = solve_tangency(tetra_system(P20), TrackOptions(seed=seed))
+        assert res.start_policy == "tetra" and len(res.endpoints) == 32
+    # the start family never changes, so its tangents are solved at most once
+    assert len(calls) <= 1
+
+
 def test_gamma_independence_of_endpoints():
     system = random_quadric_system(9)
     res1 = solve_tangency(system, TrackOptions(seed=101))
@@ -139,7 +170,7 @@ def test_gamma_independence_of_endpoints():
 def test_round_trip_tracking():
     rng = np.random.default_rng(8)
     patch = random_patch(rng)
-    sq_a, starts = tetra_start_points(P10, patch)
+    sq_a, starts = tetra_start_points(patch)
     sq_b = build_square_system(tetra_system(P20), patch)
     forth = track(sq_a, starts, sq_b, TrackOptions(seed=8))
     assert all(p.converged for p in forth)
@@ -177,7 +208,7 @@ def test_at_infinity_flag():
     from quadtangents.grassmann import tetrahedron_lines
 
     lines = tetrahedron_lines()
-    sys0 = TangencySystem(tuple(Meets(l.dual()) for l in lines))
+    sys0 = line_system(Meets(l.dual()) for l in lines)
     res = solve_tangency(sys0, TrackOptions(seed=31))
     assert len(res.endpoints) == 2
     rep = res.reality()
@@ -228,7 +259,7 @@ def test_cylinder_stage_two_solutions_are_tangent():
     cyls = [cylinder(lines[0], r), cylinder(lines[1], r)]
     conds = (TangentTo(cyls[0]), TangentTo(cyls[1]),
              Meets(proj[2].dual()), Meets(proj[3].dual()))
-    res = solve_tangency(TangencySystem(conds), TrackOptions(seed=13))
+    res = solve_tangency(line_system(conds), TrackOptions(seed=13))
     assert len(res.endpoints) == 8
     assert res.reality().real_count == 8
     for v in res.endpoints:
@@ -242,7 +273,7 @@ def test_duplicate_endpoints_flagged():
     # force duplicates by feeding the same start twice
     rng = np.random.default_rng(14)
     patch = random_patch(rng)
-    square, starts = tetra_start_points(P10, patch)
+    square, starts = tetra_start_points(patch)
     doubled = np.vstack([starts, starts[:1]])
     target = build_square_system(tetra_system(P20), patch)
     paths = track(square, doubled, target, TrackOptions(seed=14))
@@ -259,7 +290,7 @@ def test_duplicate_endpoints_flagged():
 def _tetra_to_random_scene(seed):
     rng = np.random.default_rng(seed)
     patch = random_patch(rng)
-    square, starts = tetra_start_points(P10, patch)
+    square, starts = tetra_start_points(patch)
     target = build_square_system(random_quadric_system(seed), patch)
     return square, starts, target
 
