@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -306,6 +307,7 @@ def cmd_track(args) -> int:
         entries.append(_solution_entry(
             i, vec, real, residual,
             extra={"path": {"status": p.status, "steps": p.steps}}))
+    status = Counter(p.status for p in result.paths)
     cert = Certificate(
         scene=scene,
         solutions=entries,
@@ -317,17 +319,17 @@ def cmd_track(args) -> int:
             "start_policy": result.start_policy,
             "root_bound": scene.conditions.root_bound,
             "paths": {"total": len(result.paths),
-                      "converged": result.converged_count,
-                      "diverged": sum(1 for p in result.paths
-                                      if p.status == "diverged"),
-                      "suspected_jumps": sum(1 for p in result.paths
-                                             if p.status == "path-jump-suspected")},
+                      "converged": status["converged"],
+                      "diverged": status["diverged"],
+                      "at_infinity": status["at-infinity"],
+                      "suspected_jumps": status["path-jump-suspected"]},
             "patch": [[z.real, z.imag] for z in result.patch],
         },
     )
     _write_certificate(cert, args)
     print(f"{len(entries)} certified endpoints of {len(result.paths)} paths, "
-          f"{reality.real_count} real", file=sys.stderr)
+          f"{reality.real_count} real, {status['at-infinity']} at infinity",
+          file=sys.stderr)
     if not entries:
         return EXIT_NUMERIC
     return EXIT_OK

@@ -299,7 +299,11 @@ def verify_certificate(cert: Certificate,
     most ``tol``, whatever the certificate records; no two solutions are
     closer than ``DISTINCT_TOL``; the counts match the solution list, which
     stays within the root bound and, with ``params`` (closed form), has 32.
+    A certificate whose scene is not in P^3 raises SceneFormatError.
     """
+    if cert.scene.n != 3:
+        raise SceneFormatError(
+            f"verification needs a scene in P^3, got one in P^{cert.scene.n}")
     issues: list[VerificationIssue] = []
     embedded_hash = scene_hash(cert.scene)
     if cert._recorded_hash is not None and cert._recorded_hash != embedded_hash:

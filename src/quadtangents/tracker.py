@@ -23,6 +23,30 @@ iteration counts it would have alone; a path leaves each loop as soon as it
 is done, and a singular Jacobian or non-finite prediction fails only its
 own path.
 
+Every path ends with one of these statuses:
+  converged            polished at t = 1 to the endpoint tolerance;
+  at-infinity          heading to a line at infinity, ended in flight and
+                       never re-tracked (below);
+  diverged             anything else without a certified endpoint: step
+                       underflow, a singular Jacobian at an accepted point
+                       (ended at once, as no smaller step can cure it), or
+                       a polish that misses the tolerance;
+  path-jump-suspected  converged onto an endpoint an earlier path holds.
+
+At-infinity test.  Four spheres have 12 tangent lines, not 32: the other
+paths go to lines at infinity tangent to the absolute conic (Sottile and
+Theobald, "Lines tangent to 2n-2 spheres in R^n", 2002), where the tracker
+would grind down to step underflow.  On those paths the share of the line's
+direction, rho = |(p01, p02, p03)| / |p|, decays like (1 - t)^(1/2), while
+on a path to a finite line it tends to a constant.  From 1 - t = 1e-2 on,
+the valuation d log rho / d log(1 - t) is measured over each decade of
+1 - t on accepted points (no extra solve).  Three decades in a row within
+1/8 of 1/2 end the path as at-infinity, and so does step underflow right
+after one such decade.  This is a cheap late-t test instead of a Cauchy
+endgame (Morgan, Sommese and Wampler, Numer. Math. 1991); rho itself is
+never thresholded, because finite tangents of a scene far from the origin
+have rho near 1e-2 too.
+
 Start systems: the 32 closed-form tangents of the tetrahedral quadric
 family at alpha = beta = 1/10 (solved once per process) for four tangency
 conditions, otherwise a total-degree start whose Bezout count already
@@ -152,6 +176,13 @@ SUCCESSES_TO_GROW = 5
 GROW_FACTOR = 1.5
 ENDPOINT_ITERS = 15  # Newton polish iterations at t = 1
 
+# the at-infinity test of the module docstring: decade valuations of rho from
+# 1 - t = INFINITY_FROM on, INFINITY_DECADES of them in a row inside
+# INFINITY_VALUATION
+INFINITY_FROM = 1e-2
+INFINITY_VALUATION = (0.375, 0.625)
+INFINITY_DECADES = 3
+
 
 @dataclass(frozen=True)
 class TrackOptions:
@@ -169,7 +200,7 @@ class TrackedPath:
 
     start: np.ndarray
     end: np.ndarray | None
-    status: str            # "converged" | "diverged" | "path-jump-suspected"
+    status: str            # "converged" | "at-infinity" | "diverged" | "path-jump-suspected"
     steps: int
     residual: float        # relative Newton residual at the endpoint
     cond: float            # endpoint Jacobian condition number; inf without one
@@ -229,7 +260,8 @@ def _solve(a, b, solves, rows):
 def _predict(h: _Homotopy, x, t, step, solves, rows):
     """RK4 step of the given sizes on dx/dt = -J_x^{-1} dH/dt for each row.
     A row whose Jacobian is singular at some stage drops out of the later
-    stages and comes back NaN."""
+    stages and comes back NaN.  Also returns the mask of rows singular at
+    stage 0, the current point itself, which no smaller step can cure."""
     k = np.zeros((4,) + x.shape, dtype=complex)
     live = np.arange(len(x))
     for stage, c in enumerate((0.0, 0.5, 0.5, 1.0)):
@@ -238,11 +270,13 @@ def _predict(h: _Homotopy, x, t, step, solves, rows):
             xs = xs + (c * step[live])[:, None] * k[stage - 1, live]
             ts = ts + c * step[live]
         k[stage, live], solved = _solve(h.jac(xs, ts), -h.dt(xs), solves, rows[live])
+        if not stage:
+            stuck = ~solved
         live = live[solved]
     pred = np.full(x.shape, np.nan, dtype=complex)
     k1, k2, k3, k4 = k[:, live]
     pred[live] = x[live] + (step[live] / 6)[:, None] * (k1 + 2 * k2 + 2 * k3 + k4)
-    return pred
+    return pred, stuck
 
 
 def _correct(h: _Homotopy, x, t, solves, rows):
@@ -277,20 +311,24 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray,
     successes = np.zeros(n, dtype=int)
     solves = np.zeros(n, dtype=int)
     running = np.ones(n, bool)
-    underflow = np.zeros(n, bool)
+    lost = np.zeros(n, bool)        # ended without an endpoint
+    infinite = np.zeros(n, bool)    # ... and heading to a line at infinity
+    mark = np.full((n, 2), np.nan)  # (log(1 - t), log rho) at the last decade mark
+    decades = np.zeros(n, dtype=int)  # decades in a row up to it with rho ~ (1 - t)^(1/2)
     while True:
         # a path within min_step of t = 1 is there up to roundoff; the
         # polish below finishes it
         running &= (t < 1.0) & ~(1.0 - t < MIN_STEP)
-        lost = running & (step < MIN_STEP)
-        underflow |= lost
-        running &= ~lost
+        under = running & (step < MIN_STEP)
+        infinite |= under & (decades > 0)
+        lost |= under
+        running &= ~under
         rows = np.flatnonzero(running)
         if not rows.size:
             break
         step[rows] = np.minimum(step[rows], 1.0 - t[rows])
         s, t0 = step[rows], t[rows]
-        pred = _predict(h, x[rows], t0, s, solves, rows)
+        pred, stuck = _predict(h, x[rows], t0, s, solves, rows)
         finite = np.all(np.isfinite(pred), axis=-1)
         corr, ok = _correct(h, pred[finite], t0[finite] + s[finite],
                             solves, rows[finite])
@@ -306,10 +344,31 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray,
         successes[grow] = 0
         step[bad] /= 2
         successes[bad] = 0
+        lost[rows[stuck]] = True
+        running[rows[stuck]] = False
+
+        # late-t test on the accepted points, one decade of 1 - t at a time
+        late = good[(1.0 - t[good] <= INFINITY_FROM) & (t[good] < 1.0)]
+        if late.size:
+            point = np.stack([np.log(1.0 - t[late]),
+                              np.log(np.linalg.norm(x[late, :3], axis=-1)
+                                     / np.linalg.norm(x[late], axis=-1))], axis=-1)
+            first = np.isnan(mark[late, 0])
+            decade = point[:, 0] <= mark[late, 0] - np.log(10)
+            new = late[decade]
+            rise = point[decade] - mark[new]
+            valuation = rise[:, 1] / rise[:, 0]
+            lo, hi = INFINITY_VALUATION
+            half = (lo < valuation) & (valuation < hi)
+            decades[new] = np.where(half, decades[new] + 1, 0)
+            done = new[decades[new] >= INFINITY_DECADES]
+            infinite[done] = lost[done] = True
+            running[done] = False
+            mark[late[first | decade]] = point[first | decade]
 
     # endpoint polish at t = 1
     target = h.target
-    ends = np.flatnonzero(~underflow)
+    ends = np.flatnonzero(~lost)
     live = ends
     for _ in range(ENDPOINT_ITERS):
         live = live[~(target.residual(x[live]) < opts.endpoint_tol)]
@@ -333,7 +392,8 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray,
                     cond[i] = np.linalg.cond(a)
                 except np.linalg.LinAlgError:
                     cond[i] = np.inf
-    return [TrackedPath(starts[i], None if underflow[i] else x[i],
+    return [TrackedPath(starts[i], None if lost[i] else x[i],
+                        "at-infinity" if infinite[i] else
                         "converged" if residual[i] < opts.endpoint_tol else "diverged",
                         int(steps[i]), float(residual[i]), float(cond[i]),
                         solves=int(solves[i]))
@@ -344,11 +404,11 @@ def track(start_sys: SquareSystem, start_solutions, target_sys: SquareSystem,
           options: TrackOptions | None = None) -> list[TrackedPath]:
     """Track every start solution to the target system.
 
-    All paths run as one lockstep batch.  Paths that do not converge are
-    re-tracked, together, with 10x tighter step control; so are endpoints
-    closer than the distinctness tolerance, and any that still coincide are
-    flagged as suspected path jumps (``duplicate_of``) rather than silently
-    counted as multiple solutions.
+    All paths run as one lockstep batch.  Diverged paths are re-tracked,
+    together, with 10x tighter step control (at-infinity ones are not); so
+    are endpoints closer than the distinctness tolerance, and any that
+    still coincide are flagged as suspected path jumps (``duplicate_of``)
+    rather than silently counted as multiple solutions.
     """
     opts = options or TrackOptions()
     rng = np.random.default_rng(opts.seed)
@@ -368,7 +428,7 @@ def track(start_sys: SquareSystem, start_solutions, target_sys: SquareSystem,
             p.solves += paths[i].solves
             paths[i] = p
 
-    retrack([i for i, p in enumerate(paths) if not p.converged])
+    retrack([i for i, p in enumerate(paths) if p.status == "diverged"])
     clusters = _coincident_clusters(paths)
     if clusters:
         retrack([i for cluster in clusters for i in cluster])

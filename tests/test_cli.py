@@ -9,10 +9,12 @@ import pytest
 
 from quadtangents import tracker
 from quadtangents.cli import CSV_COLUMNS, build_parser, main
-from quadtangents.quadrics import LineConditions, cylinder
-from quadtangents.scenes import Scene, write_json
+from quadtangents.exactnum import RatMatrix
+from quadtangents.quadrics import LineConditions, Quadric, cylinder
+from quadtangents.scenes import Certificate, Scene, write_json
 from quadtangents.tetra32 import TetraParams, family
 from quadtangents.tracker import regular_tetrahedron_lines
+from test_tracker import SPHERE_SCENES, sphere
 
 
 def run(capsys, *argv):
@@ -288,6 +290,56 @@ def test_verify_rejects_non_certificates(capsys, tmp_path):
     path.write_text('{"schema": "something-else"}')
     code, _, err = run(capsys, "verify", str(path))
     assert code == 3
+
+
+def test_verify_names_a_scene_outside_p3(capsys, tmp_path):
+    scene = Scene(4, quadrics=[Quadric(RatMatrix.identity(5))])
+    cert = Certificate(
+        scene=scene,
+        solutions=[{"index": 0, "real": True, "residual": 0.0,
+                    "plucker": {"k": 1, "n": 3, "coords": {
+                        key: 1.0 for key in ("01", "02", "03", "12", "13", "23")}}}],
+        counts={"total": 1, "real": 1, "nonreal": 0},
+        tolerances={"residual": 1e-12, "real": 1e-8, "distinct": 1e-6})
+    cert_path = tmp_path / "cert.json"
+    write_json(str(cert_path), cert.to_dict())
+    code, _, err = run(capsys, "verify", str(cert_path))
+    assert code == 3 and "needs a scene in P^3" in err
+
+
+# -- certificate schema ---------------------------------------------------------
+
+
+def certificate_validator():
+    from jsonschema import Draft7Validator
+    from referencing import Registry, Resource
+
+    schemas = Path(__file__).resolve().parents[1] / "docs" / "schemas"
+    scene, cert = (json.loads((schemas / f"{name}.schema.json").read_text())
+                   for name in ("scene", "certificate"))
+    registry = Registry().with_resource(scene["$id"], Resource.from_contents(scene))
+    return Draft7Validator(cert, registry=registry)
+
+
+def test_certificates_match_their_schema(capsys, tmp_path):
+    validator = certificate_validator()
+    code, out, _ = run(capsys, "tetra", "1/10", "1/20")
+    assert code == 0
+    validator.validate(json.loads(out))
+
+    seed, spheres = SPHERE_SCENES["plain"]
+    scene = Scene(3, quadrics=[sphere(c, r) for c, r in spheres])
+    scene_path = make_scene_file(tmp_path, "spheres.json", scene)
+    code, out, err = run(capsys, "track", "--scene", scene_path, "--seed", str(seed))
+    cert = json.loads(out)
+    assert code == 0 and cert["counts"]["total"] == 12
+    assert cert["metadata"]["paths"] == {"total": 32, "converged": 12, "diverged": 0,
+                                         "at_infinity": 20, "suspected_jumps": 0}
+    assert "20 at infinity" in err
+    validator.validate(cert)
+
+    del cert["solutions"][0]["plucker"]["coords"]["01"]
+    assert not validator.is_valid(cert)
 
 
 # -- doubling -----------------------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 
 from quadtangents.grassmann import PluckerVector, check_plucker_relations
 from quadtangents import tracker
-from quadtangents.quadrics import LineConditions, cylinder, is_tangent
+from quadtangents.exactnum import RatMatrix
+from quadtangents.quadrics import LineConditions, Quadric, cylinder, is_tangent
 from quadtangents.tetra32 import TetraParams, enumerate_tangents, family
 from quadtangents.tracker import (
     Meets,
@@ -314,8 +315,9 @@ def test_singular_start_fails_alone():
     plain = track(square, starts, target, opts)
     padded = track(square, np.vstack([starts, np.zeros(6)]), target, opts)
     zero = padded[-1]
-    # the tight retrack halves 0.005 below min_step = 1e-14 in 39 steps
-    assert zero.status == "diverged" and zero.end is None and zero.steps == 39
+    # its stage-0 Jacobian is singular, which no smaller step cures: the
+    # path ends after one step, and so does its tight retrack
+    assert zero.status == "diverged" and zero.end is None and zero.steps == 1
     for a, b in zip(plain, padded):
         assert a.status == b.status and a.steps == b.steps
         assert np.array_equal(a.end, b.end)
@@ -345,3 +347,143 @@ def test_path_solves_sum_to_solved_systems(monkeypatch):
     paths = track(square, np.vstack([starts, np.zeros(6)]), target,
                   TrackOptions(seed=17))
     assert sum(p.solves for p in paths) == sum(calls)
+
+
+def test_singular_start_forces_one_fallback_per_pass(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        calls.append(int(np.prod(np.shape(a)[:-2])))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    square, starts, target = _tetra_to_random_scene(17)
+    track(square, starts, target, TrackOptions(seed=17))
+    plain = len(calls)
+    calls.clear()
+    track(square, np.vstack([starts, np.zeros(6)]), target, TrackOptions(seed=17))
+    # the singular path ends at its first stage-0 solve, so the one-call-per-
+    # row fallback runs once in the first pass (33 rows) and once in the retrack
+    assert len(calls) <= plain + 2 * (len(starts) + 2)
+
+
+# -- sphere scenes: lines at infinity -----------------------------------------
+
+
+def sphere(centre, radius) -> Quadric:
+    """|x - c|^2 = r^2 in P^3, centre and radius given in units of 1/32."""
+    c = [F(x, 32) for x in centre]
+    rows = [[sum(x * x for x in c) - F(radius, 32) ** 2] + [-x for x in c]]
+    rows += [[-c[i]] + [F(int(i == j)) for j in range(3)] for i in range(3)]
+    return Quadric(RatMatrix.from_rows(rows))
+
+
+# seeded random rational scenes: centres in [-2, 2]^3 and radii in [1/2, 2],
+# on the 1/32 grid, with the program seed each was solved under
+SPHERE_SCENES = {
+    "plain": (1622818716, [((-19, 45, 21), 49), ((19, -18, -21), 50),
+                           ((38, -19, -8), 39), ((25, 8, 48), 30)]),
+    "plain-2": (1410024443, [((-26, 56, 32), 46), ((-26, 6, 20), 44),
+                             ((-33, 14, 34), 38), ((-31, -55, -8), 36)]),
+    # one finite path takes 222 steps, the longest of 350 such scenes
+    "long-finite-path": (1024293196, [((35, -36, -10), 30), ((46, 63, -41), 34),
+                                      ((63, 43, 61), 44), ((60, -20, -15), 43)]),
+}
+
+
+def solve_spheres(seed, spheres, shift=(0, 0, 0)) -> tracker.TrackResult:
+    conditions = line_system(TangentTo(sphere([x + 32 * d for x, d in zip(c, shift)], r))
+                             for c, r in spheres)
+    return solve_tangency(conditions, TrackOptions(seed=seed))
+
+
+def rho(v) -> float:
+    """Share of the direction part (p01, p02, p03) in a Pluecker vector."""
+    return float(np.linalg.norm(v[:3]) / np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("name", sorted(SPHERE_SCENES))
+def test_sphere_paths_end_at_infinity_once(monkeypatch, name):
+    passes = []
+    track_lockstep = tracker._track_lockstep
+
+    def counted(h, starts, opts):
+        passes.append(len(starts))
+        return track_lockstep(h, starts, opts)
+
+    monkeypatch.setattr(tracker, "_track_lockstep", counted)
+    res = solve_spheres(*SPHERE_SCENES[name])
+    # 3 * 2^(n-1) = 12 lines are tangent to four general spheres in R^3
+    assert len(res.endpoints) == 12 and res.converged_count == 12
+    others = [p for p in res.paths if not p.converged]
+    assert len(others) == 20
+    assert all(p.status == "at-infinity" and p.end is None for p in others)
+    assert passes == [32]  # no path is re-tracked
+
+
+def test_far_sphere_scene_keeps_its_finite_lines():
+    # shifted by (100, 100, 0), every finite tangent has a direction share
+    # rho near 8e-3, as small as a path to infinity has near t = 1; two of
+    # them lie on paths whose valuation is near 1/2 for two decades
+    spheres = [((-3, 55, -34), 24), ((-38, 28, -51), 45),
+               ((-26, 59, -47), 60), ((38, 44, -20), 25)]
+    res = solve_spheres(568561213, spheres, shift=(100, 100, 0))
+    assert len(res.endpoints) == 12
+    assert all(rho(v) < 1e-2 for v in res.endpoints)
+    assert all(p.status == "at-infinity" for p in res.paths if not p.converged)
+
+
+def test_finite_paths_decaying_like_infinite_ones_are_kept():
+    # two finite tangents here have rho = 7.5e-3, reached along paths whose
+    # rho falls like (1 - t)^0.3 for three decades: a valuation above 1/4
+    # would end them at infinity
+    res = solve_spheres(1548815776, [((26, 40, -4), 57), ((13, 14, -50), 35),
+                                     ((64, -27, 30), 26), ((11, 52, -27), 58)])
+    assert len(res.endpoints) == 12
+    assert sum(rho(v) < 1e-2 for v in res.endpoints) == 2
+
+
+def test_path_to_a_regular_far_endpoint_is_kept():
+    # a u^2 = u per moment coordinate with a -> 1e-6 at t = 1, directions
+    # fixed at 1: u grows like 1 / (1 - t), so rho decays like (1 - t)^1 over
+    # the decades the shrinking steps cross, not like (1 - t)^(1/2)
+    def system(a):
+        quad = np.zeros((6, 6, 6), dtype=complex)
+        lin = np.eye(6, dtype=complex)
+        const = np.zeros(6, dtype=complex)
+        const[:3] = -1
+        lin[3:] *= -1
+        quad[3:, 3:, 3:][np.diag_indices(3, 3)] = a
+        return tracker.SquareSystem(quad, lin, const)
+
+    eps = 1e-6
+    (path,) = track(system(1.0), [np.ones(6)], system(eps / (1 + eps)),
+                    TrackOptions(seed=0))
+    assert path.converged and path.steps > 50
+    assert abs(path.end[3] - (1 + eps) / eps) < 1e-3
+
+
+def test_no_path_ends_at_infinity_without_spheres(monkeypatch):
+    statuses = set()
+    for seed in (12, 21):
+        res = solve_tangency(random_quadric_system(seed), TrackOptions(seed=seed))
+        statuses.update(p.status for p in res.paths)
+    # a regular line at infinity, from the coordinate tetrahedron, is kept
+    from quadtangents.grassmann import tetrahedron_lines
+
+    res = solve_tangency(line_system(Meets(l.dual()) for l in tetrahedron_lines()),
+                         TrackOptions(seed=31))
+    assert sum(rho(v) < 1e-12 for v in res.endpoints) == 1
+    statuses.update(p.status for p in res.paths)
+
+    solve = tracker.solve_tangency
+
+    def recorded(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        statuses.update(p.status for p in res.paths)
+        return res
+
+    monkeypatch.setattr(tracker, "solve_tangency", recorded)
+    assert doubling_experiment("auto", seed=5).counts == [2, 4, 8, 16, 32]
+    assert statuses == {"converged"}
