@@ -25,9 +25,11 @@ from .grassmann import (
     DualFlat,
     PluckerVector,
     ProjFlat,
+    RealityReport,
     Transversal,
     TransversalResult,
     check_plucker_relations,
+    classify_real,
     counts,
     dual_plucker,
     incidence,
@@ -57,7 +59,6 @@ from .tetra32 import (
     enumerate_tangents,
     family,
     reality_count,
-    tangency_matrix,
     verify_solution,
 )
 from .tracker import (
@@ -66,9 +67,7 @@ from .tracker import (
     TrackResult,
     TrackedPath,
     build_square_system,
-    classify_real,
     doubling_experiment,
-    match_endpoints,
     regular_tetrahedron_lines,
     solve_tangency,
     track,

@@ -9,6 +9,8 @@ underlying construction is violated), 3 input error, 4 numerical failure
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import sys
 from collections import Counter
 
@@ -19,6 +21,7 @@ from .exactnum import rational
 from .grassmann import (
     DISTINCT_TOL,
     REAL_TOL,
+    classify_real,
     counts as grassmann_counts,
     moment_osculating_flat,
     normalize_endpoint,
@@ -109,18 +112,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("track", parents=[common],
                        help="track the 32 known tangents to a target scene")
     p.add_argument("--scene", required=True, help="scene JSON file")
-    p.add_argument("--start-policy", choices=("auto", "tetra", "total-degree"),
-                   default="auto")
-    p.add_argument("--first-step", type=float, default=0.05)
-    p.add_argument("--max-step", type=float, default=0.25)
     p.add_argument("--path-log", default=None,
                    help="write one JSON line per tracked path to this file")
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("doubling", parents=[common],
                        help="cylinder-radius doubling experiment (counts 2,4,8,16,32)")
-    p.add_argument("--first-step", type=float, default=0.05)
-    p.add_argument("--max-step", type=float, default=0.25)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--auto", action="store_true", default=True,
                        help="search radii by halving from 1/10 (default)")
@@ -273,9 +270,6 @@ def cmd_tetra(args) -> int:
 
 
 def _write_path_log(path, paths) -> None:
-    import json
-    import math
-
     with open(path, "w") as fh:
         for i, p in enumerate(paths):
             endpoint = None
@@ -293,16 +287,16 @@ def cmd_track(args) -> int:
     scene = Scene.from_dict(read_json(args.scene))
     if scene.n != 3:
         raise SceneFormatError("tracking requires a scene in P^3")
-    options = TrackOptions(seed=args.seed, endpoint_tol=args.tol,
-                           first_step=args.first_step, max_step=args.max_step)
+    options = TrackOptions(seed=args.seed, endpoint_tol=args.tol)
     # the tracker's target and the certificate residuals share one compile
-    result = solve_tangency(scene.conditions, options, start_policy=args.start_policy)
+    result = solve_tangency(scene.conditions, options)
     if args.path_log:
         _write_path_log(args.path_log, result.paths)
-    reality = result.reality()
+    distinct = result.distinct_paths
+    vectors = [normalize_endpoint(p.end) for p in distinct]
+    reality = classify_real(vectors)  # the numbers written, as `verify` reads them
     entries = []
-    for i, (p, real) in enumerate(zip(result.distinct_paths, reality.is_real)):
-        vec = normalize_endpoint(p.end)
+    for i, (p, vec, real) in enumerate(zip(distinct, vectors, reality.is_real)):
         residual = max(solution_residuals(scene, vec).values())
         entries.append(_solution_entry(
             i, vec, real, residual,
@@ -346,11 +340,8 @@ def cmd_doubling(args) -> int:
         if len(parts) != 4:
             raise SceneFormatError("--radii needs four comma-separated values")
         radii = [rational(p) for p in parts]
-        if any(r <= 0 for r in radii):
-            raise SceneFormatError("cylinder radii must be > 0")
-    options = TrackOptions(seed=args.seed, endpoint_tol=args.tol,
-                           first_step=args.first_step, max_step=args.max_step)
-    result = doubling_experiment(radii, seed=args.seed, options=options)
+    options = TrackOptions(seed=args.seed, endpoint_tol=args.tol)
+    result = doubling_experiment(radii, options)
     if args.format == "json":
         write_json(args.output, {
             "exact_stage0": result.exact_stage0_count,

@@ -247,12 +247,6 @@ def rank(m: RatMatrix) -> int:
     return _row_reduce(m.to_rows())[1]
 
 
-def rref(m: RatMatrix) -> RatMatrix:
-    """Reduced row echelon form (canonical for the row space)."""
-    reduced, _, _ = _full_reduce(m.to_rows())
-    return RatMatrix.from_rows(reduced)
-
-
 def _row_reduce(a: list[list[Fraction]]) -> tuple[list[list[Fraction]], int, list[int]]:
     """In-place forward elimination; returns (rows, rank, pivot columns)."""
     n_rows = len(a)

@@ -19,7 +19,7 @@ This module keeps everything exact: coordinates are rationals, or elements of
 a quadratic extension Q(sqrt(d)) when a transversal problem forces one square
 root.  Counting utilities (dimension and degree of the Grassmannian, Catalan
 numbers) use arbitrary-precision integers.  Numeric helpers: the Pluecker
-relation as a 6x6 form, canonical numeric vectors and projective distance.
+relation as a 6x6 form, canonical numeric vectors, chordal distance, reality.
 """
 
 from __future__ import annotations
@@ -208,9 +208,10 @@ def chordal_distance(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.linalg.norm(u - phase * v))
 
 
-def close_pairs(vectors, tol: float) -> list[tuple[int, int]]:
+def close_pairs(vectors, tol: float, conjugate: bool = False) -> list[tuple[int, int]]:
     """Index pairs (a, b), a < b, of rays closer than ``tol`` in chordal
-    distance, in ascending order.
+    distance, in ascending order; with ``conjugate``, of rays b close to the
+    complex conjugate of ray a.
 
     Rays at chordal distance d have overlap |<u,v>| = 1 - d^2/2 as unit
     vectors, so one Gram matrix screens every pair: only those with overlap
@@ -221,10 +222,49 @@ def close_pairs(vectors, tol: float) -> list[tuple[int, int]]:
     if len(vectors) < 2:
         return []
     unit = np.array([v / np.linalg.norm(v) for v in vectors])
-    overlap = np.triu(np.abs(unit.conj() @ unit.T), 1)
+    left = unit if conjugate else unit.conj()
+    overlap = np.triu(np.abs(left @ unit.T), 1)
     return [(int(a), int(b))
             for a, b in zip(*np.nonzero(overlap > 1 - max(tol * tol, 1e-12)))
-            if chordal_distance(vectors[a], vectors[b]) < tol]
+            if chordal_distance(np.conj(vectors[a]) if conjugate else vectors[a],
+                                vectors[b]) < tol]
+
+
+@dataclass
+class RealityReport:
+    is_real: list[bool]  # one flag per vector, in order
+    conjugate_pairs: list[tuple[int, int]]
+    unpaired: list[int]
+    at_infinity: int
+
+    @property
+    def real_count(self) -> int:
+        return sum(self.is_real)
+
+    @property
+    def nonreal_count(self) -> int:
+        return 2 * len(self.conjugate_pairs) + len(self.unpaired)
+
+
+def classify_real(vectors) -> RealityReport:
+    """The reality rule: a line's numeric Pluecker vector is real when no
+    imaginary part reaches ``REAL_TOL`` after ``normalize_endpoint``.  The
+    nonreal ones are paired, in order, with a later one within ``REAL_TOL``
+    of their complex conjugate; one left unpaired suggests a path jump or a
+    forged flag.  Also counted: lines in the plane at infinity (p01, p02,
+    p03 below tolerance), which an affine-reality claim must exclude.
+    """
+    normalized = np.reshape([normalize_endpoint(v) for v in vectors], (-1, 6))
+    is_real = np.max(np.abs(normalized.imag), axis=-1) < REAL_TOL
+    at_infinity = np.max(np.abs(normalized[:, :3]), axis=-1) < REAL_TOL
+    nonreal = np.flatnonzero(~is_real)
+    pairs, used = [], set()
+    for a, b in close_pairs(normalized[nonreal], REAL_TOL, conjugate=True):
+        if a not in used and b not in used:
+            pairs.append((int(nonreal[a]), int(nonreal[b])))
+            used.update((a, b))
+    unpaired = [int(i) for k, i in enumerate(nonreal) if k not in used]
+    return RealityReport(is_real.tolist(), pairs, unpaired, int(np.sum(at_infinity)))
 
 
 def _permutation_sign(seq: Sequence[int]) -> int:

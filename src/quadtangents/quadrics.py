@@ -63,11 +63,6 @@ class Quadric:
         return signature(self.matrix)
 
     @property
-    def signature_abs(self) -> int:
-        pos, neg, _ = self.signature
-        return abs(pos - neg)
-
-    @property
     def rank(self) -> int:
         pos, neg, zero = self.signature
         return pos + neg

@@ -26,8 +26,16 @@ from functools import cached_property
 import numpy as np
 
 from .exactnum import RatMatrix, rational, subsets
-from .grassmann import DISTINCT_TOL, DualFlat, PluckerVector, ProjFlat, close_pairs
+from .grassmann import (
+    DISTINCT_TOL,
+    DualFlat,
+    PluckerVector,
+    ProjFlat,
+    classify_real,
+    close_pairs,
+)
 from .quadrics import LineConditions, Meets, Quadric, TangentTo
+from .tetra32 import TetraParams, reality_count
 
 SCENE_SCHEMA = "quadtangents.scene.v1"
 CERTIFICATE_SCHEMA = "quadtangents.certificate.v1"
@@ -78,6 +86,13 @@ def decode_complex(v) -> complex:
     if isinstance(v, list) and len(v) == 2:
         return complex(v[0], v[1])
     raise SceneFormatError(f"expected a number or [re, im] pair, got {v!r}")
+
+
+def _objects(value, what: str) -> list[dict]:
+    """``value`` as a list of JSON objects, or SceneFormatError naming ``what``."""
+    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+        raise SceneFormatError(f"{what} must be a list of objects")
+    return value
 
 
 def coord_key(index_set: tuple[int, ...]) -> str:
@@ -168,9 +183,9 @@ class Scene:
         except (KeyError, TypeError, ValueError) as exc:
             raise SceneFormatError("scene needs an integer field 'n'") from exc
         quadrics = []
-        for i, q in enumerate(obj.get("quadrics", [])):
+        for i, q in enumerate(_objects(obj.get("quadrics", []), "scene quadrics")):
             label = q.get("label", f"Q{i + 1}")
-            m = decode_matrix(q["matrix"])
+            m = decode_matrix(q.get("matrix"))
             if not m.is_symmetric:
                 raise SceneFormatError(f"quadric {label!r} matrix is not symmetric")
             if "n" in q and q["n"] != m.rows - 1:
@@ -178,10 +193,10 @@ class Scene:
                                        f"but has a {m.rows}x{m.cols} matrix")
             quadrics.append(Quadric(m, label=label))
         flats = []
-        for i, f in enumerate(obj.get("flats", [])):
+        for i, f in enumerate(_objects(obj.get("flats", []), "scene flats")):
             label = f.get("label", f"L{i + 1}")
             kind = f.get("kind", "span")
-            m = decode_matrix(f["matrix"])
+            m = decode_matrix(f.get("matrix"))
             if kind == "span":
                 flats.append((label, ProjFlat(m)))
             elif kind == "dual":
@@ -250,9 +265,12 @@ class Certificate:
         for key in ("scene", "scene_hash", "counts", "solutions", "tolerances"):
             if key not in obj:
                 raise SceneFormatError(f"certificate misses field {key!r}")
+        for key in ("counts", "tolerances"):
+            if not isinstance(obj[key], dict):
+                raise SceneFormatError(f"certificate {key} must be an object")
         cert = cls(
             scene=Scene.from_dict(obj["scene"]),
-            solutions=list(obj["solutions"]),
+            solutions=list(_objects(obj["solutions"], "certificate solutions")),
             counts=dict(obj["counts"]),
             tolerances=dict(obj["tolerances"]),
             seed=obj.get("seed"),
@@ -297,9 +315,12 @@ def verify_certificate(cert: Certificate,
     externally supplied one, if given); the declared tolerances are no looser
     than ``tol`` and ``DISTINCT_TOL``; every residual of every solution is at
     most ``tol``, whatever the certificate records; no two solutions are
-    closer than ``DISTINCT_TOL``; the counts match the solution list, which
-    stays within the root bound and, with ``params`` (closed form), has 32.
-    A certificate whose scene is not in P^3 raises SceneFormatError.
+    closer than ``DISTINCT_TOL``; each reality flag is what ``classify_real``
+    derives from the coordinates, and each nonreal solution has a conjugate;
+    the counts match the solutions and their flags, within the root bound
+    and, with ``params`` (closed form), 32 lines split as ``reality_count``.
+    A certificate whose scene is not in P^3 raises SceneFormatError; one
+    with degenerate ``params``, DegeneracyError.
     """
     if cert.scene.n != 3:
         raise SceneFormatError(
@@ -318,7 +339,6 @@ def verify_certificate(cert: Certificate,
                   f"(residual {tol:g}, distinct {DISTINCT_TOL:g})"))
 
     worst = 0.0
-    n_real = 0
     vectors = []
     for i, sol in enumerate(cert.solutions):
         try:
@@ -334,27 +354,43 @@ def verify_certificate(cert: Certificate,
                 i, f"residual exceeds tolerance {tol:.3e}: {', '.join(over)}"))
         else:
             vectors.append((i, vec))
-        if sol.get("real"):
-            n_real += 1
     if vectors:
         index, vecs = zip(*vectors)
         for a, b in close_pairs(vecs, DISTINCT_TOL):
             issues.append(VerificationIssue(
                 index[b], f"coincides with solution {index[a]}"))
+        reality = classify_real(vecs)
+        issues += [VerificationIssue(i, "reality flag disagrees with the coordinates")
+                   for i, real in zip(index, reality.is_real)
+                   if bool(cert.solutions[i].get("real")) != real]
+        issues += [VerificationIssue(index[k], "nonreal, with no conjugate solution")
+                   for k in reality.unpaired]
 
     counts, scene, total = cert.counts, cert.scene, len(cert.solutions)
+    n_real = sum(bool(sol.get("real")) for sol in cert.solutions)
     if counts.get("total") != total:
         issues.append(VerificationIssue(None, "counts.total differs from solution list"))
-    if "real" in counts and counts["real"] != n_real:
-        issues.append(VerificationIssue(None, "counts.real differs from solution flags"))
+    for key, flagged in (("real", n_real), ("nonreal", total - n_real)):
+        if key in counts and counts[key] != flagged:
+            issues.append(VerificationIssue(
+                None, f"counts.{key} differs from solution flags"))
     if (scene.n == 3 and scene.condition_count == 4
             and total > scene.conditions.root_bound):
         issues.append(VerificationIssue(
             None, f"{total} solutions exceed the root bound "
                   f"{scene.conditions.root_bound}"))
-    if cert.params is not None and total != 32:
-        issues.append(VerificationIssue(
-            None, f"closed-form certificate lists {total} of 32 lines"))
+    if cert.params is not None:
+        if total != 32:
+            issues.append(VerificationIssue(
+                None, f"closed-form certificate lists {total} of 32 lines"))
+        try:
+            params = TetraParams.of(cert.params["alpha"], cert.params["beta"])
+        except (KeyError, TypeError) as exc:
+            raise SceneFormatError(f"bad closed-form params {cert.params!r}") from exc
+        real, _ = reality_count(params)
+        if n_real != real:
+            issues.append(VerificationIssue(
+                None, f"{n_real} lines flagged real, the closed form has {real}"))
     return VerificationReport(not issues, issues, worst)
 
 

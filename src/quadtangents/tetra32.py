@@ -45,9 +45,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .exactnum import RatMatrix, Surd, rational
-from .grassmann import chordal_distance
-from .quadrics import LineConditions, Quadric, TangentTo, tangency_form
+from .exactnum import Surd, rational
+from .quadrics import LineConditions, Quadric, TangentTo
 
 
 class DegeneracyError(ValueError):
@@ -102,16 +101,6 @@ def family(params: TetraParams) -> tuple[Quadric, Quadric, Quadric, Quadric]:
         Quadric.from_diagonal([-a, 1, 1, -a], label="Q3"),
         Quadric.from_diagonal([-a, -a, 1, 1], label="Q4"),
     )
-
-
-def tangency_matrix(params: TetraParams) -> RatMatrix:
-    """4 x 6 coefficient matrix of the tangency conditions as linear
-    equations in (p01^2, p02^2, p03^2, p12^2, p13^2, p23^2)."""
-    rows = []
-    for q in family(params):
-        form = tangency_form(q, 1)
-        rows.append([form[i, i] for i in range(6)])
-    return RatMatrix.from_rows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +263,3 @@ def verify_solution(sol: SignedRadicalSolution, params: TetraParams,
              b * p12 ** 2 - b * p23 ** 2]
     residuals["square_chain"] = max(abs(complex(c)) for c in chain) / norm2
     return SolutionCheck(residuals)
-
-
-def pairwise_min_distance(solutions: list[SignedRadicalSolution],
-                          precision: str = "double") -> float:
-    """Smallest pairwise chordal distance between the solutions."""
-    vecs = [np.asarray(s.numeric(precision), dtype=complex) for s in solutions]
-    return min(chordal_distance(u, v) for u, v in itertools.combinations(vecs, 2))

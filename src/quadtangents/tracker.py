@@ -13,7 +13,8 @@ random unit complex gamma keeping the path regular for t < 1 with
 probability one.  Each path is advanced by a fourth-order Runge-Kutta
 predictor on the implicit-derivative ODE  dx/dt = -J_x^{-1} dH/dt  and a
 short Newton corrector, with adaptive step halving/growth, then the
-endpoint is polished by Newton at t = 1.
+endpoint is polished by Newton at t = 1.  Steps start at FIRST_STEP and stay
+below MAX_STEP; re-tracks use RETRACK_STEPS, both 10x smaller.
 
 Tracking is lockstep: all paths of a homotopy advance together as one
 (P, 6) array with their own t, step size and counters, and every predictor
@@ -47,10 +48,11 @@ endgame (Morgan, Sommese and Wampler, Numer. Math. 1991); rho itself is
 never thresholded, because finite tangents of a scene far from the origin
 have rho near 1e-2 too.
 
-Start systems: the 32 closed-form tangents of the tetrahedral quadric
-family at alpha = beta = 1/10 (solved once per process) for four tangency
-conditions, otherwise a total-degree start whose Bezout count already
-equals the root bound, so no excess paths need discarding.
+The problem picks the start.  Four tangencies are a parameter homotopy
+(Morgan and Sommese, "Coefficient-parameter polynomial continuation", 1989)
+from the 32 closed-form tangents of the tetrahedral family at alpha = beta =
+1/10, solved once per process.  Anything else starts from a total-degree
+system, whose Bezout count equals the root bound: no path is in excess.
 
 Determinism: gamma, the patch, and all start data are drawn from a seeded
 generator; a fixed seed reproduces every path.
@@ -60,17 +62,16 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .grassmann import (
     DISTINCT_TOL,
-    REAL_TOL,
-    chordal_distance,
+    RealityReport,
+    classify_real,
     close_pairs,
-    normalize_endpoint,
     transversals_to_4_lines,
 )
 from .quadrics import AffineFlat, LineConditions, Meets, TangentTo, cylinder
@@ -91,17 +92,6 @@ class SquareSystem:
     quad: np.ndarray   # (6, 6, 6), symmetric in the trailing axes
     lin: np.ndarray    # (6, 6)
     const: np.ndarray  # (6,)
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(2 if np.any(self.quad[i]) else 1 for i in range(6))
-
-    @property
-    def total_degree(self) -> int:
-        out = 1
-        for d in self.degrees:
-            out *= d
-        return out
 
     def _quad_x(self, x: np.ndarray) -> np.ndarray:
         """(..., 6, 6) with row i equal to quad[i] @ x, per point."""
@@ -137,25 +127,23 @@ def random_patch(rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def total_degree_start(target: SquareSystem,
+def total_degree_start(conditions: LineConditions,
                        rng: np.random.Generator) -> tuple[SquareSystem, np.ndarray]:
-    """Start system x_j^(d_j) = c_j matching the target degrees, plus all of
-    its prod(d_j) solutions.  For patched tangency systems the Bezout count
-    equals the generic root count, so every path is meaningful."""
-    degrees = target.degrees
+    """Start system x_j^(d_j) = c_j with the degrees of the conditions' rows
+    and 1 for the patch row, plus all prod(d_j) of its solutions: the generic
+    root count of the patched target, so every path is meaningful."""
+    degrees = [int(d) for d in conditions.degree] + [1]
     phases = np.exp(2j * np.pi * rng.random(6))
     quad = np.zeros((6, 6, 6), dtype=complex)
     lin = np.zeros((6, 6), dtype=complex)
     const = -phases.astype(complex)
+    roots_per_var = []
     for j, d in enumerate(degrees):
         if d == 2:
             quad[j, j, j] = 1.0
         else:
             lin[j, j] = 1.0
-    roots_per_var = []
-    for j, d in enumerate(degrees):
-        c = phases[j]
-        roots_per_var.append([c ** (1.0 / d) * np.exp(2j * np.pi * m / d)
+        roots_per_var.append([phases[j] ** (1.0 / d) * np.exp(2j * np.pi * m / d)
                               for m in range(d)])
     starts = np.array([list(combo) for combo in itertools.product(*roots_per_var)])
     return SquareSystem(quad, lin, const), starts
@@ -165,10 +153,13 @@ def total_degree_start(target: SquareSystem,
 # tracking
 
 
-# a path diverges when its step falls below MIN_STEP; a step is accepted when
-# Newton's update falls below CORRECTOR_TOL (relative) within CORRECTOR_ITERS
-# iterations; steps halve on failure and grow by GROW_FACTOR after
-# SUCCESSES_TO_GROW accepted steps in a row
+# steps start at FIRST_STEP and stay below MAX_STEP (RETRACK_STEPS when re-
+# tracking); a path diverges below MIN_STEP; a step is accepted when Newton's
+# update falls below CORRECTOR_TOL (relative) within CORRECTOR_ITERS; steps
+# halve on failure and grow by GROW_FACTOR after SUCCESSES_TO_GROW in a row
+FIRST_STEP = 0.05
+MAX_STEP = 0.25
+RETRACK_STEPS = (FIRST_STEP / 10, MAX_STEP / 10)
 MIN_STEP = 1e-14
 CORRECTOR_ITERS = 3
 CORRECTOR_TOL = 1e-10
@@ -190,8 +181,6 @@ class TrackOptions:
 
     seed: int = 0
     endpoint_tol: float = 1e-12
-    first_step: float = 0.05
-    max_step: float = 0.25
 
 
 @dataclass
@@ -300,13 +289,15 @@ def _correct(h: _Homotopy, x, t, solves, rows):
     return x, ok
 
 
-def _track_lockstep(h: _Homotopy, starts: np.ndarray,
-                    opts: TrackOptions) -> list[TrackedPath]:
-    """Track all start points together, one stacked solve per stage."""
+def _track_lockstep(h: _Homotopy, starts: np.ndarray, opts: TrackOptions,
+                    steps=(FIRST_STEP, MAX_STEP)) -> list[TrackedPath]:
+    """Track all start points together, one stacked solve per stage, with
+    ``steps`` = (first step, largest step)."""
+    first_step, max_step = steps
     n = len(starts)
     x = starts.copy()
     t = np.zeros(n)
-    step = np.full(n, opts.first_step)
+    step = np.full(n, first_step)
     steps = np.zeros(n, dtype=int)
     successes = np.zeros(n, dtype=int)
     solves = np.zeros(n, dtype=int)
@@ -340,7 +331,7 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray,
         t[good] = t0[accept] + s[accept]
         successes[good] += 1
         grow = good[successes[good] >= SUCCESSES_TO_GROW]
-        step[grow] = np.minimum(step[grow] * GROW_FACTOR, opts.max_step)
+        step[grow] = np.minimum(step[grow] * GROW_FACTOR, max_step)
         successes[grow] = 0
         step[bad] /= 2
         successes[bad] = 0
@@ -417,13 +408,11 @@ def track(start_sys: SquareSystem, start_solutions, target_sys: SquareSystem,
     starts = np.array(start_solutions, dtype=complex).reshape(len(start_solutions), 6)
     paths = _track_lockstep(h, starts, opts)
 
-    tight = replace(opts, first_step=opts.first_step / 10,
-                    max_step=opts.max_step / 10)
-
     def retrack(indices):
         if not indices:
             return
-        again = _track_lockstep(h, np.array([paths[i].start for i in indices]), tight)
+        again = _track_lockstep(h, np.array([paths[i].start for i in indices]),
+                                opts, RETRACK_STEPS)
         for i, p in zip(indices, again):
             p.solves += paths[i].solves
             paths[i] = p
@@ -451,76 +440,6 @@ def _coincident_clusters(paths: list[TrackedPath]) -> list[list[int]]:
             members.setdefault(a, [idx[a]]).append(idx[b])
             taken.add(b)
     return list(members.values())
-
-
-# ---------------------------------------------------------------------------
-# reality classification
-
-
-@dataclass
-class RealityReport:
-    is_real: list[bool]  # one flag per endpoint, in endpoint order
-    conjugate_pairs: list[tuple[int, int]]
-    unpaired: list[int]
-    at_infinity: int
-
-    @property
-    def real_count(self) -> int:
-        return sum(self.is_real)
-
-    @property
-    def nonreal_count(self) -> int:
-        return 2 * len(self.conjugate_pairs) + len(self.unpaired)
-
-
-def classify_real(endpoints: list[np.ndarray]) -> RealityReport:
-    """Split endpoints into real ones and conjugate pairs.
-
-    Endpoints are normalized (unit norm, dominant coordinate real-positive);
-    an endpoint is real when no imaginary part survives the normalization.
-    Remaining endpoints are greedily matched with their complex conjugates;
-    a leftover unpaired endpoint suggests a path jump.  Also counted: lines
-    in the plane at infinity (all coordinates p_{0i} below tolerance), which
-    an affine-reality claim must exclude.
-    """
-    normalized = [normalize_endpoint(v) for v in endpoints]
-    is_real = [bool(np.max(np.abs(v.imag)) < REAL_TOL) for v in normalized]
-    at_infinity = sum(1 for v in normalized if np.max(np.abs(v[:3])) < REAL_TOL)
-    nonreal_idx = [i for i, real in enumerate(is_real) if not real]
-    pairs, unpaired, used = [], [], set()
-    for pos, i in enumerate(nonreal_idx):
-        if i in used:
-            continue
-        best_j, best_d = None, REAL_TOL
-        for j in nonreal_idx[pos + 1:]:
-            if j in used:
-                continue
-            d = chordal_distance(normalized[i].conjugate(), normalized[j])
-            if d < best_d:
-                best_j, best_d = j, d
-        if best_j is None:
-            unpaired.append(i)
-        else:
-            pairs.append((i, best_j))
-            used.update((i, best_j))
-    return RealityReport(is_real, pairs, unpaired, at_infinity)
-
-
-def match_endpoints(first, second) -> float:
-    """Optimal one-to-one matching distance between two endpoint sets.
-
-    Returns the largest chordal distance in a minimum-cost assignment;
-    raises if the sets have different sizes.
-    """
-    from scipy.optimize import linear_sum_assignment
-
-    a = [normalize_endpoint(v) for v in first]
-    b = [normalize_endpoint(v) for v in second]
-    if len(a) != len(b):
-        raise ValueError(f"cannot match {len(a)} endpoints with {len(b)}")
-    cost = np.array([[chordal_distance(u, v) for v in b] for u in a])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
 
 
 # ---------------------------------------------------------------------------
@@ -579,14 +498,12 @@ def tetra_start_points(patch: np.ndarray) -> tuple[SquareSystem, np.ndarray]:
 
 
 def solve_tangency(conditions: LineConditions,
-                   options: TrackOptions | None = None,
-                   start_policy: str = "auto") -> TrackResult:
+                   options: TrackOptions | None = None) -> TrackResult:
     """Solve a four-condition line system by continuation.
 
-    ``start_policy``: "tetra" tracks from the 32 certified closed-form
-    tangents (only valid for four tangency conditions), "total-degree"
-    tracks a Bezout-count start, "auto" picks "tetra" exactly when all four
-    conditions are tangencies.
+    Four tangency conditions are tracked from the 32 closed-form tangents
+    of the start family ("tetra"); any other problem from a total-degree
+    start ("total-degree").  ``TrackResult.start_policy`` names the start.
     """
     if len(conditions.labels) != 5:  # four conditions and the Pluecker row
         raise ValueError("tracking needs exactly 4 conditions, "
@@ -595,18 +512,9 @@ def solve_tangency(conditions: LineConditions,
     rng = np.random.default_rng(opts.seed)
     patch = random_patch(rng)
     target = build_square_system(conditions, patch)
-    all_tangent = bool(np.all(conditions.degree == 2))
-    policy = start_policy
-    if policy == "auto":
-        policy = "tetra" if all_tangent else "total-degree"
-    if policy == "tetra":
-        if not all_tangent:
-            raise ValueError("tetra start policy needs four tangency conditions")
-        start_sq, starts = tetra_start_points(patch)
-    elif policy == "total-degree":
-        start_sq, starts = total_degree_start(target, rng)
-    else:
-        raise ValueError(f"unknown start policy {policy!r}")
+    policy = "tetra" if np.all(conditions.degree == 2) else "total-degree"
+    start_sq, starts = (tetra_start_points(patch) if policy == "tetra"
+                        else total_degree_start(conditions, rng))
     paths = track(start_sq, starts, target, opts)
     return TrackResult(conditions, paths, patch, policy)
 
@@ -657,7 +565,7 @@ class DoublingResult:
 MAX_HALVINGS = 20  # radius halvings per stage in "auto" mode
 
 
-def doubling_experiment(radii="auto", seed: int = 0,
+def doubling_experiment(radii="auto",
                         options: TrackOptions | None = None) -> DoublingResult:
     """Replace incidence conditions by cylinder tangencies one at a time.
 
@@ -667,9 +575,10 @@ def doubling_experiment(radii="auto", seed: int = 0,
     real lines at stages 0..4.  In "auto" mode all radii start at 1/10 and
     are halved together until the stage reaches its target count (at most
     MAX_HALVINGS times); explicit radii are used as given, and a stage that
-    misses its target is reported honestly.
+    misses its target is reported honestly.  Every stage is solved with
+    ``options``, the seed included.
     """
-    opts = options or TrackOptions(seed=seed)
+    opts = options or TrackOptions()
     lines = regular_tetrahedron_lines()
     proj = [ln.to_projective() for ln in lines]
     exact = transversals_to_4_lines(proj)
@@ -677,11 +586,9 @@ def doubling_experiment(radii="auto", seed: int = 0,
 
     auto = isinstance(radii, str) and radii == "auto"
     if not auto:
-        fixed = [Fraction(r) if not isinstance(r, Fraction) else r for r in radii]
-        if len(fixed) != 4:
-            raise ValueError("need four radii")
-        if any(r <= 0 for r in fixed):
-            raise ValueError("cylinder radii must be positive")
+        fixed = [Fraction(r) for r in radii]
+        if len(fixed) != 4 or any(r <= 0 for r in fixed):
+            raise ValueError("need four cylinder radii > 0")
 
     rows = []
     for stage in range(5):
@@ -694,7 +601,7 @@ def doubling_experiment(radii="auto", seed: int = 0,
                 (j, TangentTo(cylinder(lines[j], stage_radii[j])) if j < stage
                  else Meets(proj[j].dual()))
                 for j in range(4))
-            result = solve_tangency(conditions, opts, start_policy="total-degree")
+            result = solve_tangency(conditions, opts)
             real_count = result.reality().real_count
             done = (real_count == target_count or not auto or stage == 0
                     or halvings >= MAX_HALVINGS)

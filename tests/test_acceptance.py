@@ -32,12 +32,12 @@ from quadtangents.tracker import (
     TangentTo,
     TrackOptions,
     doubling_experiment,
-    match_endpoints,
     solve_tangency,
 )
 
 from test_quadrics import apply_isometry, line_flat, line_to_proj, \
     quaternion_rotation, squared_distance
+from test_tracker import match_endpoints
 
 
 @pytest.fixture
@@ -142,13 +142,13 @@ def test_criterion_4_tracker_consistency(announce):
     t0 = time.perf_counter()
     target = LineConditions.compile(
         enumerate(TangentTo(q) for q in family(TetraParams.of(F(1, 10), F(1, 20)))))
-    res = solve_tangency(target, TrackOptions(seed=7), start_policy="tetra")
-    assert res.converged_count == 32
+    res = solve_tangency(target, TrackOptions(seed=7))
+    assert res.start_policy == "tetra" and res.converged_count == 32
     assert len(res.endpoints) == 32
     closed = [s.numeric() for s in enumerate_tangents(TetraParams.of(F(1, 10), F(1, 20)))]
     assert match_endpoints(res.endpoints, closed) < 1e-9
     # deterministic per seed
-    res2 = solve_tangency(target, TrackOptions(seed=7), start_policy="tetra")
+    res2 = solve_tangency(target, TrackOptions(seed=7))
     for a, b in zip(res.paths, res2.paths):
         assert a.steps == b.steps and np.array_equal(a.end, b.end)
     elapsed = time.perf_counter() - t0
@@ -162,7 +162,7 @@ def test_criterion_4_tracker_consistency(announce):
 def test_criterion_5_doubling(announce):
     announce["label"] = "5 doubling experiment counts 2,4,8,16,32"
     announce["passed"] = False
-    result = doubling_experiment("auto", seed=5)
+    result = doubling_experiment("auto", TrackOptions(seed=5))
     assert result.counts == [2, 4, 8, 16, 32]
     assert result.exact_stage0_count == 2
     assert result.rows[0].real_count == result.exact_stage0_count

@@ -1,4 +1,5 @@
 import argparse
+import copy
 import json
 import math
 import re
@@ -272,17 +273,100 @@ def _forge_nan_coordinates(cert):
     cert["solutions"][0]["plucker"]["coords"]["01"] = float("nan")
 
 
+def _forge_nonreal_flagged_real(cert):
+    # (1/5, 1/5) has 16 real and 16 nonreal lines: claim 32 real
+    for sol in cert["solutions"]:
+        sol["real"] = True
+    cert["counts"].update(real=32, nonreal=0)
+
+
+def _forge_nonreal_count(cert):
+    cert["counts"]["nonreal"] = 1
+
+
+def _forge_params(cert):
+    # 32 real lines, claimed for a family member past the reality bound
+    cert["params"] = {"alpha": "1/5", "beta": "1/5"}
+
+
+# the closed-form parameters each forgery starts from, if not (1/10, 1/20)
+FORGED_AT = {_forge_nonreal_flagged_real: ("1/5", "1/5")}
+
+
 @pytest.mark.parametrize("forge", [
     _forge_arbitrary_coordinates, _forge_trimmed, _forge_repeated_solution,
-    _forge_loose_tolerance, _forge_nan_coordinates])
+    _forge_loose_tolerance, _forge_nan_coordinates, _forge_nonreal_flagged_real,
+    _forge_nonreal_count, _forge_params])
 def test_verify_rejects_forged_certificate(capsys, tmp_path, forge):
     cert_path = tmp_path / "cert.json"
-    run(capsys, "tetra", "1/10", "1/20", "--output", str(cert_path))
+    run(capsys, "tetra", *FORGED_AT.get(forge, ("1/10", "1/20")), "--output", str(cert_path))
     cert = json.loads(cert_path.read_text())
     forge(cert)
     cert_path.write_text(json.dumps(cert))
     code, out, _ = run(capsys, "verify", str(cert_path))
     assert code == 4 and out.startswith("FAIL")
+
+
+def test_verify_derives_reality_from_coordinates(capsys, tmp_path):
+    # 16 real and 16 nonreal lines, with no closed-form params to compare
+    # against: only the coordinates tell real from nonreal
+    cert_path = tmp_path / "cert.json"
+    run(capsys, "tetra", "1/5", "1/5", "--output", str(cert_path))
+    honest = json.loads(cert_path.read_text())
+    honest["params"] = None
+    assert sum(not s["real"] for s in honest["solutions"]) == 16
+
+    def verify(cert):
+        cert_path.write_text(json.dumps(cert))
+        return run(capsys, "verify", str(cert_path))[:2]
+
+    code, out = verify(honest)
+    assert code == 0 and out.startswith("PASS")
+
+    flipped = copy.deepcopy(honest)
+    _forge_nonreal_flagged_real(flipped)
+    code, out = verify(flipped)
+    assert code == 4 and out.count("reality flag disagrees with the coordinates") == 16
+
+    # drop the last nonreal line and the last real one: flags and counts
+    # agree, but one nonreal line has lost its conjugate
+    trimmed = copy.deepcopy(honest)
+    last_real = max(i for i, s in enumerate(trimmed["solutions"]) if s["real"])
+    del trimmed["solutions"][-1], trimmed["solutions"][last_real]
+    trimmed["counts"] = {"total": 30, "real": 15, "nonreal": 15}
+    code, out = verify(trimmed)
+    assert code == 4 and "nonreal, with no conjugate solution" in out
+
+
+# a certificate field replaced by a value of the wrong JSON type
+MALFORMED = {
+    "solution-entry": (("solutions", 0), "x"),
+    "solutions": (("solutions",), "x"),
+    "counts": (("counts",), [32]),
+    "tolerances": (("tolerances",), 1e-12),
+    "params": (("params",), "1/10"),
+    "scene-quadric": (("scene", "quadrics", 0), "Q1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_files_are_input_errors(capsys, tmp_path, name):
+    cert_path = tmp_path / "cert.json"
+    run(capsys, "tetra", "1/10", "1/20", "--output", str(cert_path))
+    cert = json.loads(cert_path.read_text())
+    (*parents, key), value = MALFORMED[name]
+    field = cert
+    for parent in parents:
+        field = field[parent]
+    field[key] = value
+    cert_path.write_text(json.dumps(cert))
+    code, _, err = run(capsys, "verify", str(cert_path))
+    assert code == 3 and err.startswith("input error")
+    if name == "scene-quadric":
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(cert["scene"]))
+        code, _, err = run(capsys, "track", "--scene", str(scene_path))
+        assert code == 3 and err.startswith("input error")
 
 
 def test_verify_rejects_non_certificates(capsys, tmp_path):
@@ -403,6 +487,10 @@ def test_readme_flags_are_accepted():
     parser = build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     accepted = {option for p in [parser, *sub.choices.values()]
-                for action in p._actions for option in action.option_strings}
+                for action in p._actions for option in action.option_strings
+                if option.startswith("--")}
     assert "--path-log" in flags
     assert flags <= accepted, sorted(flags - accepted)
+    # and every flag a command accepts is documented
+    documented = accepted - {"--help", "--version"}
+    assert documented <= flags, sorted(documented - flags)

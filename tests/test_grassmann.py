@@ -336,3 +336,10 @@ def test_close_pairs_matches_every_pair_distance(tol):
                 if chordal_distance(vectors[a], vectors[b]) < tol]
     assert close_pairs(vectors, tol) == expected
     assert len(expected) > len(base)
+    # conjugate=True pairs b with the conjugate of a: conjugating every other
+    # ray keeps the distances above between rays of opposite parity only
+    mixed = [np.conj(w) if k % 2 else w for k, w in enumerate(vectors)]
+    expected = [(a, b) for a in range(len(mixed)) for b in range(a + 1, len(mixed))
+                if chordal_distance(np.conj(mixed[a]), mixed[b]) < tol]
+    assert close_pairs(mixed, tol, conjugate=True) == expected
+    assert expected and all((b - a) % 2 for a, b in expected)

@@ -15,6 +15,11 @@ from quadtangents.quadrics import (
 )
 
 
+def signature_abs(q) -> int:
+    pos, neg, _ = q.signature
+    return abs(pos - neg)
+
+
 # -- independent distance oracle ----------------------------------------------
 
 
@@ -171,7 +176,7 @@ def test_cylinder_signature_magnitude(n, k):
         except Exception:
             continue
     q = cylinder(u, F(1, 2))
-    assert q.signature_abs == k
+    assert signature_abs(q) == k
 
 
 def test_tangency_iff_distance_exact():
@@ -221,7 +226,7 @@ def test_tangency_iff_distance_exact():
 def test_perturbed_sphere():
     q = perturbed_smooth_quadric(1, 3, 1, eps=1)
     assert q.matrix.entries == RatMatrix.diagonal([-1, 1, 1, 1]).entries
-    assert q.signature_abs == 2
+    assert signature_abs(q) == 2
 
 
 def test_perturbed_quadric_smooth():
@@ -244,7 +249,7 @@ def test_perturbation_signature_menu(k, n):
     for signs in itertools.product((1, -1), repeat=n - k - 1):
         eps = [F(s, 1000) for s in signs]
         q = perturbed_smooth_quadric(k, n, 1, eps=eps)
-        reachable.add(q.signature_abs)
+        reachable.add(signature_abs(q))
     lo = 2 * k - n + 1
     if k >= n / 2:
         expected = set(range(lo, n, 2))

@@ -1,10 +1,11 @@
+import itertools
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from quadtangents.exactnum import RatMatrix
-from quadtangents.grassmann import PluckerVector, check_plucker_relations
+from quadtangents.grassmann import PluckerVector, check_plucker_relations, chordal_distance
 from quadtangents.quadrics import is_tangent, tangency_form
 from quadtangents.tetra32 import (
     DegeneracyError,
@@ -12,13 +13,17 @@ from quadtangents.tetra32 import (
     below_reality_bound,
     enumerate_tangents,
     family,
-    pairwise_min_distance,
     reality_count,
-    tangency_matrix,
     verify_solution,
 )
 
 P10 = TetraParams.of(F(1, 10), F(1, 10))
+
+
+def pairwise_min_distance(solutions, precision="double") -> float:
+    """Smallest pairwise chordal distance between the solutions."""
+    vecs = [np.asarray(s.numeric(precision), dtype=complex) for s in solutions]
+    return min(chordal_distance(u, v) for u, v in itertools.combinations(vecs, 2))
 
 
 def quartic_root_squares(params):
@@ -71,9 +76,8 @@ def test_tangency_matrix_closed_form(alpha, beta):
         [-a, -a, a * a, 1, -a, -a],
         [a * a, -a, -a, -a, -a, 1],
     ]
-    got = tangency_matrix(TetraParams.of(a, b)).to_rows()
-    assert got == [[F(x) for x in row] for row in expected]
-    # and the rows really are the diagonals of the tangency forms
+    # the rows of the tangency conditions as linear equations in the squared
+    # coordinates are the diagonals of the tangency forms
     for q, row in zip(family(TetraParams.of(a, b)), expected):
         form = tangency_form(q, 1)
         assert [form[i, i] for i in range(6)] == row

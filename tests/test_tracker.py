@@ -3,7 +3,12 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from quadtangents.grassmann import PluckerVector, check_plucker_relations
+from quadtangents.grassmann import (
+    PluckerVector,
+    check_plucker_relations,
+    chordal_distance,
+    normalize_endpoint,
+)
 from quadtangents import tracker
 from quadtangents.exactnum import RatMatrix
 from quadtangents.quadrics import LineConditions, Quadric, cylinder, is_tangent
@@ -15,8 +20,6 @@ from quadtangents.tracker import (
     build_square_system,
     classify_real,
     doubling_experiment,
-    match_endpoints,
-    normalize_endpoint,
     random_patch,
     regular_tetrahedron_lines,
     solve_tangency,
@@ -50,6 +53,17 @@ def random_quadric_system(seed) -> LineConditions:
     return line_system(random_quadrics(seed))
 
 
+def match_endpoints(first, second) -> float:
+    """Largest chordal distance in a minimum-cost one-to-one matching of two
+    equally long endpoint sets."""
+    from scipy.optimize import linear_sum_assignment
+
+    assert len(first) == len(second)
+    cost = np.array([[chordal_distance(u, v) for v in second] for u in first])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
+
+
 # -- square systems -----------------------------------------------------------
 
 
@@ -65,14 +79,14 @@ def test_root_bounds():
 
 def test_square_system_degrees_match_root_bound():
     rng = np.random.default_rng(0)
-    patch = random_patch(rng)
     for i in range(5):
         lines = [ln.to_projective() for ln in regular_tetrahedron_lines()]
         conds = tuple([TangentTo(q) for q in family(P10)[:i]]
                       + [Meets(p.dual()) for p in lines][i:])[:4]
         system = line_system(conds)
-        square = build_square_system(system, patch)
-        assert square.total_degree == system.root_bound
+        # the total-degree start has one point per root of the patched system
+        _, sols = total_degree_start(system, rng)
+        assert len(sols) == system.root_bound
 
 
 def test_systems_take_four_line_conditions():
@@ -84,10 +98,9 @@ def test_systems_take_four_line_conditions():
 
 def test_total_degree_start_solves_its_system():
     rng = np.random.default_rng(1)
-    target = build_square_system(tetra_system(P10), random_patch(rng))
-    start, sols = total_degree_start(target, rng)
+    start, sols = total_degree_start(tetra_system(P10), rng)
     # Bezout count of the patched system equals the root bound: no excess
-    assert len(sols) == target.total_degree == 32
+    assert len(sols) == 32
     for x in sols:
         assert np.max(np.abs(start.eval(x))) < 1e-12
 
@@ -115,8 +128,8 @@ def test_constant_homotopy_returns_start_points():
 
 
 def test_tracking_matches_closed_form():
-    res = solve_tangency(tetra_system(P20), TrackOptions(seed=7),
-                         start_policy="tetra")
+    res = solve_tangency(tetra_system(P20), TrackOptions(seed=7))
+    assert res.start_policy == "tetra"
     assert res.converged_count == 32 and len(res.endpoints) == 32
     closed = [s.numeric() for s in enumerate_tangents(P20)]
     assert match_endpoints(res.endpoints, closed) < 1e-9
@@ -201,6 +214,10 @@ def test_classify_real_on_closed_form_sets():
     rep = classify_real(mixed)
     assert rep.real_count == 16
     assert len(rep.conjugate_pairs) == 8 and not rep.unpaired
+    # each pair is a nonreal line and the one line near its conjugate
+    assert rep.conjugate_pairs == [
+        (i, j) for i in range(32) for j in range(i + 1, 32)
+        if not rep.is_real[i] and chordal_distance(np.conj(mixed[i]), mixed[j]) < 1e-8]
 
 
 def test_at_infinity_flag():
@@ -227,21 +244,33 @@ def test_conjugate_pairing_across_random_scenes():
 # -- the doubling experiment --------------------------------------------------
 
 
-def test_doubling_experiment_auto():
-    result = doubling_experiment("auto", seed=5)
+def test_doubling_experiment_auto(monkeypatch):
+    policies = []
+    solve = tracker.solve_tangency
+
+    def recorded(*args):
+        res = solve(*args)
+        policies.append(res.start_policy)
+        return res
+
+    monkeypatch.setattr(tracker, "solve_tangency", recorded)
+    result = doubling_experiment("auto", TrackOptions(seed=5))
     assert result.counts == [2, 4, 8, 16, 32]
     assert result.exact_stage0_count == 2
     assert result.rows[0].real_count == result.exact_stage0_count
+    # stages 0-3 keep an incidence condition; stage 4, four cylinder
+    # tangencies, is a parameter homotopy from the closed-form family
+    assert policies == ["total-degree"] * 4 + ["tetra"]
 
 
 def test_doubling_explicit_radii():
     radii = [F(1, 10)] * 4
-    result = doubling_experiment(radii, seed=6)
+    result = doubling_experiment(radii, TrackOptions(seed=6))
     assert result.counts == [2, 4, 8, 16, 32]
 
 
 def test_doubling_huge_radii_reported_honestly():
-    result = doubling_experiment([F(10)] * 4, seed=3)
+    result = doubling_experiment([F(10)] * 4, TrackOptions(seed=3))
     # huge cylinders break the small-radius hypothesis; counts may fall short
     # but must still be consistent and never exceed the bound
     for row in result.rows:
@@ -250,8 +279,7 @@ def test_doubling_huge_radii_reported_honestly():
 
 def test_doubling_rejects_nonpositive_radii():
     with pytest.raises(ValueError):
-        doubling_experiment([F(0)] * 4, seed=1)
-
+        doubling_experiment([F(0)] * 4, TrackOptions(seed=1))
 
 def test_cylinder_stage_two_solutions_are_tangent():
     lines = regular_tetrahedron_lines()
@@ -408,9 +436,9 @@ def test_sphere_paths_end_at_infinity_once(monkeypatch, name):
     passes = []
     track_lockstep = tracker._track_lockstep
 
-    def counted(h, starts, opts):
+    def counted(h, starts, *args):
         passes.append(len(starts))
-        return track_lockstep(h, starts, opts)
+        return track_lockstep(h, starts, *args)
 
     monkeypatch.setattr(tracker, "_track_lockstep", counted)
     res = solve_spheres(*SPHERE_SCENES[name])
@@ -485,5 +513,5 @@ def test_no_path_ends_at_infinity_without_spheres(monkeypatch):
         return res
 
     monkeypatch.setattr(tracker, "solve_tangency", recorded)
-    assert doubling_experiment("auto", seed=5).counts == [2, 4, 8, 16, 32]
+    assert doubling_experiment("auto", TrackOptions(seed=5)).counts == [2, 4, 8, 16, 32]
     assert statuses == {"converged"}
