@@ -63,6 +63,7 @@ from .tetra32 import (
 )
 from .tracker import (
     DoublingResult,
+    TrackBatch,
     TrackOptions,
     TrackResult,
     TrackedPath,

@@ -70,19 +70,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
-def _common_options() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for every random choice (default 0)")
-    common.add_argument("--tol", type=float, default=1e-12,
-                        help="residual tolerance: endpoint polish when solving, "
-                             "bound on every residual for verify (default 1e-12)")
-    common.add_argument("--format", choices=("json", "csv"), default=None,
-                        help="output format (certificates default to json, "
-                             "tables to plain text)")
-    common.add_argument("--output", default=None,
-                        help="output path (default stdout)")
-    return common
+# the options several subcommands share; each subcommand takes those it uses
+SHARED_OPTIONS = {
+    "--seed": {"type": int, "default": 0,
+               "help": "seed for every random choice (default 0)"},
+    "--tol": {"type": float, "default": 1e-12,
+              "help": "residual tolerance: endpoint polish when solving, "
+                      "bound on every residual for verify (default 1e-12)"},
+    "--format": {"choices": ("json", "csv"), "default": None,
+                 "help": "output format (certificates default to json, "
+                         "tables to plain text)"},
+    "--output": {"default": None, "help": "output path (default stdout)"},
+}
+SOLVING_OPTIONS = ("--seed", "--tol", "--format", "--output")
 
 
 def build_parser() -> _Parser:
@@ -90,10 +90,15 @@ def build_parser() -> _Parser:
                      description="lines tangent to quadrics in projective 3-space")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    common = _common_options()
 
-    p = sub.add_parser("counts", parents=[common],
-                       help="dimension/degree/total counts for G(k,n)")
+    def command(name, shared, help):
+        p = sub.add_parser(name, help=help)
+        for flag in shared:
+            p.add_argument(flag, **SHARED_OPTIONS[flag])
+        return p
+
+    p = command("counts", ("--format", "--output"),
+                "dimension/degree/total counts for G(k,n)")
     p.add_argument("k", nargs="?", type=int, default=1)
     p.add_argument("n", nargs="?", default=None,
                    help="dimension n, or a range like 3..9")
@@ -101,23 +106,23 @@ def build_parser() -> _Parser:
                    help="tabulate sphere bound vs quadric count over a range of n")
     p.set_defaults(func=cmd_counts)
 
-    p = sub.add_parser("tetra", parents=[common],
-                       help="closed-form 32 tangents of the tetrahedral family")
+    p = command("tetra", SOLVING_OPTIONS,
+                "closed-form 32 tangents of the tetrahedral family")
     p.add_argument("alpha_pos", nargs="?", default=None, metavar="alpha")
     p.add_argument("beta_pos", nargs="?", default=None, metavar="beta")
     p.add_argument("--alpha", default=None, help='rational, e.g. "1/10" or "0.1"')
     p.add_argument("--beta", default=None)
     p.set_defaults(func=cmd_tetra)
 
-    p = sub.add_parser("track", parents=[common],
-                       help="track the 32 known tangents to a target scene")
+    p = command("track", SOLVING_OPTIONS,
+                "track the 32 known tangents to a target scene")
     p.add_argument("--scene", required=True, help="scene JSON file")
     p.add_argument("--path-log", default=None,
                    help="write one JSON line per tracked path to this file")
     p.set_defaults(func=cmd_track)
 
-    p = sub.add_parser("doubling", parents=[common],
-                       help="cylinder-radius doubling experiment (counts 2,4,8,16,32)")
+    p = command("doubling", SOLVING_OPTIONS,
+                "cylinder-radius doubling experiment (counts 2,4,8,16,32)")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--auto", action="store_true", default=True,
                        help="search radii by halving from 1/10 (default)")
@@ -125,15 +130,13 @@ def build_parser() -> _Parser:
                        help='four comma-separated rationals, e.g. "1/10,1/10,1/10,1/10"')
     p.set_defaults(func=cmd_doubling)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="re-evaluate every residual of a certificate")
+    p = command("verify", ("--tol",), "re-evaluate every residual of a certificate")
     p.add_argument("certificate", help="certificate JSON file")
     p.add_argument("--scene", default=None,
                    help="scene file the certificate must belong to")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("transversals", parents=[common],
-                       help="exact transversal lines to four lines")
+    p = command("transversals", ("--output",), "exact transversal lines to four lines")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--tetrahedron", action="store_true",
                        help="edges of the coordinate tetrahedron")

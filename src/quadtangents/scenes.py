@@ -35,7 +35,7 @@ from .grassmann import (
     close_pairs,
 )
 from .quadrics import LineConditions, Meets, Quadric, TangentTo
-from .tetra32 import TetraParams, reality_count
+from .tetra32 import TetraParams, family, reality_count
 
 SCENE_SCHEMA = "quadtangents.scene.v1"
 CERTIFICATE_SCHEMA = "quadtangents.certificate.v1"
@@ -318,7 +318,8 @@ def verify_certificate(cert: Certificate,
     closer than ``DISTINCT_TOL``; each reality flag is what ``classify_real``
     derives from the coordinates, and each nonreal solution has a conjugate;
     the counts match the solutions and their flags, within the root bound
-    and, with ``params`` (closed form), 32 lines split as ``reality_count``.
+    and, with ``params`` (closed form), the scene is exactly that family
+    member and has 32 lines split as ``reality_count``.
     A certificate whose scene is not in P^3 raises SceneFormatError; one
     with degenerate ``params``, DegeneracyError.
     """
@@ -387,6 +388,10 @@ def verify_certificate(cert: Certificate,
             params = TetraParams.of(cert.params["alpha"], cert.params["beta"])
         except (KeyError, TypeError) as exc:
             raise SceneFormatError(f"bad closed-form params {cert.params!r}") from exc
+        if (scene.flats or [q.matrix for q in scene.quadrics]
+                != [q.matrix for q in family(params)]):
+            issues.append(VerificationIssue(
+                None, "params do not name the family of the embedded scene"))
         real, _ = reality_count(params)
         if n_real != real:
             issues.append(VerificationIssue(

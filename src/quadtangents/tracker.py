@@ -16,13 +16,21 @@ short Newton corrector, with adaptive step halving/growth, then the
 endpoint is polished by Newton at t = 1.  Steps start at FIRST_STEP and stay
 below MAX_STEP; re-tracks use RETRACK_STEPS, both 10x smaller.
 
-Tracking is lockstep: all paths of a homotopy advance together as one
-(P, 6) array with their own t, step size and counters, and every predictor
-stage, corrector iteration and polish iteration is one stacked 6x6 solve
-over the paths still live.  Each path keeps the step rule, acceptance and
-iteration counts it would have alone; a path leaves each loop as soon as it
-is done, and a singular Jacobian or non-finite prediction fails only its
-own path.
+Tracking is lockstep: all paths of a batch -- one homotopy, or many with
+their own start and target systems -- advance together as one (P, 6) array
+with their own t, step size and counters, and every predictor stage,
+corrector iteration and polish iteration is one stacked 6x6 solve over the
+paths still live.  The systems of a batch are stacked as (S, 6, 6, 6),
+(S, 6, 6) and (S, 6) tensors; each path carries the index of its homotopy,
+and the paths of one homotopy stay together.  Tensors are gathered per
+path only while the live paths of a call span several homotopies (once a
+round, and again when the corrector drops paths); paths of one homotopy,
+and so every batch of one, broadcast its tensors.  matmul and the stacked
+solve reproduce the one-point arithmetic bit for bit, so each path keeps
+the steps and endpoint it would have alone, and its solve count unless a
+singular batch mate sends a stack to the one-by-one fallback of ``_solve``;
+a path leaves each loop as soon as it is done, and a singular Jacobian or
+non-finite prediction fails only its own path.
 
 Every path ends with one of these statuses:
   converged            polished at t = 1 to the endpoint tolerance;
@@ -62,6 +70,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -86,12 +95,13 @@ class SquareSystem:
     """Six complex equations x^T A_i x + b_i . x + c_i in six unknowns.
 
     ``eval``, ``jac`` and ``residual`` take one point (6,) or a stack of
-    points (..., 6) and return one value per point.
+    points (..., 6) and return one value per point.  The tensors may carry
+    leading axes too: a stack of systems, one per point or broadcast.
     """
 
-    quad: np.ndarray   # (6, 6, 6), symmetric in the trailing axes
-    lin: np.ndarray    # (6, 6)
-    const: np.ndarray  # (6,)
+    quad: np.ndarray   # (..., 6, 6, 6), symmetric in the trailing axes
+    lin: np.ndarray    # (..., 6, 6)
+    const: np.ndarray  # (..., 6)
 
     def _quad_x(self, x: np.ndarray) -> np.ndarray:
         """(..., 6, 6) with row i equal to quad[i] @ x, per point."""
@@ -109,6 +119,16 @@ class SquareSystem:
         """Relative infinity-norm residual (scales like the equations)."""
         scale = (1.0 + np.max(np.abs(x), axis=-1)) ** 2
         return np.max(np.abs(self.eval(x)), axis=-1) / scale
+
+    def take(self, index) -> SquareSystem:
+        """The systems at ``index`` of a stack's leading axis."""
+        return SquareSystem(self.quad[index], self.lin[index], self.const[index])
+
+    @classmethod
+    def stack(cls, systems) -> SquareSystem:
+        return cls(np.stack([s.quad for s in systems]),
+                   np.stack([s.lin for s in systems]),
+                   np.stack([s.const for s in systems]))
 
 
 def build_square_system(conditions: LineConditions, patch: np.ndarray) -> SquareSystem:
@@ -201,15 +221,50 @@ class TrackedPath:
         return self.status == "converged"
 
 
+@dataclass
 class _Homotopy:
-    """H(x,t) = (1-t) gamma S(x) + t T(x) for two quadratic systems, at one
-    point or a stack of points with one t each."""
+    """H(x,t) = (1-t) gamma S(x) + t T(x) for a stack of pairs of quadratic
+    systems, at a stack of points with one t each.  The tensors are either
+    broadcast over the points or hold one system per point, gathered from
+    ``source`` by ``systems``."""
 
-    def __init__(self, start: SquareSystem, target: SquareSystem, gamma: complex):
-        self.start, self.target, self.gamma = start, target, gamma
-        self.delta = SquareSystem(target.quad - gamma * start.quad,
-                                  target.lin - gamma * start.lin,
-                                  target.const - gamma * start.const)
+    start: SquareSystem
+    target: SquareSystem
+    gamma: complex
+    delta: SquareSystem  # T - gamma S, the t-derivative
+    systems: np.ndarray | None = None  # per point: its pair in ``source``
+    source: _Homotopy | None = None
+
+    @classmethod
+    def of(cls, start: SquareSystem, target: SquareSystem, gamma: complex) -> _Homotopy:
+        return cls(start, target, gamma,
+                   SquareSystem(target.quad - gamma * start.quad,
+                                target.lin - gamma * start.lin,
+                                target.const - gamma * start.const))
+
+    def _take(self, index) -> tuple[SquareSystem, SquareSystem, complex, SquareSystem]:
+        return (self.start.take(index), self.target.take(index), self.gamma,
+                self.delta.take(index))
+
+    @functools.cached_property
+    def _parts(self) -> list[_Homotopy]:
+        """One homotopy per pair of the stack, its tensors views of it."""
+        return [_Homotopy(*self._take(i)) for i in range(len(self.start.quad))]
+
+    def at(self, systems: np.ndarray) -> _Homotopy:
+        """The homotopy of points of the given pairs of the stack (grouped):
+        one pair's tensors, broadcast, when all points share it; tensors
+        gathered per point only when they span several."""
+        if systems.size and systems[0] == systems[-1]:
+            return self._parts[systems[0]]
+        return _Homotopy(*self._take(systems), systems, self)
+
+    def rows(self, index: np.ndarray) -> _Homotopy:
+        """The homotopy of the points ``index`` (ascending) of those this
+        one is evaluated at: itself unless that drops gathered points."""
+        if self.systems is None or len(index) == len(self.systems):
+            return self
+        return self.source.at(self.systems[index])
 
     def eval(self, x, t):
         t = np.asarray(t)[..., None]
@@ -247,18 +302,19 @@ def _solve(a, b, solves, rows):
 
 
 def _predict(h: _Homotopy, x, t, step, solves, rows):
-    """RK4 step of the given sizes on dx/dt = -J_x^{-1} dH/dt for each row.
-    A row whose Jacobian is singular at some stage drops out of the later
-    stages and comes back NaN.  Also returns the mask of rows singular at
-    stage 0, the current point itself, which no smaller step can cure."""
+    """RK4 step of the given sizes on dx/dt = -J_x^{-1} dH/dt for each row,
+    ``h`` being evaluated at the rows.  A row whose Jacobian is singular at
+    some stage drops out of the later stages and comes back NaN.  Also
+    returns the mask of rows singular at stage 0, the current point itself,
+    which no smaller step can cure."""
     k = np.zeros((4,) + x.shape, dtype=complex)
     live = np.arange(len(x))
     for stage, c in enumerate((0.0, 0.5, 0.5, 1.0)):
-        xs, ts = x[live], t[live]
+        xs, ts, hs = x[live], t[live], h.rows(live)
         if stage:
             xs = xs + (c * step[live])[:, None] * k[stage - 1, live]
             ts = ts + c * step[live]
-        k[stage, live], solved = _solve(h.jac(xs, ts), -h.dt(xs), solves, rows[live])
+        k[stage, live], solved = _solve(hs.jac(xs, ts), -hs.dt(xs), solves, rows[live])
         if not stage:
             stuck = ~solved
         live = live[solved]
@@ -277,8 +333,8 @@ def _correct(h: _Homotopy, x, t, solves, rows):
     for _ in range(CORRECTOR_ITERS):
         if not live.size:
             break
-        xs, ts = x[live], t[live]
-        dx, solved = _solve(h.jac(xs, ts), -h.eval(xs, ts), solves, rows[live])
+        xs, ts, hs = x[live], t[live], h.rows(live)
+        dx, solved = _solve(hs.jac(xs, ts), -hs.eval(xs, ts), solves, rows[live])
         live, dx = live[solved], dx[solved]
         xs = xs[solved] + dx
         x[live] = xs
@@ -289,10 +345,11 @@ def _correct(h: _Homotopy, x, t, solves, rows):
     return x, ok
 
 
-def _track_lockstep(h: _Homotopy, starts: np.ndarray, opts: TrackOptions,
-                    steps=(FIRST_STEP, MAX_STEP)) -> list[TrackedPath]:
+def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
+                    opts: TrackOptions, steps=(FIRST_STEP, MAX_STEP)) -> list[TrackedPath]:
     """Track all start points together, one stacked solve per stage, with
-    ``steps`` = (first step, largest step)."""
+    ``steps`` = (first step, largest step).  Start i belongs to the
+    homotopy ``system[i]``; ``system`` is grouped (non-decreasing)."""
     first_step, max_step = steps
     n = len(starts)
     x = starts.copy()
@@ -319,10 +376,11 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, opts: TrackOptions,
             break
         step[rows] = np.minimum(step[rows], 1.0 - t[rows])
         s, t0 = step[rows], t[rows]
-        pred, stuck = _predict(h, x[rows], t0, s, solves, rows)
+        hr = h.at(system[rows])
+        pred, stuck = _predict(hr, x[rows], t0, s, solves, rows)
         finite = np.all(np.isfinite(pred), axis=-1)
-        corr, ok = _correct(h, pred[finite], t0[finite] + s[finite],
-                            solves, rows[finite])
+        corr, ok = _correct(hr.rows(np.flatnonzero(finite)), pred[finite],
+                            t0[finite] + s[finite], solves, rows[finite])
         accept = np.zeros(len(rows), bool)
         accept[finite] = ok
         steps[rows] += 1
@@ -358,13 +416,14 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, opts: TrackOptions,
             mark[late[first | decade]] = point[first | decade]
 
     # endpoint polish at t = 1
-    target = h.target
     ends = np.flatnonzero(~lost)
     live = ends
     for _ in range(ENDPOINT_ITERS):
+        target = h.at(system[live]).target
         live = live[~(target.residual(x[live]) < opts.endpoint_tol)]
         if not live.size:
             break
+        target = h.at(system[live]).target
         xs = x[live]
         dx, solved = _solve(target.jac(xs), -target.eval(xs), solves, live)
         ok = solved & np.all(np.isfinite(dx), axis=-1)
@@ -373,6 +432,7 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, opts: TrackOptions,
     residual = np.full(n, np.inf)
     cond = np.full(n, np.inf)
     if ends.size:
+        target = h.at(system[ends]).target
         residual[ends] = target.residual(x[ends])
         jac = target.jac(x[ends])
         try:
@@ -391,42 +451,60 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, opts: TrackOptions,
             for i in range(n)]
 
 
-def track(start_sys: SquareSystem, start_solutions, target_sys: SquareSystem,
-          options: TrackOptions | None = None) -> list[TrackedPath]:
-    """Track every start solution to the target system.
+def _track_batch(homotopies, opts: TrackOptions) -> list[list[TrackedPath]]:
+    """Track each (start system, start solutions, target system) triple of
+    ``homotopies``, all paths of all of them as one lockstep batch; every
+    path takes the steps and reaches the endpoint it would alone.
 
-    All paths run as one lockstep batch.  Diverged paths are re-tracked,
-    together, with 10x tighter step control (at-infinity ones are not); so
-    are endpoints closer than the distinctness tolerance, and any that
-    still coincide are flagged as suspected path jumps (``duplicate_of``)
-    rather than silently counted as multiple solutions.
+    Diverged paths are re-tracked, together, with 10x tighter step control
+    (at-infinity ones are not); so are endpoints of one homotopy closer
+    than the distinctness tolerance, and any that still coincide are
+    flagged as suspected path jumps (``duplicate_of``, an index into the
+    same homotopy's paths) rather than silently counted as multiple
+    solutions.
     """
-    opts = options or TrackOptions()
     rng = np.random.default_rng(opts.seed)
     gamma = complex(np.exp(2j * np.pi * rng.random()))
-    h = _Homotopy(start_sys, target_sys, gamma)
-    starts = np.array(start_solutions, dtype=complex).reshape(len(start_solutions), 6)
-    paths = _track_lockstep(h, starts, opts)
+    h = _Homotopy.of(SquareSystem.stack([start for start, _, _ in homotopies]),
+                     SquareSystem.stack([target for _, _, target in homotopies]),
+                     gamma)
+    groups = [np.array(x, dtype=complex).reshape(len(x), 6) for _, x, _ in homotopies]
+    starts = np.concatenate(groups)
+    system = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    bounds = [0, *itertools.accumulate(len(g) for g in groups)]
+    spans = list(zip(bounds, bounds[1:]))
+    paths = _track_lockstep(h, starts, system, opts)
 
     def retrack(indices):
         if not indices:
             return
-        again = _track_lockstep(h, np.array([paths[i].start for i in indices]),
-                                opts, RETRACK_STEPS)
+        indices = sorted(indices)
+        again = _track_lockstep(h, starts[indices], system[indices], opts, RETRACK_STEPS)
         for i, p in zip(indices, again):
             p.solves += paths[i].solves
             paths[i] = p
 
+    def clusters():  # per homotopy: its offset, and a cluster of its paths
+        return [(lo, cluster) for lo, hi in spans
+                for cluster in _coincident_clusters(paths[lo:hi])]
+
     retrack([i for i, p in enumerate(paths) if p.status == "diverged"])
-    clusters = _coincident_clusters(paths)
-    if clusters:
-        retrack([i for cluster in clusters for i in cluster])
-        for cluster in _coincident_clusters(paths):
-            keep = cluster[0]
-            for idx in cluster[1:]:
-                paths[idx].status = "path-jump-suspected"
-                paths[idx].duplicate_of = keep
-    return paths
+    first = clusters()
+    if first:
+        retrack([lo + i for lo, cluster in first for i in cluster])
+        for lo, (keep, *others) in clusters():
+            for i in others:
+                paths[lo + i].status = "path-jump-suspected"
+                paths[lo + i].duplicate_of = keep
+    return [paths[lo:hi] for lo, hi in spans]
+
+
+def track(start_sys: SquareSystem, start_solutions, target_sys: SquareSystem,
+          options: TrackOptions | None = None) -> list[TrackedPath]:
+    """Track every start solution to the target system: a batch of one
+    homotopy, re-tracked and deduplicated as ``_track_batch`` describes."""
+    return _track_batch([(start_sys, start_solutions, target_sys)],
+                        options or TrackOptions())[0]
 
 
 def _coincident_clusters(paths: list[TrackedPath]) -> list[list[int]]:
@@ -475,6 +553,20 @@ class TrackResult:
         return max(res) if res else float("inf")
 
 
+class TrackBatch(list):
+    """The results of systems solved in one batch, in order."""
+
+    @property
+    def paths(self) -> list[TrackedPath]:
+        """Every path of the batch, system by system."""
+        return [p for result in self for p in result.paths]
+
+    @property
+    def endpoints(self) -> list[np.ndarray]:
+        """Every system's distinct endpoints, system by system."""
+        return [v for result in self for v in result.endpoints]
+
+
 # the closed-form start family, inside the region where all 32 lines are real
 START_PARAMS = TetraParams.of(Fraction(1, 10), Fraction(1, 10))
 
@@ -497,26 +589,35 @@ def tetra_start_points(patch: np.ndarray) -> tuple[SquareSystem, np.ndarray]:
             np.array([v / (patch @ v) for v in tangents]))
 
 
-def solve_tangency(conditions: LineConditions,
-                   options: TrackOptions | None = None) -> TrackResult:
-    """Solve a four-condition line system by continuation.
+def solve_tangency(conditions: LineConditions | Sequence[LineConditions],
+                   options: TrackOptions | None = None) -> TrackResult | TrackBatch:
+    """Solve a four-condition line system by continuation, or a sequence of
+    them in one lockstep batch (a ``TrackBatch``); each system's result is
+    the one it gives alone.
 
     Four tangency conditions are tracked from the 32 closed-form tangents
     of the start family ("tetra"); any other problem from a total-degree
     start ("total-degree").  ``TrackResult.start_policy`` names the start.
     """
-    if len(conditions.labels) != 5:  # four conditions and the Pluecker row
-        raise ValueError("tracking needs exactly 4 conditions, "
-                         f"got {len(conditions.labels) - 1}")
+    one = isinstance(conditions, LineConditions)
     opts = options or TrackOptions()
-    rng = np.random.default_rng(opts.seed)
-    patch = random_patch(rng)
-    target = build_square_system(conditions, patch)
-    policy = "tetra" if np.all(conditions.degree == 2) else "total-degree"
-    start_sq, starts = (tetra_start_points(patch) if policy == "tetra"
-                        else total_degree_start(conditions, rng))
-    paths = track(start_sq, starts, target, opts)
-    return TrackResult(conditions, paths, patch, policy)
+    homotopies, setups = [], []
+    for c in [conditions] if one else conditions:
+        if len(c.labels) != 5:  # four conditions and the Pluecker row
+            raise ValueError("tracking needs exactly 4 conditions, "
+                             f"got {len(c.labels) - 1}")
+        rng = np.random.default_rng(opts.seed)
+        patch = random_patch(rng)
+        target = build_square_system(c, patch)
+        policy = "tetra" if np.all(c.degree == 2) else "total-degree"
+        start_sq, starts = (tetra_start_points(patch) if policy == "tetra"
+                            else total_degree_start(c, rng))
+        homotopies.append((start_sq, starts, target))
+        setups.append((c, patch, policy))
+    paths = _track_batch(homotopies, opts) if homotopies else []
+    batch = TrackBatch(TrackResult(c, p, patch, policy)
+                       for (c, patch, policy), p in zip(setups, paths))
+    return batch[0] if one else batch
 
 
 # ---------------------------------------------------------------------------
@@ -572,11 +673,12 @@ def doubling_experiment(radii="auto",
     Stage i surrounds the first i tetrahedron edge lines with distance-r_i
     cylinders and keeps incidence conditions on the rest; each tangency
     doubles the solution count, so small enough radii give 2, 4, 8, 16, 32
-    real lines at stages 0..4.  In "auto" mode all radii start at 1/10 and
-    are halved together until the stage reaches its target count (at most
-    MAX_HALVINGS times); explicit radii are used as given, and a stage that
-    misses its target is reported honestly.  Every stage is solved with
-    ``options``, the seed included.
+    real lines at stages 0..4.  All stages are solved together, in one
+    lockstep batch.  In "auto" mode every radius starts at 1/10, and the
+    stages that miss their target count are solved again, together, with
+    their radii halved (at most MAX_HALVINGS times); explicit radii are
+    used as given, and a stage that misses its target is reported honestly.
+    Every stage is solved with ``options``, the seed included.
     """
     opts = options or TrackOptions()
     lines = regular_tetrahedron_lines()
@@ -590,25 +692,30 @@ def doubling_experiment(radii="auto",
         if len(fixed) != 4 or any(r <= 0 for r in fixed):
             raise ValueError("need four cylinder radii > 0")
 
-    rows = []
-    for stage in range(5):
-        target_count = (1 << stage) * 2
-        r = Fraction(1, 10)
-        halvings = 0
-        while True:
-            stage_radii = tuple([r] * stage) if auto else tuple(fixed[:stage])
-            conditions = LineConditions.compile(
-                (j, TangentTo(cylinder(lines[j], stage_radii[j])) if j < stage
-                 else Meets(proj[j].dual()))
-                for j in range(4))
-            result = solve_tangency(conditions, opts)
+    # every stage at once; then the stages that missed their target again,
+    # together, at half their radius
+    halvings = [0] * 5
+    rows: dict[int, DoublingRow] = {}
+    pending = list(range(5))
+    while pending:
+        stage_radii = [tuple([Fraction(1, 10) / 2 ** halvings[stage]] * stage) if auto
+                       else tuple(fixed[:stage]) for stage in pending]
+        conditions = [LineConditions.compile(
+            (j, TangentTo(cylinder(lines[j], radii[j])) if j < stage
+             else Meets(proj[j].dual()))
+            for j in range(4)) for stage, radii in zip(pending, stage_radii)]
+        missed = []
+        for stage, radii, result in zip(pending, stage_radii,
+                                        solve_tangency(conditions, opts)):
+            target_count = 2 << stage
             real_count = result.reality().real_count
-            done = (real_count == target_count or not auto or stage == 0
-                    or halvings >= MAX_HALVINGS)
-            if done:
-                rows.append(DoublingRow(stage, target_count, real_count,
-                                        result.converged_count, stage_radii,
-                                        halvings))
-                break
-            r, halvings = r / 2, halvings + 1
-    return DoublingResult(rows, exact_count)
+            if (auto and stage > 0 and real_count != target_count
+                    and halvings[stage] < MAX_HALVINGS):
+                halvings[stage] += 1
+                missed.append(stage)
+            else:
+                rows[stage] = DoublingRow(stage, target_count, real_count,
+                                          result.converged_count, radii,
+                                          halvings[stage])
+        pending = missed
+    return DoublingResult([rows[stage] for stage in range(5)], exact_count)

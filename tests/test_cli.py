@@ -289,6 +289,11 @@ def _forge_params(cert):
     cert["params"] = {"alpha": "1/5", "beta": "1/5"}
 
 
+def _forge_params_of_other_scene(cert):
+    # another 32-real family member: the count agrees, the scene does not
+    cert["params"] = {"alpha": "1/7", "beta": "1/9"}
+
+
 # the closed-form parameters each forgery starts from, if not (1/10, 1/20)
 FORGED_AT = {_forge_nonreal_flagged_real: ("1/5", "1/5")}
 
@@ -296,7 +301,7 @@ FORGED_AT = {_forge_nonreal_flagged_real: ("1/5", "1/5")}
 @pytest.mark.parametrize("forge", [
     _forge_arbitrary_coordinates, _forge_trimmed, _forge_repeated_solution,
     _forge_loose_tolerance, _forge_nan_coordinates, _forge_nonreal_flagged_real,
-    _forge_nonreal_count, _forge_params])
+    _forge_nonreal_count, _forge_params, _forge_params_of_other_scene])
 def test_verify_rejects_forged_certificate(capsys, tmp_path, forge):
     cert_path = tmp_path / "cert.json"
     run(capsys, "tetra", *FORGED_AT.get(forge, ("1/10", "1/20")), "--output", str(cert_path))
@@ -475,6 +480,19 @@ def test_transversals_moment_distinctness(capsys):
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["counts", "--bogus"])
+    assert exc.value.code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["counts", "1", "3", "--seed", "5"], ["counts", "1", "3", "--tol", "7"],
+    ["transversals", "--tetrahedron", "--seed", "1"],
+    ["transversals", "--tetrahedron", "--tol", "1e-9"],
+    ["transversals", "--tetrahedron", "--format", "csv"],
+    ["verify", "cert.json", "--seed", "1"], ["verify", "cert.json", "--format", "json"],
+    ["verify", "cert.json", "--output", "report.txt"]])
+def test_commands_reject_options_they_would_ignore(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     assert exc.value.code == 3
 
 

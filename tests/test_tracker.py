@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import numpy as np
@@ -249,9 +250,9 @@ def test_doubling_experiment_auto(monkeypatch):
     solve = tracker.solve_tangency
 
     def recorded(*args):
-        res = solve(*args)
-        policies.append(res.start_policy)
-        return res
+        batch = solve(*args)
+        policies.extend(res.start_policy for res in batch)
+        return batch
 
     monkeypatch.setattr(tracker, "solve_tangency", recorded)
     result = doubling_experiment("auto", TrackOptions(seed=5))
@@ -261,6 +262,34 @@ def test_doubling_experiment_auto(monkeypatch):
     # stages 0-3 keep an incidence condition; stage 4, four cylinder
     # tangencies, is a parameter homotopy from the closed-form family
     assert policies == ["total-degree"] * 4 + ["tetra"]
+
+
+def test_doubling_reruns_only_the_stages_that_miss(monkeypatch):
+    # stages 2 and 4 are made to miss their count once, at radius 1/10: only
+    # they run again, together, at radius 1/20
+    batches, missed = [], set()
+    solve, reality = tracker.solve_tangency, tracker.TrackResult.reality
+
+    def recorded(conditions, *args):
+        batches.append([c.root_bound for c in conditions])
+        return solve(conditions, *args)
+
+    def miss_once(result):
+        rep = reality(result)
+        bound = result.conditions.root_bound
+        if bound in (8, 32) and bound not in missed:
+            missed.add(bound)
+            rep = dataclasses.replace(rep, is_real=[False] + rep.is_real[1:])
+        return rep
+
+    monkeypatch.setattr(tracker, "solve_tangency", recorded)
+    monkeypatch.setattr(tracker.TrackResult, "reality", miss_once)
+    result = doubling_experiment("auto", TrackOptions(seed=5))
+    assert batches == [[2, 4, 8, 16, 32], [8, 32]]
+    assert result.counts == [2, 4, 8, 16, 32]
+    assert [row.halvings for row in result.rows] == [0, 0, 1, 0, 1]
+    assert result.rows[2].radii == (F(1, 20),) * 2
+    assert result.rows[3].radii == (F(1, 10),) * 3
 
 
 def test_doubling_explicit_radii():
@@ -515,3 +544,81 @@ def test_no_path_ends_at_infinity_without_spheres(monkeypatch):
     monkeypatch.setattr(tracker, "solve_tangency", recorded)
     assert doubling_experiment("auto", TrackOptions(seed=5)).counts == [2, 4, 8, 16, 32]
     assert statuses == {"converged"}
+
+
+# -- batches of several homotopies --------------------------------------------
+
+
+def doubling_stages() -> list[LineConditions]:
+    """The five doubling stages at radius 1/10."""
+    lines = regular_tetrahedron_lines()
+    proj = [ln.to_projective() for ln in lines]
+    return [line_system([TangentTo(cylinder(ln, F(1, 10))) for ln in lines[:stage]]
+                        + [Meets(p.dual()) for p in proj[stage:]])
+            for stage in range(5)]
+
+
+def assert_same_paths(batched, alone):
+    assert len(batched) == len(alone)
+    for a, b in zip(batched, alone):
+        assert (a.status, a.steps, a.solves, a.duplicate_of) == \
+            (b.status, b.steps, b.solves, b.duplicate_of)
+        assert (a.end is None and b.end is None) or np.array_equal(a.end, b.end)
+
+
+def test_batch_of_systems_tracks_each_as_alone():
+    # total-degree and closed-form starts, and paths ending at infinity
+    sphere_conditions = line_system(TangentTo(sphere(c, r))
+                                    for c, r in SPHERE_SCENES["plain"][1])
+    systems = doubling_stages() + [random_quadric_system(12), sphere_conditions]
+    opts = TrackOptions(seed=5)
+    batch = solve_tangency(systems, opts)
+    assert [r.start_policy for r in batch] == ["total-degree"] * 4 + ["tetra"] * 3
+    assert len(batch.paths) == 62 + 32 + 32
+    statuses = {p.status for p in batch.paths}
+    assert {"converged", "at-infinity"} <= statuses
+    for system, result in zip(systems, batch):
+        alone = solve_tangency(system, opts)
+        assert np.array_equal(result.patch, alone.patch)
+        assert_same_paths(result.paths, alone.paths)
+
+
+def test_singular_start_leaves_other_homotopies_alone():
+    # homotopy 0 gets an all-zero start and homotopy 1 a repeated one; the
+    # duplicate is flagged within its own homotopy
+    square, starts, target = _tetra_to_random_scene(16)
+    other = _tetra_to_random_scene(17)
+    doubled = (other[0], np.vstack([other[1], other[1][:1]]), other[2])
+    opts = TrackOptions(seed=16)
+    padded = (square, np.vstack([starts, np.zeros(6)]), target)
+    first, second = tracker._track_batch([padded, doubled], opts)
+    zero = first[-1]
+    assert zero.status == "diverged" and zero.end is None and zero.steps == 1
+    for batched, alone in zip((first[:-1], second), (track(square, starts, target, opts),
+                                                   track(*doubled, opts))):
+        assert len(batched) == len(alone)
+        for a, b in zip(batched, alone):
+            assert (a.status, a.steps, a.duplicate_of) == (b.status, b.steps, b.duplicate_of)
+            assert (a.end is None and b.end is None) or np.array_equal(a.end, b.end)
+    assert [p.duplicate_of for p in second if p.duplicate_of is not None] == [0]
+
+
+def test_doubling_batch_needs_fewer_solve_calls(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        calls.append(int(np.prod(np.shape(a)[:-2])))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    stages, opts = doubling_stages(), TrackOptions(seed=0)
+    for stage in stages:
+        solve_tangency(stage, opts)
+    serial = list(calls)
+    calls.clear()
+    solve_tangency(stages, opts)
+    # the same linear systems in at most 1/2.5 of the calls: the stages'
+    # rounds overlap instead of adding up
+    assert sum(calls) == sum(serial)
+    assert len(calls) <= len(serial) / 2.5
