@@ -172,15 +172,16 @@ def cmd_counts(args) -> int:
             def line(label, values):
                 cells = "  ".join(str(v).rjust(w) for v, w in zip(values, widths))
                 return f"{label:<16}{cells}"
-            print(line("n", [c.n for c in rows]))
+            lines = [line("n", [c.n for c in rows])]
             if k == 1:
-                print(line("3*2^(n-1)", [sphere_tangent_line_count(c.n) for c in rows]))
-            print(line("2^dim*degree", [c.total for c in rows]))
+                lines.append(line("3*2^(n-1)", [sphere_tangent_line_count(c.n) for c in rows]))
+            lines.append(line("2^dim*degree", [c.total for c in rows]))
+            _write_text(args.output, "\n".join(lines))
         return EXIT_OK
     if args.n is None:
         raise SceneFormatError("counts needs k and n (or --table)")
     c = grassmann_counts(args.k, int(args.n))
-    print(f"dim={c.dim} degree={c.degree} total={c.total}")
+    _write_text(args.output, f"dim={c.dim} degree={c.degree} total={c.total}")
     return EXIT_OK
 
 
@@ -205,6 +206,15 @@ def _solution_entry(index, vec, real, residual, extra=None) -> dict:
     return entry
 
 
+def _write_text(path, text: str) -> None:
+    """Print ``text``, or write it to ``path`` unless that is None or "-"."""
+    if path in (None, "-"):
+        print(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+
+
 def _write_certificate(cert: Certificate, args) -> None:
     if args.format in (None, "json"):
         write_json(args.output, cert.to_dict())
@@ -223,12 +233,7 @@ def _write_certificate(cert: Certificate, args) -> None:
             re, im = (z, 0.0) if not isinstance(z, list) else (z[0], z[1])
             row += [repr(re), repr(im)]
         lines.append(",".join(row))
-    text = "\n".join(lines)
-    if args.output in (None, "-"):
-        print(text)
-    else:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+    _write_text(args.output, "\n".join(lines))
 
 
 def cmd_tetra(args) -> int:
@@ -354,11 +359,12 @@ def cmd_doubling(args) -> int:
                       "halvings": r.halvings} for r in result.rows],
         })
     else:
-        print("stage  target  real  radii")
+        lines = ["stage  target  real  radii"]
         for r in result.rows:
             radii_txt = ",".join(encode_rational(x) for x in r.radii) or "-"
-            print(f"{r.stage:>5}  {r.target_count:>6}  {r.real_count:>4}  {radii_txt}")
-        print(f"exact transversal count at stage 0: {result.exact_stage0_count}")
+            lines.append(f"{r.stage:>5}  {r.target_count:>6}  {r.real_count:>4}  {radii_txt}")
+        lines.append(f"exact transversal count at stage 0: {result.exact_stage0_count}")
+        _write_text(args.output, "\n".join(lines))
     missed = any(r.real_count != r.target_count for r in result.rows)
     return EXIT_NUMERIC if missed else EXIT_OK
 

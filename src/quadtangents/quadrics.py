@@ -163,11 +163,14 @@ class TangentTo:
     degree = 2
 
     def form(self) -> np.ndarray:
-        """The 6x6 tangency form wedge^2 Q: exact, then rounded, for a
+        """The real 6x6 tangency form wedge^2 Q: exact, then rounded, for a
         Quadric; in floating point for an array."""
         if isinstance(self.quadric, Quadric):
-            return tangency_form(self.quadric, 1).to_numpy(float).astype(complex)
+            return tangency_form(self.quadric, 1).to_numpy(float)
         q = np.asarray(self.quadric, dtype=complex)
+        if np.any(q.imag):
+            raise ValueError("tangency condition needs a real matrix")
+        q = q.real
         if q.shape != (4, 4) or not np.allclose(q, q.T):
             raise ValueError("tangency condition needs a symmetric 4x4 matrix")
         pairs = subsets(4, 2)
@@ -202,7 +205,7 @@ class LineConditions:
     row is the Pluecker relation itself."""
 
     labels: tuple            # one per condition, then "plucker"
-    quad: np.ndarray         # (m, 6, 6) complex, zero for incidence rows
+    quad: np.ndarray         # (m, 6, 6) real, zero for incidence rows
     lin: np.ndarray          # (m, 6) complex, zero for quadratic rows
     scale: np.ndarray        # (m,) norm of each row's coefficients; 1 for plucker
     degree: np.ndarray       # (m,) 2 or 1
@@ -212,7 +215,7 @@ class LineConditions:
         """Compile ``(label, TangentTo | Meets)`` pairs, in order."""
         conditions = list(conditions)
         m = len(conditions) + 1
-        quad = np.zeros((m, 6, 6), dtype=complex)
+        quad = np.zeros((m, 6, 6))
         lin = np.zeros((m, 6), dtype=complex)
         scale, degree = np.ones(m), np.full(m, 2)
         for i, (_, cond) in enumerate(conditions):

@@ -12,25 +12,41 @@ into the target along H(x, t) = (1 - t) * gamma * S(x) + t * T(x), with a
 random unit complex gamma keeping the path regular for t < 1 with
 probability one.  Each path is advanced by a fourth-order Runge-Kutta
 predictor on the implicit-derivative ODE  dx/dt = -J_x^{-1} dH/dt  and a
-short Newton corrector, with adaptive step halving/growth, then the
-endpoint is polished by Newton at t = 1.  Steps start at FIRST_STEP and stay
-below MAX_STEP; re-tracks use RETRACK_STEPS, both 10x smaller.
+short Newton corrector, then the endpoint is polished by Newton at t = 1.
+Steps start at FIRST_STEP and stay below MAX_STEP; re-tracks use
+RETRACK_STEPS, both 10x smaller.  A rejected step halves.  After an
+accepted one, the corrector's first update, relative to the point,
+estimates the predictor's local error e, which goes like step^5; the step
+grows by (STEP_TOL / e)^(1/5), clipped to [1, MAX_GROWTH] (an error-driven
+step rule as in Deuflhard, "Newton Methods for Nonlinear Problems", 2004).
+It does not grow right after a rejection, nor when e is within 10x the
+corrector tolerance, where the update measures the corrector's own noise
+near a singular endpoint rather than the predictor.
+
+Every quadratic form here is real (wedge^2 Q of a real quadric, the
+Pluecker form, both starts), so each point costs one real matmul of the
+start's and target's forms, stacked, against x viewed as (6, 2) real
+pairs; J, H, dH/dt and the target's value follow elementwise.  H is
+weighted as (1 - t) gamma S + t T, never as gamma S + t (T - gamma S),
+which cancels as t -> 1 far from the origin.
 
 Tracking is lockstep: all paths of a batch -- one homotopy, or many with
 their own start and target systems -- advance together as one (P, 6) array
 with their own t, step size and counters, and every predictor stage,
 corrector iteration and polish iteration is one stacked 6x6 solve over the
-paths still live.  The systems of a batch are stacked as (S, 6, 6, 6),
-(S, 6, 6) and (S, 6) tensors; each path carries the index of its homotopy,
-and the paths of one homotopy stay together.  Tensors are gathered per
-path only while the live paths of a call span several homotopies (once a
-round, and again when the corrector drops paths); paths of one homotopy,
-and so every batch of one, broadcast its tensors.  matmul and the stacked
-solve reproduce the one-point arithmetic bit for bit, so each path keeps
-the steps and endpoint it would have alone, and its solve count unless a
-singular batch mate sends a stack to the one-by-one fallback of ``_solve``;
-a path leaves each loop as soon as it is done, and a singular Jacobian or
-non-finite prediction fails only its own path.
+paths still live.  The homotopies of a batch are stacked as (S, 72, 6) real
+forms and (S, 2, 6, 6) and (S, 2, 6) complex tensors; each path carries
+the index of its homotopy, and the paths of one homotopy stay together.
+Tensors are gathered per path only while the live paths of a call span
+several homotopies (once a round, and again when the corrector drops
+paths); paths of one homotopy, and so every batch of one, broadcast its
+tensors.  The stacked matmul (one small product per point, never one GEMM
+over all points) and the stacked solve reproduce the one-point arithmetic
+bit for bit, so each path keeps the steps and endpoint it would have
+alone, and its solve count unless a singular batch mate sends a stack to
+the one-by-one fallback of ``_solve``; a path leaves each loop as soon as
+it is done, and a singular Jacobian or non-finite prediction fails only
+its own path.
 
 Every path ends with one of these statuses:
   converged            polished at t = 1 to the endpoint tolerance;
@@ -92,48 +108,41 @@ from .tetra32 import TetraParams, enumerate_tangents, family
 
 @dataclass
 class SquareSystem:
-    """Six complex equations x^T A_i x + b_i . x + c_i in six unknowns.
-
-    ``eval``, ``jac`` and ``residual`` take one point (6,) or a stack of
-    points (..., 6) and return one value per point.  The tensors may carry
-    leading axes too: a stack of systems, one per point or broadcast.
+    """Six equations x^T A_i x + b_i . x + c_i in six complex unknowns, with
+    real forms A_i (a complex array with zero imaginary part is taken as
+    real).  ``eval`` and ``residual`` take one point (6,) or a stack (..., 6).
     """
 
-    quad: np.ndarray   # (..., 6, 6, 6), symmetric in the trailing axes
-    lin: np.ndarray    # (..., 6, 6)
-    const: np.ndarray  # (..., 6)
+    quad: np.ndarray   # (6, 6, 6) real, symmetric in the trailing axes
+    lin: np.ndarray    # (6, 6) complex
+    const: np.ndarray  # (6,) complex
 
-    def _quad_x(self, x: np.ndarray) -> np.ndarray:
-        """(..., 6, 6) with row i equal to quad[i] @ x, per point."""
-        return (self.quad @ x[..., None, :, None])[..., 0]
+    def __post_init__(self):
+        quad = np.asarray(self.quad)
+        if np.iscomplexobj(quad):
+            if np.any(quad.imag):
+                raise ValueError("quadratic forms must be real")
+            quad = quad.real
+        self.quad = np.asarray(quad, dtype=float)
 
     def eval(self, x: np.ndarray) -> np.ndarray:
         col = np.asarray(x)[..., None]
-        return ((self._quad_x(col[..., 0]) @ col)[..., 0]
-                + (self.lin @ col)[..., 0] + self.const)
-
-    def jac(self, x: np.ndarray) -> np.ndarray:
-        return 2 * self._quad_x(np.asarray(x)) + self.lin
+        quad_x = (self.quad @ col[..., None, :, :])[..., 0]  # row i: quad[i] @ x
+        return (quad_x @ col)[..., 0] + (self.lin @ col)[..., 0] + self.const
 
     def residual(self, x: np.ndarray):
-        """Relative infinity-norm residual (scales like the equations)."""
-        scale = (1.0 + np.max(np.abs(x), axis=-1)) ** 2
-        return np.max(np.abs(self.eval(x)), axis=-1) / scale
+        return _relative_residual(self.eval(x), x)
 
-    def take(self, index) -> SquareSystem:
-        """The systems at ``index`` of a stack's leading axis."""
-        return SquareSystem(self.quad[index], self.lin[index], self.const[index])
 
-    @classmethod
-    def stack(cls, systems) -> SquareSystem:
-        return cls(np.stack([s.quad for s in systems]),
-                   np.stack([s.lin for s in systems]),
-                   np.stack([s.const for s in systems]))
+def _relative_residual(values, x):
+    """Relative infinity-norm residual of equation values at x (scales like
+    the equations)."""
+    return np.max(np.abs(values), axis=-1) / (1.0 + np.max(np.abs(x), axis=-1)) ** 2
 
 
 def build_square_system(conditions: LineConditions, patch: np.ndarray) -> SquareSystem:
     """Four conditions + Pluecker quadric + affine patch (patch . x = 1)."""
-    quad = np.zeros((6, 6, 6), dtype=complex)
+    quad = np.zeros((6, 6, 6))
     lin = np.zeros((6, 6), dtype=complex)
     const = np.zeros(6, dtype=complex)
     quad[:5], lin[:5] = conditions.quad, conditions.lin
@@ -154,7 +163,7 @@ def total_degree_start(conditions: LineConditions,
     root count of the patched target, so every path is meaningful."""
     degrees = [int(d) for d in conditions.degree] + [1]
     phases = np.exp(2j * np.pi * rng.random(6))
-    quad = np.zeros((6, 6, 6), dtype=complex)
+    quad = np.zeros((6, 6, 6))
     lin = np.zeros((6, 6), dtype=complex)
     const = -phases.astype(complex)
     roots_per_var = []
@@ -176,15 +185,17 @@ def total_degree_start(conditions: LineConditions,
 # steps start at FIRST_STEP and stay below MAX_STEP (RETRACK_STEPS when re-
 # tracking); a path diverges below MIN_STEP; a step is accepted when Newton's
 # update falls below CORRECTOR_TOL (relative) within CORRECTOR_ITERS; steps
-# halve on failure and grow by GROW_FACTOR after SUCCESSES_TO_GROW in a row
+# halve on failure and, after an accepted step whose first Newton update had
+# relative size e, grow by (STEP_TOL / e)^(1/5), clipped to [1, MAX_GROWTH]
+# (not right after a rejection, nor when e is within 10x CORRECTOR_TOL)
 FIRST_STEP = 0.05
 MAX_STEP = 0.25
 RETRACK_STEPS = (FIRST_STEP / 10, MAX_STEP / 10)
 MIN_STEP = 1e-14
 CORRECTOR_ITERS = 3
 CORRECTOR_TOL = 1e-10
-SUCCESSES_TO_GROW = 5
-GROW_FACTOR = 1.5
+STEP_TOL = 3e-4
+MAX_GROWTH = 2.0
 ENDPOINT_ITERS = 15  # Newton polish iterations at t = 1
 
 # the at-infinity test of the module docstring: decade valuations of rho from
@@ -224,32 +235,38 @@ class TrackedPath:
 @dataclass
 class _Homotopy:
     """H(x,t) = (1-t) gamma S(x) + t T(x) for a stack of pairs of quadratic
-    systems, at a stack of points with one t each.  The tensors are either
-    broadcast over the points or hold one system per point, gathered from
-    ``source`` by ``systems``."""
+    systems, at a stack of points with one t each.
 
-    start: SquareSystem
-    target: SquareSystem
+    ``quad`` stacks each pair's real forms as one (72, 6) matrix, the rows of
+    S.quad then of T.quad, so one real matmul per point against x viewed as
+    (6, 2) real pairs gives A = S.quad x and B = T.quad x; everything else
+    is elementwise.  ``lin`` and ``const`` hold (gamma S, T)'s.  The tensors
+    are either broadcast over the points or hold one pair per point,
+    gathered from ``source`` by ``systems``."""
+
+    quad: np.ndarray   # (..., 72, 6) real
+    lin: np.ndarray    # (..., 2, 6, 6) complex
+    const: np.ndarray  # (..., 2, 6) complex
     gamma: complex
-    delta: SquareSystem  # T - gamma S, the t-derivative
     systems: np.ndarray | None = None  # per point: its pair in ``source``
     source: _Homotopy | None = None
 
     @classmethod
-    def of(cls, start: SquareSystem, target: SquareSystem, gamma: complex) -> _Homotopy:
-        return cls(start, target, gamma,
-                   SquareSystem(target.quad - gamma * start.quad,
-                                target.lin - gamma * start.lin,
-                                target.const - gamma * start.const))
+    def of(cls, pairs, gamma: complex) -> _Homotopy:
+        """The homotopies of (start, target) system pairs, stacked."""
+        return cls(np.stack([np.concatenate([s.quad, t.quad]).reshape(72, 6)
+                             for s, t in pairs]),
+                   np.stack([(gamma * s.lin, t.lin) for s, t in pairs]),
+                   np.stack([(gamma * s.const, t.const) for s, t in pairs]),
+                   gamma)
 
-    def _take(self, index) -> tuple[SquareSystem, SquareSystem, complex, SquareSystem]:
-        return (self.start.take(index), self.target.take(index), self.gamma,
-                self.delta.take(index))
+    def _take(self, index) -> tuple[np.ndarray, np.ndarray, np.ndarray, complex]:
+        return self.quad[index], self.lin[index], self.const[index], self.gamma
 
     @functools.cached_property
     def _parts(self) -> list[_Homotopy]:
         """One homotopy per pair of the stack, its tensors views of it."""
-        return [_Homotopy(*self._take(i)) for i in range(len(self.start.quad))]
+        return [_Homotopy(*self._take(i)) for i in range(len(self.quad))]
 
     def at(self, systems: np.ndarray) -> _Homotopy:
         """The homotopy of points of the given pairs of the stack (grouped):
@@ -266,16 +283,42 @@ class _Homotopy:
             return self
         return self.source.at(self.systems[index])
 
-    def eval(self, x, t):
-        t = np.asarray(t)[..., None]
-        return (1 - t) * self.gamma * self.start.eval(x) + t * self.target.eval(x)
+    def _contract(self, x, rows=slice(None)):
+        """quad[rows] @ x per point, one stacked real matmul (never one GEMM
+        over all points, whose bits could depend on the batch), as
+        (P, k, 6, 6) complex: block 0 is A, block 1 is B."""
+        pairs = np.ascontiguousarray(x).view(float).reshape(len(x), 6, 2)
+        out = self.quad[..., rows, :] @ pairs
+        return out.view(complex).reshape(len(x), out.shape[-2] // 36, 6, 6)
 
-    def jac(self, x, t):
-        t = np.asarray(t)[..., None, None]
-        return (1 - t) * self.gamma * self.start.jac(x) + t * self.target.jac(x)
+    def _combine(self, x, t):
+        """A, B, K = M + L and the Jacobian J = 2M + L, where M = (1-t) gamma
+        A + t B and L = (1-t) gamma S.lin + t T.lin, at each (x, t)."""
+        a, b = self._contract(x).swapaxes(0, 1)
+        s, u = (1 - t)[:, None, None], t[:, None, None]
+        m = (s * self.gamma) * a + u * b
+        k = m + (s * self.lin[..., 0, :, :] + u * self.lin[..., 1, :, :])
+        return a, b, k, k + m
 
-    def dt(self, x):
-        return self.delta.eval(x)
+    def newton(self, x, t):
+        """J_x and H at each (x, t), for the corrector."""
+        _, _, k, jac = self._combine(x, t)
+        s, u = (1 - t)[:, None], t[:, None]
+        return jac, ((k @ x[..., None])[..., 0]
+                     + (s * self.const[..., 0, :] + u * self.const[..., 1, :]))
+
+    def tangent(self, x, t):
+        """J_x and dH/dt = T(x) - gamma S(x) at each (x, t), for the predictor."""
+        a, b, _, jac = self._combine(x, t)
+        d = b - self.gamma * a + (self.lin[..., 1, :, :] - self.lin[..., 0, :, :])
+        return jac, (d @ x[..., None])[..., 0] + (self.const[..., 1, :] - self.const[..., 0, :])
+
+    def target(self, x):
+        """The target's Jacobian and value T(x) at each x, for the polish:
+        the contraction's B half only."""
+        b = self._contract(x, slice(36, None))[:, 0]
+        k = b + self.lin[..., 1, :, :]
+        return k + b, (k @ x[..., None])[..., 0] + self.const[..., 1, :]
 
 
 def _solve(a, b, solves, rows):
@@ -314,7 +357,8 @@ def _predict(h: _Homotopy, x, t, step, solves, rows):
         if stage:
             xs = xs + (c * step[live])[:, None] * k[stage - 1, live]
             ts = ts + c * step[live]
-        k[stage, live], solved = _solve(hs.jac(xs, ts), -hs.dt(xs), solves, rows[live])
+        jac, dt = hs.tangent(xs, ts)
+        k[stage, live], solved = _solve(jac, -dt, solves, rows[live])
         if not stage:
             stuck = ~solved
         live = live[solved]
@@ -326,23 +370,30 @@ def _predict(h: _Homotopy, x, t, step, solves, rows):
 
 def _correct(h: _Homotopy, x, t, solves, rows):
     """Newton at fixed t for each row.  A row stops when its update falls
-    below the corrector tolerance (ok) or its Jacobian is singular."""
+    below the corrector tolerance (ok) or its Jacobian is singular.  Also
+    returns each row's first update relative to its point, which estimates
+    the predictor's error (NaN where the first solve failed)."""
     x = x.copy()
     ok = np.zeros(len(x), bool)
+    first = np.full(len(x), np.nan)
     live = np.arange(len(x))
-    for _ in range(CORRECTOR_ITERS):
+    for iteration in range(CORRECTOR_ITERS):
         if not live.size:
             break
         xs, ts, hs = x[live], t[live], h.rows(live)
-        dx, solved = _solve(hs.jac(xs, ts), -hs.eval(xs, ts), solves, rows[live])
+        jac, value = hs.newton(xs, ts)
+        dx, solved = _solve(jac, -value, solves, rows[live])
         live, dx = live[solved], dx[solved]
         xs = xs[solved] + dx
         x[live] = xs
-        done = (np.linalg.norm(dx, axis=-1)
-                < CORRECTOR_TOL * np.maximum(1.0, np.linalg.norm(xs, axis=-1)))
+        update = (np.linalg.norm(dx, axis=-1)
+                  / np.maximum(1.0, np.linalg.norm(xs, axis=-1)))
+        if not iteration:
+            first[live] = update
+        done = update < CORRECTOR_TOL
         ok[live[done]] = True
         live = live[~done]
-    return x, ok
+    return x, ok, first
 
 
 def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
@@ -356,7 +407,7 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
     t = np.zeros(n)
     step = np.full(n, first_step)
     steps = np.zeros(n, dtype=int)
-    successes = np.zeros(n, dtype=int)
+    rejected = np.zeros(n, bool)    # the path's last step was rejected
     solves = np.zeros(n, dtype=int)
     running = np.ones(n, bool)
     lost = np.zeros(n, bool)        # ended without an endpoint
@@ -379,20 +430,25 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
         hr = h.at(system[rows])
         pred, stuck = _predict(hr, x[rows], t0, s, solves, rows)
         finite = np.all(np.isfinite(pred), axis=-1)
-        corr, ok = _correct(hr.rows(np.flatnonzero(finite)), pred[finite],
-                            t0[finite] + s[finite], solves, rows[finite])
+        corr, ok, error = _correct(hr.rows(np.flatnonzero(finite)), pred[finite],
+                                   t0[finite] + s[finite], solves, rows[finite])
         accept = np.zeros(len(rows), bool)
         accept[finite] = ok
         steps[rows] += 1
         good, bad = rows[accept], rows[~accept]
         x[good] = corr[ok]
         t[good] = t0[accept] + s[accept]
-        successes[good] += 1
-        grow = good[successes[good] >= SUCCESSES_TO_GROW]
-        step[grow] = np.minimum(step[grow] * GROW_FACTOR, max_step)
-        successes[grow] = 0
+        # RK4's local error goes like step^5.  No step grows right after a
+        # rejection, nor on an error within 10x the corrector tolerance (an
+        # exact prediction included): that is the corrector's noise floor
+        # near a singular endpoint, not the predictor's error, and growing
+        # on it keeps such a path from ever reaching MIN_STEP
+        with np.errstate(divide="ignore"):
+            growth = np.clip((STEP_TOL / error[ok]) ** (1 / 5), 1.0, MAX_GROWTH)
+        growth[rejected[good] | (error[ok] < 10 * CORRECTOR_TOL)] = 1.0
+        step[good] = np.minimum(step[good] * growth, max_step)
         step[bad] /= 2
-        successes[bad] = 0
+        rejected[rows] = ~accept
         lost[rows[stuck]] = True
         running[rows[stuck]] = False
 
@@ -419,22 +475,22 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
     ends = np.flatnonzero(~lost)
     live = ends
     for _ in range(ENDPOINT_ITERS):
-        target = h.at(system[live]).target
-        live = live[~(target.residual(x[live]) < opts.endpoint_tol)]
         if not live.size:
             break
-        target = h.at(system[live]).target
-        xs = x[live]
-        dx, solved = _solve(target.jac(xs), -target.eval(xs), solves, live)
+        jac, value = h.at(system[live]).target(x[live])
+        far = ~(_relative_residual(value, x[live]) < opts.endpoint_tol)
+        live = live[far]
+        if not live.size:
+            break
+        dx, solved = _solve(jac[far], -value[far], solves, live)
         ok = solved & np.all(np.isfinite(dx), axis=-1)
         live = live[ok]
         x[live] += dx[ok]
     residual = np.full(n, np.inf)
     cond = np.full(n, np.inf)
     if ends.size:
-        target = h.at(system[ends]).target
-        residual[ends] = target.residual(x[ends])
-        jac = target.jac(x[ends])
+        jac, value = h.at(system[ends]).target(x[ends])
+        residual[ends] = _relative_residual(value, x[ends])
         try:
             cond[ends] = np.linalg.cond(jac)
         except np.linalg.LinAlgError:  # an SVD failed: only its row is inf
@@ -465,9 +521,7 @@ def _track_batch(homotopies, opts: TrackOptions) -> list[list[TrackedPath]]:
     """
     rng = np.random.default_rng(opts.seed)
     gamma = complex(np.exp(2j * np.pi * rng.random()))
-    h = _Homotopy.of(SquareSystem.stack([start for start, _, _ in homotopies]),
-                     SquareSystem.stack([target for _, _, target in homotopies]),
-                     gamma)
+    h = _Homotopy.of([(start, target) for start, _, target in homotopies], gamma)
     groups = [np.array(x, dtype=complex).reshape(len(x), 6) for _, x, _ in homotopies]
     starts = np.concatenate(groups)
     system = np.repeat(np.arange(len(groups)), [len(g) for g in groups])

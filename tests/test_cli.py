@@ -54,6 +54,20 @@ def test_counts_table_json(capsys):
     assert [r["total"] for r in rows][:2] == [32, 320]
 
 
+@pytest.mark.parametrize("argv", [
+    ["counts", "1", "3"],
+    ["counts", "--table", "1", "3..5"],
+    ["doubling", "--radii", "1/10,1/10,1/10,1/10", "--seed", "5"],
+], ids=["counts", "counts-table", "doubling"])
+def test_plain_text_goes_to_output_file(capsys, tmp_path, argv):
+    code, printed, _ = run(capsys, *argv)
+    assert code == 0 and printed
+    path = tmp_path / "out.txt"
+    code, out, _ = run(capsys, *argv, "--output", str(path))
+    assert code == 0 and out == ""
+    assert path.read_text() == printed
+
+
 # -- tetra --------------------------------------------------------------------
 
 

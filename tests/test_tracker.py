@@ -1,9 +1,13 @@
+import ast
 import dataclasses
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from quadtangents import grassmann
 from quadtangents.grassmann import (
     PluckerVector,
     check_plucker_relations,
@@ -395,8 +399,12 @@ def test_path_solves_sum_to_solved_systems(monkeypatch):
     assert sum(p.solves for p in paths) == sum(calls)
     assert len(calls) <= sum(calls) / 8  # stacked, not one call per system
     # a path leaves each Newton loop once converged, so batching adds no
-    # solves: the one-path-at-a-time tracker solved 6697 systems here
-    assert sum(calls) == 6697
+    # solves: each start tracked alone solves as many systems
+    total = sum(calls)
+    calls.clear()
+    alone = [track(square, [x], target, TrackOptions(seed=17))[0] for x in starts]
+    assert [p.solves for p in alone] == [p.solves for p in paths]
+    assert sum(calls) == total
 
     # a singular path makes its stacks fall back to one call per row; those
     # systems are counted too
@@ -446,6 +454,10 @@ SPHERE_SCENES = {
     # one finite path takes 222 steps, the longest of 350 such scenes
     "long-finite-path": (1024293196, [((35, -36, -10), 30), ((46, 63, -41), 34),
                                       ((63, 43, 61), 44), ((60, -20, -15), 43)]),
+    # paths to infinity stall near 1 - t = 6e-6, where the corrector's first
+    # update is about 1e-10, its own noise
+    "noisy-end": (1389274329, [((3, -57, -63), 39), ((-54, -19, 28), 34),
+                               ((26, -61, 11), 56), ((-62, -5, -64), 30)]),
 }
 
 
@@ -479,6 +491,14 @@ def test_sphere_paths_end_at_infinity_once(monkeypatch, name):
     assert passes == [32]  # no path is re-tracked
 
 
+def test_steps_do_not_grow_on_corrector_noise():
+    # a step that grew on an update at the corrector's noise floor would keep
+    # such a path wandering: one path here took 550 steps that way
+    res = solve_spheres(*SPHERE_SCENES["noisy-end"])
+    assert len(res.endpoints) == 12
+    assert max(p.steps for p in res.paths) <= 250
+
+
 def test_far_sphere_scene_keeps_its_finite_lines():
     # shifted by (100, 100, 0), every finite tangent has a direction share
     # rho near 8e-3, as small as a path to infinity has near t = 1; two of
@@ -501,19 +521,23 @@ def test_finite_paths_decaying_like_infinite_ones_are_kept():
     assert sum(rho(v) < 1e-2 for v in res.endpoints) == 2
 
 
+def far_root_system(a) -> tracker.SquareSystem:
+    """a u^2 = u per moment coordinate u, directions fixed at 1: for small a
+    the root u = 1 / a is far from the origin."""
+    quad = np.zeros((6, 6, 6), dtype=complex)
+    lin = np.eye(6, dtype=complex)
+    const = np.zeros(6, dtype=complex)
+    const[:3] = -1
+    lin[3:] *= -1
+    quad[3:, 3:, 3:][np.diag_indices(3, 3)] = a
+    return tracker.SquareSystem(quad, lin, const)
+
+
 def test_path_to_a_regular_far_endpoint_is_kept():
     # a u^2 = u per moment coordinate with a -> 1e-6 at t = 1, directions
     # fixed at 1: u grows like 1 / (1 - t), so rho decays like (1 - t)^1 over
     # the decades the shrinking steps cross, not like (1 - t)^(1/2)
-    def system(a):
-        quad = np.zeros((6, 6, 6), dtype=complex)
-        lin = np.eye(6, dtype=complex)
-        const = np.zeros(6, dtype=complex)
-        const[:3] = -1
-        lin[3:] *= -1
-        quad[3:, 3:, 3:][np.diag_indices(3, 3)] = a
-        return tracker.SquareSystem(quad, lin, const)
-
+    system = far_root_system
     eps = 1e-6
     (path,) = track(system(1.0), [np.ones(6)], system(eps / (1 + eps)),
                     TrackOptions(seed=0))
@@ -622,3 +646,104 @@ def test_doubling_batch_needs_fewer_solve_calls(monkeypatch):
     # rounds overlap instead of adding up
     assert sum(calls) == sum(serial)
     assert len(calls) <= len(serial) / 2.5
+
+
+# -- the fused homotopy ---------------------------------------------------------
+
+
+def exact_terms(system, x):
+    """Each equation's value and Jacobian row at the points x in extended
+    precision, each with the sum of its terms' magnitudes."""
+    quad_x = np.einsum("ijk,pk->pij", system.quad.astype(np.longdouble),
+                       x.astype(np.clongdouble))
+    value = (np.einsum("pij,pj->pi", quad_x, x) + np.einsum("ij,pj->pi", system.lin, x)
+             + system.const)
+    abs_quad_x = np.einsum("ijk,pk->pij", np.abs(system.quad), np.abs(x))
+    size = (np.einsum("pij,pj->pi", abs_quad_x, np.abs(x))
+            + np.abs(x) @ np.abs(system.lin).T + np.abs(system.const))
+    return value, size, 2 * quad_x + system.lin, 2 * abs_quad_x + np.abs(system.lin)
+
+
+def test_fused_homotopy_matches_its_definition():
+    rng = np.random.default_rng(40)
+
+    def random_system():
+        m = rng.normal(size=(6, 6, 6))
+        return tracker.SquareSystem(m + m.swapaxes(1, 2),
+                                    rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)),
+                                    rng.normal(size=6) + 1j * rng.normal(size=6))
+
+    eps = 1e-6
+    pairs = [(random_system(), random_system()),
+             (far_root_system(1.0), far_root_system(eps / (1 + eps)))]
+    gamma = complex(np.exp(2j * np.pi * rng.random()))
+    h = tracker._Homotopy.of(pairs, gamma)
+    # three random points of pair 0; for pair 1, the far root of its target
+    # (|x| ~ 1e6) at 1 - t = 1e-9, and its start point at t = 0.3
+    u = (1 + eps) / eps * (1 + 1e-9j)
+    x = np.vstack([rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6)),
+                   [1, 1, 1, u, u, u], np.ones(6)])
+    t = np.concatenate([rng.random(3), [1 - 1e-9, 0.3]])
+    system = np.array([0, 0, 0, 1, 1])
+
+    gathered = h.at(system)
+    broadcast = [h.at(system[:3]), h.at(system[3:])]
+    for name in ("newton", "tangent"):
+        fused = getattr(gathered, name)(x, t)
+        # a point's arithmetic does not depend on the other points
+        for part, rows in zip(broadcast, (slice(0, 3), slice(3, 5))):
+            for a, b in zip(getattr(part, name)(x[rows], t[rows]), fused):
+                assert np.array_equal(a, b[rows])
+    jac, value = gathered.newton(x, t)
+    _, dt = gathered.tangent(x, t)
+    jac_t, value_t = gathered.target(x)
+    for k, (start, target) in enumerate(pairs):
+        rows = system == k
+        xs, s = x[rows], t[rows][:, None]
+        sv, ss, sj, sjs = exact_terms(start, xs)
+        tv, ts, tj, tjs = exact_terms(target, xs)
+        # (1 - t) gamma S(x) + t T(x), its Jacobian and its t-derivative, each
+        # within 1e-14 of the magnitudes of the terms that make it up
+        for got, want, size in [
+                (value[rows], (1 - s) * gamma * sv + s * tv, (1 - s) * ss + s * ts),
+                (jac[rows], (1 - s[..., None]) * gamma * sj + s[..., None] * tj,
+                 (1 - s[..., None]) * sjs + s[..., None] * tjs),
+                (dt[rows], tv - gamma * sv, ts + ss),
+                (value_t[rows], tv, ts), (jac_t[rows], tj, tjs)]:
+            assert np.all(np.abs(got - want) <= 1e-14 * size)
+
+    # the cancelling form gamma S + t (T - gamma S) misses that bound at the
+    # far point, where (1 - t) gamma S(x) ~ 1e3 is a difference of terms ~ 1e12
+    start, target = pairs[1]
+    xs, s = x[3:4], t[3]
+    cancelling = gamma * start.eval(xs) + s * (target.eval(xs) - gamma * start.eval(xs))
+    sv, ss, _, _ = exact_terms(start, xs)
+    tv, ts, _, _ = exact_terms(target, xs)
+    error = np.abs(cancelling - ((1 - s) * gamma * sv + s * tv)) / ((1 - s) * ss + s * ts)
+    assert np.max(error) > 1e-12
+
+
+def test_quadratic_forms_are_real():
+    q = np.diag([1.0, 1.0, 1.0, -1.0])
+    assert TangentTo(q.astype(complex)).form().dtype == float
+    with pytest.raises(ValueError, match="real"):
+        TangentTo(q + 1e-3j * np.eye(4)).form()
+    with pytest.raises(ValueError, match="real"):
+        line_system([TangentTo(q * 1j)] * 4)
+    quad = np.zeros((6, 6, 6), dtype=complex)
+    quad[0, 0, 0] = 1j
+    with pytest.raises(ValueError, match="real"):
+        tracker.SquareSystem(quad, np.eye(6), np.zeros(6))
+    assert line_system([TangentTo(q)] * 4).quad.dtype == float
+
+
+def test_readme_names_tracker_constants():
+    # every UPPER_CASE constant README names exists, with the value it gives
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = re.findall(r"`([A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+)(?: = ([^`]+))?`", readme)
+    assert {"MAX_STEP", "STEP_TOL", "MAX_GROWTH", "REAL_TOL"} <= {n for n, _ in named}
+    for name, value in named:
+        module = tracker if hasattr(tracker, name) else grassmann
+        assert hasattr(module, name), name
+        if value:
+            assert ast.literal_eval(value) == getattr(module, name), name
