@@ -324,13 +324,15 @@ def cmd_track(args) -> int:
                       "converged": status["converged"],
                       "diverged": status["diverged"],
                       "at_infinity": status["at-infinity"],
+                      "surplus": status["surplus"],
                       "suspected_jumps": status["path-jump-suspected"]},
             "patch": [[z.real, z.imag] for z in result.patch],
         },
     )
     _write_certificate(cert, args)
     print(f"{len(entries)} certified endpoints of {len(result.paths)} paths, "
-          f"{reality.real_count} real, {status['at-infinity']} at infinity",
+          f"{reality.real_count} real, {status['at-infinity']} at infinity, "
+          f"{status['surplus']} surplus",
           file=sys.stderr)
     if not entries:
         return EXIT_NUMERIC

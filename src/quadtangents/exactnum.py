@@ -230,16 +230,19 @@ def det(m: RatMatrix) -> Fraction:
 def exterior_power(m: RatMatrix, r: int) -> RatMatrix:
     """The r-th compound matrix: entry (I, J) is the r x r minor of ``m`` on
     rows I and columns J, with I, J running over the lex-ordered r-subsets.
+    A 2 x 2 minor is a*d - b*c; larger ones go through ``det``.
     """
     if r < 1 or r > min(m.rows, m.cols):
         raise DimensionError(f"exterior power order {r} out of range for "
                              f"{m.rows}x{m.cols} matrix")
     row_sets = subsets(m.rows, r)
     col_sets = subsets(m.cols, r)
-    out = []
-    for I in row_sets:
-        for J in col_sets:
-            out.append(det(m.submatrix(I, J)))
+    if r == 2:
+        a = m.to_rows()
+        out = [a[i][k] * a[j][l] - a[i][l] * a[j][k]
+               for i, j in row_sets for k, l in col_sets]
+    else:
+        out = [det(m.submatrix(I, J)) for I in row_sets for J in col_sets]
     return RatMatrix(len(row_sets), len(col_sets), tuple(out))
 
 

@@ -189,10 +189,14 @@ DISTINCT_TOL = 1e-6
 
 
 def normalize_endpoint(v) -> np.ndarray:
-    """Unit norm with the largest-magnitude coordinate rotated real-positive."""
+    """Unit norm with the largest-magnitude coordinate rotated real-positive.
+    Coordinates within a relative 1e-12 of the largest magnitude count as
+    tied, and the first of them is taken, so that ulp-level changes cannot
+    switch the representative."""
     v = np.asarray(v, dtype=complex)
     v = v / np.linalg.norm(v)
-    z = v[int(np.argmax(np.abs(v)))]
+    size = np.abs(v)
+    z = v[int(np.argmax(size >= (1 - 1e-12) * size.max()))]
     return v * (z.conjugate() / abs(z))
 
 

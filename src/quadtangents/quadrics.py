@@ -39,7 +39,14 @@ from .exactnum import (
     solve_linear,
     subsets,
 )
-from .grassmann import PLUCKER_FORM, DualFlat, PluckerVector, ProjFlat, dual_plucker
+from .grassmann import (
+    PLUCKER_FORM,
+    DualFlat,
+    PluckerVector,
+    ProjFlat,
+    dual_plucker,
+    sphere_tangent_line_count,
+)
 
 
 @dataclass(frozen=True)
@@ -234,8 +241,20 @@ class LineConditions:
 
     @property
     def root_bound(self) -> int:
-        """2^(#tangency) * 2, the generic root count of four line conditions."""
-        return (1 << int(np.sum(self.degree[:-1] == 2))) * 2
+        """The generic root count of four line conditions: 3 * 2^(n-1) = 12
+        when all four are tangencies to spheres (Sottile and Theobald, "Lines
+        tangent to 2n-2 spheres in R^n", 2002), else 2^(#tangency) * 2.
+
+        A quadric is a sphere when Q[1:, 1:] is a nonzero multiple of I
+        (scaled and imaginary-radius spheres included), which holds exactly
+        when its form's moment block, rows and columns (p12, p13, p23), is a
+        nonzero multiple of I; the block is compared without tolerance."""
+        tangencies = self.quad[:-1][self.degree[:-1] == 2]
+        moments = tangencies[:, 3:, 3:]
+        if len(tangencies) == len(self.labels) - 1 == 4 and all(
+                m[0, 0] != 0 and np.array_equal(m, m[0, 0] * np.eye(3)) for m in moments):
+            return sphere_tangent_line_count(3)
+        return (1 << len(tangencies)) * 2
 
     def residuals(self, v) -> dict[str, float]:
         """Residual of a Pluecker 6-vector for every row, normalized by the

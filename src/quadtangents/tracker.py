@@ -52,6 +52,8 @@ Every path ends with one of these statuses:
   converged            polished at t = 1 to the endpoint tolerance;
   at-infinity          heading to a line at infinity, ended in flight and
                        never re-tracked (below);
+  surplus              still running when its homotopy met its root bound,
+                       stopped there and never re-tracked (below);
   diverged             anything else without a certified endpoint: step
                        underflow, a singular Jacobian at an accepted point
                        (ended at once, as no smaller step can cure it), or
@@ -77,6 +79,18 @@ The problem picks the start.  Four tangencies are a parameter homotopy
 from the 32 closed-form tangents of the tetrahedral family at alpha = beta =
 1/10, solved once per process.  Anything else starts from a total-degree
 system, whose Bezout count equals the root bound: no path is in excess.
+
+Stop rule.  ``solve_tangency`` passes each system's root bound (12 for
+four spheres against 32 tetra starts, the path count otherwise).  Every
+member of a parameter family has at most the family's generic number of
+isolated nonsingular roots, and each one ends exactly one path (Morgan and
+Sommese 1989, above).  So once at least the bound of a homotopy's paths
+have reached t = 1, they are polished (the end polish, once per path), and
+if the bound of them are converged, pairwise distinct and nonsingular
+(finite endpoint cond), no running path can reach another isolated root:
+those paths end as surplus, and none of that homotopy's paths is
+re-tracked.  ``track`` and re-tracks pass no bound, so their paths never
+stop early.
 
 Determinism: gamma, the patch, and all start data are drawn from a seeded
 generator; a fixed seed reproduces every path.
@@ -220,7 +234,8 @@ class TrackedPath:
 
     start: np.ndarray
     end: np.ndarray | None
-    status: str            # "converged" | "at-infinity" | "diverged" | "path-jump-suspected"
+    status: str            # "converged" | "at-infinity" | "surplus" | "diverged"
+                           # | "path-jump-suspected"
     steps: int
     residual: float        # relative Newton residual at the endpoint
     cond: float            # endpoint Jacobian condition number; inf without one
@@ -396,11 +411,51 @@ def _correct(h: _Homotopy, x, t, solves, rows):
     return x, ok, first
 
 
+def _polish(h: _Homotopy, x, system, rows, opts: TrackOptions, solves):
+    """Newton on the target at t = 1 for the points ``rows`` (ascending),
+    in place, until each one's relative residual is below the endpoint
+    tolerance, for at most ENDPOINT_ITERS iterations.  Returns each row's
+    residual and endpoint Jacobian condition number.  A point already
+    within the tolerance is left as it is, so polishing again changes no bit."""
+    live = rows
+    for _ in range(ENDPOINT_ITERS):
+        if not live.size:
+            break
+        jac, value = h.at(system[live]).target(x[live])
+        far = ~(_relative_residual(value, x[live]) < opts.endpoint_tol)
+        live = live[far]
+        if not live.size:
+            break
+        dx, solved = _solve(jac[far], -value[far], solves, live)
+        ok = solved & np.all(np.isfinite(dx), axis=-1)
+        live = live[ok]
+        x[live] += dx[ok]
+    if not rows.size:
+        return np.zeros(0), np.zeros(0)
+    jac, value = h.at(system[rows]).target(x[rows])
+    try:
+        cond = np.linalg.cond(jac)
+    except np.linalg.LinAlgError:  # an SVD failed: only its row is inf
+        cond = np.full(len(rows), np.inf)
+        for k, a in enumerate(jac):
+            try:
+                cond[k] = np.linalg.cond(a)
+            except np.linalg.LinAlgError:
+                pass
+    return _relative_residual(value, x[rows]), cond
+
+
 def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
-                    opts: TrackOptions, steps=(FIRST_STEP, MAX_STEP)) -> list[TrackedPath]:
+                    opts: TrackOptions, steps=(FIRST_STEP, MAX_STEP),
+                    bounds=None) -> tuple[list[TrackedPath], np.ndarray]:
     """Track all start points together, one stacked solve per stage, with
     ``steps`` = (first step, largest step).  Start i belongs to the
-    homotopy ``system[i]``; ``system`` is grouped (non-decreasing)."""
+    homotopy ``system[i]``; ``system`` is grouped (non-decreasing).
+
+    ``bounds``, if given, holds each homotopy's root bound; a homotopy with
+    more paths than its bound stops its running paths as surplus once it
+    holds that many certified endpoints (the module docstring's stop rule).
+    Returns the paths and a mask of the homotopies that met their bound."""
     first_step, max_step = steps
     n = len(starts)
     x = starts.copy()
@@ -412,8 +467,17 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
     running = np.ones(n, bool)
     lost = np.zeros(n, bool)        # ended without an endpoint
     infinite = np.zeros(n, bool)    # ... and heading to a line at infinity
+    surplus = np.zeros(n, bool)     # ... or stopped by the stop rule
     mark = np.full((n, 2), np.nan)  # (log(1 - t), log rho) at the last decade mark
     decades = np.zeros(n, dtype=int)  # decades in a row up to it with rho ~ (1 - t)^(1/2)
+    # the homotopies the stop rule may still end early, and those it ended
+    homotopies = len(h.quad)
+    watch = (np.zeros(homotopies, bool) if bounds is None else
+             np.asarray(bounds) < np.bincount(system, minlength=homotopies))
+    met = np.zeros(homotopies, bool)
+    polished = np.zeros(n, bool)    # polished at t = 1 by the stop rule
+    residual = np.full(n, np.inf)
+    cond = np.full(n, np.inf)
     while True:
         # a path within min_step of t = 1 is there up to roundoff; the
         # polish below finishes it
@@ -422,6 +486,24 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
         infinite |= under & (decades > 0)
         lost |= under
         running &= ~under
+        if watch.any():
+            # the stop rule, for each watched homotopy with new arrivals at
+            # t = 1 that has at least its bound of them
+            arrived = ~running & ~lost
+            counts = np.bincount(system[arrived], minlength=homotopies)
+            fresh = np.bincount(system[arrived & ~polished], minlength=homotopies)
+            for k in np.flatnonzero(watch & (counts >= bounds) & (fresh > 0)):
+                new = np.flatnonzero(arrived & ~polished & (system == k))
+                residual[new], cond[new] = _polish(h, x, system, new, opts, solves)
+                polished[new] = True
+                ends = np.flatnonzero(arrived & (system == k) & np.isfinite(cond)
+                                      & (residual < opts.endpoint_tol))
+                if len(ends) >= bounds[k] and not close_pairs(x[ends], DISTINCT_TOL):
+                    watch[k], met[k] = False, True
+                    stop = running & (system == k)
+                    surplus |= stop
+                    lost |= stop
+                    running &= ~stop
         rows = np.flatnonzero(running)
         if not rows.size:
             break
@@ -471,53 +553,33 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
             running[done] = False
             mark[late[first | decade]] = point[first | decade]
 
-    # endpoint polish at t = 1
-    ends = np.flatnonzero(~lost)
-    live = ends
-    for _ in range(ENDPOINT_ITERS):
-        if not live.size:
-            break
-        jac, value = h.at(system[live]).target(x[live])
-        far = ~(_relative_residual(value, x[live]) < opts.endpoint_tol)
-        live = live[far]
-        if not live.size:
-            break
-        dx, solved = _solve(jac[far], -value[far], solves, live)
-        ok = solved & np.all(np.isfinite(dx), axis=-1)
-        live = live[ok]
-        x[live] += dx[ok]
-    residual = np.full(n, np.inf)
-    cond = np.full(n, np.inf)
-    if ends.size:
-        jac, value = h.at(system[ends]).target(x[ends])
-        residual[ends] = _relative_residual(value, x[ends])
-        try:
-            cond[ends] = np.linalg.cond(jac)
-        except np.linalg.LinAlgError:  # an SVD failed: only its row is inf
-            for i, a in zip(ends, jac):
-                try:
-                    cond[i] = np.linalg.cond(a)
-                except np.linalg.LinAlgError:
-                    cond[i] = np.inf
+    # endpoint polish at t = 1 of the endpoints the stop rule left unpolished
+    ends = np.flatnonzero(~lost & ~polished)
+    residual[ends], cond[ends] = _polish(h, x, system, ends, opts, solves)
     return [TrackedPath(starts[i], None if lost[i] else x[i],
+                        "surplus" if surplus[i] else
                         "at-infinity" if infinite[i] else
                         "converged" if residual[i] < opts.endpoint_tol else "diverged",
                         int(steps[i]), float(residual[i]), float(cond[i]),
                         solves=int(solves[i]))
-            for i in range(n)]
+            for i in range(n)], met
 
 
-def _track_batch(homotopies, opts: TrackOptions) -> list[list[TrackedPath]]:
+def _track_batch(homotopies, opts: TrackOptions,
+                 root_bounds=None) -> list[list[TrackedPath]]:
     """Track each (start system, start solutions, target system) triple of
     ``homotopies``, all paths of all of them as one lockstep batch; every
     path takes the steps and reaches the endpoint it would alone.
 
-    Diverged paths are re-tracked, together, with 10x tighter step control
-    (at-infinity ones are not); so are endpoints of one homotopy closer
-    than the distinctness tolerance, and any that still coincide are
-    flagged as suspected path jumps (``duplicate_of``, an index into the
-    same homotopy's paths) rather than silently counted as multiple
-    solutions.
+    With ``root_bounds`` (one per homotopy) a homotopy stops its surplus
+    paths once it holds its bound of certified endpoints; without, every
+    path runs to its end.  Diverged paths are re-tracked, together, with
+    10x tighter step control and no bound (at-infinity and surplus ones are
+    not, nor are any of a homotopy that met its bound); so are endpoints of
+    one homotopy closer than the distinctness tolerance, and any that still
+    coincide are flagged as suspected path jumps (``duplicate_of``, an
+    index into the same homotopy's paths) rather than silently counted as
+    multiple solutions.
     """
     rng = np.random.default_rng(opts.seed)
     gamma = complex(np.exp(2j * np.pi * rng.random()))
@@ -525,15 +587,16 @@ def _track_batch(homotopies, opts: TrackOptions) -> list[list[TrackedPath]]:
     groups = [np.array(x, dtype=complex).reshape(len(x), 6) for _, x, _ in homotopies]
     starts = np.concatenate(groups)
     system = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
-    bounds = [0, *itertools.accumulate(len(g) for g in groups)]
-    spans = list(zip(bounds, bounds[1:]))
-    paths = _track_lockstep(h, starts, system, opts)
+    offsets = [0, *itertools.accumulate(len(g) for g in groups)]
+    spans = list(zip(offsets, offsets[1:]))
+    paths, met = _track_lockstep(h, starts, system, opts, (FIRST_STEP, MAX_STEP),
+                                 root_bounds)
 
     def retrack(indices):
         if not indices:
             return
         indices = sorted(indices)
-        again = _track_lockstep(h, starts[indices], system[indices], opts, RETRACK_STEPS)
+        again, _ = _track_lockstep(h, starts[indices], system[indices], opts, RETRACK_STEPS)
         for i, p in zip(indices, again):
             p.solves += paths[i].solves
             paths[i] = p
@@ -542,7 +605,7 @@ def _track_batch(homotopies, opts: TrackOptions) -> list[list[TrackedPath]]:
         return [(lo, cluster) for lo, hi in spans
                 for cluster in _coincident_clusters(paths[lo:hi])]
 
-    retrack([i for i, p in enumerate(paths) if p.status == "diverged"])
+    retrack([i for i, p in enumerate(paths) if p.status == "diverged" and not met[system[i]]])
     first = clusters()
     if first:
         retrack([lo + i for lo, cluster in first for i in cluster])
@@ -556,7 +619,8 @@ def _track_batch(homotopies, opts: TrackOptions) -> list[list[TrackedPath]]:
 def track(start_sys: SquareSystem, start_solutions, target_sys: SquareSystem,
           options: TrackOptions | None = None) -> list[TrackedPath]:
     """Track every start solution to the target system: a batch of one
-    homotopy, re-tracked and deduplicated as ``_track_batch`` describes."""
+    homotopy with no root bound, re-tracked and deduplicated as
+    ``_track_batch`` describes."""
     return _track_batch([(start_sys, start_solutions, target_sys)],
                         options or TrackOptions())[0]
 
@@ -652,6 +716,8 @@ def solve_tangency(conditions: LineConditions | Sequence[LineConditions],
     Four tangency conditions are tracked from the 32 closed-form tangents
     of the start family ("tetra"); any other problem from a total-degree
     start ("total-degree").  ``TrackResult.start_policy`` names the start.
+    Each system's ``root_bound`` is passed to the stop rule, so four
+    spheres stop their surplus paths once their 12 lines are certified.
     """
     one = isinstance(conditions, LineConditions)
     opts = options or TrackOptions()
@@ -668,7 +734,8 @@ def solve_tangency(conditions: LineConditions | Sequence[LineConditions],
                             else total_degree_start(c, rng))
         homotopies.append((start_sq, starts, target))
         setups.append((c, patch, policy))
-    paths = _track_batch(homotopies, opts) if homotopies else []
+    paths = (_track_batch(homotopies, opts, [c.root_bound for c, _, _ in setups])
+             if homotopies else [])
     batch = TrackBatch(TrackResult(c, p, patch, policy)
                        for (c, patch, policy), p in zip(setups, paths))
     return batch[0] if one else batch
@@ -746,6 +813,8 @@ def doubling_experiment(radii="auto",
         if len(fixed) != 4 or any(r <= 0 for r in fixed):
             raise ValueError("need four cylinder radii > 0")
 
+    # each distinct (line, radius) cylinder condition is built once
+    tangent_to_cylinder = functools.cache(lambda j, r: TangentTo(cylinder(lines[j], r)))
     # every stage at once; then the stages that missed their target again,
     # together, at half their radius
     halvings = [0] * 5
@@ -755,7 +824,7 @@ def doubling_experiment(radii="auto",
         stage_radii = [tuple([Fraction(1, 10) / 2 ** halvings[stage]] * stage) if auto
                        else tuple(fixed[:stage]) for stage in pending]
         conditions = [LineConditions.compile(
-            (j, TangentTo(cylinder(lines[j], radii[j])) if j < stage
+            (j, tangent_to_cylinder(j, radii[j]) if j < stage
              else Meets(proj[j].dual()))
             for j in range(4)) for stage, radii in zip(pending, stage_radii)]
         missed = []

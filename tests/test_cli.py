@@ -6,13 +6,14 @@ import re
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from quadtangents import tracker
 from quadtangents.cli import CSV_COLUMNS, build_parser, main
 from quadtangents.exactnum import RatMatrix
 from quadtangents.quadrics import LineConditions, Quadric, cylinder
-from quadtangents.scenes import Certificate, Scene, write_json
+from quadtangents.scenes import Certificate, Scene, encode_plucker_numeric, write_json
 from quadtangents.tetra32 import TetraParams, family
 from quadtangents.tracker import regular_tetrahedron_lines
 from test_tracker import SPHERE_SCENES, sphere
@@ -308,17 +309,39 @@ def _forge_params_of_other_scene(cert):
     cert["params"] = {"alpha": "1/7", "beta": "1/9"}
 
 
+def _forge_lines_at_infinity(cert):
+    # (0, 0, 0, 1, +-i, 0) lie in the plane at infinity, tangent to the
+    # absolute conic, so they are tangent to every sphere with residual 0:
+    # 14 lines, more than the 12 four spheres have
+    for sign in (1, -1):
+        cert["solutions"].append({
+            "index": len(cert["solutions"]), "real": False, "residual": 0.0,
+            "plucker": encode_plucker_numeric(np.array([0, 0, 0, 1, sign * 1j, 0]))})
+    cert["counts"]["total"] += 2
+    cert["counts"]["nonreal"] += 2
+
+
 # the closed-form parameters each forgery starts from, if not (1/10, 1/20)
 FORGED_AT = {_forge_nonreal_flagged_real: ("1/5", "1/5")}
+# forgeries of a `track` certificate, by the SPHERE_SCENES scene they start from
+FORGED_TRACK = {_forge_lines_at_infinity: "plain"}
 
 
 @pytest.mark.parametrize("forge", [
     _forge_arbitrary_coordinates, _forge_trimmed, _forge_repeated_solution,
     _forge_loose_tolerance, _forge_nan_coordinates, _forge_nonreal_flagged_real,
-    _forge_nonreal_count, _forge_params, _forge_params_of_other_scene])
+    _forge_nonreal_count, _forge_params, _forge_params_of_other_scene,
+    _forge_lines_at_infinity])
 def test_verify_rejects_forged_certificate(capsys, tmp_path, forge):
     cert_path = tmp_path / "cert.json"
-    run(capsys, "tetra", *FORGED_AT.get(forge, ("1/10", "1/20")), "--output", str(cert_path))
+    if forge in FORGED_TRACK:
+        seed, spheres = SPHERE_SCENES[FORGED_TRACK[forge]]
+        scene = Scene(3, quadrics=[sphere(c, r) for c, r in spheres])
+        run(capsys, "track", "--scene", make_scene_file(tmp_path, "scene.json", scene),
+            "--seed", str(seed), "--output", str(cert_path))
+    else:
+        run(capsys, "tetra", *FORGED_AT.get(forge, ("1/10", "1/20")),
+            "--output", str(cert_path))
     cert = json.loads(cert_path.read_text())
     forge(cert)
     cert_path.write_text(json.dumps(cert))
@@ -436,9 +459,11 @@ def test_certificates_match_their_schema(capsys, tmp_path):
     code, out, err = run(capsys, "track", "--scene", scene_path, "--seed", str(seed))
     cert = json.loads(out)
     assert code == 0 and cert["counts"]["total"] == 12
+    assert cert["metadata"]["root_bound"] == 12
     assert cert["metadata"]["paths"] == {"total": 32, "converged": 12, "diverged": 0,
-                                         "at_infinity": 20, "suspected_jumps": 0}
-    assert "20 at infinity" in err
+                                         "at_infinity": 0, "surplus": 20,
+                                         "suspected_jumps": 0}
+    assert "0 at infinity, 20 surplus" in err
     validator.validate(cert)
 
     del cert["solutions"][0]["plucker"]["coords"]["01"]

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -107,6 +108,15 @@ def test_exterior_power_diagonal_lex_order():
 def test_exterior_power_range_checked():
     with pytest.raises(DimensionError):
         exterior_power(RatMatrix.identity(3), 4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(st_matrix(4), st_matrix(5)))
+def test_exterior_power_two_matches_det_minors(m):
+    # order 2 takes a*d - b*c; every entry equals det of its 2 x 2 minor
+    pairs = list(combinations(range(m.rows), 2))
+    assert exterior_power(m, 2).entries == tuple(
+        det(m.submatrix(I, J)) for I in pairs for J in pairs)
 
 
 @settings(max_examples=25, deadline=None)

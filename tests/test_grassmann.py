@@ -21,6 +21,7 @@ from quadtangents.grassmann import (
     incidence,
     line_through,
     moment_osculating_flat,
+    normalize_endpoint,
     plucker,
     sphere_tangent_line_count,
     tetrahedron_lines,
@@ -343,3 +344,16 @@ def test_close_pairs_matches_every_pair_distance(tol):
                 if chordal_distance(np.conj(mixed[a]), mixed[b]) < tol]
     assert close_pairs(mixed, tol, conjugate=True) == expected
     assert expected and all((b - a) % 2 for a, b in expected)
+
+
+def test_normalize_endpoint_ignores_ulp_ties():
+    # p01 = -p03 tie for the largest magnitude: one ulp more on either must
+    # not switch the coordinate rotated real-positive (which flips the sign)
+    v = np.array([0.522217, 0.1 + 0.2j, -0.522217, 0.3, -0.4j, 0.05])
+    plain = normalize_endpoint(v)
+    assert plain[0] > 0
+    for k in (0, 2):
+        for toward in (-np.inf, np.inf):
+            w = v.copy()
+            w[k] = np.nextafter(v[k].real, toward)
+            assert np.max(np.abs(normalize_endpoint(w) - plain)) < 1e-15

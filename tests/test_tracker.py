@@ -82,6 +82,27 @@ def test_root_bounds():
         assert line_system(conds[:4]).root_bound == 2 ** i * 2
 
 
+def test_root_bound_counts_sphere_tangents():
+    def quadric(rows):
+        return TangentTo(Quadric(RatMatrix.from_rows(rows)))
+
+    spheres = [TangentTo(sphere(c, r)) for c, r in SPHERE_SCENES["plain"][1]]
+    assert line_system(spheres).root_bound == 12
+    # a scaled sphere, and one of imaginary radius (|x|^2 = -1), are spheres
+    scaled = quadric([[-3 * x for x in row] for row in sphere((5, 1, -7), 40).matrix.to_rows()])
+    imaginary = quadric([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert line_system(spheres[:2] + [scaled, imaginary]).root_bound == 12
+    # an ellipsoid is not, however close to a sphere, nor is a quadric
+    # whose Q[1:, 1:] is 0
+    ellipsoid = quadric([[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]])
+    assert line_system(spheres[:3] + [ellipsoid]).root_bound == 32
+    near = quadric([[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1 + F(1, 10**9)]])
+    assert line_system(spheres[:3] + [near]).root_bound == 32
+    flat = quadric([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    assert line_system(spheres[:3] + [flat]).root_bound == 32
+    assert [c.root_bound for c in doubling_stages()] == [2, 4, 8, 16, 32]
+
+
 def test_square_system_degrees_match_root_bound():
     rng = np.random.default_rng(0)
     for i in range(5):
@@ -296,6 +317,20 @@ def test_doubling_reruns_only_the_stages_that_miss(monkeypatch):
     assert result.rows[3].radii == (F(1, 10),) * 3
 
 
+def test_doubling_builds_each_cylinder_once(monkeypatch):
+    built = []
+    cylinder_ = tracker.cylinder
+
+    def counted(line, r):
+        built.append(r)
+        return cylinder_(line, r)
+
+    monkeypatch.setattr(tracker, "cylinder", counted)
+    doubling_experiment([F(1, 10)] * 4, TrackOptions(seed=6))
+    # stages 1..4 use 1 + 2 + 3 + 4 cylinders, on 4 distinct (line, radius)
+    assert built == [F(1, 10)] * 4
+
+
 def test_doubling_explicit_radii():
     radii = [F(1, 10)] * 4
     result = doubling_experiment(radii, TrackOptions(seed=6))
@@ -461,19 +496,33 @@ SPHERE_SCENES = {
 }
 
 
+def sphere_system(spheres, shift=(0, 0, 0)) -> LineConditions:
+    return line_system(TangentTo(sphere([x + 32 * d for x, d in zip(c, shift)], r))
+                       for c, r in spheres)
+
+
 def solve_spheres(seed, spheres, shift=(0, 0, 0)) -> tracker.TrackResult:
-    conditions = line_system(TangentTo(sphere([x + 32 * d for x, d in zip(c, shift)], r))
-                             for c, r in spheres)
-    return solve_tangency(conditions, TrackOptions(seed=seed))
+    return solve_tangency(sphere_system(spheres, shift), TrackOptions(seed=seed))
 
 
-def rho(v) -> float:
-    """Share of the direction part (p01, p02, p03) in a Pluecker vector."""
-    return float(np.linalg.norm(v[:3]) / np.linalg.norm(v))
+def sphere_homotopy(seed, spheres, shift=(0, 0, 0)):
+    """The (start system, starts, target) that ``solve_spheres`` tracks."""
+    patch = random_patch(np.random.default_rng(seed))
+    return (*tetra_start_points(patch),
+            build_square_system(sphere_system(spheres, shift), patch))
 
 
-@pytest.mark.parametrize("name", sorted(SPHERE_SCENES))
-def test_sphere_paths_end_at_infinity_once(monkeypatch, name):
+def track_spheres(seed, spheres, shift=(0, 0, 0)) -> tracker.TrackResult:
+    """``solve_spheres`` through ``track``: the same homotopy, but no root
+    bound, so no path stops before the at-infinity test or t = 1 ends it."""
+    paths = track(*sphere_homotopy(seed, spheres, shift), TrackOptions(seed=seed))
+    return tracker.TrackResult(sphere_system(spheres, shift), paths,
+                               random_patch(np.random.default_rng(seed)), "tetra")
+
+
+@pytest.fixture
+def lockstep_passes(monkeypatch):
+    """The number of starts of every ``_track_lockstep`` pass, as they run."""
     passes = []
     track_lockstep = tracker._track_lockstep
 
@@ -482,7 +531,18 @@ def test_sphere_paths_end_at_infinity_once(monkeypatch, name):
         return track_lockstep(h, starts, *args)
 
     monkeypatch.setattr(tracker, "_track_lockstep", counted)
-    res = solve_spheres(*SPHERE_SCENES[name])
+    return passes
+
+
+def rho(v) -> float:
+    """Share of the direction part (p01, p02, p03) in a Pluecker vector."""
+    return float(np.linalg.norm(v[:3]) / np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("name", sorted(SPHERE_SCENES))
+def test_sphere_paths_end_at_infinity_once(lockstep_passes, name):
+    passes = lockstep_passes
+    res = track_spheres(*SPHERE_SCENES[name])
     # 3 * 2^(n-1) = 12 lines are tangent to four general spheres in R^3
     assert len(res.endpoints) == 12 and res.converged_count == 12
     others = [p for p in res.paths if not p.converged]
@@ -491,10 +551,57 @@ def test_sphere_paths_end_at_infinity_once(monkeypatch, name):
     assert passes == [32]  # no path is re-tracked
 
 
+@pytest.mark.parametrize("name", sorted(SPHERE_SCENES))
+def test_sphere_scenes_stop_surplus_paths(lockstep_passes, name):
+    passes = lockstep_passes
+    seed, spheres = SPHERE_SCENES[name]
+    stopped = solve_spheres(seed, spheres)
+    assert passes == [32]  # no path is re-tracked
+    unbounded = track_spheres(seed, spheres)
+    # once the 12 lines are certified the other paths stop: the same 12
+    # endpoints, bit for bit, from the same paths, in fewer rounds
+    assert [p.end.tobytes() for p in stopped.distinct_paths] == \
+        [p.end.tobytes() for p in unbounded.distinct_paths]
+    assert [p.steps for p in stopped.paths if p.converged] == \
+        [p.steps for p in unbounded.paths if p.converged]
+    assert max(p.steps for p in stopped.paths) < max(p.steps for p in unbounded.paths)
+    others = [p for p in stopped.paths if not p.converged]
+    assert len(others) == 20 and "surplus" in {p.status for p in others}
+    assert all(p.status in ("surplus", "at-infinity") and p.end is None for p in others)
+
+
+def test_repeated_start_does_not_count_twice_toward_the_bound():
+    # the first start to converge, given twice, reaches its line twice:
+    # 12 arrivals hold only 11 distinct lines, so nothing stops there
+    seed, spheres = SPHERE_SCENES["plain"]
+    square, starts, target = sphere_homotopy(seed, spheres)
+    opts = TrackOptions(seed=seed)
+    alone = track(square, starts, target, opts)
+    first = min((p.steps, i) for i, p in enumerate(alone) if p.converged)[1]
+    (paths,) = tracker._track_batch([(square, np.vstack([starts, starts[first]]), target)],
+                                    opts, [12])
+    distinct = [p for p in paths if p.converged and p.duplicate_of is None]
+    assert len(distinct) == 12
+    assert paths[-1].status == "path-jump-suspected" and paths[-1].duplicate_of == first
+
+
+def test_met_bound_leaves_diverged_paths_alone(lockstep_passes):
+    passes = lockstep_passes
+    seed, spheres = SPHERE_SCENES["plain"]
+    square, starts, target = sphere_homotopy(seed, spheres)
+    padded = np.vstack([starts, np.zeros(6)])  # diverges at its first step
+    (paths,) = tracker._track_batch([(square, padded, target)], TrackOptions(seed=seed), [12])
+    assert sum(p.converged for p in paths) == 12 and paths[-1].status == "diverged"
+    assert passes == [33]  # the 12 lines are certified: no retrack
+    passes.clear()
+    (paths,) = tracker._track_batch([(square, padded, target)], TrackOptions(seed=seed))
+    assert passes == [33, 1]  # without a bound the diverged path is re-tracked
+
+
 def test_steps_do_not_grow_on_corrector_noise():
     # a step that grew on an update at the corrector's noise floor would keep
     # such a path wandering: one path here took 550 steps that way
-    res = solve_spheres(*SPHERE_SCENES["noisy-end"])
+    res = track_spheres(*SPHERE_SCENES["noisy-end"])
     assert len(res.endpoints) == 12
     assert max(p.steps for p in res.paths) <= 250
 
@@ -505,7 +612,7 @@ def test_far_sphere_scene_keeps_its_finite_lines():
     # them lie on paths whose valuation is near 1/2 for two decades
     spheres = [((-3, 55, -34), 24), ((-38, 28, -51), 45),
                ((-26, 59, -47), 60), ((38, 44, -20), 25)]
-    res = solve_spheres(568561213, spheres, shift=(100, 100, 0))
+    res = track_spheres(568561213, spheres, shift=(100, 100, 0))
     assert len(res.endpoints) == 12
     assert all(rho(v) < 1e-2 for v in res.endpoints)
     assert all(p.status == "at-infinity" for p in res.paths if not p.converged)
@@ -570,6 +677,27 @@ def test_no_path_ends_at_infinity_without_spheres(monkeypatch):
     assert statuses == {"converged"}
 
 
+def test_no_surplus_without_spheres(monkeypatch):
+    # a general scene's bound, and each doubling stage's, is its path count:
+    # nothing is watched, so nothing stops early
+    statuses, watched = set(), []
+    track_lockstep = tracker._track_lockstep
+
+    def recorded(h, starts, system, opts, steps, bounds=None):
+        paths, met = track_lockstep(h, starts, system, opts, steps, bounds)
+        if bounds is not None:
+            watched.extend(np.asarray(bounds) < np.bincount(system))
+        statuses.update(p.status for p in paths)
+        return paths, met
+
+    monkeypatch.setattr(tracker, "_track_lockstep", recorded)
+    for seed in (12, 21):
+        solve_tangency(random_quadric_system(seed), TrackOptions(seed=seed))
+    doubling_experiment("auto", TrackOptions(seed=0))
+    assert len(watched) == 2 + 5 and not any(watched)
+    assert "surplus" not in statuses
+
+
 # -- batches of several homotopies --------------------------------------------
 
 
@@ -591,20 +719,26 @@ def assert_same_paths(batched, alone):
 
 
 def test_batch_of_systems_tracks_each_as_alone():
-    # total-degree and closed-form starts, and paths ending at infinity
-    sphere_conditions = line_system(TangentTo(sphere(c, r))
-                                    for c, r in SPHERE_SCENES["plain"][1])
+    # total-degree and closed-form starts, and paths stopped as surplus
+    sphere_conditions = sphere_system(SPHERE_SCENES["plain"][1])
     systems = doubling_stages() + [random_quadric_system(12), sphere_conditions]
     opts = TrackOptions(seed=5)
     batch = solve_tangency(systems, opts)
     assert [r.start_policy for r in batch] == ["total-degree"] * 4 + ["tetra"] * 3
     assert len(batch.paths) == 62 + 32 + 32
     statuses = {p.status for p in batch.paths}
-    assert {"converged", "at-infinity"} <= statuses
+    assert {"converged", "surplus"} <= statuses
     for system, result in zip(systems, batch):
         alone = solve_tangency(system, opts)
         assert np.array_equal(result.patch, alone.patch)
         assert_same_paths(result.paths, alone.paths)
+
+    # without a bound, paths ending at infinity, batched with another scene
+    homotopies = [_tetra_to_random_scene(12), sphere_homotopy(5, SPHERE_SCENES["plain"][1])]
+    together = tracker._track_batch(homotopies, opts)
+    assert {"converged", "at-infinity"} <= {p.status for p in together[1]}
+    for homotopy, paths in zip(homotopies, together):
+        assert_same_paths(paths, track(*homotopy, opts))
 
 
 def test_singular_start_leaves_other_homotopies_alone():
