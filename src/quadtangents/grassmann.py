@@ -183,20 +183,23 @@ class PluckerVector:
 
 
 # a normalized endpoint is real when no imaginary part reaches REAL_TOL;
-# rays closer than DISTINCT_TOL in chordal distance are one solution
+# rays closer than DISTINCT_TOL in chordal distance are one solution;
+# magnitudes within a relative TIE_TOL of the largest tie for it
 REAL_TOL = 1e-8
 DISTINCT_TOL = 1e-6
+TIE_TOL = 1e-12
 
 
 def normalize_endpoint(v) -> np.ndarray:
     """Unit norm with the largest-magnitude coordinate rotated real-positive.
-    Coordinates within a relative 1e-12 of the largest magnitude count as
-    tied, and the first of them is taken, so that ulp-level changes cannot
-    switch the representative."""
+    Coordinates within a relative TIE_TOL of the largest magnitude count as
+    tied, and the first of them is taken: exact and near-exact ties no
+    longer flip the representative on a 1-ulp change, though a magnitude
+    right at the (1 - TIE_TOL) edge still can."""
     v = np.asarray(v, dtype=complex)
     v = v / np.linalg.norm(v)
     size = np.abs(v)
-    z = v[int(np.argmax(size >= (1 - 1e-12) * size.max()))]
+    z = v[int(np.argmax(size >= (1 - TIE_TOL) * size.max()))]
     return v * (z.conjugate() / abs(z))
 
 

@@ -184,6 +184,18 @@ class TangentTo:
         return np.array([[q[i, k] * q[j, l] - q[i, l] * q[j, k] for k, l in pairs]
                          for i, j in pairs])
 
+    @property
+    def is_sphere(self) -> bool:
+        """Whether Q[1:, 1:] is a nonzero multiple of I (scaled and
+        imaginary-radius spheres included), tested on the exact entries of a
+        Quadric and on the given numbers of an array, before any rounding."""
+        q = (self.quadric.matrix.to_rows() if isinstance(self.quadric, Quadric)
+             else np.asarray(self.quadric).tolist())
+        block = [row[1:] for row in q[1:]]
+        c = block[0][0]
+        return len(block) == 3 and c != 0 and all(
+            block[i][j] == (c if i == j else 0) for i in range(3) for j in range(3))
+
 
 @dataclass(frozen=True)
 class Meets:
@@ -216,6 +228,7 @@ class LineConditions:
     lin: np.ndarray          # (m, 6) complex, zero for quadratic rows
     scale: np.ndarray        # (m,) norm of each row's coefficients; 1 for plucker
     degree: np.ndarray       # (m,) 2 or 1
+    sphere: np.ndarray       # (m,) True for a tangency to a sphere
 
     @classmethod
     def compile(cls, conditions) -> "LineConditions":
@@ -224,37 +237,31 @@ class LineConditions:
         m = len(conditions) + 1
         quad = np.zeros((m, 6, 6))
         lin = np.zeros((m, 6), dtype=complex)
-        scale, degree = np.ones(m), np.full(m, 2)
+        scale, degree, sphere = np.ones(m), np.full(m, 2), np.zeros(m, bool)
         for i, (_, cond) in enumerate(conditions):
             if not isinstance(cond, (TangentTo, Meets)):
                 raise TypeError("conditions must be TangentTo or Meets")
             if cond.degree == 2:
                 quad[i] = cond.form()
                 scale[i] = np.linalg.norm(quad[i])
+                sphere[i] = cond.is_sphere
             else:
                 lin[i] = cond.coefficients()
                 scale[i] = np.linalg.norm(lin[i])
             degree[i] = cond.degree
         quad[-1] = PLUCKER_FORM
         labels = tuple(label for label, _ in conditions) + ("plucker",)
-        return cls(labels, quad, lin, scale, degree)
+        return cls(labels, quad, lin, scale, degree, sphere)
 
     @property
     def root_bound(self) -> int:
         """The generic root count of four line conditions: 3 * 2^(n-1) = 12
         when all four are tangencies to spheres (Sottile and Theobald, "Lines
-        tangent to 2n-2 spheres in R^n", 2002), else 2^(#tangency) * 2.
-
-        A quadric is a sphere when Q[1:, 1:] is a nonzero multiple of I
-        (scaled and imaginary-radius spheres included), which holds exactly
-        when its form's moment block, rows and columns (p12, p13, p23), is a
-        nonzero multiple of I; the block is compared without tolerance."""
-        tangencies = self.quad[:-1][self.degree[:-1] == 2]
-        moments = tangencies[:, 3:, 3:]
-        if len(tangencies) == len(self.labels) - 1 == 4 and all(
-                m[0, 0] != 0 and np.array_equal(m, m[0, 0] * np.eye(3)) for m in moments):
+        tangent to 2n-2 spheres in R^n", 2002; ``TangentTo.is_sphere``,
+        decided when compiling), else 2^(#tangency) * 2."""
+        if len(self.labels) == 5 and self.sphere[:-1].all():
             return sphere_tangent_line_count(3)
-        return (1 << len(tangencies)) * 2
+        return (1 << int(np.sum(self.degree[:-1] == 2))) * 2
 
     def residuals(self, v) -> dict[str, float]:
         """Residual of a Pluecker 6-vector for every row, normalized by the

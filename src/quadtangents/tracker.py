@@ -86,13 +86,23 @@ member of a parameter family has at most the family's generic number of
 isolated nonsingular roots, and each one ends exactly one path (Morgan and
 Sommese 1989, above).  So once at least the bound of a homotopy's paths
 have reached t = 1, they are polished (the end polish, once per path), and
-if the bound of them are converged, pairwise distinct and nonsingular
-(finite endpoint cond), no running path can reach another isolated root:
-those paths end as surplus, and none of that homotopy's paths is
-re-tracked.  ``track`` and re-tracks pass no bound, so their paths never
-stop early.
+if exactly the bound of them are converged, pairwise distinct and
+nonsingular (cond * endpoint_tol < 1), no running path can reach another
+isolated root: those paths end as surplus, and none of that homotopy's
+paths is re-tracked.  More than the bound of such endpoints would mean the
+bound does not hold, and nothing stops.  ``track`` and re-tracks pass no
+bound, so their paths never stop early.
 
-Determinism: gamma, the patch, and all start data are drawn from a seeded
+Re-tracks.  A diverged path is tracked again with RETRACK_STEPS, and if
+it still diverges, once more on a second random affine patch, where both
+its systems are homogeneous apart from the patch row (every tetra start
+and target; a total-degree start is not).  Its projective path is the
+same there, but a path that nearly meets its own patch's hyperplane at
+infinity, where |x| blows up and the step underflows, is unlikely to come
+near the second patch's; its endpoint goes back to its own patch and is
+polished there.
+
+Determinism: gamma, the patches, and all start data are drawn from a seeded
 generator; a fixed seed reproduces every path.
 """
 
@@ -472,8 +482,11 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
     decades = np.zeros(n, dtype=int)  # decades in a row up to it with rho ~ (1 - t)^(1/2)
     # the homotopies the stop rule may still end early, and those it ended
     homotopies = len(h.quad)
-    watch = (np.zeros(homotopies, bool) if bounds is None else
-             np.asarray(bounds) < np.bincount(system, minlength=homotopies))
+    if bounds is None:
+        watch = np.zeros(homotopies, bool)
+    else:
+        bounds = np.asarray(bounds)
+        watch = bounds < np.bincount(system, minlength=homotopies)
     met = np.zeros(homotopies, bool)
     polished = np.zeros(n, bool)    # polished at t = 1 by the stop rule
     residual = np.full(n, np.inf)
@@ -487,23 +500,28 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
         lost |= under
         running &= ~under
         if watch.any():
-            # the stop rule, for each watched homotopy with new arrivals at
-            # t = 1 that has at least its bound of them
+            # the stop rule: polish, together, the new arrivals at t = 1 of
+            # every watched homotopy that has at least its bound of them
             arrived = ~running & ~lost
-            counts = np.bincount(system[arrived], minlength=homotopies)
-            fresh = np.bincount(system[arrived & ~polished], minlength=homotopies)
-            for k in np.flatnonzero(watch & (counts >= bounds) & (fresh > 0)):
-                new = np.flatnonzero(arrived & ~polished & (system == k))
+            due = watch & (np.bincount(system[arrived], minlength=homotopies) >= bounds)
+            new = np.flatnonzero(arrived & ~polished & due[system])
+            if new.size:
                 residual[new], cond[new] = _polish(h, x, system, new, opts, solves)
                 polished[new] = True
-                ends = np.flatnonzero(arrived & (system == k) & np.isfinite(cond)
-                                      & (residual < opts.endpoint_tol))
-                if len(ends) >= bounds[k] and not close_pairs(x[ends], DISTINCT_TOL):
-                    watch[k], met[k] = False, True
-                    stop = running & (system == k)
-                    surplus |= stop
-                    lost |= stop
-                    running &= ~stop
+                # converged, and nonsingular: its error of about cond times
+                # the residual still pins the point down
+                certified = (arrived & (residual < opts.endpoint_tol)
+                             & (cond * opts.endpoint_tol < 1))
+                # (np.unique would import numpy.ma, 1.6 MB of peak memory)
+                for k in np.flatnonzero(np.bincount(system[new], minlength=homotopies)):
+                    ends = np.flatnonzero(certified & (system == k))
+                    # more than the bound would mean the bound does not hold
+                    if len(ends) == bounds[k] and not close_pairs(x[ends], DISTINCT_TOL):
+                        watch[k], met[k] = False, True
+                        stop = running & (system == k)
+                        surplus |= stop
+                        lost |= stop
+                        running &= ~stop
         rows = np.flatnonzero(running)
         if not rows.size:
             break
@@ -565,6 +583,56 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
             for i in range(n)], met
 
 
+def _rechart(system: SquareSystem, patch: np.ndarray) -> SquareSystem | None:
+    """``system`` on the affine patch ``patch . x = 1`` instead of its own,
+    or None unless its other five rows are homogeneous.  A homotopy between
+    two such systems traces the same projective paths on either patch."""
+    quadratic = np.any(system.quad[:5] != 0, axis=(1, 2))
+    linear = np.any(system.lin[:5] != 0, axis=1)
+    if (np.any(system.const[:5]) or np.any(quadratic & linear)
+            or np.any(system.quad[5]) or system.const[5] != -1):
+        return None
+    lin = system.lin.copy()
+    lin[5] = patch
+    return SquareSystem(system.quad, lin, system.const)
+
+
+def _track_on_patch(homotopies, h: _Homotopy, chart: np.ndarray, starts: np.ndarray,
+                    system: np.ndarray, opts: TrackOptions) -> dict[int, TrackedPath]:
+    """Track the starts again with RETRACK_STEPS on the affine patch
+    ``chart``, where both systems of their homotopy ``_rechart`` (the module
+    docstring's re-tracks).  Returns the new paths by index into
+    ``starts``, their endpoints back on their own patch and polished there;
+    the other starts are left out."""
+    pairs, moved = [], []
+    for start, _, target in homotopies:
+        pair = (_rechart(start, chart), _rechart(target, chart))
+        moved.append(None not in pair)
+        pairs.append(pair if moved[-1] else (start, target))
+    x = starts.copy()
+    scale = x @ chart
+    rows = np.flatnonzero(np.array(moved)[system] & (scale != 0))  # 0 is no projective point
+    if not rows.size:
+        return {}
+    x[rows] /= scale[rows, None]
+    paths, _ = _track_lockstep(_Homotopy.of(pairs, h.gamma), x[rows], system[rows], opts,
+                               RETRACK_STEPS)
+    back = [k for k, p in enumerate(paths) if p.end is not None]
+    for k in back:
+        own = homotopies[system[rows[k]]][2].lin[5]
+        x[rows[k]] = paths[k].end / (own @ paths[k].end)
+    solves = np.zeros(len(x), dtype=int)
+    residual, cond = _polish(h, x, system, rows[back], opts, solves)
+    for k, r, c in zip(back, residual, cond):
+        p = paths[k]
+        p.end, p.residual, p.cond = x[rows[k]], float(r), float(c)
+        p.status = "converged" if r < opts.endpoint_tol else "diverged"
+        p.solves += int(solves[rows[k]])
+    for k, p in enumerate(paths):
+        p.start = starts[rows[k]]
+    return dict(zip(rows.tolist(), paths))
+
+
 def _track_batch(homotopies, opts: TrackOptions,
                  root_bounds=None) -> list[list[TrackedPath]]:
     """Track each (start system, start solutions, target system) triple of
@@ -575,14 +643,16 @@ def _track_batch(homotopies, opts: TrackOptions,
     paths once it holds its bound of certified endpoints; without, every
     path runs to its end.  Diverged paths are re-tracked, together, with
     10x tighter step control and no bound (at-infinity and surplus ones are
-    not, nor are any of a homotopy that met its bound); so are endpoints of
-    one homotopy closer than the distinctness tolerance, and any that still
-    coincide are flagged as suspected path jumps (``duplicate_of``, an
-    index into the same homotopy's paths) rather than silently counted as
-    multiple solutions.
+    not, nor are any of a homotopy that met its bound), and those still
+    diverged once more on another affine patch (``_track_on_patch``); so
+    are endpoints of one homotopy closer than the distinctness tolerance,
+    and any that still coincide are flagged as suspected path jumps
+    (``duplicate_of``, an index into the same homotopy's paths) rather than
+    silently counted as multiple solutions.
     """
     rng = np.random.default_rng(opts.seed)
     gamma = complex(np.exp(2j * np.pi * rng.random()))
+    chart = random_patch(rng)  # for ``_track_on_patch``
     h = _Homotopy.of([(start, target) for start, _, target in homotopies], gamma)
     groups = [np.array(x, dtype=complex).reshape(len(x), 6) for _, x, _ in homotopies]
     starts = np.concatenate(groups)
@@ -592,20 +662,29 @@ def _track_batch(homotopies, opts: TrackOptions,
     paths, met = _track_lockstep(h, starts, system, opts, (FIRST_STEP, MAX_STEP),
                                  root_bounds)
 
-    def retrack(indices):
+    def retrack(indices, on_chart=False):
         if not indices:
             return
-        indices = sorted(indices)
-        again, _ = _track_lockstep(h, starts[indices], system[indices], opts, RETRACK_STEPS)
-        for i, p in zip(indices, again):
-            p.solves += paths[i].solves
-            paths[i] = p
+        indices = np.array(sorted(indices))
+        if on_chart:
+            again = _track_on_patch(homotopies, h, chart, starts[indices], system[indices],
+                                    opts)
+        else:
+            again = dict(enumerate(_track_lockstep(h, starts[indices], system[indices], opts,
+                                                   RETRACK_STEPS)[0]))
+        for k, p in again.items():
+            p.solves += paths[indices[k]].solves
+            paths[indices[k]] = p
+
+    def diverged():
+        return [i for i, p in enumerate(paths) if p.status == "diverged" and not met[system[i]]]
 
     def clusters():  # per homotopy: its offset, and a cluster of its paths
         return [(lo, cluster) for lo, hi in spans
                 for cluster in _coincident_clusters(paths[lo:hi])]
 
-    retrack([i for i, p in enumerate(paths) if p.status == "diverged" and not met[system[i]]])
+    retrack(diverged())
+    retrack(diverged(), on_chart=True)
     first = clusters()
     if first:
         retrack([lo + i for lo, cluster in first for i in cluster])

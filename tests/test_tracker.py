@@ -92,12 +92,21 @@ def test_root_bound_counts_sphere_tangents():
     scaled = quadric([[-3 * x for x in row] for row in sphere((5, 1, -7), 40).matrix.to_rows()])
     imaginary = quadric([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     assert line_system(spheres[:2] + [scaled, imaginary]).root_bound == 12
+    # so is a sphere given as a float array
+    floats = TangentTo(sphere((5, 1, -7), 40).to_numpy())
+    assert line_system(spheres[:3] + [floats]).root_bound == 12
     # an ellipsoid is not, however close to a sphere, nor is a quadric
-    # whose Q[1:, 1:] is 0
+    # whose Q[1:, 1:] is 0; the test is exact, so an ellipsoid whose
+    # rounded tangency form is a sphere's is still no sphere
     ellipsoid = quadric([[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]])
     assert line_system(spheres[:3] + [ellipsoid]).root_bound == 32
-    near = quadric([[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1 + F(1, 10**9)]])
-    assert line_system(spheres[:3] + [near]).root_bound == 32
+    for eps in (F(1, 10**9), F(1, 10**20)):
+        near = quadric([[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1 + eps]])
+        assert line_system(spheres[:3] + [near]).root_bound == 32
+    big = quadric([[-1, 0, 0, 0], [0, 10**20, 0, 0], [0, 0, 10**20, 0], [0, 0, 0, 10**20 + 1]])
+    assert np.array_equal(TangentTo(big.quadric).form()[3:, 3:],
+                          TangentTo(big.quadric).form()[3, 3] * np.eye(3))
+    assert line_system(spheres[:3] + [big]).root_bound == 32
     flat = quadric([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
     assert line_system(spheres[:3] + [flat]).root_bound == 32
     assert [c.root_bound for c in doubling_stages()] == [2, 4, 8, 16, 32]
@@ -551,15 +560,14 @@ def test_sphere_paths_end_at_infinity_once(lockstep_passes, name):
     assert passes == [32]  # no path is re-tracked
 
 
-@pytest.mark.parametrize("name", sorted(SPHERE_SCENES))
-def test_sphere_scenes_stop_surplus_paths(lockstep_passes, name):
-    passes = lockstep_passes
-    seed, spheres = SPHERE_SCENES[name]
-    stopped = solve_spheres(seed, spheres)
+def assert_stops_surplus_paths(passes, seed, spheres, shift=(0, 0, 0)):
+    """Once the 12 lines are certified the other paths stop: the same 12
+    endpoints as ``track``, bit for bit, from the same paths, in fewer
+    rounds and one pass.  Returns both results."""
+    stopped = solve_spheres(seed, spheres, shift)
     assert passes == [32]  # no path is re-tracked
-    unbounded = track_spheres(seed, spheres)
-    # once the 12 lines are certified the other paths stop: the same 12
-    # endpoints, bit for bit, from the same paths, in fewer rounds
+    unbounded = track_spheres(seed, spheres, shift)
+    assert len(stopped.endpoints) == 12
     assert [p.end.tobytes() for p in stopped.distinct_paths] == \
         [p.end.tobytes() for p in unbounded.distinct_paths]
     assert [p.steps for p in stopped.paths if p.converged] == \
@@ -568,6 +576,12 @@ def test_sphere_scenes_stop_surplus_paths(lockstep_passes, name):
     others = [p for p in stopped.paths if not p.converged]
     assert len(others) == 20 and "surplus" in {p.status for p in others}
     assert all(p.status in ("surplus", "at-infinity") and p.end is None for p in others)
+    return stopped, unbounded
+
+
+@pytest.mark.parametrize("name", sorted(SPHERE_SCENES))
+def test_sphere_scenes_stop_surplus_paths(lockstep_passes, name):
+    assert_stops_surplus_paths(lockstep_passes, *SPHERE_SCENES[name])
 
 
 def test_repeated_start_does_not_count_twice_toward_the_bound():
@@ -585,6 +599,39 @@ def test_repeated_start_does_not_count_twice_toward_the_bound():
     assert paths[-1].status == "path-jump-suspected" and paths[-1].duplicate_of == first
 
 
+def test_singular_endpoint_does_not_count_toward_the_bound(monkeypatch):
+    # an endpoint whose cond reaches 1 / endpoint_tol is not nonsingular:
+    # with one such among the 12 lines only 11 count, nothing stops, and
+    # every other path runs on to its at-infinity end
+    polish, singular = tracker._polish, []
+
+    def flagged(h, x, system, rows, opts, solves):
+        residual, cond = polish(h, x, system, rows, opts, solves)
+        singular[:] = singular or rows[:1]
+        cond[rows == singular[0]] = 1 / opts.endpoint_tol
+        return residual, cond
+
+    monkeypatch.setattr(tracker, "_polish", flagged)
+    res = solve_spheres(*SPHERE_SCENES["plain"])
+    flagged_path = res.paths[singular[0]]
+    assert flagged_path.converged and flagged_path.cond == 1 / TrackOptions().endpoint_tol
+    assert len(res.endpoints) == 12
+    assert all(p.status == "at-infinity" for p in res.paths if not p.converged)
+
+
+def test_more_certified_endpoints_than_the_bound_stop_nothing():
+    # a bound that two lines reached in the same round overshoot together is
+    # not the count of this system's roots: no path stops, as without one
+    seed, spheres = SPHERE_SCENES["plain"]
+    square, starts, target = sphere_homotopy(seed, spheres)
+    opts = TrackOptions(seed=seed)
+    alone = track(square, starts, target, opts)
+    arrivals = sorted(p.steps for p in alone if p.converged)
+    bound = next(b for b in range(1, 12) if arrivals[b - 1] == arrivals[b])
+    (paths,) = tracker._track_batch([(square, starts, target)], opts, [bound])
+    assert_same_paths(paths, alone)
+
+
 def test_met_bound_leaves_diverged_paths_alone(lockstep_passes):
     passes = lockstep_passes
     seed, spheres = SPHERE_SCENES["plain"]
@@ -598,6 +645,25 @@ def test_met_bound_leaves_diverged_paths_alone(lockstep_passes):
     assert passes == [33, 1]  # without a bound the diverged path is re-tracked
 
 
+@pytest.mark.parametrize("seed, spheres, lost", [
+    (481978936, [((-35, -54, 9), 38), ((-61, 26, 27), 49),
+                 ((50, -60, -57), 54), ((7, -27, 13), 48)], 28),
+    (1220709249, [((8, -30, -14), 36), ((-53, -58, -47), 27),
+                  ((58, 23, 63), 23), ((35, -54, -54), 29)], 18)])
+def test_path_near_its_patch_infinity_is_retracked_on_another_patch(
+        lockstep_passes, seed, spheres, lost):
+    # path `lost` nearly meets the patch's hyperplane at infinity (|x| ~ 4e6
+    # near t = 0.039 in the first scene) and its step underflows there, on
+    # the tight retrack too; on another patch its projective path is the
+    # same, and it reaches the 12th line
+    res = solve_spheres(seed, spheres)
+    assert lockstep_passes == [32, 1, 1]
+    path = res.paths[lost]
+    assert path.converged and len(res.endpoints) == 12
+    # back on its own patch, polished there
+    assert abs(res.patch @ path.end - 1) < 1e-12 and path.residual < 1e-12
+
+
 def test_steps_do_not_grow_on_corrector_noise():
     # a step that grew on an update at the corrector's noise floor would keep
     # such a path wandering: one path here took 550 steps that way
@@ -606,16 +672,17 @@ def test_steps_do_not_grow_on_corrector_noise():
     assert max(p.steps for p in res.paths) <= 250
 
 
-def test_far_sphere_scene_keeps_its_finite_lines():
+def test_far_sphere_scene_keeps_its_finite_lines(lockstep_passes):
     # shifted by (100, 100, 0), every finite tangent has a direction share
     # rho near 8e-3, as small as a path to infinity has near t = 1; two of
     # them lie on paths whose valuation is near 1/2 for two decades
     spheres = [((-3, 55, -34), 24), ((-38, 28, -51), 45),
                ((-26, 59, -47), 60), ((38, 44, -20), 25)]
-    res = track_spheres(568561213, spheres, shift=(100, 100, 0))
+    res, unbounded = assert_stops_surplus_paths(lockstep_passes, 568561213, spheres,
+                                                shift=(100, 100, 0))
     assert len(res.endpoints) == 12
     assert all(rho(v) < 1e-2 for v in res.endpoints)
-    assert all(p.status == "at-infinity" for p in res.paths if not p.converged)
+    assert all(p.status == "at-infinity" for p in unbounded.paths if not p.converged)
 
 
 def test_finite_paths_decaying_like_infinite_ones_are_kept():
@@ -739,6 +806,15 @@ def test_batch_of_systems_tracks_each_as_alone():
     assert {"converged", "at-infinity"} <= {p.status for p in together[1]}
     for homotopy, paths in zip(homotopies, together):
         assert_same_paths(paths, track(*homotopy, opts))
+
+
+def test_batch_of_sphere_scenes_stops_each_as_alone():
+    # two watched homotopies, whose arrivals are polished in one call
+    systems = [sphere_system(SPHERE_SCENES[name][1]) for name in ("plain", "plain-2")]
+    opts = TrackOptions(seed=5)
+    for system, result in zip(systems, solve_tangency(systems, opts)):
+        assert "surplus" in {p.status for p in result.paths}
+        assert_same_paths(result.paths, solve_tangency(system, opts).paths)
 
 
 def test_singular_start_leaves_other_homotopies_alone():
