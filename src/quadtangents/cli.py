@@ -9,6 +9,7 @@ underlying construction is violated), 3 input error, 4 numerical failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -46,7 +47,10 @@ from .tetra32 import (
     TetraParams,
     enumerate_tangents,
     family,
-    verify_solution,
+    numeric_vectors,
+    reality_flags,
+    verify_solution,  # noqa: F401  (perfbench traces this binding)
+    verify_vectors,
 )
 from .tracker import TrackOptions, doubling_experiment, solve_tangency
 
@@ -104,7 +108,6 @@ def build_parser() -> _Parser:
                    help="dimension n, or a range like 3..9")
     p.add_argument("--table", action="store_true",
                    help="tabulate sphere bound vs quadric count over a range of n")
-    p.set_defaults(func=cmd_counts)
 
     p = command("tetra", SOLVING_OPTIONS,
                 "closed-form 32 tangents of the tetrahedral family")
@@ -112,14 +115,12 @@ def build_parser() -> _Parser:
     p.add_argument("beta_pos", nargs="?", default=None, metavar="beta")
     p.add_argument("--alpha", default=None, help='rational, e.g. "1/10" or "0.1"')
     p.add_argument("--beta", default=None)
-    p.set_defaults(func=cmd_tetra)
 
     p = command("track", SOLVING_OPTIONS,
                 "track the 32 known tangents to a target scene")
     p.add_argument("--scene", required=True, help="scene JSON file")
     p.add_argument("--path-log", default=None,
                    help="write one JSON line per tracked path to this file")
-    p.set_defaults(func=cmd_track)
 
     p = command("doubling", SOLVING_OPTIONS,
                 "cylinder-radius doubling experiment (counts 2,4,8,16,32)")
@@ -128,13 +129,11 @@ def build_parser() -> _Parser:
                        help="search radii by halving from 1/10 (default)")
     group.add_argument("--radii", default=None,
                        help='four comma-separated rationals, e.g. "1/10,1/10,1/10,1/10"')
-    p.set_defaults(func=cmd_doubling)
 
     p = command("verify", ("--tol",), "re-evaluate every residual of a certificate")
     p.add_argument("certificate", help="certificate JSON file")
     p.add_argument("--scene", default=None,
                    help="scene file the certificate must belong to")
-    p.set_defaults(func=cmd_verify)
 
     p = command("transversals", ("--output",), "exact transversal lines to four lines")
     group = p.add_mutually_exclusive_group(required=True)
@@ -142,7 +141,6 @@ def build_parser() -> _Parser:
                        help="edges of the coordinate tetrahedron")
     group.add_argument("--moment", default=None,
                        help="four curve parameters, e.g. 0,1,2,3")
-    p.set_defaults(func=cmd_transversals)
     return parser
 
 
@@ -236,25 +234,31 @@ def _write_certificate(cert: Certificate, args) -> None:
     _write_text(args.output, "\n".join(lines))
 
 
-def cmd_tetra(args) -> int:
-    alpha = args.alpha if args.alpha is not None else args.alpha_pos
-    beta = args.beta if args.beta is not None else args.beta_pos
-    if alpha is None or beta is None:
+def _tetra_parameter(args, name: str):
+    flag, positional = getattr(args, name), getattr(args, f"{name}_pos")
+    if flag is not None and positional is not None:
+        raise SceneFormatError(f"{name} given both positionally and as --{name}")
+    if flag is None and positional is None:
         raise SceneFormatError("tetra needs alpha and beta")
-    params = TetraParams.of(rational(alpha), rational(beta))
+    return rational(flag if flag is not None else positional)
+
+
+def cmd_tetra(args) -> int:
+    params = TetraParams.of(_tetra_parameter(args, "alpha"),
+                            _tetra_parameter(args, "beta"))
     solutions = enumerate_tangents(params)  # raises DegeneracyError
     scene = _tetra_scene(params)
+    vectors = numeric_vectors(solutions)
+    # the scene's quadrics are family(params), so each check holds every
+    # residual `verify` re-evaluates, plus the eliminated row and the square chain
+    checks = verify_vectors(vectors, params)
     entries = []
     n_real = 0
-    for i, sol in enumerate(solutions):
-        vec = sol.numeric()
-        # the scene's quadrics are family(params), so this holds every residual
-        # `verify` re-evaluates, plus the eliminated row and the square chain
-        residual = verify_solution(sol, params).max_residual
-        real = sol.is_real()
+    for i, (sol, vec, check, real) in enumerate(
+            zip(solutions, vectors, checks, reality_flags(solutions))):
         n_real += real
         entries.append(_solution_entry(
-            i, vec, real, residual,
+            i, vec, real, check.max_residual,
             extra={"case": sol.case, "signs": list(sol.signs), "branch": sol.branch}))
     cert = Certificate(
         scene=scene,
@@ -303,11 +307,12 @@ def cmd_track(args) -> int:
     distinct = result.distinct_paths
     vectors = [normalize_endpoint(p.end) for p in distinct]
     reality = classify_real(vectors)  # the numbers written, as `verify` reads them
+    residuals = solution_residuals(scene, vectors)
     entries = []
-    for i, (p, vec, real) in enumerate(zip(distinct, vectors, reality.is_real)):
-        residual = max(solution_residuals(scene, vec).values())
+    for i, (p, vec, real, res) in enumerate(zip(distinct, vectors, reality.is_real,
+                                                residuals)):
         entries.append(_solution_entry(
-            i, vec, real, residual,
+            i, vec, real, max(res.values()),
             extra={"path": {"status": p.status, "steps": p.steps}}))
     status = Counter(p.status for p in result.paths)
     cert = Certificate(
@@ -425,11 +430,19 @@ def cmd_transversals(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built once per process: argparse keeps no state between
+    parses, so in-process callers of ``main`` share it (a one-shot command
+    line builds it once either way)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up when called, so a rebound cmd_* function takes effect
+        return globals()[f"cmd_{args.command}"](args)
     except DegeneracyError as exc:
         print(f"degenerate input: {', '.join(exc.factors)}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -230,7 +230,10 @@ def det(m: RatMatrix) -> Fraction:
 def exterior_power(m: RatMatrix, r: int) -> RatMatrix:
     """The r-th compound matrix: entry (I, J) is the r x r minor of ``m`` on
     rows I and columns J, with I, J running over the lex-ordered r-subsets.
-    A 2 x 2 minor is a*d - b*c; larger ones go through ``det``.
+    A 2 x 2 minor is a*d - b*c, taken fraction-free (Bareiss, "Sylvester's
+    identity and multistep integer-preserving Gaussian elimination", 1968):
+    over the integer matrix L*m, with L the common denominator, it is
+    L^2 times the rational minor.  Larger minors go through ``det``.
     """
     if r < 1 or r > min(m.rows, m.cols):
         raise DimensionError(f"exterior power order {r} out of range for "
@@ -238,8 +241,11 @@ def exterior_power(m: RatMatrix, r: int) -> RatMatrix:
     row_sets = subsets(m.rows, r)
     col_sets = subsets(m.cols, r)
     if r == 2:
-        a = m.to_rows()
-        out = [a[i][k] * a[j][l] - a[i][l] * a[j][k]
+        lcd = math.lcm(*(x.denominator for x in m.entries))
+        n = m.cols
+        a = [x.numerator * (lcd // x.denominator) for x in m.entries]
+        lcd2 = lcd * lcd
+        out = [Fraction(a[i * n + k] * a[j * n + l] - a[i * n + l] * a[j * n + k], lcd2)
                for i, j in row_sets for k, l in col_sets]
     else:
         out = [det(m.submatrix(I, J)) for I in row_sets for J in col_sets]
@@ -432,7 +438,7 @@ class Surd:
     Negative d is allowed and evaluates to a complex number.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("a", "b", "d", "_hash")
 
     def __init__(self, a=0, b=0, d=0):
         a, b, d = rational(a), rational(b), rational(d)
@@ -443,6 +449,7 @@ class Surd:
             if root is not None:
                 a, b, d = a + b * root, Fraction(0), Fraction(0)
         self.a, self.b, self.d = a, b, d
+        self._hash = None
 
     def __eq__(self, other):
         try:
@@ -452,7 +459,10 @@ class Surd:
         return (self.a, self.b, self.d) == (other.a, other.b, other.d)
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        # kept: hashing rationals with large terms takes microseconds
+        if self._hash is None:
+            self._hash = hash((self.a, self.b, self.d))
+        return self._hash
 
     def __repr__(self):
         return f"Surd({self.a!r}, {self.b!r}, {self.d!r})"

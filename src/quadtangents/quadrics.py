@@ -171,18 +171,26 @@ class TangentTo:
 
     def form(self) -> np.ndarray:
         """The real 6x6 tangency form wedge^2 Q: exact, then rounded, for a
-        Quadric; in floating point for an array."""
+        Quadric; in floating point for an array.  Computed once per
+        condition and shared read-only."""
+        return self._form
+
+    @cached_property
+    def _form(self) -> np.ndarray:
         if isinstance(self.quadric, Quadric):
-            return tangency_form(self.quadric, 1).to_numpy(float)
-        q = np.asarray(self.quadric, dtype=complex)
-        if np.any(q.imag):
-            raise ValueError("tangency condition needs a real matrix")
-        q = q.real
-        if q.shape != (4, 4) or not np.allclose(q, q.T):
-            raise ValueError("tangency condition needs a symmetric 4x4 matrix")
-        pairs = subsets(4, 2)
-        return np.array([[q[i, k] * q[j, l] - q[i, l] * q[j, k] for k, l in pairs]
-                         for i, j in pairs])
+            form = tangency_form(self.quadric, 1).to_numpy(float)
+        else:
+            q = np.asarray(self.quadric, dtype=complex)
+            if np.any(q.imag):
+                raise ValueError("tangency condition needs a real matrix")
+            q = q.real
+            if q.shape != (4, 4) or not np.allclose(q, q.T):
+                raise ValueError("tangency condition needs a symmetric 4x4 matrix")
+            pairs = subsets(4, 2)
+            form = np.array([[q[i, k] * q[j, l] - q[i, l] * q[j, k] for k, l in pairs]
+                             for i, j in pairs])
+        form.flags.writeable = False
+        return form
 
     @property
     def is_sphere(self) -> bool:
@@ -263,15 +271,22 @@ class LineConditions:
             return sphere_tangent_line_count(3)
         return (1 << int(np.sum(self.degree[:-1] == 2))) * 2
 
-    def residuals(self, v) -> dict[str, float]:
-        """Residual of a Pluecker 6-vector for every row, normalized by the
+    def residual_table(self, vectors) -> np.ndarray:
+        """Residuals of an (N, 6) stack of Pluecker vectors as an (N, m)
+        table, one column per row: |v^T quad v + lin . v| normalized by the
         row's coefficient norm and ||v||^degree, so it does not depend on
-        the representative.  Extended precision input is evaluated as such."""
-        v = np.asarray(v)
-        norm = np.sqrt(np.sum(np.abs(v) ** 2))
-        raw = np.abs((self.quad @ v) @ v + self.lin @ v)
-        res = raw / (self.scale * norm ** self.degree)
-        return {label: float(r) for label, r in zip(self.labels, res)}
+        the representative.  Extended precision input is evaluated as such.
+        Each row of the table has the bits of the one-vector evaluation."""
+        v = np.asarray(vectors)
+        norm = np.sqrt(np.sum(np.abs(v) ** 2, axis=1))[:, None]
+        quad = ((self.quad @ v[:, None, :, None])[..., 0] @ v[:, :, None])[..., 0]
+        raw = np.abs(quad + (self.lin @ v[:, :, None])[..., 0])
+        return raw / (self.scale * norm ** self.degree)
+
+    def residuals(self, v) -> dict[str, float]:
+        """``residual_table`` of one vector, as a dict keyed by row label."""
+        row = self.residual_table(np.asarray(v)[None])[0]
+        return {label: float(r) for label, r in zip(self.labels, row)}
 
 
 # ---------------------------------------------------------------------------

@@ -220,10 +220,15 @@ def scene_hash(scene: Scene | dict) -> str:
 # residual evaluation (shared by certificate generation and verification)
 
 
-def solution_residuals(scene: Scene, vec: np.ndarray) -> dict[str, float]:
-    """Normalized residual of one Pluecker 6-vector against every scene
-    condition, plus the Pluecker relation itself."""
-    return scene.conditions.residuals(vec)
+def solution_residuals(scene: Scene, vectors) -> list[dict[str, float]]:
+    """Normalized residuals of a stack of Pluecker 6-vectors against every
+    scene condition, plus the Pluecker relation itself: one dict per vector,
+    from one stacked evaluation of the compiled conditions."""
+    if not len(vectors):
+        return []
+    labels = scene.conditions.labels
+    return [dict(zip(labels, row))
+            for row in scene.conditions.residual_table(vectors).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +345,20 @@ def verify_certificate(cert: Certificate,
                   f"(residual {tol:g}, distinct {DISTINCT_TOL:g})"))
 
     worst = 0.0
-    vectors = []
-    for i, sol in enumerate(cert.solutions):
+    decoded = []  # each solution's vector, or why it cannot be read
+    for sol in cert.solutions:
         try:
-            vec = decode_plucker_numeric(sol["plucker"])
+            decoded.append(decode_plucker_numeric(sol["plucker"]))
         except (KeyError, SceneFormatError) as exc:
-            issues.append(VerificationIssue(i, f"unreadable solution: {exc}"))
+            decoded.append(exc)
+    residuals = iter(solution_residuals(
+        cert.scene, [vec for vec in decoded if not isinstance(vec, Exception)]))
+    vectors = []
+    for i, vec in enumerate(decoded):
+        if isinstance(vec, Exception):
+            issues.append(VerificationIssue(i, f"unreadable solution: {vec}"))
             continue
-        res = solution_residuals(cert.scene, vec)
+        res = next(residuals)
         worst = max(worst, *res.values())
         over = [f"{key} {r:.3e}" for key, r in res.items() if not r <= tol]  # NaN too
         if over:

@@ -146,31 +146,19 @@ class SignedRadicalSolution:
         return True
 
     def numeric(self, precision: str = "double") -> np.ndarray:
-        """Instantiate as a complex 6-vector (p01, p02, p03, p12, p13, p23).
-
-        ``precision`` is "double" or "longdouble"; the extended path helps
-        near-degenerate parameters where the two case-3 radicands collide.
-        """
-        if precision == "double":
-            dtype = complex
-            sqrt = np.emath.sqrt
-            num = lambda s: complex(s.numeric())
-        elif precision == "longdouble":
-            dtype = np.clongdouble
-            sqrt = np.sqrt
-            num = _surd_longdouble
-        else:
-            raise ValueError(f"unknown precision {precision!r}")
-        u = sqrt(num(self.sq_out))
-        v = sqrt(num(self.sq_in))
-        s01, s03, s12 = self.signs
-        p01, p03 = s01 * u, s03 * u
-        p12, p23 = s12 * v, self.sign23 * v
-        p13 = num(Surd(self.p13)) if self.p13 is not None else p01 * p23 + p03 * p12
-        return np.array([p01, num(Surd(self.p02)), p03, p12, p13, p23], dtype=dtype)
+        """Instantiate as a complex 6-vector (p01, p02, p03, p12, p13, p23):
+        the one-solution case of ``numeric_vectors``."""
+        return numeric_vectors([self], precision)[0]
 
 
-def _surd_longdouble(s: Surd):
+# the complex dtype of each precision
+DTYPES = {"double": complex, "longdouble": np.clongdouble}
+
+
+def _number(s: Surd, precision: str):
+    """A surd as a Python complex ("double") or as a clongdouble."""
+    if precision == "double":
+        return complex(s.numeric())
     ld = lambda fr: np.longdouble(fr.numerator) / np.longdouble(fr.denominator)
     re = ld(s.a)
     if s.b == 0:
@@ -178,6 +166,45 @@ def _surd_longdouble(s: Surd):
     if s.d >= 0:
         return np.clongdouble(re + ld(s.b) * np.sqrt(ld(s.d)))
     return np.clongdouble(re) + 1j * np.clongdouble(ld(s.b) * np.sqrt(-ld(s.d)))
+
+
+def _square_root(radicand: Surd, precision: str):
+    """The principal square root of a radicand, complex for negative ones."""
+    x = _number(radicand, precision)
+    return np.emath.sqrt(x) if precision == "double" else np.sqrt(x)
+
+
+def numeric_vectors(solutions, precision: str = "double") -> np.ndarray:
+    """Instantiate solutions as an (N, 6) complex stack, one row
+    (p01, p02, p03, p12, p13, p23) per solution, taking one square root per
+    distinct radicand.
+
+    ``precision`` is "double" or "longdouble"; the extended path helps
+    near-degenerate parameters where the two case-3 radicands collide.
+    """
+    if precision not in DTYPES:
+        raise ValueError(f"unknown precision {precision!r}")
+    roots, numbers = {}, {}
+
+    def root(sq: Surd):
+        if sq not in roots:
+            roots[sq] = _square_root(sq, precision)
+        return roots[sq]
+
+    def number(x: Fraction):
+        if x not in numbers:
+            numbers[x] = _number(Surd(x), precision)
+        return numbers[x]
+
+    out = np.empty((len(solutions), 6), dtype=DTYPES[precision])
+    for i, sol in enumerate(solutions):
+        u, v = root(sol.sq_out), root(sol.sq_in)
+        s01, s03, s12 = sol.signs
+        p01, p03 = s01 * u, s03 * u
+        p12, p23 = s12 * v, sol.sign23 * v
+        p13 = number(sol.p13) if sol.p13 is not None else p01 * p23 + p03 * p12
+        out[i] = (p01, number(sol.p02), p03, p12, p13, p23)
+    return out
 
 
 def enumerate_tangents(params: TetraParams) -> list[SignedRadicalSolution]:
@@ -210,10 +237,20 @@ def enumerate_tangents(params: TetraParams) -> list[SignedRadicalSolution]:
     return sols
 
 
+def reality_flags(solutions) -> list[bool]:
+    """Each solution's exact ``is_real``, decided once per distinct pair of
+    radicands: the signs do not enter."""
+    decided = {}
+    for s in solutions:
+        if (s.sq_out, s.sq_in) not in decided:
+            decided[s.sq_out, s.sq_in] = s.is_real()
+    return [decided[s.sq_out, s.sq_in] for s in solutions]
+
+
 def reality_count(params: TetraParams) -> tuple[int, int]:
     """(real, nonreal) among the 32 tangent lines, by exact sign analysis."""
     sols = enumerate_tangents(params)
-    real = sum(1 for s in sols if s.is_real())
+    real = sum(reality_flags(sols))
     return real, len(sols) - real
 
 
@@ -240,26 +277,43 @@ class SolutionCheck:
         return max(self.residuals.values())
 
 
-def verify_solution(sol: SignedRadicalSolution, params: TetraParams,
-                    precision: str = "double") -> SolutionCheck:
-    """Instantiate a solution and evaluate every defining equation.
+def verify_vectors(vectors: np.ndarray, params: TetraParams,
+                   precision: str = "double") -> list[SolutionCheck]:
+    """Evaluate every defining equation at each row of an (N, 6) stack of
+    instantiated solutions (``numeric_vectors``), one check per row.
 
     Residuals reported (each normalized by the squared coordinate norm, the
     tangency ones additionally by the Frobenius norm of the form):
-    the four tangency conditions, the Pluecker relation, the eliminated
-    linear row -beta p02^2 - beta p13^2 + (1-alpha)(1-beta) p03^2, and the
-    equal-squares chain alpha p01^2 = alpha p03^2 = beta p12^2 = beta p23^2.
+    the four tangency conditions and the Pluecker relation, in one stacked
+    evaluation of the compiled conditions; the eliminated linear row
+    -beta p02^2 - beta p13^2 + (1-alpha)(1-beta) p03^2, and the
+    equal-squares chain alpha p01^2 = alpha p03^2 = beta p12^2 = beta p23^2,
+    evaluated row by row in scalar arithmetic.
     """
-    p = sol.numeric(precision)
-    a = complex(float(params.alpha)) if precision == "double" else _surd_longdouble(Surd(params.alpha))
-    b = complex(float(params.beta)) if precision == "double" else _surd_longdouble(Surd(params.beta))
-    norm2 = float(np.sum(np.abs(p) ** 2))
-    residuals = params.conditions.residuals(p)
-    p01, p02, p03, p12, p13, p23 = p
-    row = -b * p02 ** 2 - b * p13 ** 2 + (1 - a) * (1 - b) * p03 ** 2
-    residuals["eliminated_row"] = abs(complex(row)) / norm2
-    chain = [a * p01 ** 2 - a * p03 ** 2,
-             a * p03 ** 2 - b * p12 ** 2,
-             b * p12 ** 2 - b * p23 ** 2]
-    residuals["square_chain"] = max(abs(complex(c)) for c in chain) / norm2
-    return SolutionCheck(residuals)
+    if precision not in DTYPES:
+        raise ValueError(f"unknown precision {precision!r}")
+    conditions = params.conditions
+    table = conditions.residual_table(vectors).astype(float).tolist()
+    norms = np.sum(np.abs(vectors) ** 2, axis=1).astype(float).tolist()
+    a, b = (_number(Surd(x), precision) for x in (params.alpha, params.beta))
+    checks = []
+    # scalar complex products, as numpy's complex scalars round them; complex
+    # array ufuncs may fuse multiply-adds and change the last bits
+    for p, norm2, row_residuals in zip(vectors.tolist(), norms, table):
+        residuals = dict(zip(conditions.labels, row_residuals))
+        p01, p02, p03, p12, p13, p23 = p
+        row = -b * p02 ** 2 - b * p13 ** 2 + (1 - a) * (1 - b) * p03 ** 2
+        residuals["eliminated_row"] = abs(complex(row)) / norm2
+        chain = [a * p01 ** 2 - a * p03 ** 2,
+                 a * p03 ** 2 - b * p12 ** 2,
+                 b * p12 ** 2 - b * p23 ** 2]
+        residuals["square_chain"] = max(abs(complex(c)) for c in chain) / norm2
+        checks.append(SolutionCheck(residuals))
+    return checks
+
+
+def verify_solution(sol: SignedRadicalSolution, params: TetraParams,
+                    precision: str = "double") -> SolutionCheck:
+    """Instantiate one solution and evaluate every defining equation: the
+    one-solution case of ``verify_vectors``."""
+    return verify_vectors(numeric_vectors([sol], precision), params, precision)[0]

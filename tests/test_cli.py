@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadtangents import tracker
+from quadtangents import cli, exactnum, quadrics, tetra32, tracker
 from quadtangents.cli import CSV_COLUMNS, build_parser, main
 from quadtangents.exactnum import RatMatrix
 from quadtangents.quadrics import LineConditions, Quadric, cylinder
@@ -114,6 +114,44 @@ def test_tetra_degenerate_discriminant(capsys):
 def test_tetra_bad_rational_exit_code(capsys):
     code, _, err = run(capsys, "tetra", "--alpha", "x", "--beta", "1/10")
     assert code == 3
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta"])
+def test_tetra_parameter_given_twice_is_an_input_error(capsys, name):
+    # the positional value must not be dropped in favour of the flag
+    code, out, err = run(capsys, "tetra", "1/10", "1/20", f"--{name}", "1/5")
+    assert code == 3 and out == ""
+    assert f"{name} given both positionally and as --{name}" in err
+
+
+def test_tetra_work_is_stacked(capsys, tmp_path, monkeypatch):
+    # one tetra run: a square root per distinct radicand, one stacked residual
+    # evaluation for all 32 checks, and wedge^2 Q once per quadric
+    roots, tables, powers = [], [], []
+    square_root, table = tetra32._square_root, quadrics.LineConditions.residual_table
+    power = exactnum.exterior_power
+
+    def counted_root(radicand, precision):
+        roots.append(radicand)
+        return square_root(radicand, precision)
+
+    def counted_table(self, vectors):
+        tables.append(len(vectors))
+        return table(self, vectors)
+
+    def counted_power(m, r):
+        powers.append(r)
+        return power(m, r)
+
+    monkeypatch.setattr(tetra32, "_square_root", counted_root)
+    monkeypatch.setattr(quadrics.LineConditions, "residual_table", counted_table)
+    monkeypatch.setattr(quadrics, "exterior_power", counted_power)
+    monkeypatch.setattr(exactnum, "exterior_power", counted_power)
+    code, _, _ = run(capsys, "tetra", "1/10", "1/20", "--output", str(tmp_path / "c.json"))
+    assert code == 0
+    assert len(roots) == len(set(roots)) == 6
+    assert tables == [32]
+    assert powers == [2] * 4
 
 
 # -- track --------------------------------------------------------------------
@@ -533,6 +571,43 @@ def test_commands_reject_options_they_would_ignore(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 3
+
+
+def parse_fresh(argv):
+    """What a newly built parser makes of ``argv``: (namespace, None) or
+    (None, exit code)."""
+    try:
+        return vars(build_parser().parse_args(argv)), None
+    except SystemExit as exc:
+        return None, exc.code
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # main reuses one parser; each call, usage errors in between included,
+    # must parse as a fresh parser does, and reach the cmd_* bound at call time
+    received = []
+    monkeypatch.setattr(cli, "cmd_doubling", lambda args: received.append(vars(args)) or 0)
+    monkeypatch.setattr(cli, "cmd_tetra", lambda args: received.append(vars(args)) or 0)
+    calls = [["doubling", "--auto"], ["doubling", "--bogus"],
+             ["doubling", "--radii", "1/10,1/10,1/10,1/10"],
+             ["doubling", "--auto", "--radii", "1,1,1,1"],
+             ["tetra", "1/10", "1/20", "--seed", "4"], ["tetra", "--alpha"],
+             ["doubling", "--format", "json"], ["tetra", "--beta", "1/3", "1/7"]]
+    for argv in calls:
+        expected, expected_code = parse_fresh(argv)
+        expected_err = capsys.readouterr().err
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert capsys.readouterr().err == expected_err
+        if expected is None:
+            assert code == expected_code == 3
+        else:
+            assert code == 0 and received.pop() == expected
+    assert received == []
+    code, out, _ = run(capsys, "counts", "1", "3")
+    assert code == 0 and out.strip() == "dim=4 degree=2 total=32"
 
 
 # -- docs ---------------------------------------------------------------------

@@ -119,6 +119,26 @@ def test_exterior_power_two_matches_det_minors(m):
         det(m.submatrix(I, J)) for I in pairs for J in pairs)
 
 
+# zeros, and rationals whose terms run to 40 digits
+wide_fraction = st.one_of(
+    st.just(F(0)), small_fraction,
+    st.builds(F, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(wide_fraction, min_size=16, max_size=16))
+def test_integer_minors_equal_the_det_compound(entries):
+    # order 2 takes integer minors over the common denominator; the result
+    # is the same canonical RatMatrix as the det of every 2 x 2 submatrix
+    m = RatMatrix(4, 4, tuple(entries))
+    pairs = list(combinations(range(4), 2))
+    compound = RatMatrix(6, 6, tuple(det(m.submatrix(I, J)) for I in pairs for J in pairs))
+    got = exterior_power(m, 2)
+    assert got == compound
+    assert [(x.numerator, x.denominator) for x in got.entries] == \
+        [(x.numerator, x.denominator) for x in compound.entries]
+
+
 @settings(max_examples=25, deadline=None)
 @given(st_matrix(4), st_matrix(4))
 def test_cauchy_binet(a, b):

@@ -1,13 +1,18 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+from quadtangents import quadrics
 from quadtangents.exactnum import RatMatrix, det, solve_linear
 from quadtangents.grassmann import ProjFlat, plucker
 from quadtangents.quadrics import (
     AffineFlat,
+    LineConditions,
+    Meets,
     Quadric,
+    TangentTo,
     cylinder,
     is_tangent,
     perturbed_smooth_quadric,
@@ -257,3 +262,55 @@ def test_perturbation_signature_menu(k, n):
         floor = (n - 1) % 2
         expected = set(range(floor, n, 2))
     assert reachable == expected
+
+
+# -- compiled line conditions -------------------------------------------------
+
+
+def one_vector_residuals(conditions, v):
+    """Row i of the residual table, evaluated for one vector on its own:
+    |v^T quad[i] v + lin[i] . v| / (scale[i] ||v||^degree[i])."""
+    norm = np.sqrt(np.sum(np.abs(v) ** 2))
+    raw = np.abs((conditions.quad @ v) @ v + conditions.lin @ v)
+    return raw / (conditions.scale * norm ** conditions.degree)
+
+
+def mixed_conditions(rng) -> LineConditions:
+    m = rng.uniform(-1, 1, size=(2, 4, 4))
+    return LineConditions.compile([
+        ("dense", TangentTo(m[0] + m[0].T)),
+        ("exact", TangentTo(Quadric.from_diagonal([F(1, 3), -1, 2, F(-7, 5)]))),
+        ("meets", Meets(rng.standard_normal(6) + 1j * rng.standard_normal(6))),
+        ("other", TangentTo(m[1] + m[1].T))])
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
+@pytest.mark.parametrize("n", [1, 7, 32])
+def test_residual_table_rows_have_the_one_vector_bits(n, dtype):
+    rng = np.random.default_rng(n)
+    conditions = mixed_conditions(rng)
+    scales = 10.0 ** rng.integers(-6, 6, size=(n, 1))
+    vectors = ((rng.standard_normal((n, 6)) + 1j * rng.standard_normal((n, 6)))
+               * scales).astype(dtype)
+    table = conditions.residual_table(vectors)
+    assert table.shape == (n, 5) and table.dtype == np.abs(vectors).dtype
+    for v, row in zip(vectors, table):
+        assert np.array_equal(row, one_vector_residuals(conditions, v))
+        assert conditions.residuals(v) == dict(zip(conditions.labels, map(float, row)))
+
+
+def test_tangent_to_rounds_its_form_once(monkeypatch):
+    calls = []
+    form_ = quadrics.tangency_form
+
+    def counted(q, k):
+        calls.append(k)
+        return form_(q, k)
+
+    monkeypatch.setattr(quadrics, "tangency_form", counted)
+    cond = TangentTo(Quadric.from_diagonal([1, F(-1, 3), 2, -5]))
+    first = cond.form()
+    LineConditions.compile([("a", cond), ("b", cond)])
+    assert cond.form() is first and calls == [1]
+    assert not first.flags.writeable
+    assert np.array_equal(first, tangency_form(cond.quadric, 1).to_numpy(float))

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from quadtangents.exactnum import RatMatrix
+from quadtangents.exactnum import RatMatrix, Surd
 from quadtangents.grassmann import PluckerVector, check_plucker_relations, chordal_distance
 from quadtangents.quadrics import is_tangent, tangency_form
 from quadtangents.tetra32 import (
@@ -13,8 +13,11 @@ from quadtangents.tetra32 import (
     below_reality_bound,
     enumerate_tangents,
     family,
+    numeric_vectors,
     reality_count,
+    reality_flags,
     verify_solution,
+    verify_vectors,
 )
 
 P10 = TetraParams.of(F(1, 10), F(1, 10))
@@ -258,3 +261,78 @@ def test_near_degenerate_parameters_still_verify():
         gap = pairwise_min_distance(sols)
         assert gap > 0  # distinctness gap shrinks with the discriminant
         assert pairwise_min_distance(sols, precision="longdouble") > 0
+
+
+# -- the stacked closed-form check --------------------------------------------
+
+
+def per_solution_vector(sol, precision):
+    """Reference: one solution instantiated on its own, two square roots."""
+    if precision == "double":
+        dtype, sqrt, num = complex, np.emath.sqrt, lambda s: complex(s.numeric())
+    else:
+        dtype, sqrt = np.clongdouble, np.sqrt
+        ld = lambda fr: np.longdouble(fr.numerator) / np.longdouble(fr.denominator)
+
+        def num(s):
+            if s.b == 0:
+                return np.clongdouble(ld(s.a))
+            if s.d >= 0:
+                return np.clongdouble(ld(s.a) + ld(s.b) * np.sqrt(ld(s.d)))
+            return np.clongdouble(ld(s.a)) + 1j * np.clongdouble(ld(s.b) * np.sqrt(-ld(s.d)))
+    u, v = sqrt(num(sol.sq_out)), sqrt(num(sol.sq_in))
+    s01, s03, s12 = sol.signs
+    p01, p03, p12, p23 = s01 * u, s03 * u, s12 * v, sol.sign23 * v
+    p13 = num(Surd(sol.p13)) if sol.p13 is not None else p01 * p23 + p03 * p12
+    return np.array([p01, num(Surd(sol.p02)), p03, p12, p13, p23], dtype=dtype), num
+
+
+def per_solution_check(sol, params, precision) -> dict:
+    """Reference: every residual of one solution, evaluated on its own."""
+    p, num = per_solution_vector(sol, precision)
+    a, b = num(Surd(params.alpha)), num(Surd(params.beta))
+    c = params.conditions
+    norm2 = float(np.sum(np.abs(p) ** 2))
+    norm = np.sqrt(np.sum(np.abs(p) ** 2))
+    res = np.abs((c.quad @ p) @ p + c.lin @ p) / (c.scale * norm ** c.degree)
+    residuals = {label: float(r) for label, r in zip(c.labels, res)}
+    p01, p02, p03, p12, p13, p23 = p
+    row = -b * p02 ** 2 - b * p13 ** 2 + (1 - a) * (1 - b) * p03 ** 2
+    residuals["eliminated_row"] = abs(complex(row)) / norm2
+    chain = [a * p01 ** 2 - a * p03 ** 2, a * p03 ** 2 - b * p12 ** 2,
+             b * p12 ** 2 - b * p23 ** 2]
+    residuals["square_chain"] = max(abs(complex(c)) for c in chain) / norm2
+    return residuals
+
+
+def same_bits(x, y) -> bool:
+    return (x.dtype == y.dtype and np.array_equal(x, y)
+            and np.array_equal(np.signbit(x.real), np.signbit(y.real))
+            and np.array_equal(np.signbit(x.imag), np.signbit(y.imag)))
+
+
+@pytest.mark.parametrize("precision", ["double", "longdouble"])
+@pytest.mark.parametrize("alpha,beta", [(F(1, 10), F(1, 20)), (F(1, 5), F(1, 5)),
+                                        (F(3, 7), F(2, 9))])
+def test_stacked_check_has_the_per_solution_bits(alpha, beta, precision):
+    # below the reality bound (32 real), above it (16 + 16), and far off
+    params = TetraParams.of(alpha, beta)
+    sols = enumerate_tangents(params)
+    vectors = numeric_vectors(sols, precision)
+    checks = verify_vectors(vectors, params, precision)
+    assert vectors.shape == (32, 6) and len(checks) == 32
+    assert reality_flags(sols) == [sol.is_real() for sol in sols]
+    for sol, vec, check in zip(sols, vectors, checks):
+        assert same_bits(vec, per_solution_vector(sol, precision)[0])
+        assert same_bits(sol.numeric(precision), vec)
+        expected = per_solution_check(sol, params, precision)
+        assert list(check.residuals.items()) == list(expected.items())
+        assert verify_solution(sol, params, precision).residuals == expected
+
+
+def test_numeric_rejects_unknown_precision():
+    sol = enumerate_tangents(P10)[0]
+    with pytest.raises(ValueError):
+        sol.numeric("quad")
+    with pytest.raises(ValueError):
+        verify_vectors(numeric_vectors([sol]), P10, "quad")

@@ -14,7 +14,7 @@ from quadtangents.grassmann import (
     chordal_distance,
     normalize_endpoint,
 )
-from quadtangents import tracker
+from quadtangents import quadrics, tracker
 from quadtangents.exactnum import RatMatrix
 from quadtangents.quadrics import LineConditions, Quadric, cylinder, is_tangent
 from quadtangents.tetra32 import TetraParams, enumerate_tangents, family
@@ -338,6 +338,21 @@ def test_doubling_builds_each_cylinder_once(monkeypatch):
     doubling_experiment([F(1, 10)] * 4, TrackOptions(seed=6))
     # stages 1..4 use 1 + 2 + 3 + 4 cylinders, on 4 distinct (line, radius)
     assert built == [F(1, 10)] * 4
+
+
+def test_doubling_rounds_each_cylinder_form_once(monkeypatch):
+    forms = []
+    form_ = quadrics.tangency_form
+
+    def counted(q, k):
+        forms.append(q)
+        return form_(q, k)
+
+    tracker._tetra_start()  # stage 4's start system, built once per process
+    monkeypatch.setattr(quadrics, "tangency_form", counted)
+    doubling_experiment([F(1, 10)] * 4, TrackOptions(seed=6))
+    # the 10 cylinder tangencies of stages 1..4 share 4 compiled forms
+    assert len(forms) == 4 and len({id(q) for q in forms}) == 4
 
 
 def test_doubling_explicit_radii():
