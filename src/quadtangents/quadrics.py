@@ -283,11 +283,6 @@ class LineConditions:
         raw = np.abs(quad + (self.lin @ v[:, :, None])[..., 0])
         return raw / (self.scale * norm ** self.degree)
 
-    def residuals(self, v) -> dict[str, float]:
-        """``residual_table`` of one vector, as a dict keyed by row label."""
-        row = self.residual_table(np.asarray(v)[None])[0]
-        return {label: float(r) for label, r in zip(self.labels, row)}
-
 
 # ---------------------------------------------------------------------------
 # cylinders and smooth perturbations

@@ -99,17 +99,25 @@ def coord_key(index_set: tuple[int, ...]) -> str:
     return "".join(str(i) for i in index_set)
 
 
-def encode_plucker_numeric(vec: np.ndarray, k: int = 1, n: int = 3) -> dict:
-    keys = [coord_key(I) for I in subsets(n + 1, k + 1)]
-    return {"k": k, "n": n,
-            "coords": {key: encode_complex(z) for key, z in zip(keys, vec)}}
+# the keys of a line's six Pluecker coordinates in P^3, in lex order
+LINE_KEYS = tuple(coord_key(I) for I in subsets(4, 2))
+
+
+def encode_plucker_numeric(vec: np.ndarray) -> dict:
+    """A line's numeric Pluecker vector in P^3 as JSON."""
+    return {"k": 1, "n": 3,
+            "coords": {key: encode_complex(z) for key, z in zip(LINE_KEYS, vec)}}
 
 
 def decode_plucker_numeric(obj) -> np.ndarray:
+    """The line ``encode_plucker_numeric`` wrote; SceneFormatError for
+    anything else."""
     try:
         k, n = obj["k"], obj["n"]
-        keys = [coord_key(I) for I in subsets(n + 1, k + 1)]
-        return np.array([decode_complex(obj["coords"][key]) for key in keys])
+        if (k, n) != (1, 3):
+            raise SceneFormatError(
+                f"bad Pluecker vector: k = {k}, n = {n}, not a line in P^3")
+        return np.array([decode_complex(obj["coords"][key]) for key in LINE_KEYS])
     except (KeyError, TypeError) as exc:
         raise SceneFormatError(f"bad Pluecker vector: {exc}") from exc
 

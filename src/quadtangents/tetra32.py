@@ -145,58 +145,39 @@ class SignedRadicalSolution:
                 return False
         return True
 
-    def numeric(self, precision: str = "double") -> np.ndarray:
+    def numeric(self) -> np.ndarray:
         """Instantiate as a complex 6-vector (p01, p02, p03, p12, p13, p23):
         the one-solution case of ``numeric_vectors``."""
-        return numeric_vectors([self], precision)[0]
+        return numeric_vectors([self])[0]
 
 
-# the complex dtype of each precision
-DTYPES = {"double": complex, "longdouble": np.clongdouble}
+def _number(s: Surd) -> complex:
+    """A surd as a Python complex."""
+    return complex(s.numeric())
 
 
-def _number(s: Surd, precision: str):
-    """A surd as a Python complex ("double") or as a clongdouble."""
-    if precision == "double":
-        return complex(s.numeric())
-    ld = lambda fr: np.longdouble(fr.numerator) / np.longdouble(fr.denominator)
-    re = ld(s.a)
-    if s.b == 0:
-        return np.clongdouble(re)
-    if s.d >= 0:
-        return np.clongdouble(re + ld(s.b) * np.sqrt(ld(s.d)))
-    return np.clongdouble(re) + 1j * np.clongdouble(ld(s.b) * np.sqrt(-ld(s.d)))
-
-
-def _square_root(radicand: Surd, precision: str):
+def _square_root(radicand: Surd) -> complex:
     """The principal square root of a radicand, complex for negative ones."""
-    x = _number(radicand, precision)
-    return np.emath.sqrt(x) if precision == "double" else np.sqrt(x)
+    return np.emath.sqrt(_number(radicand))
 
 
-def numeric_vectors(solutions, precision: str = "double") -> np.ndarray:
+def numeric_vectors(solutions) -> np.ndarray:
     """Instantiate solutions as an (N, 6) complex stack, one row
     (p01, p02, p03, p12, p13, p23) per solution, taking one square root per
-    distinct radicand.
-
-    ``precision`` is "double" or "longdouble"; the extended path helps
-    near-degenerate parameters where the two case-3 radicands collide.
-    """
-    if precision not in DTYPES:
-        raise ValueError(f"unknown precision {precision!r}")
+    distinct radicand."""
     roots, numbers = {}, {}
 
     def root(sq: Surd):
         if sq not in roots:
-            roots[sq] = _square_root(sq, precision)
+            roots[sq] = _square_root(sq)
         return roots[sq]
 
     def number(x: Fraction):
         if x not in numbers:
-            numbers[x] = _number(Surd(x), precision)
+            numbers[x] = _number(Surd(x))
         return numbers[x]
 
-    out = np.empty((len(solutions), 6), dtype=DTYPES[precision])
+    out = np.empty((len(solutions), 6), dtype=complex)
     for i, sol in enumerate(solutions):
         u, v = root(sol.sq_out), root(sol.sq_in)
         s01, s03, s12 = sol.signs
@@ -277,8 +258,7 @@ class SolutionCheck:
         return max(self.residuals.values())
 
 
-def verify_vectors(vectors: np.ndarray, params: TetraParams,
-                   precision: str = "double") -> list[SolutionCheck]:
+def verify_vectors(vectors: np.ndarray, params: TetraParams) -> list[SolutionCheck]:
     """Evaluate every defining equation at each row of an (N, 6) stack of
     instantiated solutions (``numeric_vectors``), one check per row.
 
@@ -290,12 +270,10 @@ def verify_vectors(vectors: np.ndarray, params: TetraParams,
     equal-squares chain alpha p01^2 = alpha p03^2 = beta p12^2 = beta p23^2,
     evaluated row by row in scalar arithmetic.
     """
-    if precision not in DTYPES:
-        raise ValueError(f"unknown precision {precision!r}")
     conditions = params.conditions
-    table = conditions.residual_table(vectors).astype(float).tolist()
-    norms = np.sum(np.abs(vectors) ** 2, axis=1).astype(float).tolist()
-    a, b = (_number(Surd(x), precision) for x in (params.alpha, params.beta))
+    table = conditions.residual_table(vectors).tolist()
+    norms = np.sum(np.abs(vectors) ** 2, axis=1).tolist()
+    a, b = (_number(Surd(x)) for x in (params.alpha, params.beta))
     checks = []
     # scalar complex products, as numpy's complex scalars round them; complex
     # array ufuncs may fuse multiply-adds and change the last bits
@@ -312,8 +290,7 @@ def verify_vectors(vectors: np.ndarray, params: TetraParams,
     return checks
 
 
-def verify_solution(sol: SignedRadicalSolution, params: TetraParams,
-                    precision: str = "double") -> SolutionCheck:
+def verify_solution(sol: SignedRadicalSolution, params: TetraParams) -> SolutionCheck:
     """Instantiate one solution and evaluate every defining equation: the
     one-solution case of ``verify_vectors``."""
-    return verify_vectors(numeric_vectors([sol], precision), params, precision)[0]
+    return verify_vectors(numeric_vectors([sol]), params)[0]

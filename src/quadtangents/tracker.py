@@ -124,7 +124,7 @@ from .grassmann import (
     transversals_to_4_lines,
 )
 from .quadrics import AffineFlat, LineConditions, Meets, TangentTo, cylinder
-from .tetra32 import TetraParams, enumerate_tangents, family
+from .tetra32 import TetraParams, enumerate_tangents, numeric_vectors
 
 # ---------------------------------------------------------------------------
 # systems
@@ -266,15 +266,12 @@ class _Homotopy:
     S.quad then of T.quad, so one real matmul per point against x viewed as
     (6, 2) real pairs gives A = S.quad x and B = T.quad x; everything else
     is elementwise.  ``lin`` and ``const`` hold (gamma S, T)'s.  The tensors
-    are either broadcast over the points or hold one pair per point,
-    gathered from ``source`` by ``systems``."""
+    are either broadcast over the points or hold one pair per point."""
 
     quad: np.ndarray   # (..., 72, 6) real
     lin: np.ndarray    # (..., 2, 6, 6) complex
     const: np.ndarray  # (..., 2, 6) complex
     gamma: complex
-    systems: np.ndarray | None = None  # per point: its pair in ``source``
-    source: _Homotopy | None = None
 
     @classmethod
     def of(cls, pairs, gamma: complex) -> _Homotopy:
@@ -285,28 +282,23 @@ class _Homotopy:
                    np.stack([(gamma * s.const, t.const) for s, t in pairs]),
                    gamma)
 
-    def _take(self, index) -> tuple[np.ndarray, np.ndarray, np.ndarray, complex]:
-        return self.quad[index], self.lin[index], self.const[index], self.gamma
-
-    @functools.cached_property
-    def _parts(self) -> list[_Homotopy]:
-        """One homotopy per pair of the stack, its tensors views of it."""
-        return [_Homotopy(*self._take(i)) for i in range(len(self.quad))]
+    def _take(self, index) -> _Homotopy:
+        return _Homotopy(self.quad[index], self.lin[index], self.const[index], self.gamma)
 
     def at(self, systems: np.ndarray) -> _Homotopy:
         """The homotopy of points of the given pairs of the stack (grouped):
-        one pair's tensors, broadcast, when all points share it; tensors
-        gathered per point only when they span several."""
+        views of one pair's tensors, broadcast, when all points share it;
+        tensors gathered per point only when they span several."""
         if systems.size and systems[0] == systems[-1]:
-            return self._parts[systems[0]]
-        return _Homotopy(*self._take(systems), systems, self)
+            return self._take(systems[0])
+        return self._take(systems)
 
     def rows(self, index: np.ndarray) -> _Homotopy:
         """The homotopy of the points ``index`` (ascending) of those this
         one is evaluated at: itself unless that drops gathered points."""
-        if self.systems is None or len(index) == len(self.systems):
+        if self.quad.ndim == 2 or len(index) == len(self.quad):
             return self
-        return self.source.at(self.systems[index])
+        return self._take(index)
 
     def _contract(self, x, rows=slice(None)):
         """quad[rows] @ x per point, one stacked real matmul (never one GEMM
@@ -771,11 +763,9 @@ START_PARAMS = TetraParams.of(Fraction(1, 10), Fraction(1, 10))
 @functools.cache
 def _tetra_start() -> tuple[LineConditions, np.ndarray]:
     """The start family's conditions and 32 numeric tangents, shared read-only."""
-    conditions = LineConditions.compile(
-        enumerate(TangentTo(q) for q in family(START_PARAMS)))
-    tangents = np.array([s.numeric() for s in enumerate_tangents(START_PARAMS)])
+    tangents = numeric_vectors(enumerate_tangents(START_PARAMS))
     tangents.flags.writeable = False
-    return conditions, tangents
+    return START_PARAMS.conditions, tangents
 
 
 def tetra_start_points(patch: np.ndarray) -> tuple[SquareSystem, np.ndarray]:

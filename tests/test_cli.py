@@ -131,9 +131,9 @@ def test_tetra_work_is_stacked(capsys, tmp_path, monkeypatch):
     square_root, table = tetra32._square_root, quadrics.LineConditions.residual_table
     power = exactnum.exterior_power
 
-    def counted_root(radicand, precision):
+    def counted_root(radicand):
         roots.append(radicand)
-        return square_root(radicand, precision)
+        return square_root(radicand)
 
     def counted_table(self, vectors):
         tables.append(len(vectors))
@@ -252,15 +252,20 @@ def test_track_compiles_the_scene_once(capsys, tmp_path, monkeypatch):
         return compile_(cls, conditions)
 
     monkeypatch.setattr(LineConditions, "compile", classmethod(counted))
-    tracker._tetra_start.cache_clear()  # a process's first track builds its start
+    # a process's first track builds its start, from uncompiled start params
+    tracker._tetra_start.cache_clear()
+    start = tracker.START_PARAMS
+    monkeypatch.setattr(tracker, "START_PARAMS", TetraParams(start.alpha, start.beta))
     scene = Scene(3, quadrics=list(family(TetraParams.of(F(1, 10), F(1, 20)))))
     scene_path = make_scene_file(tmp_path, "scene.json", scene)
-    code, _, _ = run(capsys, "track", "--scene", scene_path)
-    assert code == 0
-    # the scene once (tracker target and certificate residuals share it),
-    # and the closed-form start system once per process
-    assert compiled == [["tangency_Q1", "tangency_Q2", "tangency_Q3", "tangency_Q4"],
-                        [0, 1, 2, 3]]
+    for _ in range(2):
+        code, _, _ = run(capsys, "track", "--scene", scene_path)
+        assert code == 0
+    tracker._tetra_start.cache_clear()  # not to keep the replaced params' start
+    # the scene once per track (tracker target and certificate residuals
+    # share it), and the closed-form start system once per process
+    labels = ["tangency_Q1", "tangency_Q2", "tangency_Q3", "tangency_Q4"]
+    assert compiled == [labels, labels, labels]
 
 
 def test_track_deterministic_output(capsys, tmp_path):
@@ -359,17 +364,30 @@ def _forge_lines_at_infinity(cert):
     cert["counts"]["nonreal"] += 2
 
 
+def _forge_line_in_p4(cert):
+    cert["solutions"][3]["plucker"] = {"k": 1, "n": 4, "coords": {
+        key: 1.0 for key in ("01", "02", "03", "04", "12", "13", "14", "23", "24", "34")}}
+
+
+def _forge_point_in_p3(cert):
+    cert["solutions"][3]["plucker"] = {"k": 0, "n": 3, "coords": {
+        key: 1.0 for key in ("0", "1", "2", "3")}}
+
+
 # the closed-form parameters each forgery starts from, if not (1/10, 1/20)
 FORGED_AT = {_forge_nonreal_flagged_real: ("1/5", "1/5")}
 # forgeries of a `track` certificate, by the SPHERE_SCENES scene they start from
 FORGED_TRACK = {_forge_lines_at_infinity: "plain"}
+# what `verify` reports of a forgery, where the test names it
+FORGED_ISSUE = {_forge_line_in_p4: "solution 3: unreadable solution",
+                _forge_point_in_p3: "solution 3: unreadable solution"}
 
 
 @pytest.mark.parametrize("forge", [
     _forge_arbitrary_coordinates, _forge_trimmed, _forge_repeated_solution,
     _forge_loose_tolerance, _forge_nan_coordinates, _forge_nonreal_flagged_real,
     _forge_nonreal_count, _forge_params, _forge_params_of_other_scene,
-    _forge_lines_at_infinity])
+    _forge_lines_at_infinity, _forge_line_in_p4, _forge_point_in_p3])
 def test_verify_rejects_forged_certificate(capsys, tmp_path, forge):
     cert_path = tmp_path / "cert.json"
     if forge in FORGED_TRACK:
@@ -385,6 +403,7 @@ def test_verify_rejects_forged_certificate(capsys, tmp_path, forge):
     cert_path.write_text(json.dumps(cert))
     code, out, _ = run(capsys, "verify", str(cert_path))
     assert code == 4 and out.startswith("FAIL")
+    assert FORGED_ISSUE.get(forge, "") in out
 
 
 def test_verify_derives_reality_from_coordinates(capsys, tmp_path):

@@ -296,7 +296,6 @@ def test_residual_table_rows_have_the_one_vector_bits(n, dtype):
     assert table.shape == (n, 5) and table.dtype == np.abs(vectors).dtype
     for v, row in zip(vectors, table):
         assert np.array_equal(row, one_vector_residuals(conditions, v))
-        assert conditions.residuals(v) == dict(zip(conditions.labels, map(float, row)))
 
 
 def test_tangent_to_rounds_its_form_once(monkeypatch):

@@ -23,9 +23,9 @@ from quadtangents.tetra32 import (
 P10 = TetraParams.of(F(1, 10), F(1, 10))
 
 
-def pairwise_min_distance(solutions, precision="double") -> float:
+def pairwise_min_distance(solutions) -> float:
     """Smallest pairwise chordal distance between the solutions."""
-    vecs = [np.asarray(s.numeric(precision), dtype=complex) for s in solutions]
+    vecs = [s.numeric() for s in solutions]
     return min(chordal_distance(u, v) for u, v in itertools.combinations(vecs, 2))
 
 
@@ -165,14 +165,6 @@ def test_corrupted_sign_violates_plucker_relation():
     assert residual > 1e-3
 
 
-def test_longdouble_instantiation_consistent():
-    for sol in enumerate_tangents(P10)[:6]:
-        d = sol.numeric("double")
-        ld = sol.numeric("longdouble").astype(complex)
-        assert np.max(np.abs(d - ld)) < 1e-14
-        assert verify_solution(sol, P10, precision="longdouble").max_residual < 1e-12
-
-
 # -- reality ------------------------------------------------------------------
 
 
@@ -260,36 +252,27 @@ def test_near_degenerate_parameters_still_verify():
             assert verify_solution(sol, params).max_residual < 1e-9
         gap = pairwise_min_distance(sols)
         assert gap > 0  # distinctness gap shrinks with the discriminant
-        assert pairwise_min_distance(sols, precision="longdouble") > 0
 
 
 # -- the stacked closed-form check --------------------------------------------
 
 
-def per_solution_vector(sol, precision):
-    """Reference: one solution instantiated on its own, two square roots."""
-    if precision == "double":
-        dtype, sqrt, num = complex, np.emath.sqrt, lambda s: complex(s.numeric())
-    else:
-        dtype, sqrt = np.clongdouble, np.sqrt
-        ld = lambda fr: np.longdouble(fr.numerator) / np.longdouble(fr.denominator)
+def num(s: Surd) -> complex:
+    return complex(s.numeric())
 
-        def num(s):
-            if s.b == 0:
-                return np.clongdouble(ld(s.a))
-            if s.d >= 0:
-                return np.clongdouble(ld(s.a) + ld(s.b) * np.sqrt(ld(s.d)))
-            return np.clongdouble(ld(s.a)) + 1j * np.clongdouble(ld(s.b) * np.sqrt(-ld(s.d)))
-    u, v = sqrt(num(sol.sq_out)), sqrt(num(sol.sq_in))
+
+def per_solution_vector(sol) -> np.ndarray:
+    """Reference: one solution instantiated on its own, two square roots."""
+    u, v = np.emath.sqrt(num(sol.sq_out)), np.emath.sqrt(num(sol.sq_in))
     s01, s03, s12 = sol.signs
     p01, p03, p12, p23 = s01 * u, s03 * u, s12 * v, sol.sign23 * v
     p13 = num(Surd(sol.p13)) if sol.p13 is not None else p01 * p23 + p03 * p12
-    return np.array([p01, num(Surd(sol.p02)), p03, p12, p13, p23], dtype=dtype), num
+    return np.array([p01, num(Surd(sol.p02)), p03, p12, p13, p23], dtype=complex)
 
 
-def per_solution_check(sol, params, precision) -> dict:
+def per_solution_check(sol, params) -> dict:
     """Reference: every residual of one solution, evaluated on its own."""
-    p, num = per_solution_vector(sol, precision)
+    p = per_solution_vector(sol)
     a, b = num(Surd(params.alpha)), num(Surd(params.beta))
     c = params.conditions
     norm2 = float(np.sum(np.abs(p) ** 2))
@@ -311,28 +294,21 @@ def same_bits(x, y) -> bool:
             and np.array_equal(np.signbit(x.imag), np.signbit(y.imag)))
 
 
-@pytest.mark.parametrize("precision", ["double", "longdouble"])
+# the case ids name the double precision the bits are compared in
 @pytest.mark.parametrize("alpha,beta", [(F(1, 10), F(1, 20)), (F(1, 5), F(1, 5)),
-                                        (F(3, 7), F(2, 9))])
-def test_stacked_check_has_the_per_solution_bits(alpha, beta, precision):
+                                        (F(3, 7), F(2, 9))],
+                         ids=[f"alpha{i}-beta{i}-double" for i in range(3)])
+def test_stacked_check_has_the_per_solution_bits(alpha, beta):
     # below the reality bound (32 real), above it (16 + 16), and far off
     params = TetraParams.of(alpha, beta)
     sols = enumerate_tangents(params)
-    vectors = numeric_vectors(sols, precision)
-    checks = verify_vectors(vectors, params, precision)
+    vectors = numeric_vectors(sols)
+    checks = verify_vectors(vectors, params)
     assert vectors.shape == (32, 6) and len(checks) == 32
     assert reality_flags(sols) == [sol.is_real() for sol in sols]
     for sol, vec, check in zip(sols, vectors, checks):
-        assert same_bits(vec, per_solution_vector(sol, precision)[0])
-        assert same_bits(sol.numeric(precision), vec)
-        expected = per_solution_check(sol, params, precision)
+        assert same_bits(vec, per_solution_vector(sol))
+        assert same_bits(sol.numeric(), vec)
+        expected = per_solution_check(sol, params)
         assert list(check.residuals.items()) == list(expected.items())
-        assert verify_solution(sol, params, precision).residuals == expected
-
-
-def test_numeric_rejects_unknown_precision():
-    sol = enumerate_tangents(P10)[0]
-    with pytest.raises(ValueError):
-        sol.numeric("quad")
-    with pytest.raises(ValueError):
-        verify_vectors(numeric_vectors([sol]), P10, "quad")
+        assert verify_solution(sol, params).residuals == expected
