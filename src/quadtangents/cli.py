@@ -31,6 +31,7 @@ from .grassmann import (
     transversals_to_4_lines,
 )
 from .scenes import (
+    LINE_KEYS,
     Certificate,
     Scene,
     SceneFormatError,
@@ -41,6 +42,7 @@ from .scenes import (
     solution_residuals,
     verify_certificate,
     write_json,
+    write_text,
 )
 from .tetra32 import (
     DegeneracyError,
@@ -60,9 +62,8 @@ EXIT_INPUT = 3
 EXIT_NUMERIC = 4
 
 CSV_COLUMNS = ("index", "case", "branch", "signs", "status", "steps", "real",
-               "residual", "p01_re", "p01_im", "p02_re", "p02_im", "p03_re",
-               "p03_im", "p12_re", "p12_im", "p13_re", "p13_im", "p23_re",
-               "p23_im")
+               "residual") + tuple(f"p{key}_{part}" for key in LINE_KEYS
+                                   for part in ("re", "im"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,11 +83,13 @@ SHARED_OPTIONS = {
               "help": "residual tolerance: endpoint polish when solving, "
                       "bound on every residual for verify (default 1e-12)"},
     "--format": {"choices": ("json", "csv"), "default": None,
-                 "help": "output format (certificates default to json, "
-                         "tables to plain text)"},
+                 "help": "certificate format (default json)"},
     "--output": {"default": None, "help": "output path (default stdout)"},
 }
 SOLVING_OPTIONS = ("--seed", "--tol", "--format", "--output")
+# counts and doubling write plain text, or JSON on request
+TABLE_FORMAT = {"choices": ("json",), "default": None,
+                "help": "json instead of plain text"}
 
 
 def build_parser() -> _Parser:
@@ -101,8 +104,8 @@ def build_parser() -> _Parser:
             p.add_argument(flag, **SHARED_OPTIONS[flag])
         return p
 
-    p = command("counts", ("--format", "--output"),
-                "dimension/degree/total counts for G(k,n)")
+    p = command("counts", ("--output",), "dimension/degree/total counts for G(k,n)")
+    p.add_argument("--format", **TABLE_FORMAT)
     p.add_argument("k", nargs="?", type=int, default=1)
     p.add_argument("n", nargs="?", default=None,
                    help="dimension n, or a range like 3..9")
@@ -122,8 +125,9 @@ def build_parser() -> _Parser:
     p.add_argument("--path-log", default=None,
                    help="write one JSON line per tracked path to this file")
 
-    p = command("doubling", SOLVING_OPTIONS,
+    p = command("doubling", ("--seed", "--tol", "--output"),
                 "cylinder-radius doubling experiment (counts 2,4,8,16,32)")
+    p.add_argument("--format", **TABLE_FORMAT)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--auto", action="store_true", default=True,
                        help="search radii by halving from 1/10 (default)")
@@ -157,29 +161,30 @@ def _parse_range(spec: str) -> list[int]:
 
 def cmd_counts(args) -> int:
     if args.table:
-        k = args.k
         ns = _parse_range(args.n) if args.n is not None else list(range(3, 10))
-        rows = [grassmann_counts(k, n) for n in ns]
-        if args.format == "json":
-            write_json(args.output, [{"k": c.k, "n": c.n, "dim": c.dim,
-                                      "degree": c.degree, "total": c.total}
-                                     for c in rows])
-        else:
-            widths = [max(len(str(c.total)), len(str(sphere_tangent_line_count(c.n))), 4)
-                      for c in rows]
-            def line(label, values):
-                cells = "  ".join(str(v).rjust(w) for v, w in zip(values, widths))
-                return f"{label:<16}{cells}"
-            lines = [line("n", [c.n for c in rows])]
-            if k == 1:
-                lines.append(line("3*2^(n-1)", [sphere_tangent_line_count(c.n) for c in rows]))
-            lines.append(line("2^dim*degree", [c.total for c in rows]))
-            _write_text(args.output, "\n".join(lines))
-        return EXIT_OK
-    if args.n is None:
+    elif args.n is None:
         raise SceneFormatError("counts needs k and n (or --table)")
-    c = grassmann_counts(args.k, int(args.n))
-    _write_text(args.output, f"dim={c.dim} degree={c.degree} total={c.total}")
+    else:
+        ns = [int(args.n)]
+    rows = [grassmann_counts(args.k, n) for n in ns]
+    if args.format == "json":
+        write_json(args.output, [{"k": c.k, "n": c.n, "dim": c.dim,
+                                  "degree": c.degree, "total": c.total}
+                                 for c in rows])
+    elif args.table:
+        widths = [max(len(str(c.total)), len(str(sphere_tangent_line_count(c.n))), 4)
+                  for c in rows]
+        def line(label, values):
+            cells = "  ".join(str(v).rjust(w) for v, w in zip(values, widths))
+            return f"{label:<16}{cells}"
+        lines = [line("n", [c.n for c in rows])]
+        if args.k == 1:
+            lines.append(line("3*2^(n-1)", [sphere_tangent_line_count(c.n) for c in rows]))
+        lines.append(line("2^dim*degree", [c.total for c in rows]))
+        write_text(args.output, "\n".join(lines))
+    else:
+        (c,) = rows
+        write_text(args.output, f"dim={c.dim} degree={c.degree} total={c.total}")
     return EXIT_OK
 
 
@@ -204,15 +209,6 @@ def _solution_entry(index, vec, real, residual, extra=None) -> dict:
     return entry
 
 
-def _write_text(path, text: str) -> None:
-    """Print ``text``, or write it to ``path`` unless that is None or "-"."""
-    if path in (None, "-"):
-        print(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-
-
 def _write_certificate(cert: Certificate, args) -> None:
     if args.format in (None, "json"):
         write_json(args.output, cert.to_dict())
@@ -226,12 +222,12 @@ def _write_certificate(cert: Certificate, args) -> None:
                str(sol.get("path", {}).get("status", "")),
                str(sol.get("path", {}).get("steps", "")),
                str(sol["real"]).lower(), repr(sol["residual"])]
-        for key in ("01", "02", "03", "12", "13", "23"):
+        for key in LINE_KEYS:
             z = coords[key]
             re, im = (z, 0.0) if not isinstance(z, list) else (z[0], z[1])
             row += [repr(re), repr(im)]
         lines.append(",".join(row))
-    _write_text(args.output, "\n".join(lines))
+    write_text(args.output, "\n".join(lines))
 
 
 def _tetra_parameter(args, name: str):
@@ -371,7 +367,7 @@ def cmd_doubling(args) -> int:
             radii_txt = ",".join(encode_rational(x) for x in r.radii) or "-"
             lines.append(f"{r.stage:>5}  {r.target_count:>6}  {r.real_count:>4}  {radii_txt}")
         lines.append(f"exact transversal count at stage 0: {result.exact_stage0_count}")
-        _write_text(args.output, "\n".join(lines))
+        write_text(args.output, "\n".join(lines))
     missed = any(r.real_count != r.target_count for r in result.rows)
     return EXIT_NUMERIC if missed else EXIT_OK
 

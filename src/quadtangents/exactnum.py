@@ -135,10 +135,10 @@ class RatMatrix:
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def to_numpy(self, dtype=float):
+    def to_numpy(self):
         import numpy as np
 
-        return np.array([[dtype(x) for x in self.row(i)]
+        return np.array([[float(x) for x in self.row(i)]
                          for i in range(self.rows)])
 
     # -- algebra --------------------------------------------------------------
@@ -201,30 +201,13 @@ class RatMatrix:
 
 
 def det(m: RatMatrix) -> Fraction:
-    """Exact determinant by rational Gaussian elimination."""
+    """Exact determinant: the signed product of ``_row_reduce``'s pivots."""
     if not m.is_square:
         raise DimensionError("determinant of a non-square matrix")
-    n = m.rows
-    a = m.to_rows()
-    sign = 1
-    result = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        pk = a[k][k]
-        result *= pk
-        for i in range(k + 1, n):
-            if a[i][k] == 0:
-                continue
-            f = a[i][k] / pk
-            for j in range(k + 1, n):
-                a[i][j] -= f * a[k][j]
-            a[i][k] = Fraction(0)
-    return sign * result
+    a, rk, _, sign = _row_reduce(m.to_rows())
+    if rk < m.rows:
+        return Fraction(0)
+    return sign * math.prod(a[k][k] for k in range(rk))
 
 
 def exterior_power(m: RatMatrix, r: int) -> RatMatrix:
@@ -256,33 +239,38 @@ def rank(m: RatMatrix) -> int:
     return _row_reduce(m.to_rows())[1]
 
 
-def _row_reduce(a: list[list[Fraction]]) -> tuple[list[list[Fraction]], int, list[int]]:
-    """In-place forward elimination; returns (rows, rank, pivot columns)."""
+def _row_reduce(a: list[list[Fraction]]) -> tuple[list[list[Fraction]], int, list[int], int]:
+    """In-place forward elimination; returns (rows, rank, pivot columns, sign
+    of the row permutation)."""
     n_rows = len(a)
     n_cols = len(a[0])
     piv_cols = []
     pr = 0
+    sign = 1
     for pc in range(n_cols):
         piv = next((i for i in range(pr, n_rows) if a[i][pc] != 0), None)
         if piv is None:
             continue
-        a[pr], a[piv] = a[piv], a[pr]
+        if piv != pr:
+            a[pr], a[piv] = a[piv], a[pr]
+            sign = -sign
         pk = a[pr][pc]
         for i in range(pr + 1, n_rows):
             if a[i][pc] == 0:
                 continue
             f = a[i][pc] / pk
-            for j in range(pc, n_cols):
+            for j in range(pc + 1, n_cols):
                 a[i][j] -= f * a[pr][j]
+            a[i][pc] = Fraction(0)
         piv_cols.append(pc)
         pr += 1
         if pr == n_rows:
             break
-    return a, pr, piv_cols
+    return a, pr, piv_cols, sign
 
 
 def _full_reduce(a: list[list[Fraction]]) -> tuple[list[list[Fraction]], int, list[int]]:
-    a, rk, piv_cols = _row_reduce(a)
+    a, rk, piv_cols, _ = _row_reduce(a)
     for r in range(rk - 1, -1, -1):
         pc = piv_cols[r]
         pk = a[r][pc]
@@ -352,44 +340,13 @@ def nullspace(m: RatMatrix) -> tuple[tuple[Fraction, ...], ...]:
 # signature
 
 
-def char_poly(m: RatMatrix) -> list[Fraction]:
-    """Coefficients [1, c1, .., cn] of det(tI - M) via Faddeev-LeVerrier."""
-    if not m.is_square:
-        raise DimensionError("characteristic polynomial of non-square matrix")
-    n = m.rows
-    coeffs = [Fraction(1)]
-    mk = m
-    for k in range(1, n + 1):
-        ck = -sum(mk[i, i] for i in range(n)) / k
-        coeffs.append(ck)
-        if k < n:
-            mk = m @ (mk + RatMatrix.identity(n).scaled(ck))
-    return coeffs
-
-
-def _descartes_signature(coeffs: list[Fraction]) -> tuple[int, int, int]:
-    """(pos, neg, zero) root counts of a polynomial with all roots real.
-
-    ``coeffs`` is leading-first.  For such polynomials Descartes' rule is
-    exact: positive roots = sign variations.
-    """
-    deg = len(coeffs) - 1
-    zero = 0
-    while coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-        zero += 1
-    signs = [1 if c > 0 else -1 for c in coeffs if c != 0]
-    pos = sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-    return pos, deg - zero - pos, zero
-
-
 def signature(q: RatMatrix) -> tuple[int, int, int]:
     """Counts (pos, neg, zero) of eigenvalue signs of a symmetric matrix.
 
-    Computed exactly: LDL^T-style pivoting on nonzero diagonal entries (each
-    pivot contributes its sign by Sylvester's law of inertia), falling back to
-    an exact characteristic-polynomial sign-variation count whenever the
-    remaining block has an all-zero diagonal.
+    Computed exactly by symmetric elimination on nonzero diagonal pivots, each
+    contributing its sign by Sylvester's law of inertia.  When every remaining
+    diagonal entry is 0 but some a[i][j] is not, adding row and column j to
+    row and column i (a congruence) makes a[i][i] = 2 a[i][j] the pivot.
     """
     if not q.is_square:
         raise ShapeError("signature of a non-square matrix")
@@ -398,16 +355,17 @@ def signature(q: RatMatrix) -> tuple[int, int, int]:
     a = q.to_rows()
     n = len(a)
     active = list(range(n))
-    pos = neg = zero = 0
+    pos = neg = 0
     while active:
         piv = next((i for i in active if a[i][i] != 0), None)
         if piv is None:
-            if all(a[i][j] == 0 for i in active for j in active):
-                zero += len(active)
-                return pos, neg, zero
-            block = RatMatrix.from_rows([[a[i][j] for j in active] for i in active])
-            p2, n2, z2 = _descartes_signature(char_poly(block))
-            return pos + p2, neg + n2, zero + z2
+            piv, j = next(((i, j) for i in active for j in active if a[i][j] != 0),
+                          (None, None))
+            if piv is None:
+                break
+            for k in active:
+                a[piv][k] = a[k][piv] = a[piv][k] + a[j][k]
+            a[piv][piv] = 2 * a[piv][j]
         d = a[piv][piv]
         if d > 0:
             pos += 1
@@ -423,7 +381,7 @@ def signature(q: RatMatrix) -> tuple[int, int, int]:
                 a[i][j] -= fi * a[piv][j]
         for i in active:
             a[piv][i] = a[i][piv] = Fraction(0)
-    return pos, neg, zero
+    return pos, neg, len(active)
 
 
 # ---------------------------------------------------------------------------

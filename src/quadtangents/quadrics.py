@@ -78,8 +78,8 @@ class Quadric:
     def from_diagonal(cls, values, label: str | None = None) -> "Quadric":
         return cls(RatMatrix.diagonal(values), label=label)
 
-    def to_numpy(self, dtype=float):
-        return self.matrix.to_numpy(dtype)
+    def to_numpy(self):
+        return self.matrix.to_numpy()
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ def is_tangent(q: Quadric, p: PluckerVector):
             total = total + p.coords[i] * sum(
                 (row[j] * p.coords[j] for j in range(form.cols)), Fraction(0))
         return total
-    m = form.to_numpy(float).astype(complex)
+    m = form.to_numpy().astype(complex)
     v = np.asarray(p.coords, dtype=complex)
     raw = v @ m @ v
     scale = np.linalg.norm(m) * float(np.linalg.norm(v)) ** 2
@@ -178,7 +178,7 @@ class TangentTo:
     @cached_property
     def _form(self) -> np.ndarray:
         if isinstance(self.quadric, Quadric):
-            form = tangency_form(self.quadric, 1).to_numpy(float)
+            form = tangency_form(self.quadric, 1).to_numpy()
         else:
             q = np.asarray(self.quadric, dtype=complex)
             if np.any(q.imag):
@@ -215,9 +215,13 @@ class Meets:
 
     def coefficients(self) -> np.ndarray:
         f = self.flat
-        if isinstance(f, ProjFlat):
-            f = f.dual()
-        if isinstance(f, DualFlat):
+        if isinstance(f, (ProjFlat, DualFlat)):
+            k = f.k if isinstance(f, ProjFlat) else f.n - f.hyperplanes.cols
+            if (k, f.n) != (1, 3):
+                raise ValueError("incidence condition needs a line in P^3, "
+                                 f"got a {k}-flat in P^{f.n}")
+            if isinstance(f, ProjFlat):
+                f = f.dual()
             return np.array([complex(c) for c in dual_plucker(f).coords])
         v = np.asarray(f, dtype=complex)
         if v.shape != (6,):
@@ -275,8 +279,8 @@ class LineConditions:
         """Residuals of an (N, 6) stack of Pluecker vectors as an (N, m)
         table, one column per row: |v^T quad v + lin . v| normalized by the
         row's coefficient norm and ||v||^degree, so it does not depend on
-        the representative.  Extended precision input is evaluated as such.
-        Each row of the table has the bits of the one-vector evaluation."""
+        the representative.  Each row of the table has the bits of the
+        one-vector evaluation."""
         v = np.asarray(vectors)
         norm = np.sqrt(np.sum(np.abs(v) ** 2, axis=1))[:, None]
         quad = ((self.quad @ v[:, None, :, None])[..., 0] @ v[:, :, None])[..., 0]

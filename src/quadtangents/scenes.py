@@ -148,9 +148,10 @@ class Scene:
         labels = [q.label for q in self.quadrics] + [lab for lab, _ in self.flats]
         if len(set(labels)) != len(labels):
             raise SceneFormatError("scene labels must be unique")
-        for q in self.quadrics:
-            if q.n != self.n:
-                raise SceneFormatError("quadric dimension differs from scene")
+        for label, x in [(q.label, q) for q in self.quadrics] + self.flats:
+            if x.n != self.n:
+                raise SceneFormatError(
+                    f"{label!r} lies in P^{x.n}, the scene in P^{self.n}")
 
     @property
     def condition_count(self) -> int:
@@ -418,13 +419,17 @@ def verify_certificate(cert: Certificate,
     return VerificationReport(not issues, issues, worst)
 
 
-def write_json(path, obj) -> None:
-    text = json.dumps(obj, indent=2, allow_nan=False)
+def write_text(path, text: str) -> None:
+    """Print ``text``, or write it to ``path`` unless that is None or "-"."""
     if path in (None, "-"):
         print(text)
     else:
         with open(path, "w") as fh:
             fh.write(text + "\n")
+
+
+def write_json(path, obj) -> None:
+    write_text(path, json.dumps(obj, indent=2, allow_nan=False))
 
 
 def read_json(path) -> dict:

@@ -31,6 +31,9 @@ def run(capsys, *argv):
 def test_counts_single(capsys):
     code, out, _ = run(capsys, "counts", "1", "3")
     assert code == 0 and out.strip() == "dim=4 degree=2 total=32"
+    code, out, _ = run(capsys, "counts", "1", "3", "--format", "json")
+    assert code == 0 and json.loads(out) == [
+        {"k": 1, "n": 3, "dim": 4, "degree": 2, "total": 32}]
 
 
 def test_counts_large(capsys):
@@ -437,6 +440,22 @@ def test_verify_derives_reality_from_coordinates(capsys, tmp_path):
     assert code == 4 and "nonreal, with no conjugate solution" in out
 
 
+LINE = [["1", "0"], ["0", "1"], ["0", "0"], ["0", "0"]]
+
+
+@pytest.mark.parametrize("flat, message", [
+    ({"kind": "span", "matrix": LINE + [["0", "0"]]}, "'bad' lies in P^4, the scene in P^3"),
+    ({"kind": "span", "matrix": [["1"], ["0"], ["0"], ["0"]]}, "got a 0-flat in P^3"),
+    ({"kind": "dual", "matrix": [["1"], ["0"], ["0"], ["0"]]}, "got a 2-flat in P^3")])
+def test_track_names_a_flat_that_is_not_a_line_in_p3(capsys, tmp_path, flat, message):
+    scene = Scene(3, quadrics=list(family(TetraParams.of(F(1, 10), F(1, 10))))[:3]).to_dict()
+    scene["flats"] = [{"label": "bad", **flat}]
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps(scene))
+    code, _, err = run(capsys, "track", "--scene", str(scene_path))
+    assert code == 3 and message in err
+
+
 # a certificate field replaced by a value of the wrong JSON type
 MALFORMED = {
     "solution-entry": (("solutions", 0), "x"),
@@ -584,6 +603,8 @@ def test_usage_error_exit_code(capsys):
     ["transversals", "--tetrahedron", "--seed", "1"],
     ["transversals", "--tetrahedron", "--tol", "1e-9"],
     ["transversals", "--tetrahedron", "--format", "csv"],
+    ["counts", "--table", "--format", "csv", "--output", "c.csv"],
+    ["doubling", "--format", "csv"],
     ["verify", "cert.json", "--seed", "1"], ["verify", "cert.json", "--format", "json"],
     ["verify", "cert.json", "--output", "report.txt"]])
 def test_commands_reject_options_they_would_ignore(capsys, argv):

@@ -36,6 +36,29 @@ def det_cofactor(rows):
     return total
 
 
+def signature_char_poly(rows):
+    """(pos, neg, zero) eigenvalue signs of a symmetric matrix from its
+    characteristic polynomial (Faddeev-LeVerrier) and Descartes' rule of
+    signs, which is exact when every root is real; independent of
+    elimination."""
+    n = len(rows)
+    coeffs = [F(1)]
+    mk = [row[:] for row in rows]
+    for k in range(1, n + 1):
+        ck = -sum(mk[i][i] for i in range(n)) / k
+        coeffs.append(ck)
+        shifted = [[mk[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
+        mk = [[sum(rows[i][l] * shifted[l][j] for l in range(n)) for j in range(n)]
+              for i in range(n)]
+    zero = 0
+    while coeffs[-1] == 0:
+        coeffs.pop()
+        zero += 1
+    signs = [c > 0 for c in coeffs if c != 0]
+    pos = sum(s != t for s, t in zip(signs, signs[1:]))
+    return pos, n - zero - pos, zero
+
+
 small_fraction = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
@@ -159,10 +182,37 @@ def test_signature_mixed_diagonal():
 
 
 def test_signature_zero_diagonal_fallback():
-    # no nonzero diagonal pivot exists; exercises the char-poly path
+    # no nonzero diagonal pivot exists; the congruence step adds row and
+    # column j to row and column i, making a[i][i] = 2 a[i][j] the pivot
     assert signature(RatMatrix.from_rows([[0, 1], [1, 0]])) == (1, 1, 0)
     m = RatMatrix.from_rows([[0, 2, 0], [2, 0, 0], [0, 0, 5]])
     assert signature(m) == (2, 1, 0)
+    # after pivot 1, the step on the zero-diagonal block J - I (eigenvalues
+    # 2, -1, -1) must update the whole row and column, not just a[i][i]
+    m = RatMatrix.from_rows([[1, 0, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]])
+    assert signature(m) == (2, 2, 0)
+
+
+# n x n matrices, n = 1..6, with about two thirds of their entries 0
+zero_heavy_matrix = st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.just(F(0)), st.just(F(0)), small_fraction),
+             min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(zero_heavy_matrix)
+def test_signature_matches_char_poly_oracle(rows):
+    # zero diagonals leave elimination without a pivot mid-way, so the
+    # congruence step runs between ordinary pivots
+    sym = [[rows[min(i, j)][max(i, j)] for j in range(len(rows))] for i in range(len(rows))]
+    assert signature(RatMatrix.from_rows(sym)) == signature_char_poly(sym)
+
+
+@settings(max_examples=150, deadline=None)
+@given(zero_heavy_matrix)
+def test_det_matches_cofactor_oracle_zero_heavy(rows):
+    # zero-heavy columns force row swaps, each flipping the sign
+    assert det(RatMatrix.from_rows(rows)) == det_cofactor(rows)
 
 
 def test_signature_tetra_family_member():

@@ -312,4 +312,4 @@ def test_tangent_to_rounds_its_form_once(monkeypatch):
     LineConditions.compile([("a", cond), ("b", cond)])
     assert cond.form() is first and calls == [1]
     assert not first.flags.writeable
-    assert np.array_equal(first, tangency_form(cond.quadric, 1).to_numpy(float))
+    assert np.array_equal(first, tangency_form(cond.quadric, 1).to_numpy())
