@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from collections import Counter
 
@@ -155,7 +156,10 @@ def build_parser() -> _Parser:
 def _parse_range(spec: str) -> list[int]:
     if ".." in spec:
         lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        ns = list(range(int(lo), int(hi) + 1))
+        if not ns:
+            raise SceneFormatError(f"empty range {spec}")
+        return ns
     return [int(spec)]
 
 
@@ -327,7 +331,6 @@ def cmd_track(args) -> int:
                       "at_infinity": status["at-infinity"],
                       "surplus": status["surplus"],
                       "suspected_jumps": status["path-jump-suspected"]},
-            "patch": [[z.real, z.imag] for z in result.patch],
         },
     )
     _write_certificate(cert, args)
@@ -438,7 +441,14 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         # looked up when called, so a rebound cmd_* function takes effect
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        # stdout now writes to devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except DegeneracyError as exc:
         print(f"degenerate input: {', '.join(exc.factors)}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -2,10 +2,19 @@
 
 A target problem is four conditions on a line -- tangency to a quadric
 (quadratic in Pluecker coordinates) or incidence with a line (linear) --
-plus the Pluecker quadric itself.  Adding one random complex affine patch
-hyperplane squares the system: six polynomial equations of degree <= 2 in
-the six Pluecker coordinates, with Bezout number 2^(#tangency) * 2, exactly
-the generic root count on the Grassmannian (a quadric hypersurface in P^5).
+plus the Pluecker quadric itself: five homogeneous equations of degree <= 2
+in the six Pluecker coordinates, with Bezout number 2^(#tangency) * 2,
+exactly the generic root count on the Grassmannian (a quadric hypersurface
+in P^5).  Paths are followed in P^5 on a moving patch (the orthogonal patch
+of Breiding and Timme, "HomotopyContinuation.jl", ICMS 2018): points are
+kept at unit norm, and a step from x adds the sixth equation conj(x) . y = 1,
+the affine patch through x orthogonal to it.  Each update of a step -- a
+predictor stage or a corrector iteration -- is solved with conj(x) as the
+Jacobian's sixth row and 0 as the value's, so it is orthogonal to x and
+the patch equation holds along the whole step.  The accepted point is
+scaled back to unit norm, and the polish at t = 1 puts the patch through
+each iterate.  So a point is always as far as it can be from its patch's
+hyperplane at infinity, conj(x) . y = 0: no path can come near it.
 
 Solving is by continuation: a start system with known solutions is deformed
 into the target along H(x, t) = (1 - t) * gamma * S(x) + t * T(x), with a
@@ -35,18 +44,17 @@ their own start and target systems -- advance together as one (P, 6) array
 with their own t, step size and counters, and every predictor stage,
 corrector iteration and polish iteration is one stacked 6x6 solve over the
 paths still live.  The homotopies of a batch are stacked as (S, 72, 6) real
-forms and (S, 2, 6, 6) and (S, 2, 6) complex tensors; each path carries
-the index of its homotopy, and the paths of one homotopy stay together.
-Tensors are gathered per path only while the live paths of a call span
-several homotopies (once a round, and again when the corrector drops
-paths); paths of one homotopy, and so every batch of one, broadcast its
-tensors.  The stacked matmul (one small product per point, never one GEMM
-over all points) and the stacked solve reproduce the one-point arithmetic
-bit for bit, so each path keeps the steps and endpoint it would have
-alone, and its solve count unless a singular batch mate sends a stack to
-the one-by-one fallback of ``_solve``; a path leaves each loop as soon as
-it is done, and a singular Jacobian or non-finite prediction fails only
-its own path.
+forms and (S, 2, 6, 6) complex tensors; each path carries the index of its
+homotopy, and the paths of one homotopy stay together.  Tensors are
+gathered per path only while the live paths of a call span several
+homotopies (once a round, and again when the corrector drops paths); paths
+of one homotopy, and so every batch of one, broadcast its tensors.  The
+stacked matmul (one small product per point, never one GEMM over all
+points) and the stacked solve reproduce the one-point arithmetic bit for
+bit, so each path keeps the steps and endpoint it would have alone, and its
+solve count unless a singular batch mate sends a stack to the one-by-one
+fallback of ``_solve``; a path leaves each loop as soon as it is done, and
+a singular Jacobian or non-finite prediction fails only its own path.
 
 Every path ends with one of these statuses:
   converged            polished at t = 1 to the endpoint tolerance;
@@ -77,8 +85,13 @@ have rho near 1e-2 too.
 The problem picks the start.  Four tangencies are a parameter homotopy
 (Morgan and Sommese, "Coefficient-parameter polynomial continuation", 1989)
 from the 32 closed-form tangents of the tetrahedral family at alpha = beta =
-1/10, solved once per process.  Anything else starts from a total-degree
-system, whose Bezout count equals the root bound: no path is in excess.
+1/10, solved once per process.  Anything else starts from the homogeneous
+total-degree system x_j^(d_j) - x_5^(d_j) = 0, j < 5, with the degrees of
+the conditions' rows; its prod(d_j) roots have x_5 = 1 and each x_j = +-1
+(1 for a linear row), none of them at x_5 = 0, and their count equals the
+root bound: no path is in excess.  The random gamma alone makes this start
+sound (Sommese and Wampler, "The Numerical Solution of Systems of
+Polynomials Arising in Engineering and Science", 2005).
 
 Stop rule.  ``solve_tangency`` passes each system's root bound (12 for
 four spheres against 32 tetra starts, the path count otherwise).  Every
@@ -93,17 +106,11 @@ paths is re-tracked.  More than the bound of such endpoints would mean the
 bound does not hold, and nothing stops.  ``track`` and re-tracks pass no
 bound, so their paths never stop early.
 
-Re-tracks.  A diverged path is tracked again with RETRACK_STEPS, and if
-it still diverges, once more on a second random affine patch, where both
-its systems are homogeneous apart from the patch row (every tetra start
-and target; a total-degree start is not).  Its projective path is the
-same there, but a path that nearly meets its own patch's hyperplane at
-infinity, where |x| blows up and the step underflows, is unlikely to come
-near the second patch's; its endpoint goes back to its own patch and is
-polished there.
+Re-tracks.  A diverged path is tracked again with RETRACK_STEPS, and so
+are the coinciding endpoints of one homotopy (``_track_batch``).
 
-Determinism: gamma, the patches, and all start data are drawn from a seeded
-generator; a fixed seed reproduces every path.
+Determinism: gamma is drawn from a seeded generator, and the start data
+are fixed; a fixed seed reproduces every path.
 """
 
 from __future__ import annotations
@@ -132,14 +139,15 @@ from .tetra32 import TetraParams, enumerate_tangents, numeric_vectors
 
 @dataclass
 class SquareSystem:
-    """Six equations x^T A_i x + b_i . x + c_i in six complex unknowns, with
-    real forms A_i (a complex array with zero imaginary part is taken as
-    real).  ``eval`` and ``residual`` take one point (6,) or a stack (..., 6).
+    """Equations x^T A_i x + b_i . x in six complex unknowns, with real forms
+    A_i (a complex array with zero imaginary part is taken as real).  Rows
+    0-4 are homogeneous equations (each quadratic or linear); row 5 is 0,
+    the place of the tracker's patch.  ``eval`` and ``residual`` take one
+    point (6,) or a stack (..., 6).
     """
 
     quad: np.ndarray   # (6, 6, 6) real, symmetric in the trailing axes
     lin: np.ndarray    # (6, 6) complex
-    const: np.ndarray  # (6,) complex
 
     def __post_init__(self):
         quad = np.asarray(self.quad)
@@ -152,7 +160,7 @@ class SquareSystem:
     def eval(self, x: np.ndarray) -> np.ndarray:
         col = np.asarray(x)[..., None]
         quad_x = (self.quad @ col[..., None, :, :])[..., 0]  # row i: quad[i] @ x
-        return (quad_x @ col)[..., 0] + (self.lin @ col)[..., 0] + self.const
+        return (quad_x @ col)[..., 0] + (self.lin @ col)[..., 0]
 
     def residual(self, x: np.ndarray):
         return _relative_residual(self.eval(x), x)
@@ -164,42 +172,28 @@ def _relative_residual(values, x):
     return np.max(np.abs(values), axis=-1) / (1.0 + np.max(np.abs(x), axis=-1)) ** 2
 
 
-def build_square_system(conditions: LineConditions, patch: np.ndarray) -> SquareSystem:
-    """Four conditions + Pluecker quadric + affine patch (patch . x = 1)."""
+def build_square_system(conditions: LineConditions) -> SquareSystem:
+    """Four conditions + Pluecker quadric, and the patch row."""
     quad = np.zeros((6, 6, 6))
     lin = np.zeros((6, 6), dtype=complex)
-    const = np.zeros(6, dtype=complex)
     quad[:5], lin[:5] = conditions.quad, conditions.lin
-    lin[5] = np.asarray(patch, dtype=complex)
-    const[5] = -1.0
-    return SquareSystem(quad, lin, const)
+    return SquareSystem(quad, lin)
 
 
-def random_patch(rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=6) + 1j * rng.normal(size=6)
-    return v / np.linalg.norm(v)
-
-
-def total_degree_start(conditions: LineConditions,
-                       rng: np.random.Generator) -> tuple[SquareSystem, np.ndarray]:
-    """Start system x_j^(d_j) = c_j with the degrees of the conditions' rows
-    and 1 for the patch row, plus all prod(d_j) of its solutions: the generic
-    root count of the patched target, so every path is meaningful."""
-    degrees = [int(d) for d in conditions.degree] + [1]
-    phases = np.exp(2j * np.pi * rng.random(6))
+def total_degree_start(conditions: LineConditions) -> tuple[SquareSystem, np.ndarray]:
+    """Start system x_j^(d_j) - x_5^(d_j) = 0 with the degrees of the
+    conditions' rows, plus all prod(d_j) of its solutions, each with x_5 = 1:
+    the generic root count of the target, so every path is meaningful."""
     quad = np.zeros((6, 6, 6))
     lin = np.zeros((6, 6), dtype=complex)
-    const = -phases.astype(complex)
-    roots_per_var = []
-    for j, d in enumerate(degrees):
+    for j, d in enumerate(conditions.degree):
         if d == 2:
-            quad[j, j, j] = 1.0
+            quad[j, j, j], quad[j, 5, 5] = 1.0, -1.0
         else:
-            lin[j, j] = 1.0
-        roots_per_var.append([phases[j] ** (1.0 / d) * np.exp(2j * np.pi * m / d)
-                              for m in range(d)])
-    starts = np.array([list(combo) for combo in itertools.product(*roots_per_var)])
-    return SquareSystem(quad, lin, const), starts
+            lin[j, j], lin[j, 5] = 1.0, -1.0
+    roots = [(1.0, -1.0) if d == 2 else (1.0,) for d in conditions.degree]
+    starts = np.array([(*combo, 1.0) for combo in itertools.product(*roots)], dtype=complex)
+    return SquareSystem(quad, lin), starts
 
 
 # ---------------------------------------------------------------------------
@@ -260,17 +254,18 @@ class TrackedPath:
 @dataclass
 class _Homotopy:
     """H(x,t) = (1-t) gamma S(x) + t T(x) for a stack of pairs of quadratic
-    systems, at a stack of points with one t each.
+    systems, at a stack of points with one t each, and each point's patch
+    row v (the module docstring's moving patch): row 5 of every Jacobian is
+    v, and row 5 of H, dH/dt and T is 0.
 
     ``quad`` stacks each pair's real forms as one (72, 6) matrix, the rows of
     S.quad then of T.quad, so one real matmul per point against x viewed as
     (6, 2) real pairs gives A = S.quad x and B = T.quad x; everything else
-    is elementwise.  ``lin`` and ``const`` hold (gamma S, T)'s.  The tensors
-    are either broadcast over the points or hold one pair per point."""
+    is elementwise.  ``lin`` holds (gamma S, T)'s.  The tensors are either
+    broadcast over the points or hold one pair per point."""
 
     quad: np.ndarray   # (..., 72, 6) real
     lin: np.ndarray    # (..., 2, 6, 6) complex
-    const: np.ndarray  # (..., 2, 6) complex
     gamma: complex
 
     @classmethod
@@ -279,11 +274,10 @@ class _Homotopy:
         return cls(np.stack([np.concatenate([s.quad, t.quad]).reshape(72, 6)
                              for s, t in pairs]),
                    np.stack([(gamma * s.lin, t.lin) for s, t in pairs]),
-                   np.stack([(gamma * s.const, t.const) for s, t in pairs]),
                    gamma)
 
     def _take(self, index) -> _Homotopy:
-        return _Homotopy(self.quad[index], self.lin[index], self.const[index], self.gamma)
+        return _Homotopy(self.quad[index], self.lin[index], self.gamma)
 
     def at(self, systems: np.ndarray) -> _Homotopy:
         """The homotopy of points of the given pairs of the stack (grouped):
@@ -308,34 +302,43 @@ class _Homotopy:
         out = self.quad[..., rows, :] @ pairs
         return out.view(complex).reshape(len(x), out.shape[-2] // 36, 6, 6)
 
-    def _combine(self, x, t):
-        """A, B, K = M + L and the Jacobian J = 2M + L, where M = (1-t) gamma
-        A + t B and L = (1-t) gamma S.lin + t T.lin, at each (x, t)."""
+    def _combine(self, x, t, v):
+        """A, B, K = M + L and the Jacobian J = 2M + L with row 5 set to v,
+        where M = (1-t) gamma A + t B and L = (1-t) gamma S.lin + t T.lin,
+        at each (x, t)."""
         a, b = self._contract(x).swapaxes(0, 1)
         s, u = (1 - t)[:, None, None], t[:, None, None]
         m = (s * self.gamma) * a + u * b
         k = m + (s * self.lin[..., 0, :, :] + u * self.lin[..., 1, :, :])
-        return a, b, k, k + m
+        jac = k + m
+        jac[:, 5] = v
+        return a, b, k, jac
 
-    def newton(self, x, t):
+    def newton(self, x, t, v):
         """J_x and H at each (x, t), for the corrector."""
-        _, _, k, jac = self._combine(x, t)
-        s, u = (1 - t)[:, None], t[:, None]
-        return jac, ((k @ x[..., None])[..., 0]
-                     + (s * self.const[..., 0, :] + u * self.const[..., 1, :]))
+        _, _, k, jac = self._combine(x, t, v)
+        return jac, (k @ x[..., None])[..., 0]
 
-    def tangent(self, x, t):
+    def tangent(self, x, t, v):
         """J_x and dH/dt = T(x) - gamma S(x) at each (x, t), for the predictor."""
-        a, b, _, jac = self._combine(x, t)
+        a, b, _, jac = self._combine(x, t, v)
         d = b - self.gamma * a + (self.lin[..., 1, :, :] - self.lin[..., 0, :, :])
-        return jac, (d @ x[..., None])[..., 0] + (self.const[..., 1, :] - self.const[..., 0, :])
+        return jac, (d @ x[..., None])[..., 0]
 
-    def target(self, x):
+    def target(self, x, v):
         """The target's Jacobian and value T(x) at each x, for the polish:
         the contraction's B half only."""
         b = self._contract(x, slice(36, None))[:, 0]
         k = b + self.lin[..., 1, :, :]
-        return k + b, (k @ x[..., None])[..., 0] + self.const[..., 1, :]
+        jac = k + b
+        jac[:, 5] = v
+        return jac, (k @ x[..., None])[..., 0]
+
+
+def _unit(x):
+    """x scaled to unit norm, row by row; an all-zero row is left as it is."""
+    norm = np.linalg.norm(x, axis=-1, keepdims=True)
+    return np.divide(x, norm, out=np.array(x, dtype=complex), where=norm > 0)
 
 
 def _solve(a, b, solves, rows):
@@ -363,18 +366,20 @@ def _solve(a, b, solves, rows):
 
 def _predict(h: _Homotopy, x, t, step, solves, rows):
     """RK4 step of the given sizes on dx/dt = -J_x^{-1} dH/dt for each row,
-    ``h`` being evaluated at the rows.  A row whose Jacobian is singular at
-    some stage drops out of the later stages and comes back NaN.  Also
-    returns the mask of rows singular at stage 0, the current point itself,
-    which no smaller step can cure."""
+    on the patch through its unit-norm point x, ``h`` being evaluated at
+    the rows.  A row whose Jacobian is singular at some stage drops out of
+    the later stages and comes back NaN.  Also returns the mask of rows
+    singular at stage 0, the current point itself, which no smaller step
+    can cure."""
     k = np.zeros((4,) + x.shape, dtype=complex)
+    v = x.conj()
     live = np.arange(len(x))
     for stage, c in enumerate((0.0, 0.5, 0.5, 1.0)):
         xs, ts, hs = x[live], t[live], h.rows(live)
         if stage:
             xs = xs + (c * step[live])[:, None] * k[stage - 1, live]
             ts = ts + c * step[live]
-        jac, dt = hs.tangent(xs, ts)
+        jac, dt = hs.tangent(xs, ts, v[live])
         k[stage, live], solved = _solve(jac, -dt, solves, rows[live])
         if not stage:
             stuck = ~solved
@@ -385,11 +390,12 @@ def _predict(h: _Homotopy, x, t, step, solves, rows):
     return pred, stuck
 
 
-def _correct(h: _Homotopy, x, t, solves, rows):
-    """Newton at fixed t for each row.  A row stops when its update falls
-    below the corrector tolerance (ok) or its Jacobian is singular.  Also
-    returns each row's first update relative to its point, which estimates
-    the predictor's error (NaN where the first solve failed)."""
+def _correct(h: _Homotopy, x, t, v, solves, rows):
+    """Newton at fixed t for each row, on the patch v . x = 1.  A row stops
+    when its update falls below the corrector tolerance (ok) or its Jacobian
+    is singular.  Also returns each row's first update relative to its
+    point, which estimates the predictor's error (NaN where the first solve
+    failed)."""
     x = x.copy()
     ok = np.zeros(len(x), bool)
     first = np.full(len(x), np.nan)
@@ -398,13 +404,13 @@ def _correct(h: _Homotopy, x, t, solves, rows):
         if not live.size:
             break
         xs, ts, hs = x[live], t[live], h.rows(live)
-        jac, value = hs.newton(xs, ts)
+        jac, value = hs.newton(xs, ts, v[live])
         dx, solved = _solve(jac, -value, solves, rows[live])
         live, dx = live[solved], dx[solved]
         xs = xs[solved] + dx
         x[live] = xs
-        update = (np.linalg.norm(dx, axis=-1)
-                  / np.maximum(1.0, np.linalg.norm(xs, axis=-1)))
+        # |xs| >= 1 on the patch through a unit-norm point
+        update = np.linalg.norm(dx, axis=-1) / np.linalg.norm(xs, axis=-1)
         if not iteration:
             first[live] = update
         done = update < CORRECTOR_TOL
@@ -423,7 +429,7 @@ def _polish(h: _Homotopy, x, system, rows, opts: TrackOptions, solves):
     for _ in range(ENDPOINT_ITERS):
         if not live.size:
             break
-        jac, value = h.at(system[live]).target(x[live])
+        jac, value = h.at(system[live]).target(x[live], x[live].conj())
         far = ~(_relative_residual(value, x[live]) < opts.endpoint_tol)
         live = live[far]
         if not live.size:
@@ -434,7 +440,7 @@ def _polish(h: _Homotopy, x, system, rows, opts: TrackOptions, solves):
         x[live] += dx[ok]
     if not rows.size:
         return np.zeros(0), np.zeros(0)
-    jac, value = h.at(system[rows]).target(x[rows])
+    jac, value = h.at(system[rows]).target(x[rows], x[rows].conj())
     try:
         cond = np.linalg.cond(jac)
     except np.linalg.LinAlgError:  # an SVD failed: only its row is inf
@@ -523,12 +529,13 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
         pred, stuck = _predict(hr, x[rows], t0, s, solves, rows)
         finite = np.all(np.isfinite(pred), axis=-1)
         corr, ok, error = _correct(hr.rows(np.flatnonzero(finite)), pred[finite],
-                                   t0[finite] + s[finite], solves, rows[finite])
+                                   t0[finite] + s[finite], x[rows[finite]].conj(), solves,
+                                   rows[finite])
         accept = np.zeros(len(rows), bool)
         accept[finite] = ok
         steps[rows] += 1
         good, bad = rows[accept], rows[~accept]
-        x[good] = corr[ok]
+        x[good] = _unit(corr[ok])
         t[good] = t0[accept] + s[accept]
         # RK4's local error goes like step^5.  No step grows right after a
         # rejection, nor on an error within 10x the corrector tolerance (an
@@ -547,9 +554,9 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
         # late-t test on the accepted points, one decade of 1 - t at a time
         late = good[(1.0 - t[good] <= INFINITY_FROM) & (t[good] < 1.0)]
         if late.size:
+            # (log(1 - t), log rho) of unit-norm points
             point = np.stack([np.log(1.0 - t[late]),
-                              np.log(np.linalg.norm(x[late, :3], axis=-1)
-                                     / np.linalg.norm(x[late], axis=-1))], axis=-1)
+                              np.log(np.linalg.norm(x[late, :3], axis=-1))], axis=-1)
             first = np.isnan(mark[late, 0])
             decade = point[:, 0] <= mark[late, 0] - np.log(10)
             new = late[decade]
@@ -575,56 +582,6 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
             for i in range(n)], met
 
 
-def _rechart(system: SquareSystem, patch: np.ndarray) -> SquareSystem | None:
-    """``system`` on the affine patch ``patch . x = 1`` instead of its own,
-    or None unless its other five rows are homogeneous.  A homotopy between
-    two such systems traces the same projective paths on either patch."""
-    quadratic = np.any(system.quad[:5] != 0, axis=(1, 2))
-    linear = np.any(system.lin[:5] != 0, axis=1)
-    if (np.any(system.const[:5]) or np.any(quadratic & linear)
-            or np.any(system.quad[5]) or system.const[5] != -1):
-        return None
-    lin = system.lin.copy()
-    lin[5] = patch
-    return SquareSystem(system.quad, lin, system.const)
-
-
-def _track_on_patch(homotopies, h: _Homotopy, chart: np.ndarray, starts: np.ndarray,
-                    system: np.ndarray, opts: TrackOptions) -> dict[int, TrackedPath]:
-    """Track the starts again with RETRACK_STEPS on the affine patch
-    ``chart``, where both systems of their homotopy ``_rechart`` (the module
-    docstring's re-tracks).  Returns the new paths by index into
-    ``starts``, their endpoints back on their own patch and polished there;
-    the other starts are left out."""
-    pairs, moved = [], []
-    for start, _, target in homotopies:
-        pair = (_rechart(start, chart), _rechart(target, chart))
-        moved.append(None not in pair)
-        pairs.append(pair if moved[-1] else (start, target))
-    x = starts.copy()
-    scale = x @ chart
-    rows = np.flatnonzero(np.array(moved)[system] & (scale != 0))  # 0 is no projective point
-    if not rows.size:
-        return {}
-    x[rows] /= scale[rows, None]
-    paths, _ = _track_lockstep(_Homotopy.of(pairs, h.gamma), x[rows], system[rows], opts,
-                               RETRACK_STEPS)
-    back = [k for k, p in enumerate(paths) if p.end is not None]
-    for k in back:
-        own = homotopies[system[rows[k]]][2].lin[5]
-        x[rows[k]] = paths[k].end / (own @ paths[k].end)
-    solves = np.zeros(len(x), dtype=int)
-    residual, cond = _polish(h, x, system, rows[back], opts, solves)
-    for k, r, c in zip(back, residual, cond):
-        p = paths[k]
-        p.end, p.residual, p.cond = x[rows[k]], float(r), float(c)
-        p.status = "converged" if r < opts.endpoint_tol else "diverged"
-        p.solves += int(solves[rows[k]])
-    for k, p in enumerate(paths):
-        p.start = starts[rows[k]]
-    return dict(zip(rows.tolist(), paths))
-
-
 def _track_batch(homotopies, opts: TrackOptions,
                  root_bounds=None) -> list[list[TrackedPath]]:
     """Track each (start system, start solutions, target system) triple of
@@ -633,10 +590,10 @@ def _track_batch(homotopies, opts: TrackOptions,
 
     With ``root_bounds`` (one per homotopy) a homotopy stops its surplus
     paths once it holds its bound of certified endpoints; without, every
-    path runs to its end.  Diverged paths are re-tracked, together, with
-    10x tighter step control and no bound (at-infinity and surplus ones are
-    not, nor are any of a homotopy that met its bound), and those still
-    diverged once more on another affine patch (``_track_on_patch``); so
+    path runs to its end.  Starts are scaled to unit norm (an all-zero one
+    is kept, and fails at its first step).  Diverged paths are re-tracked,
+    together, with 10x tighter step control and no bound (at-infinity and
+    surplus ones are not, nor are any of a homotopy that met its bound); so
     are endpoints of one homotopy closer than the distinctness tolerance,
     and any that still coincide are flagged as suspected path jumps
     (``duplicate_of``, an index into the same homotopy's paths) rather than
@@ -644,29 +601,23 @@ def _track_batch(homotopies, opts: TrackOptions,
     """
     rng = np.random.default_rng(opts.seed)
     gamma = complex(np.exp(2j * np.pi * rng.random()))
-    chart = random_patch(rng)  # for ``_track_on_patch``
     h = _Homotopy.of([(start, target) for start, _, target in homotopies], gamma)
     groups = [np.array(x, dtype=complex).reshape(len(x), 6) for _, x, _ in homotopies]
-    starts = np.concatenate(groups)
+    starts = _unit(np.concatenate(groups))
     system = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
     offsets = [0, *itertools.accumulate(len(g) for g in groups)]
     spans = list(zip(offsets, offsets[1:]))
     paths, met = _track_lockstep(h, starts, system, opts, (FIRST_STEP, MAX_STEP),
                                  root_bounds)
 
-    def retrack(indices, on_chart=False):
+    def retrack(indices):
         if not indices:
             return
-        indices = np.array(sorted(indices))
-        if on_chart:
-            again = _track_on_patch(homotopies, h, chart, starts[indices], system[indices],
-                                    opts)
-        else:
-            again = dict(enumerate(_track_lockstep(h, starts[indices], system[indices], opts,
-                                                   RETRACK_STEPS)[0]))
-        for k, p in again.items():
-            p.solves += paths[indices[k]].solves
-            paths[indices[k]] = p
+        indices = sorted(indices)
+        again, _ = _track_lockstep(h, starts[indices], system[indices], opts, RETRACK_STEPS)
+        for i, p in zip(indices, again):
+            p.solves += paths[i].solves
+            paths[i] = p
 
     def diverged():
         return [i for i, p in enumerate(paths) if p.status == "diverged" and not met[system[i]]]
@@ -676,7 +627,6 @@ def _track_batch(homotopies, opts: TrackOptions,
                 for cluster in _coincident_clusters(paths[lo:hi])]
 
     retrack(diverged())
-    retrack(diverged(), on_chart=True)
     first = clusters()
     if first:
         retrack([lo + i for lo, cluster in first for i in cluster])
@@ -717,7 +667,6 @@ def _coincident_clusters(paths: list[TrackedPath]) -> list[list[int]]:
 class TrackResult:
     conditions: LineConditions
     paths: list[TrackedPath]
-    patch: np.ndarray
     start_policy: str
 
     @property
@@ -768,12 +717,11 @@ def _tetra_start() -> tuple[LineConditions, np.ndarray]:
     return START_PARAMS.conditions, tangents
 
 
-def tetra_start_points(patch: np.ndarray) -> tuple[SquareSystem, np.ndarray]:
-    """The 32 closed-form tangents of the start family, rescaled onto the
-    affine patch, together with their (patched) defining square system."""
+def tetra_start_points() -> tuple[SquareSystem, np.ndarray]:
+    """The 32 closed-form tangents of the start family (read-only),
+    together with their defining square system."""
     conditions, tangents = _tetra_start()
-    return (build_square_system(conditions, patch),
-            np.array([v / (patch @ v) for v in tangents]))
+    return build_square_system(conditions), tangents
 
 
 def solve_tangency(conditions: LineConditions | Sequence[LineConditions],
@@ -795,18 +743,14 @@ def solve_tangency(conditions: LineConditions | Sequence[LineConditions],
         if len(c.labels) != 5:  # four conditions and the Pluecker row
             raise ValueError("tracking needs exactly 4 conditions, "
                              f"got {len(c.labels) - 1}")
-        rng = np.random.default_rng(opts.seed)
-        patch = random_patch(rng)
-        target = build_square_system(c, patch)
         policy = "tetra" if np.all(c.degree == 2) else "total-degree"
-        start_sq, starts = (tetra_start_points(patch) if policy == "tetra"
-                            else total_degree_start(c, rng))
-        homotopies.append((start_sq, starts, target))
-        setups.append((c, patch, policy))
-    paths = (_track_batch(homotopies, opts, [c.root_bound for c, _, _ in setups])
+        start_sq, starts = (tetra_start_points() if policy == "tetra"
+                            else total_degree_start(c))
+        homotopies.append((start_sq, starts, build_square_system(c)))
+        setups.append((c, policy))
+    paths = (_track_batch(homotopies, opts, [c.root_bound for c, _ in setups])
              if homotopies else [])
-    batch = TrackBatch(TrackResult(c, p, patch, policy)
-                       for (c, patch, policy), p in zip(setups, paths))
+    batch = TrackBatch(TrackResult(c, p, policy) for (c, policy), p in zip(setups, paths))
     return batch[0] if one else batch
 
 

@@ -2,7 +2,10 @@ import argparse
 import copy
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from quadtangents.quadrics import LineConditions, Quadric, cylinder
 from quadtangents.scenes import Certificate, Scene, encode_plucker_numeric, write_json
 from quadtangents.tetra32 import TetraParams, family
 from quadtangents.tracker import regular_tetrahedron_lines
+from test_demos import source_env
 from test_tracker import SPHERE_SCENES, sphere
 
 
@@ -50,6 +54,23 @@ def test_counts_table_row(capsys):
                       "93716480"]
     spheres = lines[1].split()[1:]
     assert spheres == ["12", "24", "48", "96", "192", "384", "768"]
+    code, out, err = run(capsys, "counts", "1", "9..3", "--table")
+    assert code == 3 and out == "" and "empty range 9..3" in err
+
+
+@pytest.mark.parametrize("argv", [["tetra", "1/10", "1/20"],
+                                  ["counts", "--table", "--format", "json"]],
+                         ids=["tetra", "counts"])
+def test_closed_stdout_is_an_output_error(argv):
+    # the pipe's read end is closed before the command writes anything
+    read, write = os.pipe()
+    os.close(read)
+    with subprocess.Popen([sys.executable, "-m", "quadtangents", *argv], stdout=write,
+                          stderr=subprocess.PIPE, text=True, env=source_env()) as proc:
+        os.close(write)
+        err = proc.stderr.read()
+    assert proc.returncode == 3
+    assert "output error" in err and "Traceback" not in err
 
 
 def test_counts_table_json(capsys):
