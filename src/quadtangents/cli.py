@@ -338,7 +338,10 @@ def cmd_track(args) -> int:
           f"{reality.real_count} real, {status['at-infinity']} at infinity, "
           f"{status['surplus']} surplus",
           file=sys.stderr)
-    if not entries:
+    # the certificate is written either way, so that it can be inspected
+    for k in reality.unpaired:
+        print(f"solution {k}: nonreal, with no conjugate solution", file=sys.stderr)
+    if not entries or reality.unpaired:
         return EXIT_NUMERIC
     return EXIT_OK
 

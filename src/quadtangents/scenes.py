@@ -329,8 +329,9 @@ def verify_certificate(cert: Certificate,
     externally supplied one, if given); the declared tolerances are no looser
     than ``tol`` and ``DISTINCT_TOL``; every residual of every solution is at
     most ``tol``, whatever the certificate records; no two solutions are
-    closer than ``DISTINCT_TOL``; each reality flag is what ``classify_real``
-    derives from the coordinates, and each nonreal solution has a conjugate;
+    closer than ``DISTINCT_TOL``; each reality flag is a boolean, and what
+    ``classify_real`` derives from the coordinates, and each nonreal
+    solution has a conjugate;
     the counts match the solutions and their flags, within the root bound
     and, with ``params`` (closed form), the scene is exactly that family
     member and has 32 lines split as ``reality_count``.
@@ -362,8 +363,11 @@ def verify_certificate(cert: Certificate,
             decoded.append(exc)
     residuals = iter(solution_residuals(
         cert.scene, [vec for vec in decoded if not isinstance(vec, Exception)]))
+    flags = [sol.get("real") for sol in cert.solutions]
     vectors = []
     for i, vec in enumerate(decoded):
+        if not isinstance(flags[i], bool):
+            issues.append(VerificationIssue(i, f"reality flag {flags[i]!r} is not a boolean"))
         if isinstance(vec, Exception):
             issues.append(VerificationIssue(i, f"unreadable solution: {vec}"))
             continue
@@ -383,12 +387,12 @@ def verify_certificate(cert: Certificate,
         reality = classify_real(vecs)
         issues += [VerificationIssue(i, "reality flag disagrees with the coordinates")
                    for i, real in zip(index, reality.is_real)
-                   if bool(cert.solutions[i].get("real")) != real]
+                   if isinstance(flags[i], bool) and flags[i] != real]
         issues += [VerificationIssue(index[k], "nonreal, with no conjugate solution")
                    for k in reality.unpaired]
 
     counts, scene, total = cert.counts, cert.scene, len(cert.solutions)
-    n_real = sum(bool(sol.get("real")) for sol in cert.solutions)
+    n_real = sum(flag is True for flag in flags)
     if counts.get("total") != total:
         issues.append(VerificationIssue(None, "counts.total differs from solution list"))
     for key, flagged in (("real", n_real), ("nonreal", total - n_real)):

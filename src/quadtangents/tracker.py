@@ -22,12 +22,12 @@ random unit complex gamma keeping the path regular for t < 1 with
 probability one.  Each path is advanced by a fourth-order Runge-Kutta
 predictor on the implicit-derivative ODE  dx/dt = -J_x^{-1} dH/dt  and a
 short Newton corrector, then the endpoint is polished by Newton at t = 1.
-Steps start at FIRST_STEP and stay below MAX_STEP; re-tracks use
-RETRACK_STEPS, both 10x smaller.  A rejected step halves.  After an
-accepted one, the corrector's first update, relative to the point,
-estimates the predictor's local error e, which goes like step^5; the step
-grows by (STEP_TOL / e)^(1/5), clipped to [1, MAX_GROWTH] (an error-driven
-step rule as in Deuflhard, "Newton Methods for Nonlinear Problems", 2004).
+Steps start at FIRST_STEP and stay below MAX_STEP.  A rejected step
+halves.  After an accepted one, the corrector's first update, relative to
+the point, estimates the predictor's local error e, which goes like
+step^5; the step grows by (STEP_TOL / e)^(1/5), clipped to [1, MAX_GROWTH]
+(an error-driven step rule as in Deuflhard, "Newton Methods for Nonlinear
+Problems", 2004).
 It does not grow right after a rejection, nor when e is within 10x the
 corrector tolerance, where the update measures the corrector's own noise
 near a singular endpoint rather than the predictor.
@@ -58,10 +58,10 @@ a singular Jacobian or non-finite prediction fails only its own path.
 
 Every path ends with one of these statuses:
   converged            polished at t = 1 to the endpoint tolerance;
-  at-infinity          heading to a line at infinity, ended in flight and
-                       never re-tracked (below);
+  at-infinity          heading to a line at infinity, ended in flight
+                       (below);
   surplus              still running when its homotopy met its root bound,
-                       stopped there and never re-tracked (below);
+                       stopped there (below);
   diverged             anything else without a certified endpoint: step
                        underflow, a singular Jacobian at an accepted point
                        (ended at once, as no smaller step can cure it), or
@@ -101,13 +101,10 @@ Sommese 1989, above).  So once at least the bound of a homotopy's paths
 have reached t = 1, they are polished (the end polish, once per path), and
 if exactly the bound of them are converged, pairwise distinct and
 nonsingular (cond * endpoint_tol < 1), no running path can reach another
-isolated root: those paths end as surplus, and none of that homotopy's
-paths is re-tracked.  More than the bound of such endpoints would mean the
-bound does not hold, and nothing stops.  ``track`` and re-tracks pass no
-bound, so their paths never stop early.
-
-Re-tracks.  A diverged path is tracked again with RETRACK_STEPS, and so
-are the coinciding endpoints of one homotopy (``_track_batch``).
+isolated root: those paths end as surplus.  More than the bound of such
+endpoints would mean the bound does not hold, and nothing stops.  ``track``
+and the cluster retrack (``_track_batch``) pass no bound, so their paths
+never stop early.
 
 Determinism: gamma is drawn from a seeded generator, and the start data
 are fixed; a fixed seed reproduces every path.
@@ -201,11 +198,12 @@ def total_degree_start(conditions: LineConditions) -> tuple[SquareSystem, np.nda
 
 
 # steps start at FIRST_STEP and stay below MAX_STEP (RETRACK_STEPS when re-
-# tracking); a path diverges below MIN_STEP; a step is accepted when Newton's
-# update falls below CORRECTOR_TOL (relative) within CORRECTOR_ITERS; steps
-# halve on failure and, after an accepted step whose first Newton update had
-# relative size e, grow by (STEP_TOL / e)^(1/5), clipped to [1, MAX_GROWTH]
-# (not right after a rejection, nor when e is within 10x CORRECTOR_TOL)
+# tracking coinciding endpoints); a path diverges below MIN_STEP; a step is
+# accepted when Newton's update falls below CORRECTOR_TOL (relative) within
+# CORRECTOR_ITERS; steps halve on failure and, after an accepted step whose
+# first Newton update had relative size e, grow by (STEP_TOL / e)^(1/5),
+# clipped to [1, MAX_GROWTH] (not right after a rejection, nor when e is
+# within 10x CORRECTOR_TOL)
 FIRST_STEP = 0.05
 MAX_STEP = 0.25
 RETRACK_STEPS = (FIRST_STEP / 10, MAX_STEP / 10)
@@ -455,15 +453,14 @@ def _polish(h: _Homotopy, x, system, rows, opts: TrackOptions, solves):
 
 def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
                     opts: TrackOptions, steps=(FIRST_STEP, MAX_STEP),
-                    bounds=None) -> tuple[list[TrackedPath], np.ndarray]:
+                    bounds=None) -> list[TrackedPath]:
     """Track all start points together, one stacked solve per stage, with
     ``steps`` = (first step, largest step).  Start i belongs to the
     homotopy ``system[i]``; ``system`` is grouped (non-decreasing).
 
     ``bounds``, if given, holds each homotopy's root bound; a homotopy with
     more paths than its bound stops its running paths as surplus once it
-    holds that many certified endpoints (the module docstring's stop rule).
-    Returns the paths and a mask of the homotopies that met their bound."""
+    holds that many certified endpoints (the module docstring's stop rule)."""
     first_step, max_step = steps
     n = len(starts)
     x = starts.copy()
@@ -478,14 +475,13 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
     surplus = np.zeros(n, bool)     # ... or stopped by the stop rule
     mark = np.full((n, 2), np.nan)  # (log(1 - t), log rho) at the last decade mark
     decades = np.zeros(n, dtype=int)  # decades in a row up to it with rho ~ (1 - t)^(1/2)
-    # the homotopies the stop rule may still end early, and those it ended
+    # the homotopies the stop rule may still end early
     homotopies = len(h.quad)
     if bounds is None:
         watch = np.zeros(homotopies, bool)
     else:
         bounds = np.asarray(bounds)
         watch = bounds < np.bincount(system, minlength=homotopies)
-    met = np.zeros(homotopies, bool)
     polished = np.zeros(n, bool)    # polished at t = 1 by the stop rule
     residual = np.full(n, np.inf)
     cond = np.full(n, np.inf)
@@ -515,7 +511,7 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
                     ends = np.flatnonzero(certified & (system == k))
                     # more than the bound would mean the bound does not hold
                     if len(ends) == bounds[k] and not close_pairs(x[ends], DISTINCT_TOL):
-                        watch[k], met[k] = False, True
+                        watch[k] = False
                         stop = running & (system == k)
                         surplus |= stop
                         lost |= stop
@@ -579,7 +575,7 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
                         "converged" if residual[i] < opts.endpoint_tol else "diverged",
                         int(steps[i]), float(residual[i]), float(cond[i]),
                         solves=int(solves[i]))
-            for i in range(n)], met
+            for i in range(n)]
 
 
 def _track_batch(homotopies, opts: TrackOptions,
@@ -591,11 +587,10 @@ def _track_batch(homotopies, opts: TrackOptions,
     With ``root_bounds`` (one per homotopy) a homotopy stops its surplus
     paths once it holds its bound of certified endpoints; without, every
     path runs to its end.  Starts are scaled to unit norm (an all-zero one
-    is kept, and fails at its first step).  Diverged paths are re-tracked,
-    together, with 10x tighter step control and no bound (at-infinity and
-    surplus ones are not, nor are any of a homotopy that met its bound); so
-    are endpoints of one homotopy closer than the distinctness tolerance,
-    and any that still coincide are flagged as suspected path jumps
+    is kept, and fails at its first step).  Every path is tracked once,
+    except endpoints of one homotopy closer than the distinctness
+    tolerance: those are tracked again, together, with RETRACK_STEPS and no
+    bound, and any that still coincide are flagged as suspected path jumps
     (``duplicate_of``, an index into the same homotopy's paths) rather than
     silently counted as multiple solutions.
     """
@@ -607,29 +602,19 @@ def _track_batch(homotopies, opts: TrackOptions,
     system = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
     offsets = [0, *itertools.accumulate(len(g) for g in groups)]
     spans = list(zip(offsets, offsets[1:]))
-    paths, met = _track_lockstep(h, starts, system, opts, (FIRST_STEP, MAX_STEP),
-                                 root_bounds)
-
-    def retrack(indices):
-        if not indices:
-            return
-        indices = sorted(indices)
-        again, _ = _track_lockstep(h, starts[indices], system[indices], opts, RETRACK_STEPS)
-        for i, p in zip(indices, again):
-            p.solves += paths[i].solves
-            paths[i] = p
-
-    def diverged():
-        return [i for i, p in enumerate(paths) if p.status == "diverged" and not met[system[i]]]
+    paths = _track_lockstep(h, starts, system, opts, (FIRST_STEP, MAX_STEP), root_bounds)
 
     def clusters():  # per homotopy: its offset, and a cluster of its paths
         return [(lo, cluster) for lo, hi in spans
                 for cluster in _coincident_clusters(paths[lo:hi])]
 
-    retrack(diverged())
     first = clusters()
     if first:
-        retrack([lo + i for lo, cluster in first for i in cluster])
+        indices = sorted(lo + i for lo, cluster in first for i in cluster)
+        again = _track_lockstep(h, starts[indices], system[indices], opts, RETRACK_STEPS)
+        for i, p in zip(indices, again):
+            p.solves += paths[i].solves
+            paths[i] = p
         for lo, (keep, *others) in clusters():
             for i in others:
                 paths[lo + i].status = "path-jump-suspected"
@@ -640,8 +625,8 @@ def _track_batch(homotopies, opts: TrackOptions,
 def track(start_sys: SquareSystem, start_solutions, target_sys: SquareSystem,
           options: TrackOptions | None = None) -> list[TrackedPath]:
     """Track every start solution to the target system: a batch of one
-    homotopy with no root bound, re-tracked and deduplicated as
-    ``_track_batch`` describes."""
+    homotopy with no root bound, its coinciding endpoints re-tracked and
+    deduplicated as ``_track_batch`` describes."""
     return _track_batch([(start_sys, start_solutions, target_sys)],
                         options or TrackOptions())[0]
 

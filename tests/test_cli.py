@@ -300,6 +300,25 @@ def test_track_deterministic_output(capsys, tmp_path):
     assert out1 == out2
 
 
+def test_track_exits_4_on_a_nonreal_line_without_its_conjugate(capsys, tmp_path):
+    # test_finite_paths_decaying_like_infinite_ones_are_kept's spheres moved by
+    # (100, 100, 0): 11 lines, one of them nonreal and missing its conjugate
+    spheres = [((26, 40, -4), 57), ((13, 14, -50), 35),
+               ((64, -27, 30), 26), ((11, 52, -27), 58)]
+    scene = Scene(3, quadrics=[sphere((x + 3200, y + 3200, z), r)
+                               for (x, y, z), r in spheres])
+    scene_path = make_scene_file(tmp_path, "scene.json", scene)
+    cert_path = tmp_path / "cert.json"
+    code, _, err = run(capsys, "track", "--scene", scene_path, "--seed", "1548815776",
+                       "--output", str(cert_path))
+    named = re.findall(r"solution \d+: nonreal, with no conjugate solution", err)
+    assert code == 4 and named
+    assert json.loads(cert_path.read_text())["counts"]["total"] == 11
+    code, out, _ = run(capsys, "verify", str(cert_path), "--scene", scene_path)
+    assert code == 4
+    assert re.findall(r"solution \d+: nonreal, with no conjugate solution", out) == named
+
+
 # -- verify -------------------------------------------------------------------
 
 
@@ -376,6 +395,18 @@ def _forge_params_of_other_scene(cert):
     cert["params"] = {"alpha": "1/7", "beta": "1/9"}
 
 
+def _forge_real_flag_as_string(cert):
+    # a real line of (1/10, 1/20), flagged with a string a reader takes for
+    # "nonreal"; the flag's truth value and the counts still agree
+    cert["solutions"][3]["real"] = "no"
+
+
+def _forge_nonreal_flag_as_number(cert):
+    # a nonreal line of (1/5, 1/5), flagged 0 rather than false
+    assert cert["solutions"][16]["real"] is False
+    cert["solutions"][16]["real"] = 0
+
+
 def _forge_lines_at_infinity(cert):
     # (0, 0, 0, 1, +-i, 0) lie in the plane at infinity, tangent to the
     # absolute conic, so they are tangent to every sphere with residual 0:
@@ -399,19 +430,23 @@ def _forge_point_in_p3(cert):
 
 
 # the closed-form parameters each forgery starts from, if not (1/10, 1/20)
-FORGED_AT = {_forge_nonreal_flagged_real: ("1/5", "1/5")}
+FORGED_AT = {_forge_nonreal_flagged_real: ("1/5", "1/5"),
+             _forge_nonreal_flag_as_number: ("1/5", "1/5")}
 # forgeries of a `track` certificate, by the SPHERE_SCENES scene they start from
 FORGED_TRACK = {_forge_lines_at_infinity: "plain"}
 # what `verify` reports of a forgery, where the test names it
 FORGED_ISSUE = {_forge_line_in_p4: "solution 3: unreadable solution",
-                _forge_point_in_p3: "solution 3: unreadable solution"}
+                _forge_point_in_p3: "solution 3: unreadable solution",
+                _forge_real_flag_as_string: "solution 3: reality flag 'no'",
+                _forge_nonreal_flag_as_number: "solution 16: reality flag 0"}
 
 
 @pytest.mark.parametrize("forge", [
     _forge_arbitrary_coordinates, _forge_trimmed, _forge_repeated_solution,
     _forge_loose_tolerance, _forge_nan_coordinates, _forge_nonreal_flagged_real,
     _forge_nonreal_count, _forge_params, _forge_params_of_other_scene,
-    _forge_lines_at_infinity, _forge_line_in_p4, _forge_point_in_p3])
+    _forge_lines_at_infinity, _forge_line_in_p4, _forge_point_in_p3,
+    _forge_real_flag_as_string, _forge_nonreal_flag_as_number])
 def test_verify_rejects_forged_certificate(capsys, tmp_path, forge):
     cert_path = tmp_path / "cert.json"
     if forge in FORGED_TRACK:

@@ -394,6 +394,19 @@ def test_duplicate_endpoints_flagged():
     assert len(distinct) == 32
 
 
+def test_cluster_retrack_recovers_forced_jumps(monkeypatch, lockstep_passes):
+    # steps this coarse and a corrector this loose make paths jump: after the
+    # first pass 4 endpoints of criterion-8 scene 62 coincide, and tracking
+    # them again with RETRACK_STEPS separates them onto the missing lines
+    for name, value in [("FIRST_STEP", 0.2), ("MAX_STEP", 1.0),
+                        ("CORRECTOR_TOL", 1e-3), ("STEP_TOL", 1.0)]:
+        monkeypatch.setattr(tracker, name, value)
+    res = solve_tangency(random_quadric_system(1062), TrackOptions(seed=62))
+    assert lockstep_passes == [32, 4]
+    assert res.converged_count == 32 and len(res.endpoints) == 32
+    assert "path-jump-suspected" not in {p.status for p in res.paths}
+
+
 # -- lockstep batches -----------------------------------------------------------
 
 
@@ -422,7 +435,7 @@ def test_singular_start_fails_alone():
     padded = track(square, np.vstack([starts, np.zeros(6)]), target, opts)
     zero = padded[-1]
     # its stage-0 Jacobian is singular, which no smaller step cures: the
-    # path ends after one step, and so does its tight retrack
+    # path ends after one step
     assert zero.status == "diverged" and zero.end is None and zero.steps == 1
     for a, b in zip(plain, padded):
         assert a.status == b.status and a.steps == b.steps
@@ -474,8 +487,8 @@ def test_singular_start_forces_one_fallback_per_pass(monkeypatch):
     calls.clear()
     track(square, np.vstack([starts, np.zeros(6)]), target, TrackOptions(seed=17))
     # the singular path ends at its first stage-0 solve, so the one-call-per-
-    # row fallback runs once in the first pass (33 rows) and once in the retrack
-    assert len(calls) <= plain + 2 * (len(starts) + 2)
+    # row fallback runs once (33 rows), and the path is not tracked again
+    assert len(calls) <= plain + len(starts) + 2
 
 
 # -- sphere scenes: lines at infinity -----------------------------------------
@@ -630,17 +643,17 @@ def test_more_certified_endpoints_than_the_bound_stop_nothing():
     assert_same_paths(paths, alone)
 
 
-def test_met_bound_leaves_diverged_paths_alone(lockstep_passes):
+def test_diverged_path_is_tracked_once(lockstep_passes):
     passes = lockstep_passes
     seed, spheres = SPHERE_SCENES["plain"]
     square, starts, target = sphere_homotopy(spheres)
     padded = np.vstack([starts, np.zeros(6)])  # diverges at its first step
-    (paths,) = tracker._track_batch([(square, padded, target)], TrackOptions(seed=seed), [12])
-    assert sum(p.converged for p in paths) == 12 and paths[-1].status == "diverged"
-    assert passes == [33]  # the 12 lines are certified: no retrack
-    passes.clear()
-    (paths,) = tracker._track_batch([(square, padded, target)], TrackOptions(seed=seed))
-    assert passes == [33, 1]  # without a bound the diverged path is re-tracked
+    for bounds in ([12], None):
+        passes.clear()
+        (paths,) = tracker._track_batch([(square, padded, target)],
+                                        TrackOptions(seed=seed), bounds)
+        assert sum(p.converged for p in paths) == 12 and paths[-1].status == "diverged"
+        assert passes == [33]  # with or without a bound: no retrack
 
 
 @pytest.mark.parametrize("seed, spheres, lost", [
@@ -749,11 +762,11 @@ def test_no_surplus_without_spheres(monkeypatch):
     track_lockstep = tracker._track_lockstep
 
     def recorded(h, starts, system, opts, steps, bounds=None):
-        paths, met = track_lockstep(h, starts, system, opts, steps, bounds)
+        paths = track_lockstep(h, starts, system, opts, steps, bounds)
         if bounds is not None:
             watched.extend(np.asarray(bounds) < np.bincount(system))
         statuses.update(p.status for p in paths)
-        return paths, met
+        return paths
 
     monkeypatch.setattr(tracker, "_track_lockstep", recorded)
     for seed in (12, 21):

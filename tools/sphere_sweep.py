@@ -8,8 +8,9 @@ shifted by (100, 100, 0).  Each scene is solved as
 `track --seed <program seed>` solves it, and one line per scene gives its
 certified line count (12 for general spheres), its steps per path, its
 lockstep rounds (one predictor call each, over all passes) and its
-retrack passes.  Deterministic: runs on the same sources agree line for
-line, so a change is compared with its parent by diffing the outputs.
+cluster-retrack passes (of coinciding endpoints; 0 or 1).  Deterministic:
+runs on the same sources agree line for line, so a change is compared with
+its parent by diffing the outputs.
 
     python tools/sphere_sweep.py > sweep.txt
 """
