@@ -67,7 +67,6 @@ from .tracker import (
     TrackOptions,
     TrackResult,
     TrackedPath,
-    build_square_system,
     doubling_experiment,
     regular_tetrahedron_lines,
     solve_tangency,

@@ -277,15 +277,21 @@ class LineConditions:
 
     def residual_table(self, vectors) -> np.ndarray:
         """Residuals of an (N, 6) stack of Pluecker vectors as an (N, m)
-        table, one column per row: |v^T quad v + lin . v| normalized by the
-        row's coefficient norm and ||v||^degree, so it does not depend on
-        the representative.  Each row of the table has the bits of the
-        one-vector evaluation."""
+        table, one column per row, normalized as ``row_residuals`` does.
+        Each row of the table has the bits of the one-vector evaluation."""
         v = np.asarray(vectors)
-        norm = np.sqrt(np.sum(np.abs(v) ** 2, axis=1))[:, None]
         quad = ((self.quad @ v[:, None, :, None])[..., 0] @ v[:, :, None])[..., 0]
-        raw = np.abs(quad + (self.lin @ v[:, :, None])[..., 0])
-        return raw / (self.scale * norm ** self.degree)
+        return row_residuals(quad + (self.lin @ v[:, :, None])[..., 0], v,
+                             self.scale, self.degree)
+
+
+def row_residuals(values, vectors, scale, degree) -> np.ndarray:
+    """|values| of polynomial rows at a stack of vectors (..., 6), each
+    normalized by its row's coefficient norm ``scale`` and ||v||^degree, so
+    it does not depend on the representative: the residual that
+    certificates record, ``verify`` bounds and the tracker polishes to."""
+    norm = np.sqrt(np.sum(np.abs(vectors) ** 2, axis=-1))[..., None]
+    return np.abs(values) / (scale * norm ** degree)
 
 
 # ---------------------------------------------------------------------------

@@ -331,10 +331,11 @@ def verify_certificate(cert: Certificate,
     most ``tol``, whatever the certificate records; no two solutions are
     closer than ``DISTINCT_TOL``; each reality flag is a boolean, and what
     ``classify_real`` derives from the coordinates, and each nonreal
-    solution has a conjugate;
-    the counts match the solutions and their flags, within the root bound
-    and, with ``params`` (closed form), the scene is exactly that family
-    member and has 32 lines split as ``reality_count``.
+    solution has a conjugate; ``counts`` holds exactly the integers
+    ``total``, ``real`` and ``nonreal``, which match the solutions and
+    their flags; the solutions are within the root bound; and, with
+    ``params`` (closed form), the scene is exactly that family member and
+    has 32 lines split as ``reality_count``.
     A certificate whose scene is not in P^3 raises SceneFormatError; one
     with degenerate ``params``, DegeneracyError.
     """
@@ -393,12 +394,18 @@ def verify_certificate(cert: Certificate,
 
     counts, scene, total = cert.counts, cert.scene, len(cert.solutions)
     n_real = sum(flag is True for flag in flags)
-    if counts.get("total") != total:
-        issues.append(VerificationIssue(None, "counts.total differs from solution list"))
-    for key, flagged in (("real", n_real), ("nonreal", total - n_real)):
-        if key in counts and counts[key] != flagged:
+    derived = {"total": (total, "solution list"), "real": (n_real, "solution flags"),
+               "nonreal": (total - n_real, "solution flags")}
+    issues += [VerificationIssue(None, f"unknown count {key!r}")
+               for key in counts if key not in derived]
+    for key, (value, source) in derived.items():
+        if key not in counts:
+            issues.append(VerificationIssue(None, f"counts.{key} is missing"))
+        elif type(counts[key]) is not int:  # nor a bool, nor 32.0
             issues.append(VerificationIssue(
-                None, f"counts.{key} differs from solution flags"))
+                None, f"counts.{key} {counts[key]!r} is not an integer"))
+        elif counts[key] != value:
+            issues.append(VerificationIssue(None, f"counts.{key} differs from {source}"))
     if (scene.n == 3 and scene.condition_count == 4
             and total > scene.conditions.root_bound):
         issues.append(VerificationIssue(

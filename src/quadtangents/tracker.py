@@ -21,23 +21,31 @@ into the target along H(x, t) = (1 - t) * gamma * S(x) + t * T(x), with a
 random unit complex gamma keeping the path regular for t < 1 with
 probability one.  Each path is advanced by a fourth-order Runge-Kutta
 predictor on the implicit-derivative ODE  dx/dt = -J_x^{-1} dH/dt  and a
-short Newton corrector, then the endpoint is polished by Newton at t = 1.
-Steps start at FIRST_STEP and stay below MAX_STEP.  A rejected step
-halves.  After an accepted one, the corrector's first update, relative to
-the point, estimates the predictor's local error e, which goes like
-step^5; the step grows by (STEP_TOL / e)^(1/5), clipped to [1, MAX_GROWTH]
-(an error-driven step rule as in Deuflhard, "Newton Methods for Nonlinear
-Problems", 2004).
-It does not grow right after a rejection, nor when e is within 10x the
-corrector tolerance, where the update measures the corrector's own noise
-near a singular endpoint rather than the predictor.
+short Newton corrector, then the endpoint is polished by the same Newton
+at t = 1.  Steps start at FIRST_STEP and stay below MAX_STEP.  A rejected
+step halves.  After an accepted one, the corrector's first update,
+relative to the point, estimates the predictor's local error e, which goes
+like step^5; the step grows by (STEP_TOL / e)^(1/5), clipped to
+[1, MAX_GROWTH] (an error-driven step rule as in Deuflhard, "Newton Methods
+for Nonlinear Problems", 2004).  It does not grow right after a rejection,
+nor when e is within 10x the corrector tolerance, where the update
+measures the corrector's own noise near a singular endpoint rather than
+the predictor.
+
+Every system tracked, start or target, is a ``LineConditions`` of five
+rows; the homotopy appends the zero patch row.  The polish stops once the
+endpoint's residual is below ``endpoint_tol``, and that residual is the
+one a certificate records and ``verify`` bounds: each target row's |value|
+over the row's coefficient norm times ||x||^degree
+(``quadrics.row_residuals``), largest over the rows.  So whether a path
+converges does not depend on how the target's rows are scaled.
 
 Every quadratic form here is real (wedge^2 Q of a real quadric, the
-Pluecker form, both starts), so each point costs one real matmul of the
-start's and target's forms, stacked, against x viewed as (6, 2) real
-pairs; J, H, dH/dt and the target's value follow elementwise.  H is
-weighted as (1 - t) gamma S + t T, never as gamma S + t (T - gamma S),
-which cancels as t -> 1 far from the origin.
+Pluecker form, both starts; building a homotopy from any other raises
+ValueError), so each point costs one real matmul of the start's and
+target's forms, stacked, against x viewed as (6, 2) real pairs; J, H and
+dH/dt follow elementwise.  H is weighted as (1 - t) gamma S + t T, never
+as gamma S + t (T - gamma S), which cancels as t -> 1 far from the origin.
 
 Tracking is lockstep: all paths of a batch -- one homotopy, or many with
 their own start and target systems -- advance together as one (P, 6) array
@@ -127,62 +135,20 @@ from .grassmann import (
     close_pairs,
     transversals_to_4_lines,
 )
-from .quadrics import AffineFlat, LineConditions, Meets, TangentTo, cylinder
+from .quadrics import AffineFlat, LineConditions, Meets, TangentTo, cylinder, row_residuals
 from .tetra32 import TetraParams, enumerate_tangents, numeric_vectors
 
 # ---------------------------------------------------------------------------
 # systems
 
 
-@dataclass
-class SquareSystem:
-    """Equations x^T A_i x + b_i . x in six complex unknowns, with real forms
-    A_i (a complex array with zero imaginary part is taken as real).  Rows
-    0-4 are homogeneous equations (each quadratic or linear); row 5 is 0,
-    the place of the tracker's patch.  ``eval`` and ``residual`` take one
-    point (6,) or a stack (..., 6).
-    """
-
-    quad: np.ndarray   # (6, 6, 6) real, symmetric in the trailing axes
-    lin: np.ndarray    # (6, 6) complex
-
-    def __post_init__(self):
-        quad = np.asarray(self.quad)
-        if np.iscomplexobj(quad):
-            if np.any(quad.imag):
-                raise ValueError("quadratic forms must be real")
-            quad = quad.real
-        self.quad = np.asarray(quad, dtype=float)
-
-    def eval(self, x: np.ndarray) -> np.ndarray:
-        col = np.asarray(x)[..., None]
-        quad_x = (self.quad @ col[..., None, :, :])[..., 0]  # row i: quad[i] @ x
-        return (quad_x @ col)[..., 0] + (self.lin @ col)[..., 0]
-
-    def residual(self, x: np.ndarray):
-        return _relative_residual(self.eval(x), x)
-
-
-def _relative_residual(values, x):
-    """Relative infinity-norm residual of equation values at x (scales like
-    the equations)."""
-    return np.max(np.abs(values), axis=-1) / (1.0 + np.max(np.abs(x), axis=-1)) ** 2
-
-
-def build_square_system(conditions: LineConditions) -> SquareSystem:
-    """Four conditions + Pluecker quadric, and the patch row."""
-    quad = np.zeros((6, 6, 6))
-    lin = np.zeros((6, 6), dtype=complex)
-    quad[:5], lin[:5] = conditions.quad, conditions.lin
-    return SquareSystem(quad, lin)
-
-
-def total_degree_start(conditions: LineConditions) -> tuple[SquareSystem, np.ndarray]:
+def total_degree_start(conditions: LineConditions) -> tuple[LineConditions, np.ndarray]:
     """Start system x_j^(d_j) - x_5^(d_j) = 0 with the degrees of the
     conditions' rows, plus all prod(d_j) of its solutions, each with x_5 = 1:
     the generic root count of the target, so every path is meaningful."""
-    quad = np.zeros((6, 6, 6))
-    lin = np.zeros((6, 6), dtype=complex)
+    m = len(conditions.degree)
+    quad = np.zeros((m, 6, 6))
+    lin = np.zeros((m, 6), dtype=complex)
     for j, d in enumerate(conditions.degree):
         if d == 2:
             quad[j, j, j], quad[j, 5, 5] = 1.0, -1.0
@@ -190,7 +156,9 @@ def total_degree_start(conditions: LineConditions) -> tuple[SquareSystem, np.nda
             lin[j, j], lin[j, 5] = 1.0, -1.0
     roots = [(1.0, -1.0) if d == 2 else (1.0,) for d in conditions.degree]
     starts = np.array([(*combo, 1.0) for combo in itertools.product(*roots)], dtype=complex)
-    return SquareSystem(quad, lin), starts
+    start = LineConditions(tuple(f"start_{j}" for j in range(m)), quad, lin,
+                           np.full(m, np.sqrt(2)), conditions.degree, np.zeros(m, bool))
+    return start, starts
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +207,7 @@ class TrackedPath:
     status: str            # "converged" | "at-infinity" | "surplus" | "diverged"
                            # | "path-jump-suspected"
     steps: int
-    residual: float        # relative Newton residual at the endpoint
+    residual: float        # the endpoint's residual, as LineConditions normalizes it
     cond: float            # endpoint Jacobian condition number; inf without one
     duplicate_of: int | None = None  # index of an earlier coinciding path
     solves: int = 0        # linear systems solved for this start, all attempts
@@ -251,31 +219,42 @@ class TrackedPath:
 
 @dataclass
 class _Homotopy:
-    """H(x,t) = (1-t) gamma S(x) + t T(x) for a stack of pairs of quadratic
-    systems, at a stack of points with one t each, and each point's patch
-    row v (the module docstring's moving patch): row 5 of every Jacobian is
-    v, and row 5 of H, dH/dt and T is 0.
+    """H(x,t) = (1-t) gamma S(x) + t T(x) for a stack of (start, target)
+    pairs of five-row ``LineConditions``, at a stack of points with one t
+    each, and each point's patch row v (the module docstring's moving
+    patch): row 5 of every Jacobian is v, and row 5 of H and dH/dt is 0.
 
-    ``quad`` stacks each pair's real forms as one (72, 6) matrix, the rows of
-    S.quad then of T.quad, so one real matmul per point against x viewed as
-    (6, 2) real pairs gives A = S.quad x and B = T.quad x; everything else
-    is elementwise.  ``lin`` holds (gamma S, T)'s.  The tensors are either
-    broadcast over the points or hold one pair per point."""
+    ``quad`` stacks each pair's real forms, with the zero patch row
+    appended, as one (72, 6) matrix, the rows of S's then of T's, so one
+    real matmul per point against x viewed as (6, 2) real pairs gives
+    A = S.quad x and B = T.quad x; everything else is elementwise.  ``lin``
+    holds (gamma S, T)'s, and ``scale`` and ``degree`` T's, for its
+    residual.  The tensors are either broadcast over the points or hold one
+    pair per point."""
 
     quad: np.ndarray   # (..., 72, 6) real
     lin: np.ndarray    # (..., 2, 6, 6) complex
     gamma: complex
+    scale: np.ndarray  # (..., 5) the target's
+    degree: np.ndarray  # (..., 5) the target's
 
     @classmethod
     def of(cls, pairs, gamma: complex) -> _Homotopy:
         """The homotopies of (start, target) system pairs, stacked."""
-        return cls(np.stack([np.concatenate([s.quad, t.quad]).reshape(72, 6)
-                             for s, t in pairs]),
-                   np.stack([(gamma * s.lin, t.lin) for s, t in pairs]),
-                   gamma)
+        quad = np.array([(s.quad, t.quad) for s, t in pairs])
+        if np.iscomplexobj(quad) and np.any(quad.imag):
+            raise ValueError("quadratic forms must be real")
+        patch = [(0, 0), (0, 0), (0, 1), (0, 0)]  # row 5, the patch row, is 0
+        quad = np.pad(quad.real, patch + [(0, 0)])
+        lin = np.pad(np.array([(gamma * s.lin, t.lin) for s, t in pairs], dtype=complex),
+                     patch)
+        return cls(quad.reshape(len(pairs), 72, 6), lin, gamma,
+                   np.array([t.scale for _, t in pairs]),
+                   np.array([t.degree for _, t in pairs]))
 
     def _take(self, index) -> _Homotopy:
-        return _Homotopy(self.quad[index], self.lin[index], self.gamma)
+        return _Homotopy(self.quad[index], self.lin[index], self.gamma,
+                         self.scale[index], self.degree[index])
 
     def at(self, systems: np.ndarray) -> _Homotopy:
         """The homotopy of points of the given pairs of the stack (grouped):
@@ -292,13 +271,12 @@ class _Homotopy:
             return self
         return self._take(index)
 
-    def _contract(self, x, rows=slice(None)):
-        """quad[rows] @ x per point, one stacked real matmul (never one GEMM
-        over all points, whose bits could depend on the batch), as
-        (P, k, 6, 6) complex: block 0 is A, block 1 is B."""
+    def _contract(self, x):
+        """quad @ x per point, one stacked real matmul (never one GEMM over
+        all points, whose bits could depend on the batch), as (P, 2, 6, 6)
+        complex: block 0 is A, block 1 is B."""
         pairs = np.ascontiguousarray(x).view(float).reshape(len(x), 6, 2)
-        out = self.quad[..., rows, :] @ pairs
-        return out.view(complex).reshape(len(x), out.shape[-2] // 36, 6, 6)
+        return (self.quad @ pairs).view(complex).reshape(len(x), 2, 6, 6)
 
     def _combine(self, x, t, v):
         """A, B, K = M + L and the Jacobian J = 2M + L with row 5 set to v,
@@ -313,7 +291,8 @@ class _Homotopy:
         return a, b, k, jac
 
     def newton(self, x, t, v):
-        """J_x and H at each (x, t), for the corrector."""
+        """J_x and H at each (x, t), for the corrector and, at t = 1, where
+        H is T, the polish."""
         _, _, k, jac = self._combine(x, t, v)
         return jac, (k @ x[..., None])[..., 0]
 
@@ -323,14 +302,10 @@ class _Homotopy:
         d = b - self.gamma * a + (self.lin[..., 1, :, :] - self.lin[..., 0, :, :])
         return jac, (d @ x[..., None])[..., 0]
 
-    def target(self, x, v):
-        """The target's Jacobian and value T(x) at each x, for the polish:
-        the contraction's B half only."""
-        b = self._contract(x, slice(36, None))[:, 0]
-        k = b + self.lin[..., 1, :, :]
-        jac = k + b
-        jac[:, 5] = v
-        return jac, (k @ x[..., None])[..., 0]
+    def residual(self, x, value):
+        """The target's residual at each x, from T(x) = ``value``: its rows'
+        largest, normalized as ``LineConditions.residual_table`` does."""
+        return np.max(row_residuals(value[:, :5], x, self.scale, self.degree), axis=-1)
 
 
 def _unit(x):
@@ -419,16 +394,22 @@ def _correct(h: _Homotopy, x, t, v, solves, rows):
 
 def _polish(h: _Homotopy, x, system, rows, opts: TrackOptions, solves):
     """Newton on the target at t = 1 for the points ``rows`` (ascending),
-    in place, until each one's relative residual is below the endpoint
-    tolerance, for at most ENDPOINT_ITERS iterations.  Returns each row's
-    residual and endpoint Jacobian condition number.  A point already
-    within the tolerance is left as it is, so polishing again changes no bit."""
+    in place, until each one's residual (``_Homotopy.residual``) is below
+    the endpoint tolerance, for at most ENDPOINT_ITERS iterations.  Returns
+    each row's residual and endpoint Jacobian condition number.  A point
+    already within the tolerance is left as it is, so polishing again
+    changes no bit."""
+
+    def at_one(rows):  # the target's homotopy, Jacobian and value at x[rows]
+        hr = h.at(system[rows])
+        return (hr, *hr.newton(x[rows], np.ones(len(rows)), x[rows].conj()))
+
     live = rows
     for _ in range(ENDPOINT_ITERS):
         if not live.size:
             break
-        jac, value = h.at(system[live]).target(x[live], x[live].conj())
-        far = ~(_relative_residual(value, x[live]) < opts.endpoint_tol)
+        hl, jac, value = at_one(live)
+        far = ~(hl.residual(x[live], value) < opts.endpoint_tol)
         live = live[far]
         if not live.size:
             break
@@ -438,7 +419,7 @@ def _polish(h: _Homotopy, x, system, rows, opts: TrackOptions, solves):
         x[live] += dx[ok]
     if not rows.size:
         return np.zeros(0), np.zeros(0)
-    jac, value = h.at(system[rows]).target(x[rows], x[rows].conj())
+    hr, jac, value = at_one(rows)
     try:
         cond = np.linalg.cond(jac)
     except np.linalg.LinAlgError:  # an SVD failed: only its row is inf
@@ -448,7 +429,7 @@ def _polish(h: _Homotopy, x, system, rows, opts: TrackOptions, solves):
                 cond[k] = np.linalg.cond(a)
             except np.linalg.LinAlgError:
                 pass
-    return _relative_residual(value, x[rows]), cond
+    return hr.residual(x[rows], value), cond
 
 
 def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
@@ -622,13 +603,12 @@ def _track_batch(homotopies, opts: TrackOptions,
     return [paths[lo:hi] for lo, hi in spans]
 
 
-def track(start_sys: SquareSystem, start_solutions, target_sys: SquareSystem,
+def track(start: LineConditions, start_solutions, target: LineConditions,
           options: TrackOptions | None = None) -> list[TrackedPath]:
-    """Track every start solution to the target system: a batch of one
-    homotopy with no root bound, its coinciding endpoints re-tracked and
-    deduplicated as ``_track_batch`` describes."""
-    return _track_batch([(start_sys, start_solutions, target_sys)],
-                        options or TrackOptions())[0]
+    """Track every start solution of the five-row system ``start`` to
+    ``target``: a batch of one homotopy with no root bound, its coinciding
+    endpoints re-tracked and deduplicated as ``_track_batch`` describes."""
+    return _track_batch([(start, start_solutions, target)], options or TrackOptions())[0]
 
 
 def _coincident_clusters(paths: list[TrackedPath]) -> list[list[int]]:
@@ -695,18 +675,12 @@ START_PARAMS = TetraParams.of(Fraction(1, 10), Fraction(1, 10))
 
 
 @functools.cache
-def _tetra_start() -> tuple[LineConditions, np.ndarray]:
-    """The start family's conditions and 32 numeric tangents, shared read-only."""
+def tetra_start() -> tuple[LineConditions, np.ndarray]:
+    """The start family's conditions and its 32 numeric tangents, solved
+    once per process and shared read-only."""
     tangents = numeric_vectors(enumerate_tangents(START_PARAMS))
     tangents.flags.writeable = False
     return START_PARAMS.conditions, tangents
-
-
-def tetra_start_points() -> tuple[SquareSystem, np.ndarray]:
-    """The 32 closed-form tangents of the start family (read-only),
-    together with their defining square system."""
-    conditions, tangents = _tetra_start()
-    return build_square_system(conditions), tangents
 
 
 def solve_tangency(conditions: LineConditions | Sequence[LineConditions],
@@ -729,9 +703,8 @@ def solve_tangency(conditions: LineConditions | Sequence[LineConditions],
             raise ValueError("tracking needs exactly 4 conditions, "
                              f"got {len(c.labels) - 1}")
         policy = "tetra" if np.all(c.degree == 2) else "total-degree"
-        start_sq, starts = (tetra_start_points() if policy == "tetra"
-                            else total_degree_start(c))
-        homotopies.append((start_sq, starts, build_square_system(c)))
+        start, starts = tetra_start() if policy == "tetra" else total_degree_start(c)
+        homotopies.append((start, starts, c))
         setups.append((c, policy))
     paths = (_track_batch(homotopies, opts, [c.root_bound for c, _ in setups])
              if homotopies else [])

@@ -3,6 +3,7 @@ import copy
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -277,7 +278,7 @@ def test_track_compiles_the_scene_once(capsys, tmp_path, monkeypatch):
 
     monkeypatch.setattr(LineConditions, "compile", classmethod(counted))
     # a process's first track builds its start, from uncompiled start params
-    tracker._tetra_start.cache_clear()
+    tracker.tetra_start.cache_clear()
     start = tracker.START_PARAMS
     monkeypatch.setattr(tracker, "START_PARAMS", TetraParams(start.alpha, start.beta))
     scene = Scene(3, quadrics=list(family(TetraParams.of(F(1, 10), F(1, 20)))))
@@ -285,7 +286,7 @@ def test_track_compiles_the_scene_once(capsys, tmp_path, monkeypatch):
     for _ in range(2):
         code, _, _ = run(capsys, "track", "--scene", scene_path)
         assert code == 0
-    tracker._tetra_start.cache_clear()  # not to keep the replaced params' start
+    tracker.tetra_start.cache_clear()  # not to keep the replaced params' start
     # the scene once per track (tracker target and certificate residuals
     # share it), and the closed-form start system once per process
     labels = ["tangency_Q1", "tangency_Q2", "tangency_Q3", "tangency_Q4"]
@@ -317,6 +318,33 @@ def test_track_exits_4_on_a_nonreal_line_without_its_conjugate(capsys, tmp_path)
     code, out, _ = run(capsys, "verify", str(cert_path), "--scene", scene_path)
     assert code == 4
     assert re.findall(r"solution \d+: nonreal, with no conjugate solution", out) == named
+
+
+@pytest.mark.parametrize("factor", [F(1000), F(1, 1000)], ids=["times-1000", "over-1000"])
+def test_track_certifies_a_scene_with_a_scaled_quadric(capsys, tmp_path, factor):
+    # whether an endpoint converges is decided by the residual that `verify`
+    # bounds, which does not depend on a quadric's scale; a residual that
+    # scales with Q1 ends paths diverged when Q1 is scaled up, and passes
+    # endpoints that `verify` rejects when it is scaled down
+    rng = random.Random("quadric/scaled")
+    matrices = []
+    for _ in range(4):  # rational criterion-8 draws, entries k/1000 in [-1, 1]
+        m = [[F(0)] * 4 for _ in range(4)]
+        for i in range(4):
+            for j in range(i, 4):
+                m[i][j] = m[j][i] = F(rng.randint(-1000, 1000), 1000)
+        matrices.append(m)
+    matrices[0] = [[factor * x for x in row] for row in matrices[0]]
+    scene = Scene(3, quadrics=[Quadric(RatMatrix.from_rows(m)) for m in matrices])
+    scene_path = make_scene_file(tmp_path, "scene.json", scene)
+    cert_path, log_path = tmp_path / "cert.json", tmp_path / "paths.jsonl"
+    code, _, _ = run(capsys, "track", "--scene", scene_path, "--seed", "3",
+                     "--output", str(cert_path), "--path-log", str(log_path))
+    paths = [json.loads(line) for line in log_path.read_text().splitlines()]
+    assert code == 0 and [p["status"] for p in paths] == ["converged"] * 32
+    assert json.loads(cert_path.read_text())["counts"]["total"] == 32
+    code, out, _ = run(capsys, "verify", str(cert_path), "--scene", scene_path)
+    assert code == 0 and out.startswith("PASS")
 
 
 # -- verify -------------------------------------------------------------------
@@ -407,6 +435,23 @@ def _forge_nonreal_flag_as_number(cert):
     cert["solutions"][16]["real"] = 0
 
 
+def _forge_unknown_count(cert):
+    cert["counts"]["bogus"] = 7
+
+
+def _forge_total_count_only(cert):
+    cert["counts"] = {"total": 32}
+
+
+def _forge_float_count(cert):
+    cert["counts"]["real"] = 32.0
+
+
+def _forge_bool_count(cert):
+    # all 32 lines of (1/10, 1/20) are real, and False == 0
+    cert["counts"]["nonreal"] = False
+
+
 def _forge_lines_at_infinity(cert):
     # (0, 0, 0, 1, +-i, 0) lie in the plane at infinity, tangent to the
     # absolute conic, so they are tangent to every sphere with residual 0:
@@ -438,7 +483,11 @@ FORGED_TRACK = {_forge_lines_at_infinity: "plain"}
 FORGED_ISSUE = {_forge_line_in_p4: "solution 3: unreadable solution",
                 _forge_point_in_p3: "solution 3: unreadable solution",
                 _forge_real_flag_as_string: "solution 3: reality flag 'no'",
-                _forge_nonreal_flag_as_number: "solution 16: reality flag 0"}
+                _forge_nonreal_flag_as_number: "solution 16: reality flag 0",
+                _forge_unknown_count: "unknown count 'bogus'",
+                _forge_total_count_only: "counts.real is missing",
+                _forge_float_count: "counts.real 32.0 is not an integer",
+                _forge_bool_count: "counts.nonreal False is not an integer"}
 
 
 @pytest.mark.parametrize("forge", [
@@ -446,7 +495,8 @@ FORGED_ISSUE = {_forge_line_in_p4: "solution 3: unreadable solution",
     _forge_loose_tolerance, _forge_nan_coordinates, _forge_nonreal_flagged_real,
     _forge_nonreal_count, _forge_params, _forge_params_of_other_scene,
     _forge_lines_at_infinity, _forge_line_in_p4, _forge_point_in_p3,
-    _forge_real_flag_as_string, _forge_nonreal_flag_as_number])
+    _forge_real_flag_as_string, _forge_nonreal_flag_as_number, _forge_unknown_count,
+    _forge_total_count_only, _forge_float_count, _forge_bool_count])
 def test_verify_rejects_forged_certificate(capsys, tmp_path, forge):
     cert_path = tmp_path / "cert.json"
     if forge in FORGED_TRACK:
@@ -600,6 +650,12 @@ def test_certificates_match_their_schema(capsys, tmp_path):
 
     del cert["solutions"][0]["plucker"]["coords"]["01"]
     assert not validator.is_valid(cert)
+    # counts holds exactly total, real and nonreal, each an integer (which
+    # JSON Schema takes 32.0 for; `verify` does not)
+    for forge in (_forge_unknown_count, _forge_total_count_only, _forge_bool_count):
+        cert = json.loads(out)
+        forge(cert)
+        assert not validator.is_valid(cert)
 
 
 # -- doubling -----------------------------------------------------------------
