@@ -15,7 +15,7 @@ reaches its target count.
 
 from fractions import Fraction as F
 
-from quadtangents import TrackOptions, cylinder, doubling_experiment, transversals_to_4_lines
+from quadtangents import cylinder, doubling_experiment, transversals_to_4_lines
 from quadtangents.tracker import regular_tetrahedron_lines
 
 # %% the affine tetrahedron and its cylinders
@@ -35,7 +35,7 @@ print(f"cylinder around U1 at r=1/10: signature {q.signature} "
 
 # %% run the ladder
 
-result = doubling_experiment("auto", TrackOptions(seed=5))
+result = doubling_experiment("auto", seed=5)
 print("\nstage  cylinders  target  real found  radii")
 for row in result.rows:
     radii = ",".join(str(r) for r in row.radii) or "-"

@@ -14,7 +14,6 @@ from quadtangents import (
     PluckerVector,
     TangentTo,
     TetraParams,
-    TrackOptions,
     check_plucker_relations,
     enumerate_tangents,
     solve_tangency,
@@ -32,7 +31,7 @@ def agreeing(first, second, tol=1e-9) -> int:
 
 target_params = TetraParams.of("1/10", "1/20")
 system = target_params.conditions  # the family's four tangencies, compiled
-result = solve_tangency(system, TrackOptions(seed=7))  # starts from the closed form
+result = solve_tangency(system, seed=7)  # starts from the closed form
 print(f"{result.converged_count}/32 paths converged; "
       f"max endpoint residual {result.max_residual():.2e}")
 
@@ -48,7 +47,7 @@ for _ in range(4):
     m = rng.uniform(-1, 1, size=(4, 4))
     conditions.append(TangentTo((m + m.T) / 2))
 system = LineConditions.compile(enumerate(conditions))
-result = solve_tangency(system, TrackOptions(seed=1))
+result = solve_tangency(system, seed=1)
 
 report = result.reality()
 print(f"\nrandom scene: {len(result.endpoints)} tangent lines, "
@@ -67,7 +66,7 @@ print(f"worst Pluecker residual {worst_rel:.2e}, worst tangency {worst_tan:.2e}"
 
 # %% the same endpoints from a different random homotopy
 
-again = solve_tangency(system, TrackOptions(seed=99))
+again = solve_tangency(system, seed=99)
 print(f"\nendpoint set is homotopy-independent: "
       f"{agreeing(result.endpoints, again.endpoints)}/{len(result.endpoints)} "
       "endpoints agree to 1e-9")

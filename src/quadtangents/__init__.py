@@ -64,7 +64,6 @@ from .tetra32 import (
 from .tracker import (
     DoublingResult,
     TrackBatch,
-    TrackOptions,
     TrackResult,
     TrackedPath,
     doubling_experiment,

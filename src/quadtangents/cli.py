@@ -3,7 +3,8 @@
 Subcommands: counts, tetra, track, doubling, verify, transversals.
 Exit codes: 0 success, 2 mathematical degeneracy (a hypothesis of the
 underlying construction is violated), 3 input error, 4 numerical failure
-(no certified solutions, or a certificate that fails re-verification).
+(no certified solutions; a tracked nonreal line without its conjugate, or
+a suspected path jump; or a certificate that fails re-verification).
 """
 
 from __future__ import annotations
@@ -16,13 +17,9 @@ import os
 import sys
 from collections import Counter
 
-import numpy as np
-
 from . import __version__
 from .exactnum import rational
 from .grassmann import (
-    DISTINCT_TOL,
-    REAL_TOL,
     classify_real,
     counts as grassmann_counts,
     moment_osculating_flat,
@@ -55,7 +52,7 @@ from .tetra32 import (
     verify_solution,  # noqa: F401  (perfbench traces this binding)
     verify_vectors,
 )
-from .tracker import TrackOptions, doubling_experiment, solve_tangency
+from .tracker import doubling_experiment, solve_tangency
 
 EXIT_OK = 0
 EXIT_DEGENERATE = 2
@@ -80,14 +77,11 @@ class _Parser(argparse.ArgumentParser):
 SHARED_OPTIONS = {
     "--seed": {"type": int, "default": 0,
                "help": "seed for every random choice (default 0)"},
-    "--tol": {"type": float, "default": 1e-12,
-              "help": "residual tolerance: endpoint polish when solving, "
-                      "bound on every residual for verify (default 1e-12)"},
     "--format": {"choices": ("json", "csv"), "default": None,
                  "help": "certificate format (default json)"},
     "--output": {"default": None, "help": "output path (default stdout)"},
 }
-SOLVING_OPTIONS = ("--seed", "--tol", "--format", "--output")
+SOLVING_OPTIONS = ("--seed", "--format", "--output")
 # counts and doubling write plain text, or JSON on request
 TABLE_FORMAT = {"choices": ("json",), "default": None,
                 "help": "json instead of plain text"}
@@ -126,7 +120,7 @@ def build_parser() -> _Parser:
     p.add_argument("--path-log", default=None,
                    help="write one JSON line per tracked path to this file")
 
-    p = command("doubling", ("--seed", "--tol", "--output"),
+    p = command("doubling", ("--seed", "--output"),
                 "cylinder-radius doubling experiment (counts 2,4,8,16,32)")
     p.add_argument("--format", **TABLE_FORMAT)
     group = p.add_mutually_exclusive_group()
@@ -135,7 +129,7 @@ def build_parser() -> _Parser:
     group.add_argument("--radii", default=None,
                        help='four comma-separated rationals, e.g. "1/10,1/10,1/10,1/10"')
 
-    p = command("verify", ("--tol",), "re-evaluate every residual of a certificate")
+    p = command("verify", (), "re-evaluate every residual of a certificate")
     p.add_argument("certificate", help="certificate JSON file")
     p.add_argument("--scene", default=None,
                    help="scene file the certificate must belong to")
@@ -203,16 +197,6 @@ def _tetra_scene(params: TetraParams) -> Scene:
                            "beta": encode_rational(params.beta)})
 
 
-def _solution_entry(index, vec, real, residual, extra=None) -> dict:
-    entry = {"index": index,
-             "plucker": encode_plucker_numeric(np.asarray(vec, dtype=complex)),
-             "real": bool(real),
-             "residual": float(residual)}
-    if extra:
-        entry.update(extra)
-    return entry
-
-
 def _write_certificate(cert: Certificate, args) -> None:
     if args.format in (None, "json"):
         write_json(args.output, cert.to_dict())
@@ -247,32 +231,20 @@ def cmd_tetra(args) -> int:
     params = TetraParams.of(_tetra_parameter(args, "alpha"),
                             _tetra_parameter(args, "beta"))
     solutions = enumerate_tangents(params)  # raises DegeneracyError
-    scene = _tetra_scene(params)
     vectors = numeric_vectors(solutions)
     # the scene's quadrics are family(params), so each check holds every
     # residual `verify` re-evaluates, plus the eliminated row and the square chain
     checks = verify_vectors(vectors, params)
-    entries = []
-    n_real = 0
-    for i, (sol, vec, check, real) in enumerate(
-            zip(solutions, vectors, checks, reality_flags(solutions))):
-        n_real += real
-        entries.append(_solution_entry(
-            i, vec, real, check.max_residual,
-            extra={"case": sol.case, "signs": list(sol.signs), "branch": sol.branch}))
-    cert = Certificate(
-        scene=scene,
-        solutions=entries,
-        counts={"total": len(entries), "real": n_real,
-                "nonreal": len(entries) - n_real},
-        tolerances={"residual": args.tol, "real": REAL_TOL, "distinct": DISTINCT_TOL},
+    cert = Certificate.of(
+        _tetra_scene(params), vectors, reality_flags(solutions),
+        [check.max_residual for check in checks], args.seed,
+        extras=[{"case": sol.case, "signs": list(sol.signs), "branch": sol.branch}
+                for sol in solutions],
         params={"alpha": encode_rational(params.alpha),
-                "beta": encode_rational(params.beta)},
-        seed=args.seed,
-    )
+                "beta": encode_rational(params.beta)})
     _write_certificate(cert, args)
-    print(f"{len(entries)} solutions, {n_real} real, "
-          f"max residual {max(s['residual'] for s in entries):.3e}",
+    print(f"{cert.counts['total']} solutions, {cert.counts['real']} real, "
+          f"max residual {max(s['residual'] for s in cert.solutions):.3e}",
           file=sys.stderr)
     return EXIT_OK
 
@@ -299,29 +271,19 @@ def cmd_track(args) -> int:
     scene = Scene.from_dict(read_json(args.scene))
     if scene.n != 3:
         raise SceneFormatError("tracking requires a scene in P^3")
-    options = TrackOptions(seed=args.seed, endpoint_tol=args.tol)
     # the tracker's target and the certificate residuals share one compile
-    result = solve_tangency(scene.conditions, options)
+    result = solve_tangency(scene.conditions, args.seed)
     if args.path_log:
         _write_path_log(args.path_log, result.paths)
     distinct = result.distinct_paths
     vectors = [normalize_endpoint(p.end) for p in distinct]
     reality = classify_real(vectors)  # the numbers written, as `verify` reads them
     residuals = solution_residuals(scene, vectors)
-    entries = []
-    for i, (p, vec, real, res) in enumerate(zip(distinct, vectors, reality.is_real,
-                                                residuals)):
-        entries.append(_solution_entry(
-            i, vec, real, max(res.values()),
-            extra={"path": {"status": p.status, "steps": p.steps}}))
     status = Counter(p.status for p in result.paths)
-    cert = Certificate(
-        scene=scene,
-        solutions=entries,
-        counts={"total": len(entries), "real": reality.real_count,
-                "nonreal": reality.nonreal_count},
-        tolerances={"residual": args.tol, "real": REAL_TOL, "distinct": DISTINCT_TOL},
-        seed=args.seed,
+    cert = Certificate.of(
+        scene, vectors, reality.is_real, [max(res.values()) for res in residuals],
+        args.seed, extras=[{"path": {"status": p.status, "steps": p.steps}}
+                           for p in distinct],
         metadata={
             "start_policy": result.start_policy,
             "root_bound": scene.conditions.root_bound,
@@ -331,17 +293,20 @@ def cmd_track(args) -> int:
                       "at_infinity": status["at-infinity"],
                       "surplus": status["surplus"],
                       "suspected_jumps": status["path-jump-suspected"]},
-        },
-    )
+        })
     _write_certificate(cert, args)
-    print(f"{len(entries)} certified endpoints of {len(result.paths)} paths, "
+    print(f"{len(distinct)} certified endpoints of {len(result.paths)} paths, "
           f"{reality.real_count} real, {status['at-infinity']} at infinity, "
           f"{status['surplus']} surplus",
           file=sys.stderr)
-    # the certificate is written either way, so that it can be inspected
+    # the certificate is written either way, so that it can be inspected; a
+    # suspected jump means a line may be missing
     for k in reality.unpaired:
         print(f"solution {k}: nonreal, with no conjugate solution", file=sys.stderr)
-    if not entries or reality.unpaired:
+    for i, p in enumerate(result.paths):
+        if p.status == "path-jump-suspected":
+            print(f"path {i}: suspected jump onto path {p.duplicate_of}", file=sys.stderr)
+    if not distinct or reality.unpaired or status["path-jump-suspected"]:
         return EXIT_NUMERIC
     return EXIT_OK
 
@@ -357,8 +322,7 @@ def cmd_doubling(args) -> int:
         if len(parts) != 4:
             raise SceneFormatError("--radii needs four comma-separated values")
         radii = [rational(p) for p in parts]
-    options = TrackOptions(seed=args.seed, endpoint_tol=args.tol)
-    result = doubling_experiment(radii, options)
+    result = doubling_experiment(radii, args.seed)
     if args.format == "json":
         write_json(args.output, {
             "exact_stage0": result.exact_stage0_count,
@@ -385,7 +349,7 @@ def cmd_doubling(args) -> int:
 def cmd_verify(args) -> int:
     cert = Certificate.from_dict(read_json(args.certificate))
     expected = Scene.from_dict(read_json(args.scene)) if args.scene else None
-    report = verify_certificate(cert, expected_scene=expected, tol=args.tol)
+    report = verify_certificate(cert, expected_scene=expected)
     print(report.summary())
     return EXIT_OK if report.passed else EXIT_NUMERIC
 

@@ -182,9 +182,12 @@ class PluckerVector:
         return np.array([complex(c) for c in self.coords])
 
 
+# a solution's normalized residual (quadrics.row_residuals) is below
+# RESIDUAL_TOL, the bound the tracker polishes to and `verify` checks;
 # a normalized endpoint is real when no imaginary part reaches REAL_TOL;
 # rays closer than DISTINCT_TOL in chordal distance are one solution;
 # magnitudes within a relative TIE_TOL of the largest tie for it
+RESIDUAL_TOL = 1e-12
 REAL_TOL = 1e-8
 DISTINCT_TOL = 1e-6
 TIE_TOL = 1e-12

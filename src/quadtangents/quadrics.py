@@ -152,9 +152,7 @@ def is_tangent(q: Quadric, p: PluckerVector):
         return total
     m = form.to_numpy().astype(complex)
     v = np.asarray(p.coords, dtype=complex)
-    raw = v @ m @ v
-    scale = np.linalg.norm(m) * float(np.linalg.norm(v)) ** 2
-    return abs(raw) / scale
+    return row_residuals(v @ m @ v, v, np.linalg.norm(m), 2)[0]
 
 
 # ---------------------------------------------------------------------------

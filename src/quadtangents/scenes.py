@@ -28,6 +28,8 @@ import numpy as np
 from .exactnum import RatMatrix, rational, subsets
 from .grassmann import (
     DISTINCT_TOL,
+    REAL_TOL,
+    RESIDUAL_TOL,
     DualFlat,
     PluckerVector,
     ProjFlat,
@@ -39,6 +41,8 @@ from .tetra32 import TetraParams, family, reality_count
 
 SCENE_SCHEMA = "quadtangents.scene.v1"
 CERTIFICATE_SCHEMA = "quadtangents.certificate.v1"
+# the tolerances every certificate declares, and the only ones `verify` accepts
+TOLERANCES = {"residual": RESIDUAL_TOL, "real": REAL_TOL, "distinct": DISTINCT_TOL}
 
 
 class SceneFormatError(ValueError):
@@ -254,6 +258,27 @@ class Certificate:
     params: dict | None = None  # present for closed-form family certificates
     metadata: dict = field(default_factory=dict)
 
+    @classmethod
+    def of(cls, scene: Scene, vectors, real, residuals, seed: int,
+           extras=None, params: dict | None = None,
+           metadata: dict | None = None) -> "Certificate":
+        """The certificate of ``scene``'s solutions ``vectors``, with each
+        one's reality flag and largest residual: one entry per solution (its
+        index, Pluecker vector, flag and residual, then its ``extras``),
+        ``counts`` from the flags, and ``TOLERANCES``."""
+        solutions = [{"index": i,
+                      "plucker": encode_plucker_numeric(np.asarray(vec, dtype=complex)),
+                      "real": bool(flag),
+                      "residual": float(residual),
+                      **extra}
+                     for i, (vec, flag, residual, extra) in enumerate(
+                         zip(vectors, real, residuals, extras or [{}] * len(vectors)))]
+        n_real = sum(sol["real"] for sol in solutions)
+        return cls(scene, solutions,
+                   {"total": len(solutions), "real": n_real,
+                    "nonreal": len(solutions) - n_real},
+                   dict(TOLERANCES), seed, params, metadata or {})
+
     def to_dict(self) -> dict:
         from . import __version__
 
@@ -321,14 +346,13 @@ class VerificationReport:
 
 
 def verify_certificate(cert: Certificate,
-                       expected_scene: Scene | None = None,
-                       tol: float = 1e-12) -> VerificationReport:
+                       expected_scene: Scene | None = None) -> VerificationReport:
     """Re-evaluate every solution of a certificate from scratch.
 
     Checks: the recorded scene hash matches the embedded scene (and the
-    externally supplied one, if given); the declared tolerances are no looser
-    than ``tol`` and ``DISTINCT_TOL``; every residual of every solution is at
-    most ``tol``, whatever the certificate records; no two solutions are
+    externally supplied one, if given); the declared tolerances are exactly
+    ``TOLERANCES``; every residual of every solution is at most
+    ``RESIDUAL_TOL``, whatever the certificate records; no two solutions are
     closer than ``DISTINCT_TOL``; each reality flag is a boolean, and what
     ``classify_real`` derives from the coordinates, and each nonreal
     solution has a conjugate; ``counts`` holds exactly the integers
@@ -348,12 +372,10 @@ def verify_certificate(cert: Certificate,
         issues.append(VerificationIssue(None, "scene hash does not match embedded scene"))
     if expected_scene is not None and scene_hash(expected_scene) != embedded_hash:
         issues.append(VerificationIssue(None, "certificate was issued for a different scene"))
-    declared = cert.tolerances
-    if not (declared.get("residual", tol) <= tol
-            and declared.get("distinct", DISTINCT_TOL) >= DISTINCT_TOL):
+    if cert.tolerances != TOLERANCES:
         issues.append(VerificationIssue(
-            None, f"declared tolerances {declared} are looser than the verifier's "
-                  f"(residual {tol:g}, distinct {DISTINCT_TOL:g})"))
+            None, f"declared tolerances {cert.tolerances} are not the verifier's "
+                  f"{TOLERANCES}"))
 
     worst = 0.0
     decoded = []  # each solution's vector, or why it cannot be read
@@ -374,10 +396,11 @@ def verify_certificate(cert: Certificate,
             continue
         res = next(residuals)
         worst = max(worst, *res.values())
-        over = [f"{key} {r:.3e}" for key, r in res.items() if not r <= tol]  # NaN too
+        over = [f"{key} {r:.3e}" for key, r in res.items()
+                if not r <= RESIDUAL_TOL]  # NaN too
         if over:
             issues.append(VerificationIssue(
-                i, f"residual exceeds tolerance {tol:.3e}: {', '.join(over)}"))
+                i, f"residual exceeds tolerance {RESIDUAL_TOL:.3e}: {', '.join(over)}"))
         else:
             vectors.append((i, vec))
     if vectors:

@@ -34,7 +34,7 @@ the predictor.
 
 Every system tracked, start or target, is a ``LineConditions`` of five
 rows; the homotopy appends the zero patch row.  The polish stops once the
-endpoint's residual is below ``endpoint_tol``, and that residual is the
+endpoint's residual is below ``RESIDUAL_TOL``, and that residual is the
 one a certificate records and ``verify`` bounds: each target row's |value|
 over the row's coefficient norm times ||x||^degree
 (``quadrics.row_residuals``), largest over the rows.  So whether a path
@@ -65,7 +65,7 @@ fallback of ``_solve``; a path leaves each loop as soon as it is done, and
 a singular Jacobian or non-finite prediction fails only its own path.
 
 Every path ends with one of these statuses:
-  converged            polished at t = 1 to the endpoint tolerance;
+  converged            polished at t = 1 to a residual below RESIDUAL_TOL;
   at-infinity          heading to a line at infinity, ended in flight
                        (below);
   surplus              still running when its homotopy met its root bound,
@@ -108,7 +108,7 @@ isolated nonsingular roots, and each one ends exactly one path (Morgan and
 Sommese 1989, above).  So once at least the bound of a homotopy's paths
 have reached t = 1, they are polished (the end polish, once per path), and
 if exactly the bound of them are converged, pairwise distinct and
-nonsingular (cond * endpoint_tol < 1), no running path can reach another
+nonsingular (cond * RESIDUAL_TOL < 1), no running path can reach another
 isolated root: those paths end as surplus.  More than the bound of such
 endpoints would mean the bound does not hold, and nothing stops.  ``track``
 and the cluster retrack (``_track_batch``) pass no bound, so their paths
@@ -130,6 +130,7 @@ import numpy as np
 
 from .grassmann import (
     DISTINCT_TOL,
+    RESIDUAL_TOL,
     RealityReport,
     classify_real,
     close_pairs,
@@ -188,14 +189,6 @@ ENDPOINT_ITERS = 15  # Newton polish iterations at t = 1
 INFINITY_FROM = 1e-2
 INFINITY_VALUATION = (0.375, 0.625)
 INFINITY_DECADES = 3
-
-
-@dataclass(frozen=True)
-class TrackOptions:
-    """The tracker settings a caller chooses, with reproducible defaults."""
-
-    seed: int = 0
-    endpoint_tol: float = 1e-12
 
 
 @dataclass
@@ -392,10 +385,10 @@ def _correct(h: _Homotopy, x, t, v, solves, rows):
     return x, ok, first
 
 
-def _polish(h: _Homotopy, x, system, rows, opts: TrackOptions, solves):
+def _polish(h: _Homotopy, x, system, rows, solves):
     """Newton on the target at t = 1 for the points ``rows`` (ascending),
     in place, until each one's residual (``_Homotopy.residual``) is below
-    the endpoint tolerance, for at most ENDPOINT_ITERS iterations.  Returns
+    RESIDUAL_TOL, for at most ENDPOINT_ITERS iterations.  Returns
     each row's residual and endpoint Jacobian condition number.  A point
     already within the tolerance is left as it is, so polishing again
     changes no bit."""
@@ -409,7 +402,7 @@ def _polish(h: _Homotopy, x, system, rows, opts: TrackOptions, solves):
         if not live.size:
             break
         hl, jac, value = at_one(live)
-        far = ~(hl.residual(x[live], value) < opts.endpoint_tol)
+        far = ~(hl.residual(x[live], value) < RESIDUAL_TOL)
         live = live[far]
         if not live.size:
             break
@@ -433,8 +426,7 @@ def _polish(h: _Homotopy, x, system, rows, opts: TrackOptions, solves):
 
 
 def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
-                    opts: TrackOptions, steps=(FIRST_STEP, MAX_STEP),
-                    bounds=None) -> list[TrackedPath]:
+                    steps=(FIRST_STEP, MAX_STEP), bounds=None) -> list[TrackedPath]:
     """Track all start points together, one stacked solve per stage, with
     ``steps`` = (first step, largest step).  Start i belongs to the
     homotopy ``system[i]``; ``system`` is grouped (non-decreasing).
@@ -481,12 +473,12 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
             due = watch & (np.bincount(system[arrived], minlength=homotopies) >= bounds)
             new = np.flatnonzero(arrived & ~polished & due[system])
             if new.size:
-                residual[new], cond[new] = _polish(h, x, system, new, opts, solves)
+                residual[new], cond[new] = _polish(h, x, system, new, solves)
                 polished[new] = True
                 # converged, and nonsingular: its error of about cond times
                 # the residual still pins the point down
-                certified = (arrived & (residual < opts.endpoint_tol)
-                             & (cond * opts.endpoint_tol < 1))
+                certified = (arrived & (residual < RESIDUAL_TOL)
+                             & (cond * RESIDUAL_TOL < 1))
                 # (np.unique would import numpy.ma, 1.6 MB of peak memory)
                 for k in np.flatnonzero(np.bincount(system[new], minlength=homotopies)):
                     ends = np.flatnonzero(certified & (system == k))
@@ -549,21 +541,21 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
 
     # endpoint polish at t = 1 of the endpoints the stop rule left unpolished
     ends = np.flatnonzero(~lost & ~polished)
-    residual[ends], cond[ends] = _polish(h, x, system, ends, opts, solves)
+    residual[ends], cond[ends] = _polish(h, x, system, ends, solves)
     return [TrackedPath(starts[i], None if lost[i] else x[i],
                         "surplus" if surplus[i] else
                         "at-infinity" if infinite[i] else
-                        "converged" if residual[i] < opts.endpoint_tol else "diverged",
+                        "converged" if residual[i] < RESIDUAL_TOL else "diverged",
                         int(steps[i]), float(residual[i]), float(cond[i]),
                         solves=int(solves[i]))
             for i in range(n)]
 
 
-def _track_batch(homotopies, opts: TrackOptions,
-                 root_bounds=None) -> list[list[TrackedPath]]:
+def _track_batch(homotopies, seed: int, root_bounds=None) -> list[list[TrackedPath]]:
     """Track each (start system, start solutions, target system) triple of
-    ``homotopies``, all paths of all of them as one lockstep batch; every
-    path takes the steps and reaches the endpoint it would alone.
+    ``homotopies``, all paths of all of them as one lockstep batch, with
+    gamma drawn from ``seed``; every path takes the steps and reaches the
+    endpoint it would alone.
 
     With ``root_bounds`` (one per homotopy) a homotopy stops its surplus
     paths once it holds its bound of certified endpoints; without, every
@@ -575,7 +567,7 @@ def _track_batch(homotopies, opts: TrackOptions,
     (``duplicate_of``, an index into the same homotopy's paths) rather than
     silently counted as multiple solutions.
     """
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(seed)
     gamma = complex(np.exp(2j * np.pi * rng.random()))
     h = _Homotopy.of([(start, target) for start, _, target in homotopies], gamma)
     groups = [np.array(x, dtype=complex).reshape(len(x), 6) for _, x, _ in homotopies]
@@ -583,7 +575,7 @@ def _track_batch(homotopies, opts: TrackOptions,
     system = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
     offsets = [0, *itertools.accumulate(len(g) for g in groups)]
     spans = list(zip(offsets, offsets[1:]))
-    paths = _track_lockstep(h, starts, system, opts, (FIRST_STEP, MAX_STEP), root_bounds)
+    paths = _track_lockstep(h, starts, system, (FIRST_STEP, MAX_STEP), root_bounds)
 
     def clusters():  # per homotopy: its offset, and a cluster of its paths
         return [(lo, cluster) for lo, hi in spans
@@ -592,7 +584,7 @@ def _track_batch(homotopies, opts: TrackOptions,
     first = clusters()
     if first:
         indices = sorted(lo + i for lo, cluster in first for i in cluster)
-        again = _track_lockstep(h, starts[indices], system[indices], opts, RETRACK_STEPS)
+        again = _track_lockstep(h, starts[indices], system[indices], RETRACK_STEPS)
         for i, p in zip(indices, again):
             p.solves += paths[i].solves
             paths[i] = p
@@ -604,11 +596,11 @@ def _track_batch(homotopies, opts: TrackOptions,
 
 
 def track(start: LineConditions, start_solutions, target: LineConditions,
-          options: TrackOptions | None = None) -> list[TrackedPath]:
+          seed: int = 0) -> list[TrackedPath]:
     """Track every start solution of the five-row system ``start`` to
     ``target``: a batch of one homotopy with no root bound, its coinciding
     endpoints re-tracked and deduplicated as ``_track_batch`` describes."""
-    return _track_batch([(start, start_solutions, target)], options or TrackOptions())[0]
+    return _track_batch([(start, start_solutions, target)], seed)[0]
 
 
 def _coincident_clusters(paths: list[TrackedPath]) -> list[list[int]]:
@@ -684,7 +676,7 @@ def tetra_start() -> tuple[LineConditions, np.ndarray]:
 
 
 def solve_tangency(conditions: LineConditions | Sequence[LineConditions],
-                   options: TrackOptions | None = None) -> TrackResult | TrackBatch:
+                   seed: int = 0) -> TrackResult | TrackBatch:
     """Solve a four-condition line system by continuation, or a sequence of
     them in one lockstep batch (a ``TrackBatch``); each system's result is
     the one it gives alone.
@@ -696,7 +688,6 @@ def solve_tangency(conditions: LineConditions | Sequence[LineConditions],
     spheres stop their surplus paths once their 12 lines are certified.
     """
     one = isinstance(conditions, LineConditions)
-    opts = options or TrackOptions()
     homotopies, setups = [], []
     for c in [conditions] if one else conditions:
         if len(c.labels) != 5:  # four conditions and the Pluecker row
@@ -706,7 +697,7 @@ def solve_tangency(conditions: LineConditions | Sequence[LineConditions],
         start, starts = tetra_start() if policy == "tetra" else total_degree_start(c)
         homotopies.append((start, starts, c))
         setups.append((c, policy))
-    paths = (_track_batch(homotopies, opts, [c.root_bound for c, _ in setups])
+    paths = (_track_batch(homotopies, seed, [c.root_bound for c, _ in setups])
              if homotopies else [])
     batch = TrackBatch(TrackResult(c, p, policy) for (c, policy), p in zip(setups, paths))
     return batch[0] if one else batch
@@ -758,8 +749,7 @@ class DoublingResult:
 MAX_HALVINGS = 20  # radius halvings per stage in "auto" mode
 
 
-def doubling_experiment(radii="auto",
-                        options: TrackOptions | None = None) -> DoublingResult:
+def doubling_experiment(radii="auto", seed: int = 0) -> DoublingResult:
     """Replace incidence conditions by cylinder tangencies one at a time.
 
     Stage i surrounds the first i tetrahedron edge lines with distance-r_i
@@ -770,9 +760,8 @@ def doubling_experiment(radii="auto",
     stages that miss their target count are solved again, together, with
     their radii halved (at most MAX_HALVINGS times); explicit radii are
     used as given, and a stage that misses its target is reported honestly.
-    Every stage is solved with ``options``, the seed included.
+    Every stage is solved with ``seed``.
     """
-    opts = options or TrackOptions()
     lines = regular_tetrahedron_lines()
     proj = [ln.to_projective() for ln in lines]
     exact = transversals_to_4_lines(proj)
@@ -800,7 +789,7 @@ def doubling_experiment(radii="auto",
             for j in range(4)) for stage, radii in zip(pending, stage_radii)]
         missed = []
         for stage, radii, result in zip(pending, stage_radii,
-                                        solve_tangency(conditions, opts)):
+                                        solve_tangency(conditions, seed)):
             target_count = 2 << stage
             real_count = result.reality().real_count
             if (auto and stage > 0 and real_count != target_count

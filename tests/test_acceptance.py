@@ -30,7 +30,6 @@ from quadtangents.quadrics import LineConditions, cylinder, is_tangent
 from quadtangents.tetra32 import TetraParams, enumerate_tangents, family
 from quadtangents.tracker import (
     TangentTo,
-    TrackOptions,
     doubling_experiment,
     solve_tangency,
 )
@@ -142,13 +141,13 @@ def test_criterion_4_tracker_consistency(announce):
     t0 = time.perf_counter()
     target = LineConditions.compile(
         enumerate(TangentTo(q) for q in family(TetraParams.of(F(1, 10), F(1, 20)))))
-    res = solve_tangency(target, TrackOptions(seed=7))
+    res = solve_tangency(target, seed=7)
     assert res.start_policy == "tetra" and res.converged_count == 32
     assert len(res.endpoints) == 32
     closed = [s.numeric() for s in enumerate_tangents(TetraParams.of(F(1, 10), F(1, 20)))]
     assert match_endpoints(res.endpoints, closed) < 1e-9
     # deterministic per seed
-    res2 = solve_tangency(target, TrackOptions(seed=7))
+    res2 = solve_tangency(target, seed=7)
     for a, b in zip(res.paths, res2.paths):
         assert a.steps == b.steps and np.array_equal(a.end, b.end)
     elapsed = time.perf_counter() - t0
@@ -162,7 +161,7 @@ def test_criterion_4_tracker_consistency(announce):
 def test_criterion_5_doubling(announce):
     announce["label"] = "5 doubling experiment counts 2,4,8,16,32"
     announce["passed"] = False
-    result = doubling_experiment("auto", TrackOptions(seed=5))
+    result = doubling_experiment("auto", seed=5)
     assert result.counts == [2, 4, 8, 16, 32]
     assert result.exact_stage0_count == 2
     assert result.rows[0].real_count == result.exact_stage0_count
@@ -296,7 +295,7 @@ def test_criterion_7e_conjugate_pairing(announce):
             m = rng.uniform(-1, 1, size=(4, 4))
             conds.append(TangentTo((m + m.T) / 2))
         res = solve_tangency(LineConditions.compile(enumerate(conds)),
-                             TrackOptions(seed=seed))
+                             seed=seed)
         rep = res.reality()
         assert rep.nonreal_count % 2 == 0 and not rep.unpaired
     announce["passed"] = True
@@ -312,8 +311,8 @@ def test_criterion_7f_gamma_independence(announce):
             m = rng.uniform(-1, 1, size=(4, 4))
             conds.append(TangentTo((m + m.T) / 2))
         system = LineConditions.compile(enumerate(conds))
-        res1 = solve_tangency(system, TrackOptions(seed=1000 + scene_seed))
-        res2 = solve_tangency(system, TrackOptions(seed=2000 + scene_seed))
+        res1 = solve_tangency(system, seed=1000 + scene_seed)
+        res2 = solve_tangency(system, seed=2000 + scene_seed)
         assert match_endpoints(res1.endpoints, res2.endpoints) < 1e-8
     announce["passed"] = True
 
@@ -332,7 +331,7 @@ def test_criterion_8_random_scene_robustness(announce):
             m = rng.uniform(-1, 1, size=(4, 4))
             conds.append(TangentTo((m + m.T) / 2))
         res = solve_tangency(LineConditions.compile(enumerate(conds)),
-                             TrackOptions(seed=scene_idx))
+                             seed=scene_idx)
         rep = res.reality()
         ok = (res.converged_count == 32
               and len(res.endpoints) == 32

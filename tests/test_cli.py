@@ -320,23 +320,29 @@ def test_track_exits_4_on_a_nonreal_line_without_its_conjugate(capsys, tmp_path)
     assert re.findall(r"solution \d+: nonreal, with no conjugate solution", out) == named
 
 
-@pytest.mark.parametrize("factor", [F(1000), F(1, 1000)], ids=["times-1000", "over-1000"])
-def test_track_certifies_a_scene_with_a_scaled_quadric(capsys, tmp_path, factor):
-    # whether an endpoint converges is decided by the residual that `verify`
-    # bounds, which does not depend on a quadric's scale; a residual that
-    # scales with Q1 ends paths diverged when Q1 is scaled up, and passes
-    # endpoints that `verify` rejects when it is scaled down
-    rng = random.Random("quadric/scaled")
+def scaled_quadric_scene(stream: str, factor: F) -> Scene:
+    """Four rational criterion-8 draws (entries k/1000 in [-1, 1]) from
+    ``random.Random(stream)``, with Q1 scaled by ``factor``."""
+    rng = random.Random(stream)
     matrices = []
-    for _ in range(4):  # rational criterion-8 draws, entries k/1000 in [-1, 1]
+    for _ in range(4):
         m = [[F(0)] * 4 for _ in range(4)]
         for i in range(4):
             for j in range(i, 4):
                 m[i][j] = m[j][i] = F(rng.randint(-1000, 1000), 1000)
         matrices.append(m)
     matrices[0] = [[factor * x for x in row] for row in matrices[0]]
-    scene = Scene(3, quadrics=[Quadric(RatMatrix.from_rows(m)) for m in matrices])
-    scene_path = make_scene_file(tmp_path, "scene.json", scene)
+    return Scene(3, quadrics=[Quadric(RatMatrix.from_rows(m)) for m in matrices])
+
+
+@pytest.mark.parametrize("factor", [F(1000), F(1, 1000)], ids=["times-1000", "over-1000"])
+def test_track_certifies_a_scene_with_a_scaled_quadric(capsys, tmp_path, factor):
+    # whether an endpoint converges is decided by the residual that `verify`
+    # bounds, which does not depend on a quadric's scale; a residual that
+    # scales with Q1 ends paths diverged when Q1 is scaled up, and passes
+    # endpoints that `verify` rejects when it is scaled down
+    scene_path = make_scene_file(tmp_path, "scene.json",
+                                 scaled_quadric_scene("quadric/scaled", factor))
     cert_path, log_path = tmp_path / "cert.json", tmp_path / "paths.jsonl"
     code, _, _ = run(capsys, "track", "--scene", scene_path, "--seed", "3",
                      "--output", str(cert_path), "--path-log", str(log_path))
@@ -345,6 +351,21 @@ def test_track_certifies_a_scene_with_a_scaled_quadric(capsys, tmp_path, factor)
     assert json.loads(cert_path.read_text())["counts"]["total"] == 32
     code, out, _ = run(capsys, "verify", str(cert_path), "--scene", scene_path)
     assert code == 0 and out.startswith("PASS")
+
+
+def test_track_exits_4_on_a_suspected_path_jump(capsys, tmp_path):
+    # path 7 ends on path 5's line, and so does its cluster retrack: the
+    # certificate lists 31 of the scene's 32 lines, and `verify` cannot
+    # tell that one is missing
+    scene = scaled_quadric_scene("scaled/quadric/4", F(1, 1000))
+    scene_path = make_scene_file(tmp_path, "scene.json", scene)
+    cert_path = tmp_path / "cert.json"
+    code, _, err = run(capsys, "track", "--scene", scene_path, "--seed", "251779371",
+                       "--output", str(cert_path))
+    assert code == 4 and "path 7: suspected jump onto path 5" in err
+    cert = json.loads(cert_path.read_text())
+    assert cert["counts"]["total"] == 31
+    assert cert["metadata"]["paths"]["suspected_jumps"] == 1
 
 
 # -- verify -------------------------------------------------------------------
@@ -396,6 +417,37 @@ def _forge_repeated_solution(cert):
 
 def _forge_loose_tolerance(cert):
     cert["tolerances"]["residual"] = 1.0
+
+
+def _forge_negative_tolerance(cert):
+    cert["tolerances"]["residual"] = -1
+
+
+def _forge_missing_tolerance(cert):
+    del cert["tolerances"]["residual"]
+
+
+def _forge_loose_real_tolerance(cert):
+    cert["tolerances"]["real"] = 0.5
+
+
+def _forge_loose_distinct_tolerance(cert):
+    cert["tolerances"]["distinct"] = 1.0
+
+
+def _forge_extra_tolerance(cert):
+    cert["tolerances"]["angle"] = 1e-9
+
+
+def _forge_no_tolerances(cert):
+    cert["tolerances"] = {}
+
+
+# every tolerances object but the one the program writes
+FORGED_TOLERANCES = (_forge_loose_tolerance, _forge_negative_tolerance,
+                     _forge_missing_tolerance, _forge_loose_real_tolerance,
+                     _forge_loose_distinct_tolerance, _forge_extra_tolerance,
+                     _forge_no_tolerances)
 
 
 def _forge_nan_coordinates(cert):
@@ -487,12 +539,13 @@ FORGED_ISSUE = {_forge_line_in_p4: "solution 3: unreadable solution",
                 _forge_unknown_count: "unknown count 'bogus'",
                 _forge_total_count_only: "counts.real is missing",
                 _forge_float_count: "counts.real 32.0 is not an integer",
-                _forge_bool_count: "counts.nonreal False is not an integer"}
+                _forge_bool_count: "counts.nonreal False is not an integer",
+                **{forge: "declared tolerances" for forge in FORGED_TOLERANCES}}
 
 
 @pytest.mark.parametrize("forge", [
     _forge_arbitrary_coordinates, _forge_trimmed, _forge_repeated_solution,
-    _forge_loose_tolerance, _forge_nan_coordinates, _forge_nonreal_flagged_real,
+    *FORGED_TOLERANCES, _forge_nan_coordinates, _forge_nonreal_flagged_real,
     _forge_nonreal_count, _forge_params, _forge_params_of_other_scene,
     _forge_lines_at_infinity, _forge_line_in_p4, _forge_point_in_p3,
     _forge_real_flag_as_string, _forge_nonreal_flag_as_number, _forge_unknown_count,
@@ -651,8 +704,10 @@ def test_certificates_match_their_schema(capsys, tmp_path):
     del cert["solutions"][0]["plucker"]["coords"]["01"]
     assert not validator.is_valid(cert)
     # counts holds exactly total, real and nonreal, each an integer (which
-    # JSON Schema takes 32.0 for; `verify` does not)
-    for forge in (_forge_unknown_count, _forge_total_count_only, _forge_bool_count):
+    # JSON Schema takes 32.0 for; `verify` does not); tolerances holds
+    # exactly the program's three
+    for forge in (_forge_unknown_count, _forge_total_count_only, _forge_bool_count,
+                  *FORGED_TOLERANCES):
         cert = json.loads(out)
         forge(cert)
         assert not validator.is_valid(cert)
@@ -718,7 +773,10 @@ def test_usage_error_exit_code(capsys):
     ["counts", "--table", "--format", "csv", "--output", "c.csv"],
     ["doubling", "--format", "csv"],
     ["verify", "cert.json", "--seed", "1"], ["verify", "cert.json", "--format", "json"],
-    ["verify", "cert.json", "--output", "report.txt"]])
+    ["verify", "cert.json", "--output", "report.txt"],
+    # the residual bound is a constant, not an option
+    ["tetra", "1/10", "1/20", "--tol", "1e-6"], ["track", "--scene", "s.json", "--tol", "-1"],
+    ["doubling", "--tol", "1e-20"], ["verify", "cert.json", "--tol", "1"]])
 def test_commands_reject_options_they_would_ignore(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -9,6 +9,7 @@ import pytest
 
 from quadtangents import grassmann
 from quadtangents.grassmann import (
+    RESIDUAL_TOL,
     PluckerVector,
     check_plucker_relations,
     chordal_distance,
@@ -21,7 +22,6 @@ from quadtangents.tetra32 import TetraParams, enumerate_tangents, family
 from quadtangents.tracker import (
     Meets,
     TangentTo,
-    TrackOptions,
     classify_real,
     doubling_experiment,
     regular_tetrahedron_lines,
@@ -146,14 +146,14 @@ def test_tetra_start_satisfies_its_system():
 
 def test_constant_homotopy_returns_start_points():
     start, starts = tetra_start()
-    paths = track(start, starts, start, TrackOptions(seed=3))
+    paths = track(start, starts, start, seed=3)
     assert all(p.converged for p in paths)
     for p in paths:
         assert chordal_distance(p.end, p.start) < 1e-12
 
 
 def test_tracking_matches_closed_form():
-    res = solve_tangency(tetra_system(P20), TrackOptions(seed=7))
+    res = solve_tangency(tetra_system(P20), seed=7)
     assert res.start_policy == "tetra"
     assert res.converged_count == 32 and len(res.endpoints) == 32
     closed = [s.numeric() for s in enumerate_tangents(P20)]
@@ -162,7 +162,7 @@ def test_tracking_matches_closed_form():
 
 def test_endpoints_satisfy_target_conditions():
     conditions = random_quadrics(5)
-    res = solve_tangency(line_system(conditions), TrackOptions(seed=5))
+    res = solve_tangency(line_system(conditions), seed=5)
     for v in res.endpoints:
         w = normalize_endpoint(v)
         p = PluckerVector(1, 3, tuple(w))
@@ -174,7 +174,7 @@ def test_endpoints_satisfy_target_conditions():
 
 
 def test_random_real_scene_counts():
-    res = solve_tangency(random_quadric_system(12), TrackOptions(seed=12))
+    res = solve_tangency(random_quadric_system(12), seed=12)
     assert res.converged_count == 32
     assert len(res.endpoints) == 32
     assert res.max_residual() < 1e-10
@@ -193,7 +193,7 @@ def test_closed_form_start_is_solved_once(monkeypatch):
 
     monkeypatch.setattr(tracker, "enumerate_tangents", counted)
     for seed in (1, 2):
-        res = solve_tangency(tetra_system(P20), TrackOptions(seed=seed))
+        res = solve_tangency(tetra_system(P20), seed=seed)
         assert res.start_policy == "tetra" and len(res.endpoints) == 32
     # the start family never changes, so its tangents are solved at most once
     assert len(calls) <= 1
@@ -201,25 +201,25 @@ def test_closed_form_start_is_solved_once(monkeypatch):
 
 def test_gamma_independence_of_endpoints():
     system = random_quadric_system(9)
-    res1 = solve_tangency(system, TrackOptions(seed=101))
-    res2 = solve_tangency(system, TrackOptions(seed=202))
+    res1 = solve_tangency(system, seed=101)
+    res2 = solve_tangency(system, seed=202)
     assert match_endpoints(res1.endpoints, res2.endpoints) < 1e-8
 
 
 def test_round_trip_tracking():
     system_a, starts = tetra_start()
     system_b = tetra_system(P20)
-    forth = track(system_a, starts, system_b, TrackOptions(seed=8))
+    forth = track(system_a, starts, system_b, seed=8)
     assert all(p.converged for p in forth)
-    back = track(system_b, [p.end for p in forth], system_a, TrackOptions(seed=9))
+    back = track(system_b, [p.end for p in forth], system_a, seed=9)
     assert all(p.converged for p in back)
     assert match_endpoints([p.end for p in back], list(starts)) < 1e-8
 
 
 def test_seed_determinism():
     system = random_quadric_system(4)
-    res1 = solve_tangency(system, TrackOptions(seed=77))
-    res2 = solve_tangency(system, TrackOptions(seed=77))
+    res1 = solve_tangency(system, seed=77)
+    res2 = solve_tangency(system, seed=77)
     for a, b in zip(res1.paths, res2.paths):
         assert a.steps == b.steps
         assert np.array_equal(a.end, b.end)
@@ -250,7 +250,7 @@ def test_at_infinity_flag():
 
     lines = tetrahedron_lines()
     sys0 = line_system(Meets(l.dual()) for l in lines)
-    res = solve_tangency(sys0, TrackOptions(seed=31))
+    res = solve_tangency(sys0, seed=31)
     assert len(res.endpoints) == 2
     rep = res.reality()
     assert rep.real_count == 2 and rep.at_infinity == 1
@@ -258,7 +258,7 @@ def test_at_infinity_flag():
 
 def test_conjugate_pairing_across_random_scenes():
     for seed in (21, 22, 23):
-        res = solve_tangency(random_quadric_system(seed), TrackOptions(seed=seed))
+        res = solve_tangency(random_quadric_system(seed), seed=seed)
         rep = res.reality()
         assert rep.nonreal_count % 2 == 0
         assert not rep.unpaired
@@ -277,7 +277,7 @@ def test_doubling_experiment_auto(monkeypatch):
         return batch
 
     monkeypatch.setattr(tracker, "solve_tangency", recorded)
-    result = doubling_experiment("auto", TrackOptions(seed=5))
+    result = doubling_experiment("auto", seed=5)
     assert result.counts == [2, 4, 8, 16, 32]
     assert result.exact_stage0_count == 2
     assert result.rows[0].real_count == result.exact_stage0_count
@@ -306,7 +306,7 @@ def test_doubling_reruns_only_the_stages_that_miss(monkeypatch):
 
     monkeypatch.setattr(tracker, "solve_tangency", recorded)
     monkeypatch.setattr(tracker.TrackResult, "reality", miss_once)
-    result = doubling_experiment("auto", TrackOptions(seed=5))
+    result = doubling_experiment("auto", seed=5)
     assert batches == [[2, 4, 8, 16, 32], [8, 32]]
     assert result.counts == [2, 4, 8, 16, 32]
     assert [row.halvings for row in result.rows] == [0, 0, 1, 0, 1]
@@ -323,7 +323,7 @@ def test_doubling_builds_each_cylinder_once(monkeypatch):
         return cylinder_(line, r)
 
     monkeypatch.setattr(tracker, "cylinder", counted)
-    doubling_experiment([F(1, 10)] * 4, TrackOptions(seed=6))
+    doubling_experiment([F(1, 10)] * 4, seed=6)
     # stages 1..4 use 1 + 2 + 3 + 4 cylinders, on 4 distinct (line, radius)
     assert built == [F(1, 10)] * 4
 
@@ -338,19 +338,19 @@ def test_doubling_rounds_each_cylinder_form_once(monkeypatch):
 
     tracker.tetra_start()  # stage 4's start system, built once per process
     monkeypatch.setattr(quadrics, "tangency_form", counted)
-    doubling_experiment([F(1, 10)] * 4, TrackOptions(seed=6))
+    doubling_experiment([F(1, 10)] * 4, seed=6)
     # the 10 cylinder tangencies of stages 1..4 share 4 compiled forms
     assert len(forms) == 4 and len({id(q) for q in forms}) == 4
 
 
 def test_doubling_explicit_radii():
     radii = [F(1, 10)] * 4
-    result = doubling_experiment(radii, TrackOptions(seed=6))
+    result = doubling_experiment(radii, seed=6)
     assert result.counts == [2, 4, 8, 16, 32]
 
 
 def test_doubling_huge_radii_reported_honestly():
-    result = doubling_experiment([F(10)] * 4, TrackOptions(seed=3))
+    result = doubling_experiment([F(10)] * 4, seed=3)
     # huge cylinders break the small-radius hypothesis; counts may fall short
     # but must still be consistent and never exceed the bound
     for row in result.rows:
@@ -359,7 +359,7 @@ def test_doubling_huge_radii_reported_honestly():
 
 def test_doubling_rejects_nonpositive_radii():
     with pytest.raises(ValueError):
-        doubling_experiment([F(0)] * 4, TrackOptions(seed=1))
+        doubling_experiment([F(0)] * 4, seed=1)
 
 def test_cylinder_stage_two_solutions_are_tangent():
     lines = regular_tetrahedron_lines()
@@ -368,7 +368,7 @@ def test_cylinder_stage_two_solutions_are_tangent():
     cyls = [cylinder(lines[0], r), cylinder(lines[1], r)]
     conds = (TangentTo(cyls[0]), TangentTo(cyls[1]),
              Meets(proj[2].dual()), Meets(proj[3].dual()))
-    res = solve_tangency(line_system(conds), TrackOptions(seed=13))
+    res = solve_tangency(line_system(conds), seed=13)
     assert len(res.endpoints) == 8
     assert res.reality().real_count == 8
     for v in res.endpoints:
@@ -383,7 +383,7 @@ def test_duplicate_endpoints_flagged():
     start, starts = tetra_start()
     doubled = np.vstack([starts, starts[:1]])
     target = tetra_system(P20)
-    paths = track(start, doubled, target, TrackOptions(seed=14))
+    paths = track(start, doubled, target, seed=14)
     dupes = [p for p in paths if p.duplicate_of is not None]
     assert len(dupes) == 1
     assert dupes[0].status == "path-jump-suspected"
@@ -398,7 +398,7 @@ def test_cluster_retrack_recovers_forced_jumps(monkeypatch, lockstep_passes):
     for name, value in [("FIRST_STEP", 0.2), ("MAX_STEP", 1.0),
                         ("CORRECTOR_TOL", 1e-3), ("STEP_TOL", 1.0)]:
         monkeypatch.setattr(tracker, name, value)
-    res = solve_tangency(random_quadric_system(1062), TrackOptions(seed=62))
+    res = solve_tangency(random_quadric_system(1062), seed=62)
     assert lockstep_passes == [32, 4]
     assert res.converged_count == 32 and len(res.endpoints) == 32
     assert "path-jump-suspected" not in {p.status for p in res.paths}
@@ -413,11 +413,11 @@ def _tetra_to_random_scene(seed):
 
 def test_batch_tracks_each_path_as_alone():
     start, starts, target = _tetra_to_random_scene(15)
-    opts = TrackOptions(seed=15)
-    together = track(start, starts, target, opts)
+    seed = 15
+    together = track(start, starts, target, seed)
     assert len({p.steps for p in together}) > 1  # paths of unequal length
     for x, p in zip(starts, together):
-        (alone,) = track(start, [x], target, opts)
+        (alone,) = track(start, [x], target, seed)
         assert alone.status == p.status and alone.steps == p.steps
         assert np.max(np.abs(alone.end - p.end)) < 1e-12
 
@@ -426,9 +426,9 @@ def test_singular_start_fails_alone():
     # at x = 0 the Jacobian is 0, its patch row conj(x) too, so every stacked
     # solve holding this path raises; the path must fail without the others
     start, starts, target = _tetra_to_random_scene(16)
-    opts = TrackOptions(seed=16)
-    plain = track(start, starts, target, opts)
-    padded = track(start, np.vstack([starts, np.zeros(6)]), target, opts)
+    seed = 16
+    plain = track(start, starts, target, seed)
+    padded = track(start, np.vstack([starts, np.zeros(6)]), target, seed)
     zero = padded[-1]
     # its stage-0 Jacobian is singular, which no smaller step cures: the
     # path ends after one step
@@ -448,7 +448,7 @@ def test_path_solves_sum_to_solved_systems(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", counted)
     start, starts, target = _tetra_to_random_scene(17)
-    paths = track(start, starts, target, TrackOptions(seed=17))
+    paths = track(start, starts, target, seed=17)
     assert all(p.solves > 0 for p in paths)
     assert sum(p.solves for p in paths) == sum(calls)
     assert len(calls) <= sum(calls) / 8  # stacked, not one call per system
@@ -456,7 +456,7 @@ def test_path_solves_sum_to_solved_systems(monkeypatch):
     # solves: each start tracked alone solves as many systems
     total = sum(calls)
     calls.clear()
-    alone = [track(start, [x], target, TrackOptions(seed=17))[0] for x in starts]
+    alone = [track(start, [x], target, seed=17)[0] for x in starts]
     assert [p.solves for p in alone] == [p.solves for p in paths]
     assert sum(calls) == total
 
@@ -464,7 +464,7 @@ def test_path_solves_sum_to_solved_systems(monkeypatch):
     # systems are counted too
     calls.clear()
     paths = track(start, np.vstack([starts, np.zeros(6)]), target,
-                  TrackOptions(seed=17))
+                  seed=17)
     assert sum(p.solves for p in paths) == sum(calls)
 
 
@@ -478,10 +478,10 @@ def test_singular_start_forces_one_fallback_per_pass(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", counted)
     start, starts, target = _tetra_to_random_scene(17)
-    track(start, starts, target, TrackOptions(seed=17))
+    track(start, starts, target, seed=17)
     plain = len(calls)
     calls.clear()
-    track(start, np.vstack([starts, np.zeros(6)]), target, TrackOptions(seed=17))
+    track(start, np.vstack([starts, np.zeros(6)]), target, seed=17)
     # the singular path ends at its first stage-0 solve, so the one-call-per-
     # row fallback runs once (33 rows), and the path is not tracked again
     assert len(calls) <= plain + len(starts) + 2
@@ -521,7 +521,7 @@ def sphere_system(spheres, shift=(0, 0, 0)) -> LineConditions:
 
 
 def solve_spheres(seed, spheres, shift=(0, 0, 0)) -> tracker.TrackResult:
-    return solve_tangency(sphere_system(spheres, shift), TrackOptions(seed=seed))
+    return solve_tangency(sphere_system(spheres, shift), seed=seed)
 
 
 def sphere_homotopy(spheres, shift=(0, 0, 0)):
@@ -532,7 +532,7 @@ def sphere_homotopy(spheres, shift=(0, 0, 0)):
 def track_spheres(seed, spheres, shift=(0, 0, 0)) -> tracker.TrackResult:
     """``solve_spheres`` through ``track``: the same homotopy, but no root
     bound, so no path stops before the at-infinity test or t = 1 ends it."""
-    paths = track(*sphere_homotopy(spheres, shift), TrackOptions(seed=seed))
+    paths = track(*sphere_homotopy(spheres, shift), seed=seed)
     return tracker.TrackResult(sphere_system(spheres, shift), paths, "tetra")
 
 
@@ -596,32 +596,31 @@ def test_repeated_start_does_not_count_twice_toward_the_bound():
     # 12 arrivals hold only 11 distinct lines, so nothing stops there
     seed, spheres = SPHERE_SCENES["plain"]
     start, starts, target = sphere_homotopy(spheres)
-    opts = TrackOptions(seed=seed)
-    alone = track(start, starts, target, opts)
+    alone = track(start, starts, target, seed)
     first = min((p.steps, i) for i, p in enumerate(alone) if p.converged)[1]
     (paths,) = tracker._track_batch([(start, np.vstack([starts, starts[first]]), target)],
-                                    opts, [12])
+                                    seed, [12])
     distinct = [p for p in paths if p.converged and p.duplicate_of is None]
     assert len(distinct) == 12
     assert paths[-1].status == "path-jump-suspected" and paths[-1].duplicate_of == first
 
 
 def test_singular_endpoint_does_not_count_toward_the_bound(monkeypatch):
-    # an endpoint whose cond reaches 1 / endpoint_tol is not nonsingular:
+    # an endpoint whose cond reaches 1 / RESIDUAL_TOL is not nonsingular:
     # with one such among the 12 lines only 11 count, nothing stops, and
     # every other path runs on to its at-infinity end
     polish, singular = tracker._polish, []
 
-    def flagged(h, x, system, rows, opts, solves):
-        residual, cond = polish(h, x, system, rows, opts, solves)
+    def flagged(h, x, system, rows, solves):
+        residual, cond = polish(h, x, system, rows, solves)
         singular[:] = singular or rows[:1]
-        cond[rows == singular[0]] = 1 / opts.endpoint_tol
+        cond[rows == singular[0]] = 1 / RESIDUAL_TOL
         return residual, cond
 
     monkeypatch.setattr(tracker, "_polish", flagged)
     res = solve_spheres(*SPHERE_SCENES["plain"])
     flagged_path = res.paths[singular[0]]
-    assert flagged_path.converged and flagged_path.cond == 1 / TrackOptions().endpoint_tol
+    assert flagged_path.converged and flagged_path.cond == 1 / RESIDUAL_TOL
     assert len(res.endpoints) == 12
     assert all(p.status == "at-infinity" for p in res.paths if not p.converged)
 
@@ -631,11 +630,10 @@ def test_more_certified_endpoints_than_the_bound_stop_nothing():
     # not the count of this system's roots: no path stops, as without one
     seed, spheres = SPHERE_SCENES["plain"]
     start, starts, target = sphere_homotopy(spheres)
-    opts = TrackOptions(seed=seed)
-    alone = track(start, starts, target, opts)
+    alone = track(start, starts, target, seed)
     arrivals = sorted(p.steps for p in alone if p.converged)
     bound = next(b for b in range(1, 12) if arrivals[b - 1] == arrivals[b])
-    (paths,) = tracker._track_batch([(start, starts, target)], opts, [bound])
+    (paths,) = tracker._track_batch([(start, starts, target)], seed, [bound])
     assert_same_paths(paths, alone)
 
 
@@ -647,7 +645,7 @@ def test_diverged_path_is_tracked_once(lockstep_passes):
     for bounds in ([12], None):
         passes.clear()
         (paths,) = tracker._track_batch([(start, padded, target)],
-                                        TrackOptions(seed=seed), bounds)
+                                        seed, bounds)
         assert sum(p.converged for p in paths) == 12 and paths[-1].status == "diverged"
         assert passes == [33]  # with or without a bound: no retrack
 
@@ -731,7 +729,7 @@ def test_path_to_a_regular_far_endpoint_is_kept():
     # at-infinity test measures three decades past INFINITY_FROM
     eps = 1e-6
     (path,) = track(far_root_system(1.0), [np.ones(6)],
-                    far_root_system([eps / (1 + eps)] * 2 + [1e-4]), TrackOptions(seed=0))
+                    far_root_system([eps / (1 + eps)] * 2 + [1e-4]), seed=0)
     assert path.converged and path.steps > 30
     assert abs(path.end[3] / path.end[0] - (1 + eps) / eps) < 1e-3
 
@@ -739,13 +737,13 @@ def test_path_to_a_regular_far_endpoint_is_kept():
 def test_no_path_ends_at_infinity_without_spheres(monkeypatch):
     statuses = set()
     for seed in (12, 21):
-        res = solve_tangency(random_quadric_system(seed), TrackOptions(seed=seed))
+        res = solve_tangency(random_quadric_system(seed), seed=seed)
         statuses.update(p.status for p in res.paths)
     # a regular line at infinity, from the coordinate tetrahedron, is kept
     from quadtangents.grassmann import tetrahedron_lines
 
     res = solve_tangency(line_system(Meets(l.dual()) for l in tetrahedron_lines()),
-                         TrackOptions(seed=31))
+                         seed=31)
     assert sum(rho(v) < 1e-12 for v in res.endpoints) == 1
     statuses.update(p.status for p in res.paths)
 
@@ -757,7 +755,7 @@ def test_no_path_ends_at_infinity_without_spheres(monkeypatch):
         return res
 
     monkeypatch.setattr(tracker, "solve_tangency", recorded)
-    assert doubling_experiment("auto", TrackOptions(seed=5)).counts == [2, 4, 8, 16, 32]
+    assert doubling_experiment("auto", seed=5).counts == [2, 4, 8, 16, 32]
     assert statuses == {"converged"}
 
 
@@ -767,8 +765,8 @@ def test_no_surplus_without_spheres(monkeypatch):
     statuses, watched = set(), []
     track_lockstep = tracker._track_lockstep
 
-    def recorded(h, starts, system, opts, steps, bounds=None):
-        paths = track_lockstep(h, starts, system, opts, steps, bounds)
+    def recorded(h, starts, system, steps, bounds=None):
+        paths = track_lockstep(h, starts, system, steps, bounds)
         if bounds is not None:
             watched.extend(np.asarray(bounds) < np.bincount(system))
         statuses.update(p.status for p in paths)
@@ -776,8 +774,8 @@ def test_no_surplus_without_spheres(monkeypatch):
 
     monkeypatch.setattr(tracker, "_track_lockstep", recorded)
     for seed in (12, 21):
-        solve_tangency(random_quadric_system(seed), TrackOptions(seed=seed))
-    doubling_experiment("auto", TrackOptions(seed=0))
+        solve_tangency(random_quadric_system(seed), seed=seed)
+    doubling_experiment("auto", seed=0)
     assert len(watched) == 2 + 5 and not any(watched)
     assert "surplus" not in statuses
 
@@ -806,31 +804,31 @@ def test_batch_of_systems_tracks_each_as_alone():
     # total-degree and closed-form starts, and paths stopped as surplus
     sphere_conditions = sphere_system(SPHERE_SCENES["plain"][1])
     systems = doubling_stages() + [random_quadric_system(12), sphere_conditions]
-    opts = TrackOptions(seed=5)
-    batch = solve_tangency(systems, opts)
+    seed = 5
+    batch = solve_tangency(systems, seed)
     assert [r.start_policy for r in batch] == ["total-degree"] * 4 + ["tetra"] * 3
     assert len(batch.paths) == 62 + 32 + 32
     statuses = {p.status for p in batch.paths}
     assert {"converged", "surplus"} <= statuses
     for system, result in zip(systems, batch):
-        alone = solve_tangency(system, opts)
+        alone = solve_tangency(system, seed)
         assert_same_paths(result.paths, alone.paths)
 
     # without a bound, paths ending at infinity, batched with another scene
     homotopies = [_tetra_to_random_scene(12), sphere_homotopy(SPHERE_SCENES["plain"][1])]
-    together = tracker._track_batch(homotopies, opts)
+    together = tracker._track_batch(homotopies, seed)
     assert {"converged", "at-infinity"} <= {p.status for p in together[1]}
     for homotopy, paths in zip(homotopies, together):
-        assert_same_paths(paths, track(*homotopy, opts))
+        assert_same_paths(paths, track(*homotopy, seed))
 
 
 def test_batch_of_sphere_scenes_stops_each_as_alone():
     # two watched homotopies, whose arrivals are polished in one call
     systems = [sphere_system(SPHERE_SCENES[name][1]) for name in ("plain", "plain-2")]
-    opts = TrackOptions(seed=5)
-    for system, result in zip(systems, solve_tangency(systems, opts)):
+    seed = 5
+    for system, result in zip(systems, solve_tangency(systems, seed)):
         assert "surplus" in {p.status for p in result.paths}
-        assert_same_paths(result.paths, solve_tangency(system, opts).paths)
+        assert_same_paths(result.paths, solve_tangency(system, seed).paths)
 
 
 def test_singular_start_leaves_other_homotopies_alone():
@@ -839,13 +837,13 @@ def test_singular_start_leaves_other_homotopies_alone():
     start, starts, target = _tetra_to_random_scene(16)
     other = _tetra_to_random_scene(17)
     doubled = (other[0], np.vstack([other[1], other[1][:1]]), other[2])
-    opts = TrackOptions(seed=16)
+    seed = 16
     padded = (start, np.vstack([starts, np.zeros(6)]), target)
-    first, second = tracker._track_batch([padded, doubled], opts)
+    first, second = tracker._track_batch([padded, doubled], seed)
     zero = first[-1]
     assert zero.status == "diverged" and zero.end is None and zero.steps == 1
-    for batched, alone in zip((first[:-1], second), (track(start, starts, target, opts),
-                                                   track(*doubled, opts))):
+    for batched, alone in zip((first[:-1], second), (track(start, starts, target, seed),
+                                                   track(*doubled, seed))):
         assert len(batched) == len(alone)
         for a, b in zip(batched, alone):
             assert (a.status, a.steps, a.duplicate_of) == (b.status, b.steps, b.duplicate_of)
@@ -862,13 +860,13 @@ def test_doubling_batch_needs_fewer_solve_calls(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counted)
-    stages, opts = doubling_stages(), TrackOptions(seed=0)
+    stages, seed = doubling_stages(), 0
     serial = []
     for stage in stages:
-        solve_tangency(stage, opts)
+        solve_tangency(stage, seed)
         serial.append(list(calls))
         calls.clear()
-    solve_tangency(stages, opts)
+    solve_tangency(stages, seed)
     # the same linear systems in about the calls of the longest stage alone:
     # the stages' rounds overlap instead of adding up
     assert sum(calls) == sum(sum(c) for c in serial)
@@ -987,7 +985,8 @@ def test_readme_names_tracker_constants():
     # every UPPER_CASE constant README names exists, with the value it gives
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     named = re.findall(r"`([A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+)(?: = ([^`]+))?`", readme)
-    assert {"MAX_STEP", "STEP_TOL", "MAX_GROWTH", "REAL_TOL"} <= {n for n, _ in named}
+    assert ({"MAX_STEP", "STEP_TOL", "MAX_GROWTH", "REAL_TOL", "RESIDUAL_TOL"}
+            <= {n for n, _ in named})
     for name, value in named:
         module = tracker if hasattr(tracker, name) else grassmann
         assert hasattr(module, name), name

@@ -81,7 +81,7 @@ def main() -> int:
             conditions = LineConditions.compile(
                 (f"Q{k + 1}", TangentTo(q)) for k, q in enumerate(spheres))
             rounds[0] = passes[0] = 0
-            result = tracker.solve_tangency(conditions, tracker.TrackOptions(seed=seed))
+            result = tracker.solve_tangency(conditions, seed=seed)
             steps = sum(p.steps for p in result.paths) / len(result.paths)
             lines.append(len(result.endpoints))
             all_rounds.append(rounds[0])
