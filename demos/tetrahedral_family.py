@@ -38,7 +38,7 @@ print("  squared outer coordinate:", sol.sq_out)
 print("  squared inner coordinate:", sol.sq_in)
 print("  numeric Pluecker vector:", sol.numeric().round(6))
 print("  residual report:", {k: f"{v:.2e}"
-                             for k, v in verify_solution(sol, params).residuals.items()})
+                             for k, v in verify_solution(sol, params).items()})
 
 # %% reality across the parameter plane
 

@@ -50,7 +50,6 @@ from .tetra32 import (
     numeric_vectors,
     reality_flags,
     verify_solution,  # noqa: F401  (perfbench traces this binding)
-    verify_vectors,
 )
 from .tracker import doubling_experiment, solve_tangency
 
@@ -232,12 +231,12 @@ def cmd_tetra(args) -> int:
                             _tetra_parameter(args, "beta"))
     solutions = enumerate_tangents(params)  # raises DegeneracyError
     vectors = numeric_vectors(solutions)
-    # the scene's quadrics are family(params), so each check holds every
-    # residual `verify` re-evaluates, plus the eliminated row and the square chain
-    checks = verify_vectors(vectors, params)
+    scene = _tetra_scene(params)
+    # each residual is the largest of the rows `verify` re-evaluates
+    residuals = solution_residuals(scene, vectors)
     cert = Certificate.of(
-        _tetra_scene(params), vectors, reality_flags(solutions),
-        [check.max_residual for check in checks], args.seed,
+        scene, vectors, reality_flags(solutions),
+        [max(res.values()) for res in residuals], args.seed,
         extras=[{"case": sol.case, "signs": list(sol.signs), "branch": sol.branch}
                 for sol in solutions],
         params={"alpha": encode_rational(params.alpha),

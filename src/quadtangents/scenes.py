@@ -59,7 +59,7 @@ def encode_rational(x: Fraction) -> str:
 
 
 def decode_rational(s) -> Fraction:
-    if isinstance(s, (int, str)):
+    if type(s) in (int, str):  # a JSON boolean is no rational
         return rational(s)
     if isinstance(s, float):
         return Fraction(s)  # exact value of the JSON float literal
@@ -85,9 +85,11 @@ def encode_complex(z) -> object:
 
 
 def decode_complex(v) -> complex:
-    if isinstance(v, (int, float)):
+    # type(), not isinstance: a JSON boolean is no number
+    if type(v) in (int, float):
         return complex(v)
-    if isinstance(v, list) and len(v) == 2:
+    if (isinstance(v, list) and len(v) == 2
+            and type(v[0]) in (int, float) and type(v[1]) in (int, float)):
         return complex(v[0], v[1])
     raise SceneFormatError(f"expected a number or [re, im] pair, got {v!r}")
 
@@ -352,7 +354,8 @@ def verify_certificate(cert: Certificate,
     Checks: the recorded scene hash matches the embedded scene (and the
     externally supplied one, if given); the declared tolerances are exactly
     ``TOLERANCES``; every residual of every solution is at most
-    ``RESIDUAL_TOL``, whatever the certificate records; no two solutions are
+    ``RESIDUAL_TOL``, and so is each recorded one, a JSON number (not a
+    boolean) that is not negative; no two solutions are
     closer than ``DISTINCT_TOL``; each reality flag is a boolean, and what
     ``classify_real`` derives from the coordinates, and each nonreal
     solution has a conjugate; ``counts`` holds exactly the integers
@@ -391,6 +394,11 @@ def verify_certificate(cert: Certificate,
     for i, vec in enumerate(decoded):
         if not isinstance(flags[i], bool):
             issues.append(VerificationIssue(i, f"reality flag {flags[i]!r} is not a boolean"))
+        recorded = cert.solutions[i].get("residual")
+        if type(recorded) not in (int, float) or not 0 <= recorded <= RESIDUAL_TOL:
+            issues.append(VerificationIssue(
+                i, f"recorded residual {recorded!r} is not a number in "
+                   f"[0, {RESIDUAL_TOL:.0e}]"))
         if isinstance(vec, Exception):
             issues.append(VerificationIssue(i, f"unreadable solution: {vec}"))
             continue

@@ -247,50 +247,10 @@ def below_reality_bound(x) -> bool:
 # verification
 
 
-@dataclass(frozen=True)
-class SolutionCheck:
-    """Numeric residual report for one instantiated solution."""
-
-    residuals: dict
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals.values())
-
-
-def verify_vectors(vectors: np.ndarray, params: TetraParams) -> list[SolutionCheck]:
-    """Evaluate every defining equation at each row of an (N, 6) stack of
-    instantiated solutions (``numeric_vectors``), one check per row.
-
-    Residuals reported (each normalized by the squared coordinate norm, the
-    tangency ones additionally by the Frobenius norm of the form):
-    the four tangency conditions and the Pluecker relation, in one stacked
-    evaluation of the compiled conditions; the eliminated linear row
-    -beta p02^2 - beta p13^2 + (1-alpha)(1-beta) p03^2, and the
-    equal-squares chain alpha p01^2 = alpha p03^2 = beta p12^2 = beta p23^2,
-    evaluated row by row in scalar arithmetic.
-    """
+def verify_solution(sol: SignedRadicalSolution, params: TetraParams) -> dict:
+    """Instantiate one solution and evaluate the family's compiled conditions
+    at it: ``{label: residual}`` for the four tangencies and the Pluecker
+    relation, the residuals a certificate's ``verify`` re-evaluates."""
     conditions = params.conditions
-    table = conditions.residual_table(vectors).tolist()
-    norms = np.sum(np.abs(vectors) ** 2, axis=1).tolist()
-    a, b = (_number(Surd(x)) for x in (params.alpha, params.beta))
-    checks = []
-    # scalar complex products, as numpy's complex scalars round them; complex
-    # array ufuncs may fuse multiply-adds and change the last bits
-    for p, norm2, row_residuals in zip(vectors.tolist(), norms, table):
-        residuals = dict(zip(conditions.labels, row_residuals))
-        p01, p02, p03, p12, p13, p23 = p
-        row = -b * p02 ** 2 - b * p13 ** 2 + (1 - a) * (1 - b) * p03 ** 2
-        residuals["eliminated_row"] = abs(complex(row)) / norm2
-        chain = [a * p01 ** 2 - a * p03 ** 2,
-                 a * p03 ** 2 - b * p12 ** 2,
-                 b * p12 ** 2 - b * p23 ** 2]
-        residuals["square_chain"] = max(abs(complex(c)) for c in chain) / norm2
-        checks.append(SolutionCheck(residuals))
-    return checks
-
-
-def verify_solution(sol: SignedRadicalSolution, params: TetraParams) -> SolutionCheck:
-    """Instantiate one solution and evaluate every defining equation: the
-    one-solution case of ``verify_vectors``."""
-    return verify_vectors(numeric_vectors([sol]), params)[0]
+    return dict(zip(conditions.labels,
+                    conditions.residual_table(numeric_vectors([sol]))[0].tolist()))

@@ -17,7 +17,14 @@ from quadtangents import cli, exactnum, quadrics, tetra32, tracker
 from quadtangents.cli import CSV_COLUMNS, build_parser, main
 from quadtangents.exactnum import RatMatrix
 from quadtangents.quadrics import LineConditions, Quadric, cylinder
-from quadtangents.scenes import Certificate, Scene, encode_plucker_numeric, write_json
+from quadtangents.scenes import (
+    Certificate,
+    Scene,
+    decode_plucker_numeric,
+    encode_plucker_numeric,
+    solution_residuals,
+    write_json,
+)
 from quadtangents.tetra32 import TetraParams, family
 from quadtangents.tracker import regular_tetrahedron_lines
 from test_demos import source_env
@@ -504,6 +511,38 @@ def _forge_bool_count(cert):
     cert["counts"]["nonreal"] = False
 
 
+def _forge_residual_as_string(cert):
+    cert["solutions"][0]["residual"] = "abc"
+
+
+def _forge_null_residual(cert):
+    cert["solutions"][0]["residual"] = None
+
+
+def _forge_negative_residual(cert):
+    cert["solutions"][0]["residual"] = -1.0
+
+
+def _forge_loose_residual(cert):
+    cert["solutions"][0]["residual"] = 5.0
+
+
+def _forge_missing_residual(cert):
+    del cert["solutions"][0]["residual"]
+
+
+# every recorded residual but a number in [0, RESIDUAL_TOL]
+FORGED_RESIDUALS = (_forge_residual_as_string, _forge_null_residual,
+                    _forge_negative_residual, _forge_loose_residual,
+                    _forge_missing_residual)
+
+
+def _forge_bool_coordinate(cert):
+    # p13 of (1/10, 1/20)'s solution 0 is 1.0, and True == 1
+    assert cert["solutions"][0]["plucker"]["coords"]["13"] == 1.0
+    cert["solutions"][0]["plucker"]["coords"]["13"] = True
+
+
 def _forge_lines_at_infinity(cert):
     # (0, 0, 0, 1, +-i, 0) lie in the plane at infinity, tangent to the
     # absolute conic, so they are tangent to every sphere with residual 0:
@@ -540,6 +579,12 @@ FORGED_ISSUE = {_forge_line_in_p4: "solution 3: unreadable solution",
                 _forge_total_count_only: "counts.real is missing",
                 _forge_float_count: "counts.real 32.0 is not an integer",
                 _forge_bool_count: "counts.nonreal False is not an integer",
+                _forge_residual_as_string: "solution 0: recorded residual 'abc'",
+                _forge_null_residual: "solution 0: recorded residual None",
+                _forge_negative_residual: "solution 0: recorded residual -1.0",
+                _forge_loose_residual: "solution 0: recorded residual 5.0",
+                _forge_missing_residual: "solution 0: recorded residual None",
+                _forge_bool_coordinate: "solution 0: unreadable solution",
                 **{forge: "declared tolerances" for forge in FORGED_TOLERANCES}}
 
 
@@ -549,7 +594,8 @@ FORGED_ISSUE = {_forge_line_in_p4: "solution 3: unreadable solution",
     _forge_nonreal_count, _forge_params, _forge_params_of_other_scene,
     _forge_lines_at_infinity, _forge_line_in_p4, _forge_point_in_p3,
     _forge_real_flag_as_string, _forge_nonreal_flag_as_number, _forge_unknown_count,
-    _forge_total_count_only, _forge_float_count, _forge_bool_count])
+    _forge_total_count_only, _forge_float_count, _forge_bool_count,
+    *FORGED_RESIDUALS, _forge_bool_coordinate])
 def test_verify_rejects_forged_certificate(capsys, tmp_path, forge):
     cert_path = tmp_path / "cert.json"
     if forge in FORGED_TRACK:
@@ -599,6 +645,26 @@ def test_verify_derives_reality_from_coordinates(capsys, tmp_path):
     assert code == 4 and "nonreal, with no conjugate solution" in out
 
 
+def test_recorded_residual_is_the_one_verify_re_evaluates(capsys, tmp_path):
+    # both producing commands record, per solution, the largest of the rows
+    # `verify` re-evaluates at the written coordinates, to the bit
+    seed, spheres = SPHERE_SCENES["plain"]
+    # a random 4-quadric scene (scaled by 1) and a 4-sphere scene
+    scenes = {"quadrics": (scaled_quadric_scene("quadric/scaled", F(1)), 3),
+              "spheres": (Scene(3, quadrics=[sphere(c, r) for c, r in spheres]), seed)}
+    commands = [("tetra", "1/10", "1/20"), ("tetra", "1/5", "1/5")]
+    commands += [("track", "--scene", make_scene_file(tmp_path, f"{name}.json", scene),
+                  "--seed", str(seed)) for name, (scene, seed) in scenes.items()]
+    for argv in commands:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        cert = Certificate.from_dict(json.loads(out))
+        for sol in cert.solutions:
+            (residuals,) = solution_residuals(
+                cert.scene, [decode_plucker_numeric(sol["plucker"])])
+            assert sol["residual"].hex() == max(residuals.values()).hex()
+
+
 LINE = [["1", "0"], ["0", "1"], ["0", "0"], ["0", "0"]]
 
 
@@ -623,6 +689,8 @@ MALFORMED = {
     "tolerances": (("tolerances",), 1e-12),
     "params": (("params",), "1/10"),
     "scene-quadric": (("scene", "quadrics", 0), "Q1"),
+    # the entry "1" of Q1, and True == 1
+    "scene-matrix-entry": (("scene", "quadrics", 0, "matrix", 0, 0), True),
 }
 
 
@@ -707,7 +775,7 @@ def test_certificates_match_their_schema(capsys, tmp_path):
     # JSON Schema takes 32.0 for; `verify` does not); tolerances holds
     # exactly the program's three
     for forge in (_forge_unknown_count, _forge_total_count_only, _forge_bool_count,
-                  *FORGED_TOLERANCES):
+                  *FORGED_TOLERANCES, *FORGED_RESIDUALS):
         cert = json.loads(out)
         forge(cert)
         assert not validator.is_valid(cert)

@@ -4,9 +4,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from quadtangents.exactnum import RatMatrix, Surd
+from quadtangents.exactnum import RatMatrix, Surd, rank
 from quadtangents.grassmann import PluckerVector, check_plucker_relations, chordal_distance
 from quadtangents.quadrics import is_tangent, tangency_form
+from quadtangents.scenes import Scene, solution_residuals
 from quadtangents.tetra32 import (
     DegeneracyError,
     TetraParams,
@@ -17,7 +18,6 @@ from quadtangents.tetra32 import (
     reality_count,
     reality_flags,
     verify_solution,
-    verify_vectors,
 )
 
 P10 = TetraParams.of(F(1, 10), F(1, 10))
@@ -86,6 +86,21 @@ def test_tangency_matrix_closed_form(alpha, beta):
         assert [form[i, i] for i in range(6)] == row
 
 
+@pytest.mark.parametrize("alpha,beta",
+                         [(F(1, 10), F(1, 20)), (F(1, 5), F(1, 5)), (F(3, 7), F(2, 9))])
+def test_derivation_rows_lie_in_the_tangency_span(alpha, beta):
+    # the eliminated row and the square chain (``closed_form_check``), as
+    # rows in the squared coordinates, add nothing to the four tangency rows:
+    # a certificate that bounds the tangencies bounds them too
+    a, b = alpha, beta
+    tangency = [[tangency_form(q, 1)[i, i] for i in range(6)]
+                for q in family(TetraParams.of(a, b))]
+    derived = [[0, -b, (1 - a) * (1 - b), 0, -b, 0],
+               [a, 0, -a, 0, 0, 0], [0, 0, a, -b, 0, 0], [0, 0, 0, b, 0, -b]]
+    assert rank(RatMatrix.from_rows(tangency)) == 4
+    assert rank(RatMatrix.from_rows(tangency + derived)) == 4
+
+
 # -- enumeration --------------------------------------------------------------
 
 
@@ -142,8 +157,7 @@ def test_all_solutions_satisfy_all_equations():
     sols = enumerate_tangents(P10)
     quadrics = family(P10)
     for sol in sols:
-        check = verify_solution(sol, P10)
-        assert check.max_residual < 1e-12
+        assert max(verify_solution(sol, P10).values()) < 1e-12
         # cross-check through the generic tangency machinery
         p = PluckerVector(1, 3, tuple(map(complex, sol.numeric())))
         assert check_plucker_relations(p) < 1e-12
@@ -249,7 +263,7 @@ def test_near_degenerate_parameters_still_verify():
         assert disc != 0 and abs(disc) < F(1, 10 ** 6)
         sols = enumerate_tangents(params)
         for sol in sols:
-            assert verify_solution(sol, params).max_residual < 1e-9
+            assert max(verify_solution(sol, params).values()) < 1e-9
         gap = pairwise_min_distance(sols)
         assert gap > 0  # distinctness gap shrinks with the discriminant
 
@@ -271,21 +285,31 @@ def per_solution_vector(sol) -> np.ndarray:
 
 
 def per_solution_check(sol, params) -> dict:
-    """Reference: every residual of one solution, evaluated on its own."""
+    """Reference: the residual of each compiled condition at one solution,
+    evaluated on its own."""
     p = per_solution_vector(sol)
-    a, b = num(Surd(params.alpha)), num(Surd(params.beta))
     c = params.conditions
-    norm2 = float(np.sum(np.abs(p) ** 2))
     norm = np.sqrt(np.sum(np.abs(p) ** 2))
     res = np.abs((c.quad @ p) @ p + c.lin @ p) / (c.scale * norm ** c.degree)
-    residuals = {label: float(r) for label, r in zip(c.labels, res)}
+    return {label: float(r) for label, r in zip(c.labels, res)}
+
+
+def closed_form_check(sol, params) -> dict:
+    """Two equations of the closed form's derivation at one solution, each
+    normalized by the squared coordinate norm: the eliminated linear row
+    -beta p02^2 - beta p13^2 + (1-alpha)(1-beta) p03^2 and the equal-squares
+    chain alpha p01^2 = alpha p03^2 = beta p12^2 = beta p23^2.  Both are
+    linear combinations of the tangency rows (the forms are diagonal), so
+    they check the derivation, not a certificate."""
+    p = per_solution_vector(sol)
+    a, b = num(Surd(params.alpha)), num(Surd(params.beta))
+    norm2 = float(np.sum(np.abs(p) ** 2))
     p01, p02, p03, p12, p13, p23 = p
     row = -b * p02 ** 2 - b * p13 ** 2 + (1 - a) * (1 - b) * p03 ** 2
-    residuals["eliminated_row"] = abs(complex(row)) / norm2
     chain = [a * p01 ** 2 - a * p03 ** 2, a * p03 ** 2 - b * p12 ** 2,
              b * p12 ** 2 - b * p23 ** 2]
-    residuals["square_chain"] = max(abs(complex(c)) for c in chain) / norm2
-    return residuals
+    return {"eliminated row": abs(complex(row)) / norm2,
+            "square chain": max(abs(complex(c)) for c in chain) / norm2}
 
 
 def same_bits(x, y) -> bool:
@@ -303,12 +327,14 @@ def test_stacked_check_has_the_per_solution_bits(alpha, beta):
     params = TetraParams.of(alpha, beta)
     sols = enumerate_tangents(params)
     vectors = numeric_vectors(sols)
-    checks = verify_vectors(vectors, params)
-    assert vectors.shape == (32, 6) and len(checks) == 32
+    scene = Scene(3, quadrics=list(family(params)))
+    table = solution_residuals(scene, vectors)
+    assert vectors.shape == (32, 6) and len(table) == 32
     assert reality_flags(sols) == [sol.is_real() for sol in sols]
-    for sol, vec, check in zip(sols, vectors, checks):
+    for sol, vec, residuals in zip(sols, vectors, table):
         assert same_bits(vec, per_solution_vector(sol))
         assert same_bits(sol.numeric(), vec)
         expected = per_solution_check(sol, params)
-        assert list(check.residuals.items()) == list(expected.items())
-        assert verify_solution(sol, params).residuals == expected
+        assert list(residuals.items()) == list(expected.items())
+        assert verify_solution(sol, params) == expected
+        assert max(closed_form_check(sol, params).values()) < 1e-12

@@ -1,0 +1,88 @@
+"""The fixed-seed output set: what `tetra`, `track`, `doubling` and `verify`
+write on fixed inputs, so that two checkouts can be compared byte for byte.
+
+The ops, each run in process through ``quadtangents.cli.main``:
+
+- the first 6 ops of perfbench stream ``seed-1`` of ``closed-form``,
+  ``quadric-scenes`` and ``sphere-scenes`` (``tetra`` or ``track``), each
+  followed by ``verify --scene`` on the certificate it wrote;
+- the first 3 ops of stream ``seed-1`` of ``doubling``;
+- ``doubling --auto --format json --seed k`` for k = 0..19.
+
+The inputs come from ``perfbench.workloads``, as perfbench draws them.  Each
+op leaves its output file, if it writes one, and a ``.txt`` record of its
+command line, exit code, stdout and stderr, all under OUTDIR; command lines
+name files relative to OUTDIR, so two runs write the same bytes.  Compare a
+change with its parent by running the script in each checkout:
+
+    python tools/fixed_outputs.py /tmp/parent-out   # in the parent's checkout
+    python tools/fixed_outputs.py /tmp/change-out
+    diff -r /tmp/parent-out /tmp/change-out
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import itertools
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from perfbench.workloads import iter_inputs  # noqa: E402
+from quadtangents import cli  # noqa: E402
+
+# (workload, ops taken from its stream seed-1)
+STREAMS = [("closed-form", 6), ("quadric-scenes", 6), ("sphere-scenes", 6),
+           ("doubling", 3)]
+DOUBLING_SEEDS = range(20)
+
+
+def record(name: str, argv: list[str]) -> int:
+    """Run one command and write ``name``.txt with its command line, exit
+    code, stdout and stderr; returns the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # a usage error
+            code = exc.code
+    Path(f"{name}.txt").write_text(
+        f"$ quadtangents {' '.join(argv)}\nexit {code}\n"
+        f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
+    return code
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        print(__doc__.split("\n\n")[0], file=sys.stderr)
+        print("usage: python tools/fixed_outputs.py OUTDIR", file=sys.stderr)
+        return 2
+    outdir = Path(sys.argv[1])
+    outdir.mkdir(parents=True, exist_ok=True)
+    os.chdir(outdir)
+    codes = []
+    for workload, count in STREAMS:
+        workdir = Path(workload)
+        workdir.mkdir(exist_ok=True)
+        for op in itertools.islice(iter_inputs(workload, "seed-1", workdir), count):
+            stem = workdir / f"op-{op.index}"
+            codes.append(record(f"{stem}.{op.argv[0]}", op.argv))
+            if op.scene_path is not None:
+                codes.append(record(f"{stem}.verify",
+                                    ["verify", op.output, "--scene", op.scene_path]))
+    Path("doubling-auto").mkdir(exist_ok=True)
+    for seed in DOUBLING_SEEDS:
+        codes.append(record(f"doubling-auto/seed-{seed}",
+                            ["doubling", "--auto", "--format", "json",
+                             "--seed", str(seed)]))
+    print(f"{len(codes)} commands, {sum(c != 0 for c in codes)} with a nonzero exit; "
+          f"outputs in {outdir}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
