@@ -58,11 +58,17 @@ def encode_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def _is_json_number(x) -> bool:
+    """Whether ``x`` read from JSON is a number: an int or a float, never a
+    boolean (which Python counts as an int)."""
+    return type(x) in (int, float)
+
+
 def decode_rational(s) -> Fraction:
-    if type(s) in (int, str):  # a JSON boolean is no rational
+    if isinstance(s, str):
         return rational(s)
-    if isinstance(s, float):
-        return Fraction(s)  # exact value of the JSON float literal
+    if _is_json_number(s):
+        return Fraction(s)  # exact value of the JSON number literal
     raise SceneFormatError(f"expected a rational, got {s!r}")
 
 
@@ -85,11 +91,9 @@ def encode_complex(z) -> object:
 
 
 def decode_complex(v) -> complex:
-    # type(), not isinstance: a JSON boolean is no number
-    if type(v) in (int, float):
+    if _is_json_number(v):
         return complex(v)
-    if (isinstance(v, list) and len(v) == 2
-            and type(v[0]) in (int, float) and type(v[1]) in (int, float)):
+    if isinstance(v, list) and len(v) == 2 and all(map(_is_json_number, v)):
         return complex(v[0], v[1])
     raise SceneFormatError(f"expected a number or [re, im] pair, got {v!r}")
 
@@ -318,7 +322,7 @@ class Certificate:
             params=obj.get("params"),
             metadata=obj.get("metadata", {}),
         )
-        if not all(isinstance(x, (int, float)) for x in cert.tolerances.values()):
+        if not all(map(_is_json_number, cert.tolerances.values())):
             raise SceneFormatError("certificate tolerances must be numbers")
         cert._recorded_hash = obj["scene_hash"]
         return cert
@@ -395,7 +399,7 @@ def verify_certificate(cert: Certificate,
         if not isinstance(flags[i], bool):
             issues.append(VerificationIssue(i, f"reality flag {flags[i]!r} is not a boolean"))
         recorded = cert.solutions[i].get("residual")
-        if type(recorded) not in (int, float) or not 0 <= recorded <= RESIDUAL_TOL:
+        if not _is_json_number(recorded) or not 0 <= recorded <= RESIDUAL_TOL:
             issues.append(VerificationIssue(
                 i, f"recorded residual {recorded!r} is not a number in "
                    f"[0, {RESIDUAL_TOL:.0e}]"))

@@ -687,6 +687,7 @@ MALFORMED = {
     "solutions": (("solutions",), "x"),
     "counts": (("counts",), [32]),
     "tolerances": (("tolerances",), 1e-12),
+    "tolerance-value": (("tolerances", "residual"), True),
     "params": (("params",), "1/10"),
     "scene-quadric": (("scene", "quadrics", 0), "Q1"),
     # the entry "1" of Q1, and True == 1

@@ -158,6 +158,7 @@ def test_all_solutions_satisfy_all_equations():
     quadrics = family(P10)
     for sol in sols:
         assert max(verify_solution(sol, P10).values()) < 1e-12
+        assert max(closed_form_check(sol, P10).values()) < 1e-12
         # cross-check through the generic tangency machinery
         p = PluckerVector(1, 3, tuple(map(complex, sol.numeric())))
         assert check_plucker_relations(p) < 1e-12
@@ -264,6 +265,7 @@ def test_near_degenerate_parameters_still_verify():
         sols = enumerate_tangents(params)
         for sol in sols:
             assert max(verify_solution(sol, params).values()) < 1e-9
+            assert max(closed_form_check(sol, params).values()) < 1e-9
         gap = pairwise_min_distance(sols)
         assert gap > 0  # distinctness gap shrinks with the discriminant
 
