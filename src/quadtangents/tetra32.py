@@ -151,14 +151,9 @@ class SignedRadicalSolution:
         return numeric_vectors([self])[0]
 
 
-def _number(s: Surd) -> complex:
-    """A surd as a Python complex."""
-    return complex(s.numeric())
-
-
 def _square_root(radicand: Surd) -> complex:
     """The principal square root of a radicand, complex for negative ones."""
-    return np.emath.sqrt(_number(radicand))
+    return np.emath.sqrt(complex(radicand))
 
 
 def numeric_vectors(solutions) -> np.ndarray:
@@ -174,7 +169,7 @@ def numeric_vectors(solutions) -> np.ndarray:
 
     def number(x: Fraction):
         if x not in numbers:
-            numbers[x] = _number(Surd(x))
+            numbers[x] = complex(Surd(x))
         return numbers[x]
 
     out = np.empty((len(solutions), 6), dtype=complex)
