@@ -30,9 +30,9 @@ from .grassmann import (
 )
 from .scenes import (
     LINE_KEYS,
-    Certificate,
     Scene,
     SceneFormatError,
+    certificate,
     encode_plucker_exact,
     encode_plucker_numeric,
     encode_rational,
@@ -196,12 +196,12 @@ def _tetra_scene(params: TetraParams) -> Scene:
                            "beta": encode_rational(params.beta)})
 
 
-def _write_certificate(cert: Certificate, args) -> None:
+def _write_certificate(cert: dict, args) -> None:
     if args.format in (None, "json"):
-        write_json(args.output, cert.to_dict())
+        write_json(args.output, cert)
         return
     lines = [",".join(CSV_COLUMNS)]
-    for sol in cert.solutions:
+    for sol in cert["solutions"]:
         coords = sol["plucker"]["coords"]
         row = [str(sol.get("index", "")), str(sol.get("case", "")),
                str(sol.get("branch", "")),
@@ -234,7 +234,7 @@ def cmd_tetra(args) -> int:
     scene = _tetra_scene(params)
     # each residual is the largest of the rows `verify` re-evaluates
     residuals = solution_residuals(scene, vectors)
-    cert = Certificate.of(
+    cert = certificate(
         scene, vectors, reality_flags(solutions),
         [max(res.values()) for res in residuals], args.seed,
         extras=[{"case": sol.case, "signs": list(sol.signs), "branch": sol.branch}
@@ -242,8 +242,8 @@ def cmd_tetra(args) -> int:
         params={"alpha": encode_rational(params.alpha),
                 "beta": encode_rational(params.beta)})
     _write_certificate(cert, args)
-    print(f"{cert.counts['total']} solutions, {cert.counts['real']} real, "
-          f"max residual {max(s['residual'] for s in cert.solutions):.3e}",
+    print(f"{cert['counts']['total']} solutions, {cert['counts']['real']} real, "
+          f"max residual {max(s['residual'] for s in cert['solutions']):.3e}",
           file=sys.stderr)
     return EXIT_OK
 
@@ -279,7 +279,7 @@ def cmd_track(args) -> int:
     reality = classify_real(vectors)  # the numbers written, as `verify` reads them
     residuals = solution_residuals(scene, vectors)
     status = Counter(p.status for p in result.paths)
-    cert = Certificate.of(
+    cert = certificate(
         scene, vectors, reality.is_real, [max(res.values()) for res in residuals],
         args.seed, extras=[{"path": {"status": p.status, "steps": p.steps}}
                            for p in distinct],
@@ -346,7 +346,7 @@ def cmd_doubling(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cert = Certificate.from_dict(read_json(args.certificate))
+    cert = read_json(args.certificate)
     expected = Scene.from_dict(read_json(args.scene)) if args.scene else None
     report = verify_certificate(cert, expected_scene=expected)
     print(report.summary())

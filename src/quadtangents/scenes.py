@@ -4,8 +4,9 @@ A *scene* is a labeled list of quadrics and flats in P^3.  A *certificate*
 records solutions (Pluecker 6-vectors) of the tangency/incidence problem a
 scene poses, together with residuals and the tolerances used, plus a hash of
 the canonical scene encoding so a certificate cannot be replayed against a
-different scene.  Verification re-evaluates every residual from scratch; it
-never trusts how the certificate was produced.
+different scene.  A certificate is its JSON object: ``certificate`` writes
+it and ``verify_certificate`` reads it.  Verification re-evaluates every
+residual from scratch; it never trusts how the certificate was produced.
 
 Serialization conventions (shared with docs/schemas/*.json):
   rationals     -> strings "p/q" (or "p"); decimal strings are parsed exactly
@@ -62,6 +63,12 @@ def _is_json_number(x) -> bool:
     """Whether ``x`` read from JSON is a number: an int or a float, never a
     boolean (which Python counts as an int)."""
     return type(x) in (int, float)
+
+
+def _is_json_int(x) -> bool:
+    """Whether ``x`` read from JSON is an integer: never a boolean, nor a
+    float such as 3.0."""
+    return type(x) is int
 
 
 def decode_rational(s) -> Fraction:
@@ -197,18 +204,17 @@ class Scene:
     def from_dict(cls, obj: dict) -> "Scene":
         if not isinstance(obj, dict):
             raise SceneFormatError("scene must be a JSON object")
-        try:
-            n = int(obj["n"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SceneFormatError("scene needs an integer field 'n'") from exc
+        n = obj.get("n")
+        if not _is_json_int(n):
+            raise SceneFormatError("scene needs an integer field 'n'")
         quadrics = []
         for i, q in enumerate(_objects(obj.get("quadrics", []), "scene quadrics")):
             label = q.get("label", f"Q{i + 1}")
             m = decode_matrix(q.get("matrix"))
             if not m.is_symmetric:
                 raise SceneFormatError(f"quadric {label!r} matrix is not symmetric")
-            if "n" in q and q["n"] != m.rows - 1:
-                raise SceneFormatError(f"quadric {label!r} declares n={q['n']} "
+            if "n" in q and (not _is_json_int(q["n"]) or q["n"] != m.rows - 1):
+                raise SceneFormatError(f"quadric {label!r} declares n={q['n']!r} "
                                        f"but has a {m.rows}x{m.cols} matrix")
             quadrics.append(Quadric(m, label=label))
         flats = []
@@ -254,80 +260,38 @@ def solution_residuals(scene: Scene, vectors) -> list[dict[str, float]]:
 # certificates
 
 
-@dataclass
-class Certificate:
-    scene: Scene
-    solutions: list[dict]       # per-solution JSON-ready entries
-    counts: dict
-    tolerances: dict
-    seed: int | None = None
-    params: dict | None = None  # present for closed-form family certificates
-    metadata: dict = field(default_factory=dict)
+def certificate(scene: Scene, vectors, real, residuals, seed: int | None,
+                extras=None, params: dict | None = None,
+                metadata: dict | None = None) -> dict:
+    """The certificate of ``scene``'s solutions ``vectors``, with each
+    one's reality flag and largest residual, as its JSON object: one entry
+    per solution (its index, Pluecker vector, flag and residual, then its
+    ``extras``), ``counts`` from the flags, ``TOLERANCES``, and the scene
+    with its hash.  ``params`` names a closed-form family member."""
+    from . import __version__
 
-    @classmethod
-    def of(cls, scene: Scene, vectors, real, residuals, seed: int,
-           extras=None, params: dict | None = None,
-           metadata: dict | None = None) -> "Certificate":
-        """The certificate of ``scene``'s solutions ``vectors``, with each
-        one's reality flag and largest residual: one entry per solution (its
-        index, Pluecker vector, flag and residual, then its ``extras``),
-        ``counts`` from the flags, and ``TOLERANCES``."""
-        solutions = [{"index": i,
-                      "plucker": encode_plucker_numeric(np.asarray(vec, dtype=complex)),
-                      "real": bool(flag),
-                      "residual": float(residual),
-                      **extra}
-                     for i, (vec, flag, residual, extra) in enumerate(
-                         zip(vectors, real, residuals, extras or [{}] * len(vectors)))]
-        n_real = sum(sol["real"] for sol in solutions)
-        return cls(scene, solutions,
-                   {"total": len(solutions), "real": n_real,
-                    "nonreal": len(solutions) - n_real},
-                   dict(TOLERANCES), seed, params, metadata or {})
-
-    def to_dict(self) -> dict:
-        from . import __version__
-
-        scene_dict = self.scene.to_dict()
-        return {
-            "schema": CERTIFICATE_SCHEMA,
-            "generator": {"tool": "quadtangents", "version": __version__},
-            "scene": scene_dict,
-            "scene_hash": scene_hash(scene_dict),
-            "params": self.params,
-            "seed": self.seed,
-            "tolerances": self.tolerances,
-            "counts": self.counts,
-            "solutions": self.solutions,
-            "metadata": self.metadata,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "Certificate":
-        if not isinstance(obj, dict) or obj.get("schema") != CERTIFICATE_SCHEMA:
-            raise SceneFormatError(
-                f"not a certificate (schema field must be {CERTIFICATE_SCHEMA!r})")
-        for key in ("scene", "scene_hash", "counts", "solutions", "tolerances"):
-            if key not in obj:
-                raise SceneFormatError(f"certificate misses field {key!r}")
-        for key in ("counts", "tolerances"):
-            if not isinstance(obj[key], dict):
-                raise SceneFormatError(f"certificate {key} must be an object")
-        cert = cls(
-            scene=Scene.from_dict(obj["scene"]),
-            solutions=list(_objects(obj["solutions"], "certificate solutions")),
-            counts=dict(obj["counts"]),
-            tolerances=dict(obj["tolerances"]),
-            seed=obj.get("seed"),
-            params=obj.get("params"),
-            metadata=obj.get("metadata", {}),
-        )
-        if not all(map(_is_json_number, cert.tolerances.values())):
-            raise SceneFormatError("certificate tolerances must be numbers")
-        cert._recorded_hash = obj["scene_hash"]
-        return cert
-
-    _recorded_hash: str | None = None
+    solutions = [{"index": i,
+                  "plucker": encode_plucker_numeric(np.asarray(vec, dtype=complex)),
+                  "real": bool(flag),
+                  "residual": float(residual),
+                  **extra}
+                 for i, (vec, flag, residual, extra) in enumerate(
+                     zip(vectors, real, residuals, extras or [{}] * len(vectors)))]
+    n_real = sum(sol["real"] for sol in solutions)
+    scene_dict = scene.to_dict()
+    return {
+        "schema": CERTIFICATE_SCHEMA,
+        "generator": {"tool": "quadtangents", "version": __version__},
+        "scene": scene_dict,
+        "scene_hash": scene_hash(scene_dict),
+        "params": params,
+        "seed": seed,
+        "tolerances": dict(TOLERANCES),
+        "counts": {"total": len(solutions), "real": n_real,
+                   "nonreal": len(solutions) - n_real},
+        "solutions": solutions,
+        "metadata": metadata or {},
+    }
 
 
 @dataclass
@@ -351,13 +315,14 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def verify_certificate(cert: Certificate,
+def verify_certificate(obj: dict,
                        expected_scene: Scene | None = None) -> VerificationReport:
-    """Re-evaluate every solution of a certificate from scratch.
+    """Re-evaluate every solution of a certificate's JSON object from scratch.
 
     Checks: the recorded scene hash matches the embedded scene (and the
     externally supplied one, if given); the declared tolerances are exactly
-    ``TOLERANCES``; every residual of every solution is at most
+    ``TOLERANCES``; each solution's ``index`` is the integer equal to its
+    position; every residual of every solution is at most
     ``RESIDUAL_TOL``, and so is each recorded one, a JSON number (not a
     boolean) that is not negative; no two solutions are
     closer than ``DISTINCT_TOL``; each reality flag is a boolean, and what
@@ -367,38 +332,59 @@ def verify_certificate(cert: Certificate,
     their flags; the solutions are within the root bound; and, with
     ``params`` (closed form), the scene is exactly that family member and
     has 32 lines split as ``reality_count``.
-    A certificate whose scene is not in P^3 raises SceneFormatError; one
-    with degenerate ``params``, DegeneracyError.
+    A missing or mistyped field (``seed`` is an integer or null), or a
+    scene not in P^3, raises SceneFormatError; degenerate ``params``,
+    DegeneracyError.  ``generator``, ``metadata`` and solution extras are
+    not read.
     """
-    if cert.scene.n != 3:
+    if not isinstance(obj, dict) or obj.get("schema") != CERTIFICATE_SCHEMA:
         raise SceneFormatError(
-            f"verification needs a scene in P^3, got one in P^{cert.scene.n}")
+            f"not a certificate (schema field must be {CERTIFICATE_SCHEMA!r})")
+    for key in ("scene", "scene_hash", "counts", "solutions", "tolerances"):
+        if key not in obj:
+            raise SceneFormatError(f"certificate misses field {key!r}")
+    for key in ("counts", "tolerances"):
+        if not isinstance(obj[key], dict):
+            raise SceneFormatError(f"certificate {key} must be an object")
+    scene = Scene.from_dict(obj["scene"])
+    solutions = _objects(obj["solutions"], "certificate solutions")
+    counts, tolerances = obj["counts"], obj["tolerances"]
+    if not all(map(_is_json_number, tolerances.values())):
+        raise SceneFormatError("certificate tolerances must be numbers")
+    if obj.get("seed") is not None and not _is_json_int(obj["seed"]):
+        raise SceneFormatError("certificate seed must be an integer or null")
+    if scene.n != 3:
+        raise SceneFormatError(
+            f"verification needs a scene in P^3, got one in P^{scene.n}")
     issues: list[VerificationIssue] = []
-    embedded_hash = scene_hash(cert.scene)
-    if cert._recorded_hash is not None and cert._recorded_hash != embedded_hash:
+    embedded_hash = scene_hash(scene)
+    if obj["scene_hash"] != embedded_hash:
         issues.append(VerificationIssue(None, "scene hash does not match embedded scene"))
     if expected_scene is not None and scene_hash(expected_scene) != embedded_hash:
         issues.append(VerificationIssue(None, "certificate was issued for a different scene"))
-    if cert.tolerances != TOLERANCES:
+    if tolerances != TOLERANCES:
         issues.append(VerificationIssue(
-            None, f"declared tolerances {cert.tolerances} are not the verifier's "
+            None, f"declared tolerances {tolerances} are not the verifier's "
                   f"{TOLERANCES}"))
 
     worst = 0.0
     decoded = []  # each solution's vector, or why it cannot be read
-    for sol in cert.solutions:
+    for sol in solutions:
         try:
             decoded.append(decode_plucker_numeric(sol["plucker"]))
         except (KeyError, SceneFormatError) as exc:
             decoded.append(exc)
     residuals = iter(solution_residuals(
-        cert.scene, [vec for vec in decoded if not isinstance(vec, Exception)]))
-    flags = [sol.get("real") for sol in cert.solutions]
+        scene, [vec for vec in decoded if not isinstance(vec, Exception)]))
+    flags = [sol.get("real") for sol in solutions]
     vectors = []
     for i, vec in enumerate(decoded):
+        index = solutions[i].get("index")
+        if not _is_json_int(index) or index != i:
+            issues.append(VerificationIssue(i, f"index {index!r} is not its position {i}"))
         if not isinstance(flags[i], bool):
             issues.append(VerificationIssue(i, f"reality flag {flags[i]!r} is not a boolean"))
-        recorded = cert.solutions[i].get("residual")
+        recorded = solutions[i].get("residual")
         if not _is_json_number(recorded) or not 0 <= recorded <= RESIDUAL_TOL:
             issues.append(VerificationIssue(
                 i, f"recorded residual {recorded!r} is not a number in "
@@ -427,7 +413,7 @@ def verify_certificate(cert: Certificate,
         issues += [VerificationIssue(index[k], "nonreal, with no conjugate solution")
                    for k in reality.unpaired]
 
-    counts, scene, total = cert.counts, cert.scene, len(cert.solutions)
+    total = len(solutions)
     n_real = sum(flag is True for flag in flags)
     derived = {"total": (total, "solution list"), "real": (n_real, "solution flags"),
                "nonreal": (total - n_real, "solution flags")}
@@ -436,24 +422,23 @@ def verify_certificate(cert: Certificate,
     for key, (value, source) in derived.items():
         if key not in counts:
             issues.append(VerificationIssue(None, f"counts.{key} is missing"))
-        elif type(counts[key]) is not int:  # nor a bool, nor 32.0
+        elif not _is_json_int(counts[key]):
             issues.append(VerificationIssue(
                 None, f"counts.{key} {counts[key]!r} is not an integer"))
         elif counts[key] != value:
             issues.append(VerificationIssue(None, f"counts.{key} differs from {source}"))
-    if (scene.n == 3 and scene.condition_count == 4
-            and total > scene.conditions.root_bound):
+    if scene.condition_count == 4 and total > scene.conditions.root_bound:
         issues.append(VerificationIssue(
             None, f"{total} solutions exceed the root bound "
                   f"{scene.conditions.root_bound}"))
-    if cert.params is not None:
+    if obj.get("params") is not None:
         if total != 32:
             issues.append(VerificationIssue(
                 None, f"closed-form certificate lists {total} of 32 lines"))
         try:
-            params = TetraParams.of(cert.params["alpha"], cert.params["beta"])
+            params = TetraParams.of(obj["params"]["alpha"], obj["params"]["beta"])
         except (KeyError, TypeError) as exc:
-            raise SceneFormatError(f"bad closed-form params {cert.params!r}") from exc
+            raise SceneFormatError(f"bad closed-form params {obj['params']!r}") from exc
         if (scene.flats or [q.matrix for q in scene.quadrics]
                 != [q.matrix for q in family(params)]):
             issues.append(VerificationIssue(

@@ -18,8 +18,8 @@ from quadtangents.cli import CSV_COLUMNS, build_parser, main
 from quadtangents.exactnum import RatMatrix
 from quadtangents.quadrics import LineConditions, Quadric, cylinder
 from quadtangents.scenes import (
-    Certificate,
     Scene,
+    certificate,
     decode_plucker_numeric,
     encode_plucker_numeric,
     solution_residuals,
@@ -537,6 +537,18 @@ FORGED_RESIDUALS = (_forge_residual_as_string, _forge_null_residual,
                     _forge_missing_residual)
 
 
+def _forge_index_of_another_solution(cert):
+    cert["solutions"][0]["index"] = 7
+
+
+def _forge_missing_index(cert):
+    del cert["solutions"][0]["index"]
+
+
+def _forge_null_scene_hash(cert):
+    cert["scene_hash"] = None
+
+
 def _forge_bool_coordinate(cert):
     # p13 of (1/10, 1/20)'s solution 0 is 1.0, and True == 1
     assert cert["solutions"][0]["plucker"]["coords"]["13"] == 1.0
@@ -584,6 +596,9 @@ FORGED_ISSUE = {_forge_line_in_p4: "solution 3: unreadable solution",
                 _forge_negative_residual: "solution 0: recorded residual -1.0",
                 _forge_loose_residual: "solution 0: recorded residual 5.0",
                 _forge_missing_residual: "solution 0: recorded residual None",
+                _forge_index_of_another_solution: "solution 0: index 7 is not its position 0",
+                _forge_missing_index: "solution 0: index None is not its position 0",
+                _forge_null_scene_hash: "scene hash does not match embedded scene",
                 _forge_bool_coordinate: "solution 0: unreadable solution",
                 **{forge: "declared tolerances" for forge in FORGED_TOLERANCES}}
 
@@ -595,7 +610,8 @@ FORGED_ISSUE = {_forge_line_in_p4: "solution 3: unreadable solution",
     _forge_lines_at_infinity, _forge_line_in_p4, _forge_point_in_p3,
     _forge_real_flag_as_string, _forge_nonreal_flag_as_number, _forge_unknown_count,
     _forge_total_count_only, _forge_float_count, _forge_bool_count,
-    *FORGED_RESIDUALS, _forge_bool_coordinate])
+    *FORGED_RESIDUALS, _forge_bool_coordinate, _forge_index_of_another_solution,
+    _forge_missing_index, _forge_null_scene_hash])
 def test_verify_rejects_forged_certificate(capsys, tmp_path, forge):
     cert_path = tmp_path / "cert.json"
     if forge in FORGED_TRACK:
@@ -658,10 +674,11 @@ def test_recorded_residual_is_the_one_verify_re_evaluates(capsys, tmp_path):
     for argv in commands:
         code, out, _ = run(capsys, *argv)
         assert code == 0
-        cert = Certificate.from_dict(json.loads(out))
-        for sol in cert.solutions:
+        cert = json.loads(out)
+        scene = Scene.from_dict(cert["scene"])
+        for sol in cert["solutions"]:
             (residuals,) = solution_residuals(
-                cert.scene, [decode_plucker_numeric(sol["plucker"])])
+                scene, [decode_plucker_numeric(sol["plucker"])])
             assert sol["residual"].hex() == max(residuals.values()).hex()
 
 
@@ -692,7 +709,22 @@ MALFORMED = {
     "scene-quadric": (("scene", "quadrics", 0), "Q1"),
     # the entry "1" of Q1, and True == 1
     "scene-matrix-entry": (("scene", "quadrics", 0, "matrix", 0, 0), True),
+    # each integer field read as a string, a float or a boolean
+    "scene-n-string": (("scene", "n"), "3"),
+    "scene-n-float": (("scene", "n"), 3.0),
+    "scene-quadric-n-float": (("scene", "quadrics", 0, "n"), 3.0),
+    "seed-string": (("seed",), "abc"),
+    "seed-bool": (("seed",), True),
 }
+
+
+def malform(cert: dict, name: str) -> None:
+    """Replace the field ``MALFORMED[name]`` names in ``cert``."""
+    (*parents, key), value = MALFORMED[name]
+    field = cert
+    for parent in parents:
+        field = field[parent]
+    field[key] = value
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -700,11 +732,7 @@ def test_malformed_files_are_input_errors(capsys, tmp_path, name):
     cert_path = tmp_path / "cert.json"
     run(capsys, "tetra", "1/10", "1/20", "--output", str(cert_path))
     cert = json.loads(cert_path.read_text())
-    (*parents, key), value = MALFORMED[name]
-    field = cert
-    for parent in parents:
-        field = field[parent]
-    field[key] = value
+    malform(cert, name)
     cert_path.write_text(json.dumps(cert))
     code, _, err = run(capsys, "verify", str(cert_path))
     assert code == 3 and err.startswith("input error")
@@ -724,15 +752,10 @@ def test_verify_rejects_non_certificates(capsys, tmp_path):
 
 def test_verify_names_a_scene_outside_p3(capsys, tmp_path):
     scene = Scene(4, quadrics=[Quadric(RatMatrix.identity(5))])
-    cert = Certificate(
-        scene=scene,
-        solutions=[{"index": 0, "real": True, "residual": 0.0,
-                    "plucker": {"k": 1, "n": 3, "coords": {
-                        key: 1.0 for key in ("01", "02", "03", "12", "13", "23")}}}],
-        counts={"total": 1, "real": 1, "nonreal": 0},
-        tolerances={"residual": 1e-12, "real": 1e-8, "distinct": 1e-6})
+    # one real solution, all six coordinates 1.0, with residual 0.0
+    cert = certificate(scene, [np.ones(6)], [True], [0.0], None)
     cert_path = tmp_path / "cert.json"
-    write_json(str(cert_path), cert.to_dict())
+    write_json(str(cert_path), cert)
     code, _, err = run(capsys, "verify", str(cert_path))
     assert code == 3 and "needs a scene in P^3" in err
 
@@ -774,11 +797,18 @@ def test_certificates_match_their_schema(capsys, tmp_path):
     assert not validator.is_valid(cert)
     # counts holds exactly total, real and nonreal, each an integer (which
     # JSON Schema takes 32.0 for; `verify` does not); tolerances holds
-    # exactly the program's three
+    # exactly the program's three; every solution has an integer index, but
+    # that it equals the solution's position is checked by `verify` alone
     for forge in (_forge_unknown_count, _forge_total_count_only, _forge_bool_count,
-                  *FORGED_TOLERANCES, *FORGED_RESIDUALS):
+                  *FORGED_TOLERANCES, *FORGED_RESIDUALS, _forge_missing_index,
+                  _forge_null_scene_hash):
         cert = json.loads(out)
         forge(cert)
+        assert not validator.is_valid(cert)
+    # a scene's n and the seed are integers (again, 3.0 passes as one)
+    for name in ("scene-n-string", "seed-string", "seed-bool"):
+        cert = json.loads(out)
+        malform(cert, name)
         assert not validator.is_valid(cert)
 
 

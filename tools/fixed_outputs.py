@@ -7,7 +7,10 @@ The ops, each run in process through ``quadtangents.cli.main``:
   ``quadric-scenes`` and ``sphere-scenes`` (``tetra`` or ``track``), each
   followed by ``verify --scene`` on the certificate it wrote;
 - the first 3 ops of stream ``seed-1`` of ``doubling``;
-- ``doubling --auto --format json --seed k`` for k = 0..19.
+- ``doubling --auto --format json --seed k`` for k = 0..19;
+- CSV certificates: ``tetra 1/5 1/5 --format csv`` and ``track --format csv``
+  of the first ``sphere-scenes`` op's scene;
+- ``verify`` without ``--scene`` on the first ``closed-form`` certificate.
 
 The inputs come from ``perfbench.workloads``, as perfbench draws them.  Each
 op leaves its output file, if it writes one, and a ``.txt`` record of its
@@ -65,10 +68,12 @@ def main() -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     os.chdir(outdir)
     codes = []
+    first = {}  # each workload's first op
     for workload, count in STREAMS:
         workdir = Path(workload)
         workdir.mkdir(exist_ok=True)
         for op in itertools.islice(iter_inputs(workload, "seed-1", workdir), count):
+            first.setdefault(workload, op)
             stem = workdir / f"op-{op.index}"
             codes.append(record(f"{stem}.{op.argv[0]}", op.argv))
             if op.scene_path is not None:
@@ -79,6 +84,14 @@ def main() -> int:
         codes.append(record(f"doubling-auto/seed-{seed}",
                             ["doubling", "--auto", "--format", "json",
                              "--seed", str(seed)]))
+    Path("csv").mkdir(exist_ok=True)
+    codes.append(record("csv/tetra", ["tetra", "1/5", "1/5", "--format", "csv",
+                                      "--output", "csv/tetra.csv"]))
+    sphere = first["sphere-scenes"]
+    codes.append(record("csv/track", [
+        "csv/track.csv" if arg == sphere.output else arg for arg in sphere.argv]
+        + ["--format", "csv"]))
+    codes.append(record("csv/verify-without-scene", ["verify", first["closed-form"].output]))
     print(f"{len(codes)} commands, {sum(c != 0 for c in codes)} with a nonzero exit; "
           f"outputs in {outdir}")
     return 0
