@@ -3,8 +3,9 @@
 Subcommands: counts, tetra, track, doubling, verify, transversals.
 Exit codes: 0 success, 2 mathematical degeneracy (a hypothesis of the
 underlying construction is violated), 3 input error, 4 numerical failure
-(no certified solutions; a tracked nonreal line without its conjugate, or
-a suspected path jump; or a certificate that fails re-verification).
+(no certified solutions or a suspected path jump; or a certificate that
+`verify` rejects, or that `tetra` or `track` writes and that fails its
+coordinate checks, ``scenes.solution_issues``: cli makes no check itself).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .scenes import (
     encode_plucker_numeric,
     encode_rational,
     read_json,
+    solution_issues,
     solution_residuals,
     verify_certificate,
     write_json,
@@ -217,6 +219,14 @@ def _write_certificate(cert: dict, args) -> None:
     write_text(args.output, "\n".join(lines))
 
 
+def _exit_by_rule(scene: Scene, vectors, flags, residuals) -> int:
+    """Exit 4 when the solutions written fail `verify`'s rule, each issue on stderr."""
+    issues = solution_issues(scene, vectors, flags, residuals)
+    for issue in issues:
+        print(issue, file=sys.stderr)
+    return EXIT_NUMERIC if issues else EXIT_OK
+
+
 def _tetra_parameter(args, name: str):
     flag, positional = getattr(args, name), getattr(args, f"{name}_pos")
     if flag is not None and positional is not None:
@@ -234,9 +244,9 @@ def cmd_tetra(args) -> int:
     scene = _tetra_scene(params)
     # each residual is the largest of the rows `verify` re-evaluates
     residuals = solution_residuals(scene, vectors)
+    flags = reality_flags(solutions)
     cert = certificate(
-        scene, vectors, reality_flags(solutions),
-        [max(res.values()) for res in residuals], args.seed,
+        scene, vectors, flags, [max(res.values()) for res in residuals], args.seed,
         extras=[{"case": sol.case, "signs": list(sol.signs), "branch": sol.branch}
                 for sol in solutions],
         params={"alpha": encode_rational(params.alpha),
@@ -245,7 +255,7 @@ def cmd_tetra(args) -> int:
     print(f"{cert['counts']['total']} solutions, {cert['counts']['real']} real, "
           f"max residual {max(s['residual'] for s in cert['solutions']):.3e}",
           file=sys.stderr)
-    return EXIT_OK
+    return _exit_by_rule(scene, vectors, flags, residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +310,11 @@ def cmd_track(args) -> int:
           file=sys.stderr)
     # the certificate is written either way, so that it can be inspected; a
     # suspected jump means a line may be missing
-    for k in reality.unpaired:
-        print(f"solution {k}: nonreal, with no conjugate solution", file=sys.stderr)
+    code = _exit_by_rule(scene, vectors, reality.is_real, residuals)
     for i, p in enumerate(result.paths):
         if p.status == "path-jump-suspected":
             print(f"path {i}: suspected jump onto path {p.duplicate_of}", file=sys.stderr)
-    if not distinct or reality.unpaired or status["path-jump-suspected"]:
-        return EXIT_NUMERIC
-    return EXIT_OK
+    return EXIT_NUMERIC if not distinct or status["path-jump-suspected"] else code
 
 
 # ---------------------------------------------------------------------------

@@ -194,28 +194,34 @@ TIE_TOL = 1e-12
 
 
 def normalize_endpoint(v) -> np.ndarray:
-    """Unit norm with the largest-magnitude coordinate rotated real-positive.
-    Coordinates within a relative TIE_TOL of the largest magnitude count as
-    tied, and the first of them is taken: exact and near-exact ties no
-    longer flip the representative on a 1-ulp change, though a magnitude
-    right at the (1 - TIE_TOL) edge still can."""
+    """Unit norm with the largest-magnitude coordinate rotated real-positive,
+    for one vector or each row of a stack.  Coordinates within a relative
+    TIE_TOL of the largest magnitude count as tied, and the first of them
+    is taken: exact and near-exact ties no longer flip the representative
+    on a 1-ulp change, though a magnitude right at the (1 - TIE_TOL) edge
+    still can.  Rows come out as they would alone, bit for bit: the norm
+    is summed as ``np.linalg.norm`` sums one vector's, |z| taken by hypot."""
     v = np.asarray(v, dtype=complex)
-    v = v / np.linalg.norm(v)
+    square = sum(x[..., None, :] @ x[..., :, None] for x in (v.real, v.imag))[..., 0]
+    v = v / np.sqrt(square)
     size = np.abs(v)
-    z = v[int(np.argmax(size >= (1 - TIE_TOL) * size.max()))]
-    return v * (z.conjugate() / abs(z))
+    lead = np.argmax(size >= (1 - TIE_TOL) * size.max(axis=-1, keepdims=True), axis=-1)
+    z = np.take_along_axis(v, lead[..., None], axis=-1)
+    return v * (z.conjugate() / np.hypot(z.real, z.imag))
 
 
-def chordal_distance(u: np.ndarray, v: np.ndarray) -> float:
+def chordal_distance(u: np.ndarray, v: np.ndarray):
     """Projective distance min over phases of ||u - e^(i phi) v|| for unit
-    representatives.  Computed via the optimal phase directly, which stays
-    accurate down to machine precision for nearly equal rays (the naive
-    sqrt(2 - 2|<u,v>|) loses half the digits to cancellation)."""
-    u = u / np.linalg.norm(u)
-    v = v / np.linalg.norm(v)
-    ip = np.vdot(v, u)
-    phase = ip / abs(ip) if ip != 0 else 1.0
-    return float(np.linalg.norm(u - phase * v))
+    representatives, of one pair of rays or row by row.  Computed via the
+    optimal phase directly, which stays accurate down to machine precision
+    for nearly equal rays (the naive sqrt(2 - 2|<u,v>|) loses half the
+    digits to cancellation)."""
+    u = u / np.linalg.norm(u, axis=-1, keepdims=True)
+    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    ip = np.sum(v.conj() * u, axis=-1, keepdims=True)
+    size = np.abs(ip)
+    phase = np.divide(ip, size, out=np.ones_like(ip), where=size != 0)
+    return np.linalg.norm(u - phase * v, axis=-1)
 
 
 def close_pairs(vectors, tol: float, conjugate: bool = False) -> list[tuple[int, int]]:
@@ -231,13 +237,13 @@ def close_pairs(vectors, tol: float, conjugate: bool = False) -> list[tuple[int,
     """
     if len(vectors) < 2:
         return []
-    unit = np.array([v / np.linalg.norm(v) for v in vectors])
+    unit = normalize_endpoint(vectors)
     left = unit if conjugate else unit.conj()
-    overlap = np.triu(np.abs(left @ unit.T), 1)
-    return [(int(a), int(b))
-            for a, b in zip(*np.nonzero(overlap > 1 - max(tol * tol, 1e-12)))
-            if chordal_distance(np.conj(vectors[a]) if conjugate else vectors[a],
-                                vectors[b]) < tol]
+    a, b = np.nonzero(np.triu(np.abs(left @ unit.T), 1) > 1 - max(tol * tol, 1e-12))
+    if a.size:
+        near = chordal_distance(unit[a].conj() if conjugate else unit[a], unit[b]) < tol
+        a, b = a[near], b[near]
+    return list(zip(a.tolist(), b.tolist()))
 
 
 @dataclass
@@ -245,7 +251,6 @@ class RealityReport:
     is_real: list[bool]  # one flag per vector, in order
     conjugate_pairs: list[tuple[int, int]]
     unpaired: list[int]
-    at_infinity: int
 
     @property
     def real_count(self) -> int:
@@ -261,12 +266,10 @@ def classify_real(vectors) -> RealityReport:
     imaginary part reaches ``REAL_TOL`` after ``normalize_endpoint``.  The
     nonreal ones are paired, in order, with a later one within ``REAL_TOL``
     of their complex conjugate; one left unpaired suggests a path jump or a
-    forged flag.  Also counted: lines in the plane at infinity (p01, p02,
-    p03 below tolerance), which an affine-reality claim must exclude.
+    forged flag.
     """
-    normalized = np.reshape([normalize_endpoint(v) for v in vectors], (-1, 6))
+    normalized = normalize_endpoint(np.reshape(vectors, (-1, 6)))
     is_real = np.max(np.abs(normalized.imag), axis=-1) < REAL_TOL
-    at_infinity = np.max(np.abs(normalized[:, :3]), axis=-1) < REAL_TOL
     nonreal = np.flatnonzero(~is_real)
     pairs, used = [], set()
     for a, b in close_pairs(normalized[nonreal], REAL_TOL, conjugate=True):
@@ -274,7 +277,7 @@ def classify_real(vectors) -> RealityReport:
             pairs.append((int(nonreal[a]), int(nonreal[b])))
             used.update((a, b))
     unpaired = [int(i) for k, i in enumerate(nonreal) if k not in used]
-    return RealityReport(is_real.tolist(), pairs, unpaired, int(np.sum(at_infinity)))
+    return RealityReport(is_real.tolist(), pairs, unpaired)
 
 
 def _permutation_sign(seq: Sequence[int]) -> int:

@@ -7,6 +7,8 @@ the canonical scene encoding so a certificate cannot be replayed against a
 different scene.  A certificate is its JSON object: ``certificate`` writes
 it and ``verify_certificate`` reads it.  Verification re-evaluates every
 residual from scratch; it never trusts how the certificate was produced.
+One rule, ``solution_issues``, checks a certificate's coordinates, in
+``verify`` and in the ``tetra`` and ``track`` commands that write them.
 
 Serialization conventions (shared with docs/schemas/*.json):
   rationals     -> strings "p/q" (or "p"); decimal strings are parsed exactly
@@ -299,6 +301,10 @@ class VerificationIssue:
     solution: int | None
     message: str
 
+    def __str__(self) -> str:  # as `verify` prints it
+        where = "" if self.solution is None else f"solution {self.solution}: "
+        return where + self.message
+
 
 @dataclass
 class VerificationReport:
@@ -310,9 +316,43 @@ class VerificationReport:
         if self.passed:
             return f"PASS (max re-evaluated residual {self.max_residual:.3e})"
         lines = [f"FAIL ({len(self.issues)} issue(s))"]
-        lines += [f"  solution {i.solution}: {i.message}" if i.solution is not None
-                  else f"  {i.message}" for i in self.issues]
+        lines += [f"  {issue}" for issue in self.issues]
         return "\n".join(lines)
+
+
+def solution_issues(scene: Scene, vectors, flags, residuals) -> list[VerificationIssue]:
+    """The issues of a scene's solutions (``vectors``, None where unread),
+    their ``flags`` and their ``solution_residuals`` rows: a row above
+    ``RESIDUAL_TOL`` or NaN; among the rest, two closer than
+    ``DISTINCT_TOL``, a boolean flag that ``classify_real`` contradicts, or
+    a nonreal one with no conjugate; and more solutions than the root bound."""
+    issues: list[VerificationIssue] = []
+    within = []  # (position, vector) of each solution within RESIDUAL_TOL
+    for i, (vec, res) in enumerate(zip(vectors, residuals)):
+        if vec is None:
+            continue
+        over = [f"{key} {r:.3e}" for key, r in res.items() if not r <= RESIDUAL_TOL]
+        if over:
+            issues.append(VerificationIssue(
+                i, f"residual exceeds tolerance {RESIDUAL_TOL:.3e}: {', '.join(over)}"))
+        else:
+            within.append((i, vec))
+    if within:
+        index, vecs = zip(*within)
+        for a, b in close_pairs(vecs, DISTINCT_TOL):
+            issues.append(VerificationIssue(
+                index[b], f"coincides with solution {index[a]}"))
+        reality = classify_real(vecs)
+        issues += [VerificationIssue(i, "reality flag disagrees with the coordinates")
+                   for i, real in zip(index, reality.is_real)
+                   if isinstance(flags[i], bool) and flags[i] != real]
+        issues += [VerificationIssue(index[k], "nonreal, with no conjugate solution")
+                   for k in reality.unpaired]
+    if scene.condition_count == 4 and len(vectors) > scene.conditions.root_bound:
+        issues.append(VerificationIssue(
+            None, f"{len(vectors)} solutions exceed the root bound "
+                  f"{scene.conditions.root_bound}"))
+    return issues
 
 
 def verify_certificate(obj: dict,
@@ -322,16 +362,13 @@ def verify_certificate(obj: dict,
     Checks: the recorded scene hash matches the embedded scene (and the
     externally supplied one, if given); the declared tolerances are exactly
     ``TOLERANCES``; each solution's ``index`` is the integer equal to its
-    position; every residual of every solution is at most
-    ``RESIDUAL_TOL``, and so is each recorded one, a JSON number (not a
-    boolean) that is not negative; no two solutions are
-    closer than ``DISTINCT_TOL``; each reality flag is a boolean, and what
-    ``classify_real`` derives from the coordinates, and each nonreal
-    solution has a conjugate; ``counts`` holds exactly the integers
-    ``total``, ``real`` and ``nonreal``, which match the solutions and
-    their flags; the solutions are within the root bound; and, with
-    ``params`` (closed form), the scene is exactly that family member and
-    has 32 lines split as ``reality_count``.
+    position, its reality flag a boolean, and its recorded residual a JSON
+    number (not a boolean) in [0, ``RESIDUAL_TOL``]; ``solution_issues``,
+    on the solutions decoded and their re-evaluated residuals; ``counts``
+    holds exactly the integers ``total``, ``real`` and ``nonreal``, which
+    match the solutions and their flags; and, with ``params`` (closed
+    form), the scene is exactly that family member and has 32 lines split
+    as ``reality_count``.
     A missing or mistyped field (``seed`` is an integer or null), or a
     scene not in P^3, raises SceneFormatError; degenerate ``params``,
     DegeneracyError.  ``generator``, ``metadata`` and solution extras are
@@ -367,51 +404,28 @@ def verify_certificate(obj: dict,
             None, f"declared tolerances {tolerances} are not the verifier's "
                   f"{TOLERANCES}"))
 
-    worst = 0.0
-    decoded = []  # each solution's vector, or why it cannot be read
-    for sol in solutions:
-        try:
-            decoded.append(decode_plucker_numeric(sol["plucker"]))
-        except (KeyError, SceneFormatError) as exc:
-            decoded.append(exc)
-    residuals = iter(solution_residuals(
-        scene, [vec for vec in decoded if not isinstance(vec, Exception)]))
     flags = [sol.get("real") for sol in solutions]
-    vectors = []
-    for i, vec in enumerate(decoded):
-        index = solutions[i].get("index")
+    vectors = []  # each solution's vector, or None where it cannot be read
+    for i, sol in enumerate(solutions):
+        index = sol.get("index")
         if not _is_json_int(index) or index != i:
             issues.append(VerificationIssue(i, f"index {index!r} is not its position {i}"))
         if not isinstance(flags[i], bool):
             issues.append(VerificationIssue(i, f"reality flag {flags[i]!r} is not a boolean"))
-        recorded = solutions[i].get("residual")
+        recorded = sol.get("residual")
         if not _is_json_number(recorded) or not 0 <= recorded <= RESIDUAL_TOL:
             issues.append(VerificationIssue(
                 i, f"recorded residual {recorded!r} is not a number in "
                    f"[0, {RESIDUAL_TOL:.0e}]"))
-        if isinstance(vec, Exception):
-            issues.append(VerificationIssue(i, f"unreadable solution: {vec}"))
-            continue
-        res = next(residuals)
-        worst = max(worst, *res.values())
-        over = [f"{key} {r:.3e}" for key, r in res.items()
-                if not r <= RESIDUAL_TOL]  # NaN too
-        if over:
-            issues.append(VerificationIssue(
-                i, f"residual exceeds tolerance {RESIDUAL_TOL:.3e}: {', '.join(over)}"))
-        else:
-            vectors.append((i, vec))
-    if vectors:
-        index, vecs = zip(*vectors)
-        for a, b in close_pairs(vecs, DISTINCT_TOL):
-            issues.append(VerificationIssue(
-                index[b], f"coincides with solution {index[a]}"))
-        reality = classify_real(vecs)
-        issues += [VerificationIssue(i, "reality flag disagrees with the coordinates")
-                   for i, real in zip(index, reality.is_real)
-                   if isinstance(flags[i], bool) and flags[i] != real]
-        issues += [VerificationIssue(index[k], "nonreal, with no conjugate solution")
-                   for k in reality.unpaired]
+        try:
+            vectors.append(decode_plucker_numeric(sol["plucker"]))
+        except (KeyError, SceneFormatError) as exc:
+            vectors.append(None)
+            issues.append(VerificationIssue(i, f"unreadable solution: {exc}"))
+    rows = iter(solution_residuals(scene, [vec for vec in vectors if vec is not None]))
+    residuals = [None if vec is None else next(rows) for vec in vectors]
+    worst = max([0.0, *(r for res in residuals if res for r in res.values())])
+    issues += solution_issues(scene, vectors, flags, residuals)
 
     total = len(solutions)
     n_real = sum(flag is True for flag in flags)
@@ -427,10 +441,6 @@ def verify_certificate(obj: dict,
                 None, f"counts.{key} {counts[key]!r} is not an integer"))
         elif counts[key] != value:
             issues.append(VerificationIssue(None, f"counts.{key} differs from {source}"))
-    if scene.condition_count == 4 and total > scene.conditions.root_bound:
-        issues.append(VerificationIssue(
-            None, f"{total} solutions exceed the root bound "
-                  f"{scene.conditions.root_bound}"))
     if obj.get("params") is not None:
         if total != 32:
             issues.append(VerificationIssue(

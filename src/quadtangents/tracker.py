@@ -72,8 +72,10 @@ Every path ends with one of these statuses:
                        stopped there (below);
   diverged             anything else without a certified endpoint: step
                        underflow, a singular Jacobian at an accepted point
-                       (ended at once, as no smaller step can cure it), or
-                       a polish that misses the tolerance;
+                       (ended at once, as no smaller step can cure it),
+                       MAX_STEPS steps taken, accepted or not, short of
+                       t = 1 (the work budget, which ends with no
+                       endpoint), or a polish that misses the tolerance;
   path-jump-suspected  converged onto an endpoint an earlier path holds.
 
 At-infinity test.  Four spheres have 12 tangent lines, not 32: the other
@@ -182,6 +184,8 @@ CORRECTOR_TOL = 1e-10
 STEP_TOL = 3e-4
 MAX_GROWTH = 2.0
 ENDPOINT_ITERS = 15  # Newton polish iterations at t = 1
+# a path's work budget: steps taken, accepted or not, before it ends diverged
+MAX_STEPS = 20_000
 
 # the at-infinity test of the module docstring: decade valuations of rho from
 # 1 - t = INFINITY_FROM on, INFINITY_DECADES of them in a row inside
@@ -464,8 +468,9 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
         running &= (t < 1.0) & ~(1.0 - t < MIN_STEP)
         under = running & (step < MIN_STEP)
         infinite |= under & (decades > 0)
-        lost |= under
-        running &= ~under
+        ended = under | (running & (steps >= MAX_STEPS))  # or out of budget
+        lost |= ended
+        running &= ~ended
         if watch.any():
             # the stop rule: polish, together, the new arrivals at t = 1 of
             # every watched homotopy that has at least its bound of them

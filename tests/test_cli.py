@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import copy
+import io
 import json
 import math
 import os
@@ -12,17 +14,27 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadtangents import cli, exactnum, quadrics, tetra32, tracker
 from quadtangents.cli import CSV_COLUMNS, build_parser, main
 from quadtangents.exactnum import RatMatrix
+from quadtangents.grassmann import DISTINCT_TOL, chordal_distance
 from quadtangents.quadrics import LineConditions, Quadric, cylinder
 from quadtangents.scenes import (
     Scene,
+    SceneFormatError,
     certificate,
+    decode_complex,
     decode_plucker_numeric,
+    decode_rational,
+    encode_complex,
     encode_plucker_numeric,
+    encode_rational,
+    scene_hash,
     solution_residuals,
+    verify_certificate,
     write_json,
 )
 from quadtangents.tetra32 import TetraParams, family
@@ -184,6 +196,58 @@ def test_tetra_work_is_stacked(capsys, tmp_path, monkeypatch):
     assert len(roots) == len(set(roots)) == 6
     assert tables == [32]
     assert powers == [2] * 4
+
+
+@pytest.mark.parametrize("alpha, beta, issue", [
+    # beta << alpha: the closed form's small case-3 root loses its digits,
+    # and 8 lines miss two tangencies by 9.8e-3
+    ("1/10", "1/10000000000000000", "solution 24: residual exceeds tolerance"),
+    # discriminant -7.6e-16: case 3's two roots are one to 8 digits
+    ("0.171572875253810", "0.171572875253810", "solution 24: coincides with solution 16")])
+def test_tetra_exits_4_on_a_certificate_verify_rejects(capsys, tmp_path, alpha, beta, issue):
+    cert_path = tmp_path / "cert.json"
+    code, _, err = run(capsys, "tetra", alpha, beta, "--output", str(cert_path))
+    assert code == 4 and cert_path.exists()
+    named = err.splitlines()[1:]  # after the summary line
+    assert issue in err and named
+    code, out, _ = run(capsys, "verify", str(cert_path))
+    # `tetra` names each issue as `verify` does; `verify` adds the recorded
+    # residuals, which `tetra` records as the largest row
+    assert code == 4 and set(f"  {line}" for line in named) <= set(out.splitlines())
+
+
+def quiet(*argv) -> tuple[int, str]:
+    """Exit code and stderr of one command, its stdout discarded (capsys is
+    per test, not per hypothesis example)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return main(list(argv)), err.getvalue()
+
+
+def near_discriminant_zero(alpha: F, digits: int) -> F:
+    """The beta, to ``digits`` significant digits, that puts (alpha, beta)
+    on the discriminant's zero below the reality bound."""
+    a = float(alpha)
+    c = (1 - a) ** 2
+    middle = c + 8 * a
+    return F(f"{(middle - math.sqrt(middle ** 2 - c * c)) / c:.{digits}g}")
+
+
+TINY_PARAMS = st.tuples(st.builds(F, st.integers(1, 9), st.just(10)),
+                        st.builds(F, st.integers(1, 9), st.integers(1, 20).map(lambda k: 10 ** k)))
+NEAR_DISCRIMINANT_ZERO = st.builds(
+    lambda alpha, digits: (alpha, near_discriminant_zero(alpha, digits)),
+    st.builds(F, st.integers(1, 171), st.just(1000)), st.integers(6, 16))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(TINY_PARAMS, NEAR_DISCRIMINANT_ZERO,
+                 NEAR_DISCRIMINANT_ZERO.map(lambda ab: ab[::-1])))
+def test_tetra_exits_0_only_on_a_certificate_verify_passes(tmp_path_factory, params):
+    cert_path = tmp_path_factory.mktemp("tetra") / "cert.json"
+    code, _ = quiet("tetra", *map(str, params), "--output", str(cert_path))
+    if code == 0:
+        assert quiet("verify", str(cert_path))[0] == 0
 
 
 # -- track --------------------------------------------------------------------
@@ -358,6 +422,24 @@ def test_track_certifies_a_scene_with_a_scaled_quadric(capsys, tmp_path, factor)
     assert json.loads(cert_path.read_text())["counts"]["total"] == 32
     code, out, _ = run(capsys, "verify", str(cert_path), "--scene", scene_path)
     assert code == 0 and out.startswith("PASS")
+
+
+def test_track_ends_a_path_out_of_budget_diverged(capsys, tmp_path, monkeypatch):
+    # Q1 scaled by 10^4: with no budget `track` had not returned after 120 s,
+    # and with the full one it takes MAX_STEPS lockstep rounds; at 100 steps,
+    # 9 paths converge and 23 are out of budget
+    monkeypatch.setattr(tracker, "MAX_STEPS", 100)
+    scene_path = make_scene_file(tmp_path, "scene.json",
+                                 scaled_quadric_scene("quadric/scaled", F(10**4)))
+    log_path = tmp_path / "paths.jsonl"
+    code, _, _ = run(capsys, "track", "--scene", scene_path, "--seed", "3",
+                     "--output", str(tmp_path / "cert.json"), "--path-log", str(log_path))
+    paths = [json.loads(line) for line in log_path.read_text().splitlines()]
+    assert len(paths) == 32 and max(p["steps"] for p in paths) == 100
+    lost = [p["status"] for p in paths if p["endpoint"] is None]
+    assert lost and lost == ["diverged"] * len(lost) and len(lost) < 32
+    # the converged paths' lines lack their conjugates: `verify`'s rule says so
+    assert code == 4
 
 
 def test_track_exits_4_on_a_suspected_path_jump(capsys, tmp_path):
@@ -661,25 +743,191 @@ def test_verify_derives_reality_from_coordinates(capsys, tmp_path):
     assert code == 4 and "nonreal, with no conjugate solution" in out
 
 
-def test_recorded_residual_is_the_one_verify_re_evaluates(capsys, tmp_path):
+@pytest.fixture(scope="module")
+def certificates(tmp_path_factory) -> dict[str, dict]:
+    """Four valid certificates, each written once per module: `tetra` on
+    either side of the reality bound, and `track` on a random 4-quadric
+    scene (scaled by 1) and on a 4-sphere scene."""
+    tmp = tmp_path_factory.mktemp("certificates")
+    seed, spheres = SPHERE_SCENES["plain"]
+    scenes = {"track quadrics": (scaled_quadric_scene("quadric/scaled", F(1)), 3),
+              "track spheres": (Scene(3, quadrics=[sphere(c, r) for c, r in spheres]), seed)}
+    commands = {"tetra 1/10 1/20": ("tetra", "1/10", "1/20"),
+                "tetra 1/5 1/5": ("tetra", "1/5", "1/5")}
+    commands |= {name: ("track", "--scene", make_scene_file(tmp, f"{k}.json", scene),
+                        "--seed", str(seed))
+                 for k, (name, (scene, seed)) in enumerate(scenes.items())}
+    certs = {}
+    for k, (name, argv) in enumerate(commands.items()):
+        path = tmp / f"{k}.cert.json"
+        assert quiet(*argv, "--output", str(path))[0] == 0
+        certs[name] = json.loads(path.read_text())
+    return certs
+
+
+def test_recorded_residual_is_the_one_verify_re_evaluates(certificates):
     # both producing commands record, per solution, the largest of the rows
     # `verify` re-evaluates at the written coordinates, to the bit
-    seed, spheres = SPHERE_SCENES["plain"]
-    # a random 4-quadric scene (scaled by 1) and a 4-sphere scene
-    scenes = {"quadrics": (scaled_quadric_scene("quadric/scaled", F(1)), 3),
-              "spheres": (Scene(3, quadrics=[sphere(c, r) for c, r in spheres]), seed)}
-    commands = [("tetra", "1/10", "1/20"), ("tetra", "1/5", "1/5")]
-    commands += [("track", "--scene", make_scene_file(tmp_path, f"{name}.json", scene),
-                  "--seed", str(seed)) for name, (scene, seed) in scenes.items()]
-    for argv in commands:
-        code, out, _ = run(capsys, *argv)
-        assert code == 0
-        cert = json.loads(out)
+    for cert in certificates.values():
         scene = Scene.from_dict(cert["scene"])
         for sol in cert["solutions"]:
             (residuals,) = solution_residuals(
                 scene, [decode_plucker_numeric(sol["plucker"])])
             assert sol["residual"].hex() == max(residuals.values()).hex()
+
+
+# -- mutation test: one change at a time to a valid certificate
+
+
+def _renumber(cert):
+    """Indices and counts re-derived from the solutions, as the writer would."""
+    for i, sol in enumerate(cert["solutions"]):
+        sol["index"] = i
+    real = sum(sol["real"] is True for sol in cert["solutions"])
+    cert["counts"] = {"total": len(cert["solutions"]), "real": real,
+                      "nonreal": len(cert["solutions"]) - real}
+
+
+def _solution(cert, draw) -> dict:
+    return cert["solutions"][draw(st.integers(0, len(cert["solutions"]) - 1))]
+
+
+def _retype_flag(cert, draw):
+    _solution(cert, draw)["real"] = draw(st.sampled_from([0, 1, 1.0, "true", None]))
+
+
+def _flip_flag(cert, draw):
+    sol = _solution(cert, draw)
+    sol["real"] = not sol["real"]
+    if draw(st.booleans()):
+        _renumber(cert)
+
+
+def _change_count(cert, draw):
+    key = draw(st.sampled_from(sorted(cert["counts"])))
+    cert["counts"][key] = draw(st.one_of(
+        st.integers(-2, 40).filter(lambda n: n != cert["counts"][key]),
+        st.just(float(cert["counts"][key])), st.just(str(cert["counts"][key]))))
+
+
+def _add_count(cert, draw):
+    cert["counts"][draw(st.sampled_from(["lines", "complex", "at_infinity"]))] = \
+        draw(st.integers(0, 40))
+
+
+def _drop_count(cert, draw):
+    del cert["counts"][draw(st.sampled_from(sorted(cert["counts"])))]
+
+
+def _drop(cert, draw, real: bool):
+    lines = [sol for sol in cert["solutions"] if sol["real"] is real]
+    if lines:  # else the mutant is the original
+        cert["solutions"].remove(draw(st.sampled_from(lines)))
+    if draw(st.booleans()):
+        _renumber(cert)
+
+
+def _drop_real_solution(cert, draw):
+    _drop(cert, draw, True)
+
+
+def _drop_nonreal_solution(cert, draw):
+    _drop(cert, draw, False)
+
+
+def _duplicate_solution(cert, draw):
+    # inserted, or in place of another solution (which keeps the root bound)
+    sol = copy.deepcopy(_solution(cert, draw))
+    k = draw(st.integers(0, len(cert["solutions"]) - 1))
+    if draw(st.booleans()):
+        cert["solutions"].insert(k, sol)
+    else:
+        cert["solutions"][k] = sol
+    if draw(st.booleans()):
+        _renumber(cert)
+
+
+def _conjugate_solution(cert, draw):
+    sol = _solution(cert, draw)
+    sol["plucker"] = encode_plucker_numeric(np.conj(decode_plucker_numeric(sol["plucker"])))
+
+
+def _move_coordinate(cert, draw):
+    coords = _solution(cert, draw)["plucker"]["coords"]
+    key = draw(st.sampled_from(sorted(coords)))
+    step = draw(st.sampled_from([1, -1, 1j, -1j])) * 10 ** draw(st.floats(-9, -3))
+    coords[key] = encode_complex(decode_complex(coords[key]) + step)
+
+
+def _loosen_tolerance(cert, draw):
+    key = draw(st.sampled_from(sorted(cert["tolerances"])))
+    cert["tolerances"][key] *= draw(st.floats(1.01, 1e6))
+
+
+def _change_params(cert, draw):
+    cert["params"] = draw(st.one_of(st.none(), st.fixed_dictionaries({
+        "alpha": st.builds(F, st.integers(1, 20), st.integers(21, 99)).map(str),
+        "beta": st.builds(F, st.integers(1, 20), st.integers(21, 99)).map(str)})))
+
+
+def _change_scene_entry(cert, draw):
+    quadric = draw(st.sampled_from(cert["scene"]["quadrics"]))
+    i, j = sorted(draw(st.tuples(st.integers(0, 3), st.integers(0, 3))))
+    step = F(draw(st.sampled_from([1, -1])), 10 ** draw(st.integers(0, 6)))
+    value = encode_rational(decode_rational(quadric["matrix"][i][j]) + step)
+    quadric["matrix"][i][j] = quadric["matrix"][j][i] = value
+    if draw(st.booleans()):
+        cert["scene_hash"] = scene_hash(cert["scene"])
+
+
+MUTATIONS = (_retype_flag, _flip_flag, _change_count, _add_count, _drop_count,
+             _drop_real_solution, _drop_nonreal_solution, _duplicate_solution,
+             _conjugate_solution, _move_coordinate, _loosen_tolerance, _change_params,
+             _change_scene_entry)
+# the mutants that may pass and claim something else, by mutation and the
+# command that wrote the certificate, with the reason
+ALLOWED_SURVIVORS = {
+    (_drop_real_solution, "track"): "nothing checks that a `track` certificate "
+                                    "lists every line of its scene (ROADMAP item 9)",
+}
+
+
+def same_claim(original, mutant) -> bool:
+    """Whether ``mutant`` names the lines of ``original``'s scene, each
+    within DISTINCT_TOL of a distinct original line, with the same flags,
+    counts and tolerances.  (``params`` may differ: a passing certificate's
+    name the family of its scene, or nothing.)"""
+    if any(mutant[key] != original[key] for key in ("scene", "counts", "tolerances")):
+        return False
+    lines = [(decode_plucker_numeric(sol["plucker"]), sol["real"])
+             for sol in original["solutions"]]
+    for sol in mutant["solutions"]:
+        vec = decode_plucker_numeric(sol["plucker"])
+        match = [k for k, (line, real) in enumerate(lines)
+                 if real is sol["real"] and chordal_distance(vec, line) < DISTINCT_TOL]
+        if not match:
+            return False
+        del lines[match[0]]
+    return not lines
+
+
+@pytest.mark.parametrize("name", ["tetra 1/10 1/20", "tetra 1/5 1/5",
+                                  "track quadrics", "track spheres"])
+@pytest.mark.parametrize("mutate", MUTATIONS, ids=lambda f: f.__name__[1:])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_verify_passes_no_mutant_that_claims_something_else(certificates, name, mutate,
+                                                           data):
+    original = certificates[name]
+    mutant = copy.deepcopy(original)
+    mutate(mutant, data.draw)
+    mutant = json.loads(json.dumps(mutant))  # as `verify` reads it from a file
+    try:
+        passed = verify_certificate(mutant).passed
+    except (SceneFormatError, tetra32.DegeneracyError):
+        passed = False
+    if passed and not same_claim(original, mutant):
+        assert (mutate, name.split()[0]) in ALLOWED_SURVIVORS
 
 
 LINE = [["1", "0"], ["0", "1"], ["0", "0"], ["0", "0"]]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from quadtangents.exactnum import RatMatrix, Surd, det, rank
 from quadtangents.grassmann import (
+    TIE_TOL,
     DegenerateFlatError,
     DualFlat,
     PluckerVector,
@@ -357,3 +358,26 @@ def test_normalize_endpoint_ignores_ulp_ties():
             w = v.copy()
             w[k] = np.nextafter(v[k].real, toward)
             assert np.max(np.abs(normalize_endpoint(w) - plain)) < 1e-15
+
+
+def test_stacked_normalization_and_distance_match_one_row_at_a_time():
+    # the reality rule and `verify` normalize stacks; a certificate's numbers
+    # must not depend on how many lines were normalized together, nor move
+    # from those of the one-vector formula below
+    def one_vector(v):
+        v = v / np.linalg.norm(v)
+        size = np.abs(v)
+        z = v[int(np.argmax(size >= (1 - TIE_TOL) * size.max()))]
+        return v * (z.conjugate() / abs(z))
+
+    rng = np.random.default_rng(9)
+    rows = (rng.normal(size=(200, 6)) + 1j * rng.normal(size=(200, 6))) \
+        * 10.0 ** rng.uniform(-3, 3, size=(200, 1))
+    rows[::5] = rows[::5].real  # real lines
+    rows[::7, 2] = -rows[::7, 0]  # ties for the largest magnitude
+    stacked = normalize_endpoint(rows)
+    assert all(np.array_equal(row, normalize_endpoint(v)) and np.array_equal(row, one_vector(v))
+               for row, v in zip(stacked, rows))
+    distances = chordal_distance(rows[:-1], rows[1:])
+    assert all(distances[k] == chordal_distance(rows[k], rows[k + 1])
+               for k in range(len(rows) - 1))

@@ -10,7 +10,9 @@ The ops, each run in process through ``quadtangents.cli.main``:
 - ``doubling --auto --format json --seed k`` for k = 0..19;
 - CSV certificates: ``tetra 1/5 1/5 --format csv`` and ``track --format csv``
   of the first ``sphere-scenes`` op's scene;
-- ``verify`` without ``--scene`` on the first ``closed-form`` certificate.
+- ``verify`` without ``--scene`` on the first ``closed-form`` certificate;
+- ``tetra`` on two closed-form inputs whose certificates fail ``verify``'s
+  coordinate checks (``EDGE_TETRA``), so that their exit codes are compared.
 
 The inputs come from ``perfbench.workloads``, as perfbench draws them.  Each
 op leaves its output file, if it writes one, and a ``.txt`` record of its
@@ -42,6 +44,10 @@ from quadtangents import cli  # noqa: E402
 STREAMS = [("closed-form", 6), ("quadric-scenes", 6), ("sphere-scenes", 6),
            ("doubling", 3)]
 DOUBLING_SEEDS = range(20)
+# beta << alpha, where the closed form loses the small case-3 root's digits;
+# and a discriminant of -7.6e-16, where case 3's two roots agree to 8 digits
+EDGE_TETRA = [("1/10", "1/10000000000000000"),
+              ("0.171572875253810", "0.171572875253810")]
 
 
 def record(name: str, argv: list[str]) -> int:
@@ -92,6 +98,10 @@ def main() -> int:
         "csv/track.csv" if arg == sphere.output else arg for arg in sphere.argv]
         + ["--format", "csv"]))
     codes.append(record("csv/verify-without-scene", ["verify", first["closed-form"].output]))
+    Path("tetra-edge").mkdir(exist_ok=True)
+    for k, params in enumerate(EDGE_TETRA):
+        codes.append(record(f"tetra-edge/{k}",
+                            ["tetra", *params, "--output", f"tetra-edge/{k}.json"]))
     print(f"{len(codes)} commands, {sum(c != 0 for c in codes)} with a nonzero exit; "
           f"outputs in {outdir}")
     return 0
