@@ -21,10 +21,8 @@ from collections import Counter
 from . import __version__
 from .exactnum import rational
 from .grassmann import (
-    classify_real,
     counts as grassmann_counts,
     moment_osculating_flat,
-    normalize_endpoint,
     sphere_tangent_line_count,
     tetrahedron_lines,
     transversals_to_4_lines,
@@ -242,11 +240,10 @@ def cmd_tetra(args) -> int:
     solutions = enumerate_tangents(params)  # raises DegeneracyError
     vectors = numeric_vectors(solutions)
     scene = _tetra_scene(params)
-    # each residual is the largest of the rows `verify` re-evaluates
     residuals = solution_residuals(scene, vectors)
     flags = reality_flags(solutions)
     cert = certificate(
-        scene, vectors, flags, [max(res.values()) for res in residuals], args.seed,
+        scene, vectors, flags, residuals, args.seed,
         extras=[{"case": sol.case, "signs": list(sol.signs), "branch": sol.branch}
                 for sol in solutions],
         params={"alpha": encode_rational(params.alpha),
@@ -285,14 +282,13 @@ def cmd_track(args) -> int:
     if args.path_log:
         _write_path_log(args.path_log, result.paths)
     distinct = result.distinct_paths
-    vectors = [normalize_endpoint(p.end) for p in distinct]
-    reality = classify_real(vectors)  # the numbers written, as `verify` reads them
+    vectors = result.endpoints
+    reality = result.reality()  # the numbers written, as `verify` reads them
     residuals = solution_residuals(scene, vectors)
     status = Counter(p.status for p in result.paths)
     cert = certificate(
-        scene, vectors, reality.is_real, [max(res.values()) for res in residuals],
-        args.seed, extras=[{"path": {"status": p.status, "steps": p.steps}}
-                           for p in distinct],
+        scene, vectors, reality.is_real, residuals, args.seed,
+        extras=[{"path": {"status": p.status, "steps": p.steps}} for p in distinct],
         metadata={
             "start_policy": result.start_policy,
             "root_bound": scene.conditions.root_bound,

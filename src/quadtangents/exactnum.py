@@ -508,10 +508,14 @@ class Surd:
     # -- numeric --------------------------------------------------------------
 
     def numeric(self):
-        """float for real values, complex when d < 0."""
+        """float for real values, complex when d < 0; with a and b of opposite
+        signs, the exact (a^2 - b^2 d) over a - b sqrt(d), which does not cancel."""
         if self.b == 0:
             return float(self.a)
         if self.d >= 0:
+            if self.a * self.b < 0:
+                return (float(self.a * self.a - self.b * self.b * self.d)
+                        / (float(self.a) - float(self.b) * math.sqrt(float(self.d))))
             return float(self.a) + float(self.b) * math.sqrt(float(self.d))
         return complex(float(self.a), float(self.b) * math.sqrt(-float(self.d)))
 

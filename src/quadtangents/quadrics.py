@@ -37,7 +37,6 @@ from .exactnum import (
     rational,
     signature,
     solve_linear,
-    subsets,
 )
 from .grassmann import (
     PLUCKER_FORM,
@@ -161,43 +160,44 @@ def is_tangent(q: Quadric, p: PluckerVector):
 
 @dataclass(frozen=True)
 class TangentTo:
-    """Condition: the line is tangent to the given quadric."""
+    """Condition: the line is tangent to the given quadric.  A 4x4
+    array-like is made an exact ``Quadric`` when built: ints and Fractions
+    as given, floats at their exact binary value, complex entries only with
+    a zero imaginary part; a non-finite entry or asymmetry raises ValueError."""
 
-    quadric: object  # Quadric or 4x4 array-like
+    quadric: Quadric
 
     degree = 2
 
+    def __post_init__(self):
+        if not isinstance(self.quadric, Quadric):
+            q = np.asarray(self.quadric)
+            entries = [x.real if isinstance(x, complex) and not x.imag else x
+                       for x in q.ravel().tolist()]
+            if q.shape != (4, 4) or not all(isinstance(x, (int, Fraction)) or
+                                            isinstance(x, float) and np.isfinite(x)
+                                            for x in entries):
+                raise ValueError("tangency condition needs a real finite 4x4 matrix")
+            exact = RatMatrix(4, 4, tuple(map(Fraction, entries)))
+            object.__setattr__(self, "quadric", Quadric(exact))
+
     def form(self) -> np.ndarray:
-        """The real 6x6 tangency form wedge^2 Q: exact, then rounded, for a
-        Quadric; in floating point for an array.  Computed once per
-        condition and shared read-only."""
+        """The real 6x6 tangency form: the exact wedge^2 Q, rounded once.
+        Computed once per condition and shared read-only."""
         return self._form
 
     @cached_property
     def _form(self) -> np.ndarray:
-        if isinstance(self.quadric, Quadric):
-            form = tangency_form(self.quadric, 1).to_numpy()
-        else:
-            q = np.asarray(self.quadric, dtype=complex)
-            if np.any(q.imag):
-                raise ValueError("tangency condition needs a real matrix")
-            q = q.real
-            if q.shape != (4, 4) or not np.allclose(q, q.T):
-                raise ValueError("tangency condition needs a symmetric 4x4 matrix")
-            pairs = subsets(4, 2)
-            form = np.array([[q[i, k] * q[j, l] - q[i, l] * q[j, k] for k, l in pairs]
-                             for i, j in pairs])
+        form = tangency_form(self.quadric, 1).to_numpy()
         form.flags.writeable = False
         return form
 
     @property
     def is_sphere(self) -> bool:
         """Whether Q[1:, 1:] is a nonzero multiple of I (scaled and
-        imaginary-radius spheres included), tested on the exact entries of a
-        Quadric and on the given numbers of an array, before any rounding."""
-        q = (self.quadric.matrix.to_rows() if isinstance(self.quadric, Quadric)
-             else np.asarray(self.quadric).tolist())
-        block = [row[1:] for row in q[1:]]
+        imaginary-radius spheres included), tested on the exact entries, so
+        on the numbers an array gave, before any rounding."""
+        block = [row[1:] for row in self.quadric.matrix.to_rows()[1:]]
         c = block[0][0]
         return len(block) == 3 and c != 0 and all(
             block[i][j] == (c if i == j else 0) for i in range(3) for j in range(3))

@@ -265,19 +265,19 @@ def solution_residuals(scene: Scene, vectors) -> list[dict[str, float]]:
 def certificate(scene: Scene, vectors, real, residuals, seed: int | None,
                 extras=None, params: dict | None = None,
                 metadata: dict | None = None) -> dict:
-    """The certificate of ``scene``'s solutions ``vectors``, with each
-    one's reality flag and largest residual, as its JSON object: one entry
-    per solution (its index, Pluecker vector, flag and residual, then its
-    ``extras``), ``counts`` from the flags, ``TOLERANCES``, and the scene
-    with its hash.  ``params`` names a closed-form family member."""
+    """The certificate of ``scene``'s solutions ``vectors``, given each
+    one's flag and ``solution_residuals`` row, as its JSON object: one entry
+    per solution (index, Pluecker vector, flag, its row's largest entry as
+    residual, then ``extras``), ``counts`` from the flags, ``TOLERANCES``,
+    and the scene with its hash.  ``params`` names a closed-form member."""
     from . import __version__
 
     solutions = [{"index": i,
                   "plucker": encode_plucker_numeric(np.asarray(vec, dtype=complex)),
                   "real": bool(flag),
-                  "residual": float(residual),
+                  "residual": float(max(row.values())),
                   **extra}
-                 for i, (vec, flag, residual, extra) in enumerate(
+                 for i, (vec, flag, row, extra) in enumerate(
                      zip(vectors, real, residuals, extras or [{}] * len(vectors)))]
     n_real = sum(sol["real"] for sol in solutions)
     scene_dict = scene.to_dict()

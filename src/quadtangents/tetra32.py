@@ -208,8 +208,9 @@ def enumerate_tangents(params: TetraParams) -> list[SignedRadicalSolution]:
     ratio = a / b
     for branch, sgn in ((0, 1), (1, -1)):
         x = Surd(mid, sgn * half, disc)
+        y = ratio * x
         for signs in itertools.product((1, -1), repeat=3):
-            sols.append(SignedRadicalSolution(3, signs, branch, x, ratio * x, one, None))
+            sols.append(SignedRadicalSolution(3, signs, branch, x, y, one, None))
     return sols
 
 

@@ -136,6 +136,7 @@ from .grassmann import (
     RealityReport,
     classify_real,
     close_pairs,
+    normalize_endpoint,
     transversals_to_4_lines,
 )
 from .quadrics import AffineFlat, LineConditions, Meets, TangentTo, cylinder, row_residuals
@@ -637,15 +638,17 @@ class TrackResult:
         return [p for p in self.paths if p.converged and p.duplicate_of is None]
 
     @property
-    def endpoints(self) -> list[np.ndarray]:
-        return [p.end for p in self.distinct_paths]
+    def endpoints(self) -> np.ndarray:
+        """The distinct paths' endpoints as one (N, 6) stack, each row put
+        through ``normalize_endpoint``: the lines ``track`` certifies."""
+        return normalize_endpoint(np.reshape([p.end for p in self.distinct_paths], (-1, 6)))
 
     @property
     def converged_count(self) -> int:
         return sum(1 for p in self.paths if p.converged)
 
     def reality(self) -> RealityReport:
-        """Reality of ``endpoints``, one flag per distinct path in order."""
+        """``classify_real`` of the ``endpoints`` stack, one flag per row."""
         return classify_real(self.endpoints)
 
     def max_residual(self) -> float:

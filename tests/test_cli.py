@@ -198,10 +198,20 @@ def test_tetra_work_is_stacked(capsys, tmp_path, monkeypatch):
     assert powers == [2] * 4
 
 
+@pytest.mark.parametrize("k", range(5, 13))
+def test_tetra_certifies_beta_far_below_alpha(capsys, tmp_path, k):
+    # beta = 10^-k << alpha: case 3's small root keeps its digits
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "tetra", "1/10", f"1/{10 ** k}", "--output", str(cert_path))
+    assert code == 0
+    code, out, _ = run(capsys, "verify", str(cert_path))
+    assert code == 0 and out.startswith("PASS")
+
+
 @pytest.mark.parametrize("alpha, beta, issue", [
-    # beta << alpha: the closed form's small case-3 root loses its digits,
-    # and 8 lines miss two tangencies by 9.8e-3
-    ("1/10", "1/10000000000000000", "solution 24: residual exceeds tolerance"),
+    # beta = 10^-16: p01 and p03 are about 1e-8, so lines that differ only
+    # in their signs are closer than DISTINCT_TOL and coincide
+    ("1/10", "1/10000000000000000", "solution 6: coincides with solution 0"),
     # discriminant -7.6e-16: case 3's two roots are one to 8 digits
     ("0.171572875253810", "0.171572875253810", "solution 24: coincides with solution 16")])
 def test_tetra_exits_4_on_a_certificate_verify_rejects(capsys, tmp_path, alpha, beta, issue):
@@ -1000,8 +1010,8 @@ def test_verify_rejects_non_certificates(capsys, tmp_path):
 
 def test_verify_names_a_scene_outside_p3(capsys, tmp_path):
     scene = Scene(4, quadrics=[Quadric(RatMatrix.identity(5))])
-    # one real solution, all six coordinates 1.0, with residual 0.0
-    cert = certificate(scene, [np.ones(6)], [True], [0.0], None)
+    # one real solution, all six coordinates 1.0, with a residual row of 0.0
+    cert = certificate(scene, [np.ones(6)], [True], [{"Q0": 0.0}], None)
     cert_path = tmp_path / "cert.json"
     write_json(str(cert_path), cert)
     code, _, err = run(capsys, "verify", str(cert_path))

@@ -1,4 +1,7 @@
+import decimal
+import math
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -339,3 +342,19 @@ def test_surd_numeric():
     assert Surd(1, 1, 2).numeric() == pytest.approx(2.41421356, abs=1e-8)
     z = Surd(0, 1, -4).numeric()
     assert z == pytest.approx(2j)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(min_value=-10**6, max_value=10**6).filter(bool),
+       st.builds(F, st.integers(2, 10**12), st.integers(1, 10**6)),
+       st.integers(-2**20, 2**20))
+def test_surd_numeric_is_within_4_ulps(b, d, shift):
+    # a + b*sqrt(d) with a close to -b*sqrt(d): the sum cancels to about
+    # 1e-16 of its terms, so a float sum of the terms keeps no digit
+    a = -b * F(math.sqrt(d)) * (1 + F(shift, 2 ** 60))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        exact = (Decimal(a.numerator) / a.denominator + Decimal(b.numerator) / b.denominator
+                 * (Decimal(d.numerator) / d.denominator).sqrt())
+    value = Surd(a, b, d).numeric()
+    assert abs(Decimal(value) - exact) <= 4 * Decimal(math.ulp(float(exact)))

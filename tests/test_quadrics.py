@@ -313,3 +313,38 @@ def test_tangent_to_rounds_its_form_once(monkeypatch):
     assert cond.form() is first and calls == [1]
     assert not first.flags.writeable
     assert np.array_equal(first, tangency_form(cond.quadric, 1).to_numpy())
+
+
+def exact_form(rows) -> np.ndarray:
+    """tangency_form of the exact Quadric of ``rows``, rounded once."""
+    return tangency_form(Quadric(RatMatrix.from_rows(
+        [[F(x) for x in row] for row in rows])), 1).to_numpy()
+
+
+def test_tangent_to_forms_are_the_exact_wedge_rounded_once():
+    # floats taken at their exact binary value, Fractions as given; a
+    # float 2x2-minor evaluation differs from these in the last bits
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        m = rng.uniform(-1, 1, size=(4, 4))
+        floats = (m + m.T) / 2
+        assert np.array_equal(TangentTo(floats).form(), exact_form(floats.tolist()))
+    fractions = [[F(1, 3), F(2, 7), F(-5, 11), F(1, 13)],
+                 [F(2, 7), F(-3, 17), F(4, 19), F(6, 23)],
+                 [F(-5, 11), F(4, 19), F(7, 29), F(-8, 31)],
+                 [F(1, 13), F(6, 23), F(-8, 31), F(9, 37)]]
+    cond = TangentTo(fractions)
+    assert cond.quadric.matrix.to_rows() == fractions
+    assert np.array_equal(cond.form(), exact_form(fractions))
+
+
+def test_tangent_to_rejects_asymmetric_and_non_finite_arrays():
+    m = np.random.default_rng(3).uniform(-1, 1, size=(4, 4))
+    asymmetric = (m + m.T) / 2
+    asymmetric[0, 1] = np.nextafter(asymmetric[0, 1], 2)  # one ulp off
+    with pytest.raises(ValueError, match="symmetric"):
+        TangentTo(asymmetric)
+    nan = np.eye(4)
+    nan[2, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        TangentTo(nan)

@@ -160,6 +160,17 @@ def test_tracking_matches_closed_form():
     assert match_endpoints(res.endpoints, closed) < 1e-9
 
 
+def test_endpoints_are_the_normalized_distinct_endpoints():
+    # one (N, 6) stack with the bits of each endpoint normalized alone: the
+    # lines `track` certifies and `doubling` counts
+    res = solve_tangency(random_quadric_system(5), seed=5)
+    distinct = res.distinct_paths
+    assert res.endpoints.shape == (len(distinct), 6) and len(distinct) == 32
+    for row, p in zip(res.endpoints, distinct):
+        assert np.array_equal(row, normalize_endpoint(p.end))
+    assert res.reality().is_real == classify_real(res.endpoints).is_real
+
+
 def test_endpoints_satisfy_target_conditions():
     conditions = random_quadrics(5)
     res = solve_tangency(line_system(conditions), seed=5)

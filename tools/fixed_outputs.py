@@ -11,8 +11,8 @@ The ops, each run in process through ``quadtangents.cli.main``:
 - CSV certificates: ``tetra 1/5 1/5 --format csv`` and ``track --format csv``
   of the first ``sphere-scenes`` op's scene;
 - ``verify`` without ``--scene`` on the first ``closed-form`` certificate;
-- ``tetra`` on two closed-form inputs whose certificates fail ``verify``'s
-  coordinate checks (``EDGE_TETRA``), so that their exit codes are compared.
+- ``tetra`` on three closed-form inputs at the closed form's numeric edges
+  (``EDGE_TETRA``), so that their exit codes are compared.
 
 The inputs come from ``perfbench.workloads``, as perfbench draws them.  Each
 op leaves its output file, if it writes one, and a ``.txt`` record of its
@@ -44,10 +44,14 @@ from quadtangents import cli  # noqa: E402
 STREAMS = [("closed-form", 6), ("quadric-scenes", 6), ("sphere-scenes", 6),
            ("doubling", 3)]
 DOUBLING_SEEDS = range(20)
-# beta << alpha, where the closed form loses the small case-3 root's digits;
-# and a discriminant of -7.6e-16, where case 3's two roots agree to 8 digits
+# beta = 1e-16 << alpha, where p01 ~ 1e-8 makes lines that differ only in
+# their signs coincide (exit 4); a discriminant of -7.6e-16, where case 3's
+# two roots agree to 8 digits (exit 4); and beta = 1e-5 << alpha, where case
+# 3's small root is a sum that cancels unless the closed form evaluates it
+# without cancellation (exit 0)
 EDGE_TETRA = [("1/10", "1/10000000000000000"),
-              ("0.171572875253810", "0.171572875253810")]
+              ("0.171572875253810", "0.171572875253810"),
+              ("1/10", "1/100000")]
 
 
 def record(name: str, argv: list[str]) -> int:
