@@ -114,7 +114,8 @@ def build_parser() -> _Parser:
     p.add_argument("--beta", default=None)
 
     p = command("track", SOLVING_OPTIONS,
-                "track the 32 known tangents to a target scene")
+                "track paths to a target scene: from the 32 closed-form tangents for "
+                "four tangencies, else from 2^#tangencies * 2 total-degree starts")
     p.add_argument("--scene", required=True, help="scene JSON file")
     p.add_argument("--path-log", default=None,
                    help="write one JSON line per tracked path to this file")

@@ -64,7 +64,7 @@ solve count unless a singular batch mate sends a stack to the one-by-one
 fallback of ``_solve``; a path leaves each loop as soon as it is done, and
 a singular Jacobian or non-finite prediction fails only its own path.
 
-Every path ends with one of these statuses:
+Every path ends once, and its status is written there, as one of these:
   converged            polished at t = 1 to a residual below RESIDUAL_TOL;
   at-infinity          heading to a line at infinity, ended in flight
                        (below);
@@ -195,6 +195,11 @@ INFINITY_FROM = 1e-2
 INFINITY_VALUATION = (0.375, 0.625)
 INFINITY_DECADES = 3
 
+# _track_lockstep's status codes: 0 until the path ends, at its polish at t = 1
+# or, from AT_INFINITY on, short of t = 1 with no endpoint
+STATUSES = ("", "converged", "diverged", "at-infinity", "diverged", "surplus")
+CONVERGED, MISSED, AT_INFINITY, DIVERGED, SURPLUS = range(1, 6)
+
 
 @dataclass
 class TrackedPath:
@@ -202,8 +207,8 @@ class TrackedPath:
 
     start: np.ndarray
     end: np.ndarray | None
-    status: str            # "converged" | "at-infinity" | "surplus" | "diverged"
-                           # | "path-jump-suspected"
+    status: str            # written once, where the path ends: "converged" | "at-infinity"
+                           # | "surplus" | "diverged"; or, by the retrack, "path-jump-suspected"
     steps: int
     residual: float        # the endpoint's residual, as LineConditions normalizes it
     cond: float            # endpoint Jacobian condition number; inf without one
@@ -436,9 +441,10 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
     ``steps`` = (first step, largest step).  Start i belongs to the
     homotopy ``system[i]``; ``system`` is grouped (non-decreasing).
 
-    ``bounds``, if given, holds each homotopy's root bound; a homotopy with
-    more paths than its bound stops its running paths as surplus once it
-    holds that many certified endpoints (the module docstring's stop rule)."""
+    ``bounds``, if given, holds each homotopy's root bound (positive); a
+    homotopy with more paths than its bound stops its running paths as
+    surplus once it holds that many certified endpoints (the module
+    docstring's stop rule).  A path's status is written once, where it ends."""
     first_step, max_step = steps
     n = len(starts)
     x = starts.copy()
@@ -447,55 +453,49 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
     steps = np.zeros(n, dtype=int)
     rejected = np.zeros(n, bool)    # the path's last step was rejected
     solves = np.zeros(n, dtype=int)
-    running = np.ones(n, bool)
-    lost = np.zeros(n, bool)        # ended without an endpoint
-    infinite = np.zeros(n, bool)    # ... and heading to a line at infinity
-    surplus = np.zeros(n, bool)     # ... or stopped by the stop rule
+    status = np.zeros(n, dtype=int)  # an index into STATUSES, 0 until the path ends
     mark = np.full((n, 2), np.nan)  # (log(1 - t), log rho) at the last decade mark
     decades = np.zeros(n, dtype=int)  # decades in a row up to it with rho ~ (1 - t)^(1/2)
-    # the homotopies the stop rule may still end early
+    # the homotopies the stop rule may still end early (none without bounds)
     homotopies = len(h.quad)
-    if bounds is None:
-        watch = np.zeros(homotopies, bool)
-    else:
-        bounds = np.asarray(bounds)
-        watch = bounds < np.bincount(system, minlength=homotopies)
-    polished = np.zeros(n, bool)    # polished at t = 1 by the stop rule
+    bounds = np.full(homotopies, n) if bounds is None else np.asarray(bounds)
+    watch = bounds < np.bincount(system, minlength=homotopies)
     residual = np.full(n, np.inf)
     cond = np.full(n, np.inf)
+
+    def polish(rows):  # the arrivals ``rows`` end at their polish at t = 1
+        residual[rows], cond[rows] = _polish(h, x, system, rows, solves)
+        status[rows] = np.where(residual[rows] < RESIDUAL_TOL, CONVERGED, MISSED)
+
     while True:
-        # a path within min_step of t = 1 is there up to roundoff; the
-        # polish below finishes it
-        running &= (t < 1.0) & ~(1.0 - t < MIN_STEP)
-        under = running & (step < MIN_STEP)
-        infinite |= under & (decades > 0)
-        ended = under | (running & (steps >= MAX_STEPS))  # or out of budget
-        lost |= ended
-        running &= ~ended
+        # a path within min_step of t = 1 is there up to roundoff: it has
+        # arrived, and waits for its polish
+        short = (t < 1.0) & ~(1.0 - t < MIN_STEP)
+        running = short & (status == 0)
+        # step underflow (at infinity right after a half-valuation decade),
+        # or out of budget
+        ended = running & ((step < MIN_STEP) | (steps >= MAX_STEPS))
+        status[ended] = np.where((step[ended] < MIN_STEP) & (decades[ended] > 0),
+                                 AT_INFINITY, DIVERGED)
         if watch.any():
             # the stop rule: polish, together, the new arrivals at t = 1 of
             # every watched homotopy that has at least its bound of them
-            arrived = ~running & ~lost
+            arrived = ~short & (status < AT_INFINITY)
             due = watch & (np.bincount(system[arrived], minlength=homotopies) >= bounds)
-            new = np.flatnonzero(arrived & ~polished & due[system])
+            new = np.flatnonzero(arrived & (status == 0) & due[system])
             if new.size:
-                residual[new], cond[new] = _polish(h, x, system, new, solves)
-                polished[new] = True
+                polish(new)
                 # converged, and nonsingular: its error of about cond times
-                # the residual still pins the point down
-                certified = (arrived & (residual < RESIDUAL_TOL)
-                             & (cond * RESIDUAL_TOL < 1))
-                # (np.unique would import numpy.ma, 1.6 MB of peak memory)
-                for k in np.flatnonzero(np.bincount(system[new], minlength=homotopies)):
-                    ends = np.flatnonzero(certified & (system == k))
-                    # more than the bound would mean the bound does not hold
-                    if len(ends) == bounds[k] and not close_pairs(x[ends], DISTINCT_TOL):
+                # the residual still pins the point down; a homotopy's count
+                # moves only when one of its arrivals is polished.  More than
+                # the bound would mean the bound does not hold
+                certified = (status == CONVERGED) & (cond * RESIDUAL_TOL < 1)
+                full = watch & (np.bincount(system[certified], minlength=homotopies) == bounds)
+                for k in np.flatnonzero(full):
+                    if not close_pairs(x[certified & (system == k)], DISTINCT_TOL):
                         watch[k] = False
-                        stop = running & (system == k)
-                        surplus |= stop
-                        lost |= stop
-                        running &= ~stop
-        rows = np.flatnonzero(running)
+                        status[running & (status == 0) & (system == k)] = SURPLUS
+        rows = np.flatnonzero(running & (status == 0))  # less those ended above
         if not rows.size:
             break
         step[rows] = np.minimum(step[rows], 1.0 - t[rows])
@@ -523,8 +523,7 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
         step[good] = np.minimum(step[good] * growth, max_step)
         step[bad] /= 2
         rejected[rows] = ~accept
-        lost[rows[stuck]] = True
-        running[rows[stuck]] = False
+        status[rows[stuck]] = DIVERGED
 
         # late-t test on the accepted points, one decade of 1 - t at a time
         late = good[(1.0 - t[good] <= INFINITY_FROM) & (t[good] < 1.0)]
@@ -540,21 +539,15 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
             lo, hi = INFINITY_VALUATION
             half = (lo < valuation) & (valuation < hi)
             decades[new] = np.where(half, decades[new] + 1, 0)
-            done = new[decades[new] >= INFINITY_DECADES]
-            infinite[done] = lost[done] = True
-            running[done] = False
+            status[new[decades[new] >= INFINITY_DECADES]] = AT_INFINITY
             mark[late[first | decade]] = point[first | decade]
 
-    # endpoint polish at t = 1 of the endpoints the stop rule left unpolished
-    ends = np.flatnonzero(~lost & ~polished)
-    residual[ends], cond[ends] = _polish(h, x, system, ends, solves)
-    return [TrackedPath(starts[i], None if lost[i] else x[i],
-                        "surplus" if surplus[i] else
-                        "at-infinity" if infinite[i] else
-                        "converged" if residual[i] < RESIDUAL_TOL else "diverged",
+    # the end polish: the arrivals the stop rule left unpolished
+    polish(np.flatnonzero(status == 0))
+    return [TrackedPath(starts[i], x[i] if code < AT_INFINITY else None, STATUSES[code],
                         int(steps[i]), float(residual[i]), float(cond[i]),
                         solves=int(solves[i]))
-            for i in range(n)]
+            for i, code in enumerate(status.tolist())]
 
 
 def _track_batch(homotopies, seed: int, root_bounds=None) -> list[list[TrackedPath]]:
@@ -634,14 +627,18 @@ class TrackResult:
 
     @property
     def distinct_paths(self) -> list[TrackedPath]:
-        """Converged paths that are not suspected duplicates of another."""
-        return [p for p in self.paths if p.converged and p.duplicate_of is None]
+        """Converged paths; a suspected duplicate of another is marked
+        "path-jump-suspected" instead."""
+        return [p for p in self.paths if p.converged]
 
-    @property
+    @functools.cached_property
     def endpoints(self) -> np.ndarray:
-        """The distinct paths' endpoints as one (N, 6) stack, each row put
-        through ``normalize_endpoint``: the lines ``track`` certifies."""
-        return normalize_endpoint(np.reshape([p.end for p in self.distinct_paths], (-1, 6)))
+        """The distinct paths' endpoints as one read-only (N, 6) stack, each
+        row put through ``normalize_endpoint`` once: the lines ``track``
+        certifies."""
+        stack = normalize_endpoint(np.reshape([p.end for p in self.distinct_paths], (-1, 6)))
+        stack.flags.writeable = False
+        return stack
 
     @property
     def converged_count(self) -> int:

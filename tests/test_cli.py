@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -450,6 +451,42 @@ def test_track_ends_a_path_out_of_budget_diverged(capsys, tmp_path, monkeypatch)
     assert lost and lost == ["diverged"] * len(lost) and len(lost) < 32
     # the converged paths' lines lack their conjugates: `verify`'s rule says so
     assert code == 4
+
+
+@pytest.mark.parametrize("scene_name", ["long-finite-path", "budget"])
+def test_track_path_log_counts_match_the_certificate(capsys, tmp_path, monkeypatch,
+                                                     scene_name):
+    # a sphere scene ends paths at infinity and as surplus, and the x10^4
+    # scene at 100 steps ends paths out of budget: the path log, the
+    # certificate's metadata.paths and the stderr line count the same paths,
+    # and none that ended short of t = 1 has an endpoint
+    if scene_name == "budget":
+        monkeypatch.setattr(tracker, "MAX_STEPS", 100)
+        seed, scene = 3, scaled_quadric_scene("quadric/scaled", F(10**4))
+    else:
+        seed, spheres = SPHERE_SCENES[scene_name]
+        scene = Scene(3, quadrics=[sphere(c, r) for c, r in spheres])
+    scene_path = make_scene_file(tmp_path, "scene.json", scene)
+    cert_path, log_path = tmp_path / "cert.json", tmp_path / "paths.jsonl"
+    _, _, err = run(capsys, "track", "--scene", scene_path, "--seed", str(seed),
+                    "--output", str(cert_path), "--path-log", str(log_path))
+    paths = [json.loads(line) for line in log_path.read_text().splitlines()]
+    status = Counter(p["status"] for p in paths)
+    assert json.loads(cert_path.read_text())["metadata"]["paths"] == {
+        "total": len(paths), "converged": status["converged"],
+        "diverged": status["diverged"], "at_infinity": status["at-infinity"],
+        "surplus": status["surplus"], "suspected_jumps": status["path-jump-suspected"]}
+    line = re.search(r"(\d+) certified endpoints of (\d+) paths, \d+ real, "
+                     r"(\d+) at infinity, (\d+) surplus", err)
+    assert [int(n) for n in line.groups()] == [
+        status["converged"], len(paths), status["at-infinity"], status["surplus"]]
+    ended = [p for p in paths if p["status"] in ("at-infinity", "surplus")
+             or (p["status"] == "diverged" and p["steps"] == tracker.MAX_STEPS)]
+    assert ended and all(p["endpoint"] is None for p in ended)
+    if scene_name == "budget":
+        assert status["diverged"] == len(ended)
+    else:
+        assert status["at-infinity"] and status["surplus"]
 
 
 def test_track_exits_4_on_a_suspected_path_jump(capsys, tmp_path):

@@ -171,6 +171,21 @@ def test_endpoints_are_the_normalized_distinct_endpoints():
     assert res.reality().is_real == classify_real(res.endpoints).is_real
 
 
+def test_endpoints_are_normalized_once(monkeypatch):
+    # `track` reads the stack for its certificate and for its reality flags
+    calls = []
+
+    def counted(v):
+        calls.append(len(v))
+        return normalize_endpoint(v)
+
+    monkeypatch.setattr(tracker, "normalize_endpoint", counted)
+    res = solve_tangency(random_quadric_system(5), seed=5)
+    first, second = res.endpoints, res.endpoints
+    res.reality()
+    assert calls == [32] and second is first
+
+
 def test_endpoints_satisfy_target_conditions():
     conditions = random_quadrics(5)
     res = solve_tangency(line_system(conditions), seed=5)

@@ -14,9 +14,11 @@ The ops, each run in process through ``quadtangents.cli.main``:
 - ``tetra`` on three closed-form inputs at the closed form's numeric edges
   (``EDGE_TETRA``), so that their exit codes are compared.
 
-The inputs come from ``perfbench.workloads``, as perfbench draws them.  Each
-op leaves its output file, if it writes one, and a ``.txt`` record of its
-command line, exit code, stdout and stderr, all under OUTDIR; command lines
+Every ``track`` op, the CSV one included, also writes ``--path-log``, so
+each path's status, steps, solves, residual, cond and endpoint are compared
+too.  The inputs come from ``perfbench.workloads``, as perfbench draws them.
+Each op leaves its output file, if it writes one, and a ``.txt`` record of
+its command line, exit code, stdout and stderr, all under OUTDIR; command lines
 name files relative to OUTDIR, so two runs write the same bytes.  Compare a
 change with its parent by running the script in each checkout:
 
@@ -69,6 +71,11 @@ def record(name: str, argv: list[str]) -> int:
     return code
 
 
+def with_path_log(argv: list[str], stem) -> list[str]:
+    """``argv``, with ``--path-log stem.paths.jsonl`` added to a ``track``."""
+    return [*argv, "--path-log", f"{stem}.paths.jsonl"] if argv[0] == "track" else argv
+
+
 def main() -> int:
     if len(sys.argv) != 2:
         print(__doc__.split("\n\n")[0], file=sys.stderr)
@@ -85,7 +92,7 @@ def main() -> int:
         for op in itertools.islice(iter_inputs(workload, "seed-1", workdir), count):
             first.setdefault(workload, op)
             stem = workdir / f"op-{op.index}"
-            codes.append(record(f"{stem}.{op.argv[0]}", op.argv))
+            codes.append(record(f"{stem}.{op.argv[0]}", with_path_log(op.argv, stem)))
             if op.scene_path is not None:
                 codes.append(record(f"{stem}.verify",
                                     ["verify", op.output, "--scene", op.scene_path]))
@@ -98,9 +105,9 @@ def main() -> int:
     codes.append(record("csv/tetra", ["tetra", "1/5", "1/5", "--format", "csv",
                                       "--output", "csv/tetra.csv"]))
     sphere = first["sphere-scenes"]
-    codes.append(record("csv/track", [
+    codes.append(record("csv/track", with_path_log([
         "csv/track.csv" if arg == sphere.output else arg for arg in sphere.argv]
-        + ["--format", "csv"]))
+        + ["--format", "csv"], "csv/track")))
     codes.append(record("csv/verify-without-scene", ["verify", first["closed-form"].output]))
     Path("tetra-edge").mkdir(exist_ok=True)
     for k, params in enumerate(EDGE_TETRA):

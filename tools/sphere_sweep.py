@@ -8,7 +8,9 @@ shifted by (100, 100, 0).  Each scene is solved as
 `track --seed <program seed>` solves it, and one line per scene gives its
 certified line count (12 for general spheres), its steps per path, its
 lockstep rounds (one predictor call each, over all passes) and its
-cluster-retrack passes (of coinciding endpoints; 0 or 1).  Deterministic:
+cluster-retrack passes (of coinciding endpoints; 0 or 1).  Each sweep ends
+with a line counting its paths by status, so that a path whose status moves
+shows even where line counts, steps and rounds hold.  Deterministic:
 runs on the same sources agree line for line, so a change is compared with
 its parent by diffing the outputs.
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 import random
 import statistics
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,6 +36,8 @@ from quadtangents.quadrics import LineConditions, Quadric, TangentTo  # noqa: E4
 
 # (scene count, centre shift) of each sweep
 SWEEPS = [(350, (0, 0, 0)), (100, (100, 100, 0))]
+# the statuses a path can end with, in the order each sweep tallies them
+STATUSES = ("converged", "at-infinity", "surplus", "diverged", "path-jump-suspected")
 # a known scene's program seed, so a run can check that it draws the sweep
 KNOWN_SEED = (64, 1548815776)
 
@@ -75,7 +80,7 @@ def main() -> int:
     for scenes, shift in SWEEPS:
         print(f"# scenes 0..{scenes - 1}, centres shifted by {shift}")
         print("scene seed lines steps_per_path rounds retracks")
-        lines, all_rounds = [], []
+        lines, all_rounds, statuses = [], [], Counter()
         for i in range(scenes):
             spheres, seed = scene(i, shift)
             conditions = LineConditions.compile(
@@ -84,11 +89,13 @@ def main() -> int:
             result = tracker.solve_tangency(conditions, seed=seed)
             steps = sum(p.steps for p in result.paths) / len(result.paths)
             lines.append(len(result.endpoints))
+            statuses.update(p.status for p in result.paths)
             all_rounds.append(rounds[0])
             print(f"{i} {seed} {lines[-1]} {steps:.2f} {rounds[0]} {passes[0] - 1}",
                   flush=True)
         print(f"# {sum(n == 12 for n in lines)} of {scenes} scenes give 12 lines; "
               f"median rounds {statistics.median(all_rounds)}")
+        print("# paths: " + ", ".join(f"{statuses[s]} {s}" for s in STATUSES))
     return 0
 
 
