@@ -2,10 +2,11 @@
 
 Subcommands: counts, tetra, track, doubling, verify, transversals.
 Exit codes: 0 success, 2 mathematical degeneracy (a hypothesis of the
-underlying construction is violated), 3 input error, 4 numerical failure
-(no certified solutions or a suspected path jump; or a certificate that
-`verify` rejects, or that `tetra` or `track` writes and that fails its
-coordinate checks, ``scenes.solution_issues``: cli makes no check itself).
+underlying construction is violated), 3 input error, 4 numerical failure (a
+certificate that `verify` rejects, or that `tetra` or `track` writes and
+that fails `verify`'s rule: ``scenes.solution_issues`` on its coordinates
+and, for `track`, ``scenes.path_issues`` on its path tally; cli makes no
+check itself).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 
 from . import __version__
 from .exactnum import rational
@@ -29,12 +29,14 @@ from .grassmann import (
 )
 from .scenes import (
     LINE_KEYS,
+    PATH_KEYS,
     Scene,
     SceneFormatError,
     certificate,
     encode_plucker_exact,
     encode_plucker_numeric,
     encode_rational,
+    path_issues,
     read_json,
     solution_issues,
     solution_residuals,
@@ -218,9 +220,8 @@ def _write_certificate(cert: dict, args) -> None:
     write_text(args.output, "\n".join(lines))
 
 
-def _exit_by_rule(scene: Scene, vectors, flags, residuals) -> int:
-    """Exit 4 when the solutions written fail `verify`'s rule, each issue on stderr."""
-    issues = solution_issues(scene, vectors, flags, residuals)
+def _exit_by_rule(issues) -> int:
+    """Exit 4 when the certificate written has issues by `verify`'s rule, each on stderr."""
     for issue in issues:
         print(issue, file=sys.stderr)
     return EXIT_NUMERIC if issues else EXIT_OK
@@ -253,7 +254,7 @@ def cmd_tetra(args) -> int:
     print(f"{cert['counts']['total']} solutions, {cert['counts']['real']} real, "
           f"max residual {max(s['residual'] for s in cert['solutions']):.3e}",
           file=sys.stderr)
-    return _exit_by_rule(scene, vectors, flags, residuals)
+    return _exit_by_rule(solution_issues(scene, vectors, flags, residuals))
 
 
 # ---------------------------------------------------------------------------
@@ -282,36 +283,30 @@ def cmd_track(args) -> int:
     result = solve_tangency(scene.conditions, args.seed)
     if args.path_log:
         _write_path_log(args.path_log, result.paths)
-    distinct = result.distinct_paths
     vectors = result.endpoints
     reality = result.reality()  # the numbers written, as `verify` reads them
     residuals = solution_residuals(scene, vectors)
-    status = Counter(p.status for p in result.paths)
+    statuses = [p.status for p in result.paths]
+    tally = {"total": len(statuses), **{key: statuses.count(status)
+                                        for status, key in PATH_KEYS.items()}}
     cert = certificate(
         scene, vectors, reality.is_real, residuals, args.seed,
-        extras=[{"path": {"status": p.status, "steps": p.steps}} for p in distinct],
-        metadata={
-            "start_policy": result.start_policy,
-            "root_bound": scene.conditions.root_bound,
-            "paths": {"total": len(result.paths),
-                      "converged": status["converged"],
-                      "diverged": status["diverged"],
-                      "at_infinity": status["at-infinity"],
-                      "surplus": status["surplus"],
-                      "suspected_jumps": status["path-jump-suspected"]},
-        })
+        extras=[{"path": {"status": p.status, "steps": p.steps}}
+                for p in result.distinct_paths],
+        metadata={"start_policy": result.start_policy,
+                  "root_bound": scene.conditions.root_bound, "paths": tally})
     _write_certificate(cert, args)
-    print(f"{len(distinct)} certified endpoints of {len(result.paths)} paths, "
-          f"{reality.real_count} real, {status['at-infinity']} at infinity, "
-          f"{status['surplus']} surplus",
-          file=sys.stderr)
-    # the certificate is written either way, so that it can be inspected; a
-    # suspected jump means a line may be missing
-    code = _exit_by_rule(scene, vectors, reality.is_real, residuals)
+    print(f"{len(vectors)} certified endpoints of {tally['total']} paths, "
+          f"{reality.real_count} real, {tally['at_infinity']} at infinity, "
+          f"{tally['surplus']} surplus", file=sys.stderr)
+    # the certificate is written either way, so that it can be inspected
     for i, p in enumerate(result.paths):
         if p.status == "path-jump-suspected":
             print(f"path {i}: suspected jump onto path {p.duplicate_of}", file=sys.stderr)
-    return EXIT_NUMERIC if not distinct or status["path-jump-suspected"] else code
+        elif p.status == "diverged":
+            print(f"path {i}: diverged after {p.steps} steps", file=sys.stderr)
+    return _exit_by_rule(solution_issues(scene, vectors, reality.is_real, residuals)
+                         + path_issues(scene, len(vectors), tally))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ the canonical scene encoding so a certificate cannot be replayed against a
 different scene.  A certificate is its JSON object: ``certificate`` writes
 it and ``verify_certificate`` reads it.  Verification re-evaluates every
 residual from scratch; it never trusts how the certificate was produced.
-One rule, ``solution_issues``, checks a certificate's coordinates, in
-``verify`` and in the ``tetra`` and ``track`` commands that write them.
+One rule checks a certificate, in ``verify`` and in the commands that write
+it: ``solution_issues`` its coordinates, ``path_issues`` a run's path tally.
 
 Serialization conventions (shared with docs/schemas/*.json):
   rationals     -> strings "p/q" (or "p"); decimal strings are parsed exactly
@@ -355,6 +355,31 @@ def solution_issues(scene: Scene, vectors, flags, residuals) -> list[Verificatio
     return issues
 
 
+# a `track` certificate's metadata.paths key for each status a path ends with
+PATH_KEYS = {"converged": "converged", "diverged": "diverged", "at-infinity": "at_infinity",
+             "surplus": "surplus", "path-jump-suspected": "suspected_jumps"}
+
+
+def path_issues(scene: Scene, total: int, paths) -> list[VerificationIssue]:
+    """The issues of ``metadata.paths`` of a run listing ``total`` lines of
+    ``scene``: it must tally ``total`` converged paths as integer counts
+    under ``PATH_KEYS`` that sum to its ``total``; and short of the root
+    bound no path may be lost (``diverged`` or a suspected jump) and some
+    line found.  At the bound a lost path can reach no other isolated root
+    (Morgan and Sommese 1989)."""
+    keys = ("total", *PATH_KEYS.values())
+    if (not isinstance(paths, dict) or sorted(paths) != sorted(keys)
+            or not all(map(_is_json_int, paths.values())) or paths["converged"] != total
+            or sum(paths[key] for key in PATH_KEYS.values()) != paths["total"]):
+        return [VerificationIssue(None, f"metadata.paths {paths!r} is not a tally of "
+                                        f"{total} converged paths")]
+    lost, bound = paths["diverged"] + paths["suspected_jumps"], scene.conditions.root_bound
+    if total < bound and (lost or not total):
+        return [VerificationIssue(
+            None, f"{total} of root bound {bound} lines listed, {lost} path(s) lost")]
+    return []
+
+
 def verify_certificate(obj: dict,
                        expected_scene: Scene | None = None) -> VerificationReport:
     """Re-evaluate every solution of a certificate's JSON object from scratch.
@@ -366,13 +391,14 @@ def verify_certificate(obj: dict,
     number (not a boolean) in [0, ``RESIDUAL_TOL``]; ``solution_issues``,
     on the solutions decoded and their re-evaluated residuals; ``counts``
     holds exactly the integers ``total``, ``real`` and ``nonreal``, which
-    match the solutions and their flags; and, with ``params`` (closed
+    match the solutions and their flags; ``path_issues``, when the
+    certificate has ``metadata.paths``; and, with ``params`` (closed
     form), the scene is exactly that family member and has 32 lines split
     as ``reality_count``.
     A missing or mistyped field (``seed`` is an integer or null), or a
     scene not in P^3, raises SceneFormatError; degenerate ``params``,
-    DegeneracyError.  ``generator``, ``metadata`` and solution extras are
-    not read.
+    DegeneracyError.  ``generator``, the rest of ``metadata`` and solution
+    extras are not read.
     """
     if not isinstance(obj, dict) or obj.get("schema") != CERTIFICATE_SCHEMA:
         raise SceneFormatError(
@@ -441,6 +467,9 @@ def verify_certificate(obj: dict,
                 None, f"counts.{key} {counts[key]!r} is not an integer"))
         elif counts[key] != value:
             issues.append(VerificationIssue(None, f"counts.{key} differs from {source}"))
+    metadata = obj.get("metadata")
+    if isinstance(metadata, dict) and "paths" in metadata:
+        issues += path_issues(scene, total, metadata["paths"])
     if obj.get("params") is not None:
         if total != 32:
             issues.append(VerificationIssue(

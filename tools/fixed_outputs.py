@@ -12,7 +12,16 @@ The ops, each run in process through ``quadtangents.cli.main``:
   of the first ``sphere-scenes`` op's scene;
 - ``verify`` without ``--scene`` on the first ``closed-form`` certificate;
 - ``tetra`` on three closed-form inputs at the closed form's numeric edges
-  (``EDGE_TETRA``), so that their exit codes are compared.
+  (``EDGE_TETRA``), so that their exit codes are compared;
+- the exit-rule set (``EXIT_RULE_OPS`` and ``EXIT_RULE_SCALED``): ``track``
+  runs that lose a path, each followed by ``verify --scene``.  A lost path
+  (``diverged`` or a suspected jump) fails a run only when the run lists
+  fewer lines than its scene's root bound, and no other op above loses one,
+  so these runs are where that rule shows: in the exit codes, the stderr
+  lines naming each lost path, and ``verify``'s verdict.  Two are
+  perfbench ``sphere-scenes`` ops that lose a path after all 12 lines are
+  certified (exit 0); four are scenes with Q1 scaled by 10^-6 whose lost
+  paths take lines and leave no nonreal line without its conjugate (exit 4).
 
 Every ``track`` op, the CSV one included, also writes ``--path-log``, so
 each path's status, steps, solves, residual, cond and endpoint are compared
@@ -32,14 +41,22 @@ from __future__ import annotations
 import contextlib
 import io
 import itertools
+import json
 import os
+import random
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from perfbench.workloads import iter_inputs  # noqa: E402
+from perfbench.workloads import (  # noqa: E402
+    iter_inputs,
+    random_sphere,
+    random_symmetric,
+    scene_dict,
+)
 from quadtangents import cli  # noqa: E402
 
 # (workload, ops taken from its stream seed-1)
@@ -54,6 +71,17 @@ DOUBLING_SEEDS = range(20)
 EDGE_TETRA = [("1/10", "1/10000000000000000"),
               ("0.171572875253810", "0.171572875253810"),
               ("1/10", "1/100000")]
+# (workload, stream, op index) of perfbench ops that lose a path once all
+# their lines are certified: a suspected jump, and a diverged path
+EXIT_RULE_OPS = [("sphere-scenes", "seed-20", 180), ("sphere-scenes", "seed-11", 241)]
+# (random stream, draw, program seed) of four-quadric scenes drawn as
+# `tests/test_cli.py`'s ``scaled_quadric_scene`` and `tools/sphere_sweep.py`
+# draw them, with the first matrix scaled by 10^-6: two paths end diverged
+# (one of the sphere scene's) and take their lines with them
+EXIT_RULE_SCALED = [("scaled/quadric/4", random_symmetric, 9),
+                    ("scaled/quadric/7", random_symmetric, 3),
+                    ("scaled/quadric/7", random_symmetric, 4),
+                    ("sweep/4", random_sphere, 2)]
 
 
 def record(name: str, argv: list[str]) -> int:
@@ -74,6 +102,22 @@ def record(name: str, argv: list[str]) -> int:
 def with_path_log(argv: list[str], stem) -> list[str]:
     """``argv``, with ``--path-log stem.paths.jsonl`` added to a ``track``."""
     return [*argv, "--path-log", f"{stem}.paths.jsonl"] if argv[0] == "track" else argv
+
+
+def exit_rule_runs() -> list[tuple[str, dict, int]]:
+    """The exit-rule set as (name, scene, program seed) triples."""
+    runs = []
+    for workload, stream, index in EXIT_RULE_OPS:
+        with tempfile.TemporaryDirectory() as tmp:  # the stream's scene files
+            op = next(itertools.islice(iter_inputs(workload, stream, Path(tmp)), index, None))
+        seed = int(op.argv[op.argv.index("--seed") + 1])
+        runs.append((f"{workload}-{stream}-op-{index}", op.scene, seed))
+    for stream, draw, seed in EXIT_RULE_SCALED:
+        rng = random.Random(stream)
+        matrices = [draw(rng) for _ in range(4)]
+        matrices[0] = [[x / 10**6 for x in row] for row in matrices[0]]
+        runs.append((f"{stream.replace('/', '-')}-seed-{seed}", scene_dict(matrices), seed))
+    return runs
 
 
 def main() -> int:
@@ -113,6 +157,15 @@ def main() -> int:
     for k, params in enumerate(EDGE_TETRA):
         codes.append(record(f"tetra-edge/{k}",
                             ["tetra", *params, "--output", f"tetra-edge/{k}.json"]))
+    Path("exit-rule").mkdir(exist_ok=True)
+    for name, scene, seed in exit_rule_runs():
+        stem = Path("exit-rule") / name
+        Path(f"{stem}.scene.json").write_text(json.dumps(scene))
+        codes.append(record(f"{stem}.track", with_path_log(
+            ["track", "--scene", f"{stem}.scene.json", "--seed", str(seed),
+             "--output", f"{stem}.cert.json"], stem)))
+        codes.append(record(f"{stem}.verify",
+                            ["verify", f"{stem}.cert.json", "--scene", f"{stem}.scene.json"]))
     print(f"{len(codes)} commands, {sum(c != 0 for c in codes)} with a nonzero exit; "
           f"outputs in {outdir}")
     return 0
