@@ -5,13 +5,15 @@ Exit codes: 0 success, 2 mathematical degeneracy (a hypothesis of the
 underlying construction is violated), 3 input error, 4 numerical failure (a
 certificate that `verify` rejects, or that `tetra` or `track` writes and
 that fails `verify`'s rule: ``scenes.solution_issues`` on its coordinates
-and, for `track`, ``scenes.path_issues`` on its path tally; cli makes no
-check itself).
+and, for `track`, ``scenes.path_issues`` on its path tally; or a `doubling`
+stage that misses its target, ``tracker.DoublingResult.misses``; cli makes
+no check itself).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -168,9 +170,7 @@ def cmd_counts(args) -> int:
         ns = [int(args.n)]
     rows = [grassmann_counts(args.k, n) for n in ns]
     if args.format == "json":
-        write_json(args.output, [{"k": c.k, "n": c.n, "dim": c.dim,
-                                  "degree": c.degree, "total": c.total}
-                                 for c in rows])
+        write_json(args.output, [dataclasses.asdict(c) for c in rows])
     elif args.table:
         widths = [max(len(str(c.total)), len(str(sphere_tangent_line_count(c.n))), 4)
                   for c in rows]
@@ -190,13 +190,6 @@ def cmd_counts(args) -> int:
 
 # ---------------------------------------------------------------------------
 # tetra
-
-
-def _tetra_scene(params: TetraParams) -> Scene:
-    return Scene(3, quadrics=list(family(params)),
-                 metadata={"family": "tetrahedral",
-                           "alpha": encode_rational(params.alpha),
-                           "beta": encode_rational(params.beta)})
 
 
 def _write_certificate(cert: dict, args) -> None:
@@ -221,7 +214,7 @@ def _write_certificate(cert: dict, args) -> None:
 
 
 def _exit_by_rule(issues) -> int:
-    """Exit 4 when the certificate written has issues by `verify`'s rule, each on stderr."""
+    """Exit 4 when the output written has issues by its command's rule, each on stderr."""
     for issue in issues:
         print(issue, file=sys.stderr)
     return EXIT_NUMERIC if issues else EXIT_OK
@@ -241,15 +234,17 @@ def cmd_tetra(args) -> int:
                             _tetra_parameter(args, "beta"))
     solutions = enumerate_tangents(params)  # raises DegeneracyError
     vectors = numeric_vectors(solutions)
-    scene = _tetra_scene(params)
+    # the member, as the certificate's params and its scene's metadata name it
+    alpha_beta = {"alpha": encode_rational(params.alpha), "beta": encode_rational(params.beta)}
+    scene = Scene(3, quadrics=list(family(params)),
+                  metadata={"family": "tetrahedral", **alpha_beta})
     residuals = solution_residuals(scene, vectors)
     flags = reality_flags(solutions)
     cert = certificate(
         scene, vectors, flags, residuals, args.seed,
         extras=[{"case": sol.case, "signs": list(sol.signs), "branch": sol.branch}
                 for sol in solutions],
-        params={"alpha": encode_rational(params.alpha),
-                "beta": encode_rational(params.beta)})
+        params=alpha_beta)
     _write_certificate(cert, args)
     print(f"{cert['counts']['total']} solutions, {cert['counts']['real']} real, "
           f"max residual {max(s['residual'] for s in cert['solutions']):.3e}",
@@ -336,8 +331,7 @@ def cmd_doubling(args) -> int:
             lines.append(f"{r.stage:>5}  {r.target_count:>6}  {r.real_count:>4}  {radii_txt}")
         lines.append(f"exact transversal count at stage 0: {result.exact_stage0_count}")
         write_text(args.output, "\n".join(lines))
-    missed = any(r.real_count != r.target_count for r in result.rows)
-    return EXIT_NUMERIC if missed else EXIT_OK
+    return _exit_by_rule(result.misses)
 
 
 # ---------------------------------------------------------------------------

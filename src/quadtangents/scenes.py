@@ -172,10 +172,6 @@ class Scene:
                 raise SceneFormatError(
                     f"{label!r} lies in P^{x.n}, the scene in P^{self.n}")
 
-    @property
-    def condition_count(self) -> int:
-        return len(self.quadrics) + len(self.flats)
-
     @cached_property
     def conditions(self) -> LineConditions:
         """Tangency to every quadric and incidence with every flat, compiled once."""
@@ -348,7 +344,8 @@ def solution_issues(scene: Scene, vectors, flags, residuals) -> list[Verificatio
                    if isinstance(flags[i], bool) and flags[i] != real]
         issues += [VerificationIssue(index[k], "nonreal, with no conjugate solution")
                    for k in reality.unpaired]
-    if scene.condition_count == 4 and len(vectors) > scene.conditions.root_bound:
+    if (len(scene.quadrics) + len(scene.flats) == 4
+            and len(vectors) > scene.conditions.root_bound):
         issues.append(VerificationIssue(
             None, f"{len(vectors)} solutions exceed the root bound "
                   f"{scene.conditions.root_bound}"))

@@ -82,9 +82,6 @@ class TetraParams:
             ("(1-alpha)^2*(1-beta)^2-16*alpha*beta", self.discriminant()),
         ]
 
-    def vanishing_factors(self) -> list[str]:
-        return [name for name, value in self.genericity_factors() if value == 0]
-
     @cached_property
     def conditions(self) -> LineConditions:
         """The family's four tangency conditions, compiled once."""
@@ -160,17 +157,12 @@ def numeric_vectors(solutions) -> np.ndarray:
     """Instantiate solutions as an (N, 6) complex stack, one row
     (p01, p02, p03, p12, p13, p23) per solution, taking one square root per
     distinct radicand."""
-    roots, numbers = {}, {}
+    roots = {}
 
     def root(sq: Surd):
         if sq not in roots:
             roots[sq] = _square_root(sq)
         return roots[sq]
-
-    def number(x: Fraction):
-        if x not in numbers:
-            numbers[x] = complex(Surd(x))
-        return numbers[x]
 
     out = np.empty((len(solutions), 6), dtype=complex)
     for i, sol in enumerate(solutions):
@@ -178,8 +170,8 @@ def numeric_vectors(solutions) -> np.ndarray:
         s01, s03, s12 = sol.signs
         p01, p03 = s01 * u, s03 * u
         p12, p23 = s12 * v, sol.sign23 * v
-        p13 = number(sol.p13) if sol.p13 is not None else p01 * p23 + p03 * p12
-        out[i] = (p01, number(sol.p02), p03, p12, p13, p23)
+        p13 = complex(sol.p13) if sol.p13 is not None else p01 * p23 + p03 * p12
+        out[i] = (p01, complex(sol.p02), p03, p12, p13, p23)
     return out
 
 
@@ -189,7 +181,7 @@ def enumerate_tangents(params: TetraParams) -> list[SignedRadicalSolution]:
     Raises DegeneracyError (naming every vanishing factor) when the
     genericity product is zero.
     """
-    vanishing = params.vanishing_factors()
+    vanishing = [name for name, value in params.genericity_factors() if value == 0]
     if vanishing:
         raise DegeneracyError(vanishing)
     a, b = params.alpha, params.beta

@@ -64,7 +64,9 @@ solve count unless a singular batch mate sends a stack to the one-by-one
 fallback of ``_solve``; a path leaves each loop as soon as it is done, and
 a singular Jacobian or non-finite prediction fails only its own path.
 
-Every path ends once, and its status is written there, as one of these:
+Every path ends once, and its record (an immutable ``TrackedPath``) is built
+there; the cluster retrack only replaces a record by a new one.  A status is
+one of these:
   converged            polished at t = 1 to a residual below RESIDUAL_TOL;
   at-infinity          heading to a line at infinity, ended in flight
                        (below);
@@ -122,6 +124,7 @@ are fixed; a fixed seed reproduces every path.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 from collections.abc import Sequence
@@ -201,14 +204,13 @@ STATUSES = ("", "converged", "diverged", "at-infinity", "diverged", "surplus")
 CONVERGED, MISSED, AT_INFINITY, DIVERGED, SURPLUS = range(1, 6)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TrackedPath:
-    """One continuation path: start point, endpoint, and step statistics."""
+    """One continuation path, built once, where it ends; its index is its start's."""
 
-    start: np.ndarray
     end: np.ndarray | None
-    status: str            # written once, where the path ends: "converged" | "at-infinity"
-                           # | "surplus" | "diverged"; or, by the retrack, "path-jump-suspected"
+    status: str            # "converged" | "at-infinity" | "surplus" | "diverged"; or,
+                           # by the retrack, "path-jump-suspected"
     steps: int
     residual: float        # the endpoint's residual, as LineConditions normalizes it
     cond: float            # endpoint Jacobian condition number; inf without one
@@ -544,7 +546,7 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
 
     # the end polish: the arrivals the stop rule left unpolished
     polish(np.flatnonzero(status == 0))
-    return [TrackedPath(starts[i], x[i] if code < AT_INFINITY else None, STATUSES[code],
+    return [TrackedPath(x[i] if code < AT_INFINITY else None, STATUSES[code],
                         int(steps[i]), float(residual[i]), float(cond[i]),
                         solves=int(solves[i]))
             for i, code in enumerate(status.tolist())]
@@ -585,12 +587,11 @@ def _track_batch(homotopies, seed: int, root_bounds=None) -> list[list[TrackedPa
         indices = sorted(lo + i for lo, cluster in first for i in cluster)
         again = _track_lockstep(h, starts[indices], system[indices], RETRACK_STEPS)
         for i, p in zip(indices, again):
-            p.solves += paths[i].solves
-            paths[i] = p
+            paths[i] = dataclasses.replace(p, solves=p.solves + paths[i].solves)
         for lo, (keep, *others) in clusters():
             for i in others:
-                paths[lo + i].status = "path-jump-suspected"
-                paths[lo + i].duplicate_of = keep
+                paths[lo + i] = dataclasses.replace(
+                    paths[lo + i], status="path-jump-suspected", duplicate_of=keep)
     return [paths[lo:hi] for lo, hi in spans]
 
 
@@ -712,12 +713,6 @@ def solve_tangency(conditions: LineConditions | Sequence[LineConditions],
 # the cylinder-radius doubling experiment
 
 
-def affine_line(point, other_point) -> AffineFlat:
-    p = [Fraction(x) for x in point]
-    q = [Fraction(x) for x in other_point]
-    return AffineFlat.from_point_directions(p, [[b - a for a, b in zip(p, q)]])
-
-
 def regular_tetrahedron_lines() -> list[AffineFlat]:
     """Four edge lines of the regular tetrahedron with vertices at
     alternating corners of the cube [-1,1]^3, forming a 4-cycle.
@@ -727,8 +722,9 @@ def regular_tetrahedron_lines() -> list[AffineFlat]:
     admits no Euclidean cylinders).  The two transversals are the remaining
     opposite edges.
     """
-    a, b, c, d = (1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)
-    return [affine_line(a, b), affine_line(b, c), affine_line(c, d), affine_line(d, a)]
+    corners = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
+    return [AffineFlat.from_point_directions(p, [[b - a for a, b in zip(p, q)]])
+            for p, q in zip(corners, corners[1:] + corners[:1])]
 
 
 @dataclass
@@ -749,6 +745,12 @@ class DoublingResult:
     @property
     def counts(self) -> list[int]:
         return [row.real_count for row in self.rows]
+
+    @property
+    def misses(self) -> list[str]:
+        """Each stage whose real count misses its target, named."""
+        return [f"stage {r.stage}: {r.real_count} real lines, target {r.target_count}"
+                for r in self.rows if r.real_count != r.target_count]
 
 
 MAX_HALVINGS = 20  # radius halvings per stage in "auto" mode

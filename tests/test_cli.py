@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -1205,6 +1206,26 @@ def test_doubling_json(capsys):
 def test_doubling_zero_radii_rejected(capsys):
     code, _, err = run(capsys, "doubling", "--radii", "0,0,0,0")
     assert code == 3 and "> 0" in err
+
+
+def test_doubling_names_a_stage_that_misses_its_target(capsys, monkeypatch):
+    # stage 3 is made to miss its count, as the auto-mode rerun test makes
+    # stages miss; explicit radii are never halved, so the miss stands
+    reality = tracker.TrackResult.reality
+
+    def miss_stage_3(result):
+        rep = reality(result)
+        if result.conditions.root_bound == 16:
+            rep = dataclasses.replace(rep, is_real=[False] + rep.is_real[1:])
+        return rep
+
+    argv = ["doubling", "--radii", "1/10,1/10,1/10,1/10", "--seed", "5"]
+    code, _, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    monkeypatch.setattr(tracker.TrackResult, "reality", miss_stage_3)
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and err == "stage 3: 15 real lines, target 16\n"
+    assert [row.split()[2] for row in out.splitlines()[1:6]] == ["2", "4", "8", "15", "32"]
 
 
 # -- transversals -------------------------------------------------------------

@@ -148,8 +148,17 @@ def test_constant_homotopy_returns_start_points():
     start, starts = tetra_start()
     paths = track(start, starts, start, seed=3)
     assert all(p.converged for p in paths)
-    for p in paths:
-        assert chordal_distance(p.end, p.start) < 1e-12
+    for p, x in zip(paths, starts):
+        assert chordal_distance(p.end, x) < 1e-12
+
+
+def test_a_tracked_path_is_built_once():
+    # a path's record is a value: the retrack and the jump flag build new
+    # records rather than write into the ones they are handed
+    start, starts = tetra_start()
+    (path,) = track(start, starts[:1], start, seed=3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        path.status = "path-jump-suspected"
 
 
 def test_tracking_matches_closed_form():
