@@ -44,25 +44,30 @@ Every quadratic form here is real (wedge^2 Q of a real quadric, the
 Pluecker form, both starts; building a homotopy from any other raises
 ValueError), so each point costs one real matmul of the start's and
 target's forms, stacked, against x viewed as (6, 2) real pairs; J, H and
-dH/dt follow elementwise.  H is weighted as (1 - t) gamma S + t T, never
-as gamma S + t (T - gamma S), which cancels as t -> 1 far from the origin.
+dH/dt follow elementwise.  The linear blocks enter only when some row of
+the batch is linear: four tangencies have none, and adding their zero
+blocks would change no value, at most the sign of a zero.  H is weighted
+as (1 - t) gamma S + t T, never as gamma S + t (T - gamma S), which
+cancels as t -> 1 far from the origin.
 
 Tracking is lockstep: all paths of a batch -- one homotopy, or many with
 their own start and target systems -- advance together as one (P, 6) array
 with their own t, step size and counters, and every predictor stage,
 corrector iteration and polish iteration is one stacked 6x6 solve over the
-paths still live.  The homotopies of a batch are stacked as (S, 72, 6) real
-forms and (S, 2, 6, 6) complex tensors; each path carries the index of its
-homotopy, and the paths of one homotopy stay together.  Tensors are
-gathered per path only while the live paths of a call span several
-homotopies (once a round, and again when the corrector drops paths); paths
-of one homotopy, and so every batch of one, broadcast its tensors.  The
-stacked matmul (one small product per point, never one GEMM over all
-points) and the stacked solve reproduce the one-point arithmetic bit for
-bit, so each path keeps the steps and endpoint it would have alone, and its
-solve count unless a singular batch mate sends a stack to the one-by-one
-fallback of ``_solve``; a path leaves each loop as soon as it is done, and
-a singular Jacobian or non-finite prediction fails only its own path.
+paths still live.  A round's rows are narrowed only when one of them fails
+or finishes; until then every stage and iteration reuses them as they are.
+The homotopies of a batch are stacked as (S, 72, 6) real forms and
+(S, 2, 6, 6) complex tensors; each path carries the index of its homotopy,
+and the paths of one homotopy stay together.  Tensors are gathered per path
+only while the live paths of a call span several homotopies (once a round,
+and again when rows are narrowed); paths of one homotopy, and so every
+batch of one, broadcast its tensors.  The stacked matmul (one small product
+per point, never one GEMM over all points) and the stacked solve reproduce
+the one-point arithmetic bit for bit, so each path keeps the steps and
+endpoint it would have alone, and its solve count unless a singular batch
+mate sends a stack to the one-by-one fallback of ``_solve``; a path leaves
+each loop as soon as it is done, and a singular Jacobian or non-finite
+prediction fails only its own path.
 
 Every path ends once, and its record (an immutable ``TrackedPath``) is built
 there; the cluster retrack only replaces a record by a new one.  A status is
@@ -234,14 +239,17 @@ class _Homotopy:
     real matmul per point against x viewed as (6, 2) real pairs gives
     A = S.quad x and B = T.quad x; everything else is elementwise.  ``lin``
     holds (gamma S, T)'s, and ``scale`` and ``degree`` T's, for its
-    residual.  The tensors are either broadcast over the points or hold one
-    pair per point."""
+    residual.  ``linear`` records whether any pair of the stack has a
+    linear row; without one, the all-zero ``lin`` blocks are never added,
+    which changes no value (at most the sign of a zero).  The tensors are
+    either broadcast over the points or hold one pair per point."""
 
     quad: np.ndarray   # (..., 72, 6) real
     lin: np.ndarray    # (..., 2, 6, 6) complex
     gamma: complex
     scale: np.ndarray  # (..., 5) the target's
     degree: np.ndarray  # (..., 5) the target's
+    linear: bool
 
     @classmethod
     def of(cls, pairs, gamma: complex) -> _Homotopy:
@@ -255,11 +263,11 @@ class _Homotopy:
                      patch)
         return cls(quad.reshape(len(pairs), 72, 6), lin, gamma,
                    np.array([t.scale for _, t in pairs]),
-                   np.array([t.degree for _, t in pairs]))
+                   np.array([t.degree for _, t in pairs]), bool(np.any(lin)))
 
     def _take(self, index) -> _Homotopy:
         return _Homotopy(self.quad[index], self.lin[index], self.gamma,
-                         self.scale[index], self.degree[index])
+                         self.scale[index], self.degree[index], self.linear)
 
     def at(self, systems: np.ndarray) -> _Homotopy:
         """The homotopy of points of the given pairs of the stack (grouped):
@@ -269,12 +277,10 @@ class _Homotopy:
             return self._take(systems[0])
         return self._take(systems)
 
-    def rows(self, index: np.ndarray) -> _Homotopy:
-        """The homotopy of the points ``index`` (ascending) of those this
-        one is evaluated at: itself unless that drops gathered points."""
-        if self.quad.ndim == 2 or len(index) == len(self.quad):
-            return self
-        return self._take(index)
+    def rows(self, keep: np.ndarray) -> _Homotopy:
+        """The homotopy of the points ``keep`` (a mask) of those this one is
+        evaluated at: itself when its tensors are broadcast."""
+        return self if self.quad.ndim == 2 else self._take(keep)
 
     def _contract(self, x):
         """quad @ x per point, one stacked real matmul (never one GEMM over
@@ -289,8 +295,9 @@ class _Homotopy:
         at each (x, t)."""
         a, b = self._contract(x).swapaxes(0, 1)
         s, u = (1 - t)[:, None, None], t[:, None, None]
-        m = (s * self.gamma) * a + u * b
-        k = m + (s * self.lin[..., 0, :, :] + u * self.lin[..., 1, :, :])
+        k = m = (s * self.gamma) * a + u * b
+        if self.linear:
+            k = m + (s * self.lin[..., 0, :, :] + u * self.lin[..., 1, :, :])
         jac = k + m
         jac[:, 5] = v
         return a, b, k, jac
@@ -304,7 +311,9 @@ class _Homotopy:
     def tangent(self, x, t, v):
         """J_x and dH/dt = T(x) - gamma S(x) at each (x, t), for the predictor."""
         a, b, _, jac = self._combine(x, t, v)
-        d = b - self.gamma * a + (self.lin[..., 1, :, :] - self.lin[..., 0, :, :])
+        d = b - self.gamma * a
+        if self.linear:
+            d += self.lin[..., 1, :, :] - self.lin[..., 0, :, :]
         return jac, (d @ x[..., None])[..., 0]
 
     def residual(self, x, value):
@@ -346,55 +355,55 @@ def _predict(h: _Homotopy, x, t, step, solves, rows):
     """RK4 step of the given sizes on dx/dt = -J_x^{-1} dH/dt for each row,
     on the patch through its unit-norm point x, ``h`` being evaluated at
     the rows.  A row whose Jacobian is singular at some stage drops out of
-    the later stages and comes back NaN.  Also returns the mask of rows
-    singular at stage 0, the current point itself, which no smaller step
-    can cure."""
-    k = np.zeros((4,) + x.shape, dtype=complex)
-    v = x.conj()
-    live = np.arange(len(x))
+    the later stages and comes back NaN; the rows are narrowed only then.
+    Also returns the mask of rows singular at stage 0, the current point
+    itself, which no smaller step can cure."""
+    pred = np.full(x.shape, np.nan, dtype=complex)
+    index, v, k = np.arange(len(x)), x.conj(), []
     for stage, c in enumerate((0.0, 0.5, 0.5, 1.0)):
-        xs, ts, hs = x[live], t[live], h.rows(live)
-        if stage:
-            xs = xs + (c * step[live])[:, None] * k[stage - 1, live]
-            ts = ts + c * step[live]
-        jac, dt = hs.tangent(xs, ts, v[live])
-        k[stage, live], solved = _solve(jac, -dt, solves, rows[live])
+        xs, ts = (x + (c * step)[:, None] * k[-1], t + c * step) if stage else (x, t)
+        jac, dt = h.tangent(xs, ts, v)
+        dx, solved = _solve(jac, -dt, solves, rows)
+        k.append(dx)
         if not stage:
             stuck = ~solved
-        live = live[solved]
-    pred = np.full(x.shape, np.nan, dtype=complex)
-    k1, k2, k3, k4 = k[:, live]
-    pred[live] = x[live] + (step[live] / 6)[:, None] * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not solved.all():
+            index, x, t, step, v, rows, *k = (a[solved] for a in (index, x, t, step, v, rows, *k))
+            h = h.rows(solved)
+    k1, k2, k3, k4 = k
+    pred[index] = x + (step / 6)[:, None] * (k1 + 2 * k2 + 2 * k3 + k4)
     return pred, stuck
 
 
-def _correct(h: _Homotopy, x, t, v, solves, rows):
-    """Newton at fixed t for each row, on the patch v . x = 1.  A row stops
-    when its update falls below the corrector tolerance (ok) or its Jacobian
-    is singular.  Also returns each row's first update relative to its
-    point, which estimates the predictor's error (NaN where the first solve
-    failed)."""
-    x = x.copy()
+def _correct(h: _Homotopy, x, t, v, solves, rows, live):
+    """Newton at fixed t for the rows ``live`` (a mask), on the patch
+    v . x = 1.  A row stops when its update falls below the corrector
+    tolerance (ok) or its Jacobian is singular, and the rows are narrowed
+    only then.  Returns each row's corrected point (NaN unless ok), ok, and
+    its first update relative to its point, which estimates the predictor's
+    error (NaN where the first solve failed)."""
+    out = np.full(x.shape, np.nan, dtype=complex)
     ok = np.zeros(len(x), bool)
     first = np.full(len(x), np.nan)
-    live = np.arange(len(x))
+    index = np.arange(len(x))
     for iteration in range(CORRECTOR_ITERS):
-        if not live.size:
-            break
-        xs, ts, hs = x[live], t[live], h.rows(live)
-        jac, value = hs.newton(xs, ts, v[live])
-        dx, solved = _solve(jac, -value, solves, rows[live])
-        live, dx = live[solved], dx[solved]
-        xs = xs[solved] + dx
-        x[live] = xs
-        # |xs| >= 1 on the patch through a unit-norm point
-        update = np.linalg.norm(dx, axis=-1) / np.linalg.norm(xs, axis=-1)
+        if not live.all():
+            if not live.any():
+                break
+            index, x, t, v, rows = (a[live] for a in (index, x, t, v, rows))
+            h = h.rows(live)
+        jac, value = h.newton(x, t, v)
+        dx, live = _solve(jac, -value, solves, rows)
+        x = x + dx
+        # |x| >= 1 on the patch through a unit-norm point
+        update = np.linalg.norm(dx, axis=-1) / np.linalg.norm(x, axis=-1)
         if not iteration:
-            first[live] = update
+            first[index] = update
         done = update < CORRECTOR_TOL
-        ok[live[done]] = True
-        live = live[~done]
-    return x, ok, first
+        ok[index[done]] = True
+        out[index[done]] = x[done]
+        live &= ~done
+    return out, ok, first
 
 
 def _polish(h: _Homotopy, x, system, rows, solves):
@@ -477,8 +486,9 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
         # step underflow (at infinity right after a half-valuation decade),
         # or out of budget
         ended = running & ((step < MIN_STEP) | (steps >= MAX_STEPS))
-        status[ended] = np.where((step[ended] < MIN_STEP) & (decades[ended] > 0),
-                                 AT_INFINITY, DIVERGED)
+        if ended.any():
+            status[ended] = np.where((step[ended] < MIN_STEP) & (decades[ended] > 0),
+                                     AT_INFINITY, DIVERGED)
         if watch.any():
             # the stop rule: polish, together, the new arrivals at t = 1 of
             # every watched homotopy that has at least its bound of them
@@ -501,31 +511,29 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
         if not rows.size:
             break
         step[rows] = np.minimum(step[rows], 1.0 - t[rows])
-        s, t0 = step[rows], t[rows]
+        s, t0, x0 = step[rows], t[rows], x[rows]
         hr = h.at(system[rows])
-        pred, stuck = _predict(hr, x[rows], t0, s, solves, rows)
-        finite = np.all(np.isfinite(pred), axis=-1)
-        corr, ok, error = _correct(hr.rows(np.flatnonzero(finite)), pred[finite],
-                                   t0[finite] + s[finite], x[rows[finite]].conj(), solves,
-                                   rows[finite])
-        accept = np.zeros(len(rows), bool)
-        accept[finite] = ok
+        pred, stuck = _predict(hr, x0, t0, s, solves, rows)
+        corr, accept, error = _correct(hr, pred, t0 + s, x0.conj(), solves, rows,
+                                       np.all(np.isfinite(pred), axis=-1))
         steps[rows] += 1
         good, bad = rows[accept], rows[~accept]
-        x[good] = _unit(corr[ok])
+        x[good] = _unit(corr[accept])
         t[good] = t0[accept] + s[accept]
         # RK4's local error goes like step^5.  No step grows right after a
         # rejection, nor on an error within 10x the corrector tolerance (an
         # exact prediction included): that is the corrector's noise floor
         # near a singular endpoint, not the predictor's error, and growing
         # on it keeps such a path from ever reaching MIN_STEP
+        error = error[accept]
         with np.errstate(divide="ignore"):
-            growth = np.clip((STEP_TOL / error[ok]) ** (1 / 5), 1.0, MAX_GROWTH)
-        growth[rejected[good] | (error[ok] < 10 * CORRECTOR_TOL)] = 1.0
+            growth = np.clip((STEP_TOL / error) ** (1 / 5), 1.0, MAX_GROWTH)
+        growth[rejected[good] | (error < 10 * CORRECTOR_TOL)] = 1.0
         step[good] = np.minimum(step[good] * growth, max_step)
         step[bad] /= 2
         rejected[rows] = ~accept
-        status[rows[stuck]] = DIVERGED
+        if stuck.any():
+            status[rows[stuck]] = DIVERGED
 
         # late-t test on the accepted points, one decade of 1 - t at a time
         late = good[(1.0 - t[good] <= INFINITY_FROM) & (t[good] < 1.0)]

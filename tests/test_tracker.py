@@ -997,6 +997,65 @@ def test_fused_homotopy_matches_its_definition():
     assert np.max(error) > 1e-12
 
 
+def test_zero_linear_blocks_are_skipped_without_moving_a_value():
+    # four tangencies have S.lin = T.lin = 0, and their homotopy never adds
+    # those blocks; forced on, they give equal arrays.  np.array_equal
+    # counts -0 equal to 0, and adding a zero block can only flip a zero's
+    # sign.  Points with zero coordinates, real points, t = 0 and t = 1
+    # make zeros in the products
+    assert tracker._Homotopy.of([(total_degree_start(doubling_stages()[0])[0],
+                                  doubling_stages()[0])], 1j).linear
+    start, starts = tetra_start()
+    gamma = complex(np.exp(0.7j))
+    h = tracker._Homotopy.of([(start, random_quadric_system(s)) for s in (3, 4)], gamma)
+    assert not h.linear
+    forced = dataclasses.replace(h, linear=True)
+    rng = np.random.default_rng(41)
+    x = np.vstack([starts[:2], rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))])
+    x[2, :3] = 0
+    t = np.array([0.0, 1.0, 0.0, 1.0, 0.3, 0.9])
+    v = x.conj()
+    for system in (np.array([0, 0, 0, 1, 1, 1]), np.zeros(6, int)):
+        for name in ("newton", "tangent"):
+            skipped = getattr(h.at(system), name)(x, t, v)
+            added = getattr(forced.at(system), name)(x, t, v)
+            for a, b in zip(skipped, added):
+                assert np.array_equal(a, b)
+
+
+# each path's steps, linear systems and status on a criterion-8 scene (scene
+# 7) and on a sphere scene with paths to infinity, stopped and converged:
+# any change to the order of a path's arithmetic moves some of them
+PINNED_PATHS = {
+    "criterion-8 scene 7": (
+        [15, 20, 17, 12, 14, 14, 14, 9, 7, 16, 9, 12, 22, 12, 13, 14, 12, 18, 8, 21,
+         12, 20, 9, 9, 27, 8, 9, 19, 16, 17, 19, 12],
+        [105, 139, 118, 83, 97, 96, 96, 62, 48, 111, 62, 83, 153, 84, 90, 96, 82,
+         124, 54, 146, 81, 140, 61, 63, 187, 55, 61, 131, 110, 117, 132, 82],
+        "c" * 32),
+    "long-finite-path": (
+        [58, 13, 59, 52, 43, 12, 16, 44, 19, 49, 33, 32, 57, 64, 24, 52, 45, 53, 53,
+         64, 43, 47, 28, 44, 45, 59, 19, 31, 30, 57, 58, 61],
+        [397, 90, 404, 356, 293, 84, 112, 295, 132, 334, 231, 223, 391, 448, 168,
+         351, 302, 363, 358, 447, 289, 318, 195, 295, 306, 405, 133, 216, 209, 390,
+         393, 417],
+        "iciiicciciccisciiiiciiciiiccciii"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_PATHS)
+def test_paths_keep_their_pinned_steps_and_solves(name):
+    if name == "long-finite-path":
+        result = solve_spheres(*SPHERE_SCENES[name])
+    else:
+        result = solve_tangency(random_quadric_system(1007), seed=7)
+    codes = {"converged": "c", "at-infinity": "i", "surplus": "s"}
+    steps, solves, statuses = PINNED_PATHS[name]
+    assert [p.steps for p in result.paths] == steps
+    assert [p.solves for p in result.paths] == solves
+    assert "".join(codes.get(p.status, "?") for p in result.paths) == statuses
+
+
 def test_quadratic_forms_are_real():
     q = np.diag([1.0, 1.0, 1.0, -1.0])
     assert TangentTo(q.astype(complex)).form().dtype == float
