@@ -39,7 +39,7 @@ result = doubling_experiment("auto", seed=5)
 print("\nstage  cylinders  target  real found  radii")
 for row in result.rows:
     radii = ",".join(str(r) for r in row.radii) or "-"
-    print(f"{row.stage:>5}  {row.stage:>9}  {row.target_count:>6}  "
-          f"{row.real_count:>10}  {radii}")
+    print(f"{row.stage:>5}  {row.stage:>9}  {row.target:>6}  "
+          f"{row.real:>10}  {radii}")
 
 print("\ncounts:", result.counts)

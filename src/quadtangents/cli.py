@@ -257,17 +257,18 @@ def cmd_tetra(args) -> int:
 
 
 def _write_path_log(path, paths) -> None:
+    """One JSON line per ``TrackedPath``: its index, then its fields in
+    order, an array as [re, im] pairs and a non-finite float as null."""
+    def value(x):
+        return None if isinstance(x, float) and not math.isfinite(x) else x
+
+    def pairs(array):  # json's fallback, for an array field
+        return [[z.real, z.imag] for z in array]
+
     with open(path, "w") as fh:
         for i, p in enumerate(paths):
-            endpoint = None
-            if p.end is not None:
-                endpoint = [[z.real, z.imag] for z in p.end]
-            residual = p.residual if math.isfinite(p.residual) else None
-            cond = p.cond if math.isfinite(p.cond) else None
-            fh.write(json.dumps({"index": i, "status": p.status,
-                                 "steps": p.steps, "solves": p.solves,
-                                 "residual": residual, "cond": cond,
-                                 "endpoint": endpoint}) + "\n")
+            record = {f.name: value(getattr(p, f.name)) for f in dataclasses.fields(p)}
+            fh.write(json.dumps({"index": i, **record}, default=pairs) + "\n")
 
 
 def cmd_track(args) -> int:
@@ -319,16 +320,14 @@ def cmd_doubling(args) -> int:
     if args.format == "json":
         write_json(args.output, {
             "exact_stage0": result.exact_stage0_count,
-            "rows": [{"stage": r.stage, "target": r.target_count,
-                      "real": r.real_count, "converged": r.converged,
-                      "radii": [encode_rational(x) for x in r.radii],
-                      "halvings": r.halvings} for r in result.rows],
+            "rows": [{**dataclasses.asdict(r), "radii": list(map(encode_rational, r.radii))}
+                     for r in result.rows],
         })
     else:
         lines = ["stage  target  real  radii"]
         for r in result.rows:
             radii_txt = ",".join(encode_rational(x) for x in r.radii) or "-"
-            lines.append(f"{r.stage:>5}  {r.target_count:>6}  {r.real_count:>4}  {radii_txt}")
+            lines.append(f"{r.stage:>5}  {r.target:>6}  {r.real:>4}  {radii_txt}")
         lines.append(f"exact transversal count at stage 0: {result.exact_stage0_count}")
         write_text(args.output, "\n".join(lines))
     return _exit_by_rule(result.misses)
@@ -411,7 +410,7 @@ def main(argv=None) -> int:
     except DegeneracyError as exc:
         print(f"degenerate input: {', '.join(exc.factors)}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (SceneFormatError, FileNotFoundError, ValueError, ZeroDivisionError) as exc:
+    except (SceneFormatError, OSError, ValueError, ZeroDivisionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

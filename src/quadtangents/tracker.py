@@ -211,16 +211,17 @@ CONVERGED, MISSED, AT_INFINITY, DIVERGED, SURPLUS = range(1, 6)
 
 @dataclass(frozen=True, eq=False)
 class TrackedPath:
-    """One continuation path, built once, where it ends; its index is its start's."""
+    """One continuation path, built once, where it ends; its index is its start's.
+    `track --path-log` writes these fields, in order: a new counter is one field."""
 
-    end: np.ndarray | None
     status: str            # "converged" | "at-infinity" | "surplus" | "diverged"; or,
                            # by the retrack, "path-jump-suspected"
     steps: int
+    solves: int            # linear systems solved for this start, all attempts
     residual: float        # the endpoint's residual, as LineConditions normalizes it
     cond: float            # endpoint Jacobian condition number; inf without one
+    endpoint: np.ndarray | None
     duplicate_of: int | None = None  # index of an earlier coinciding path
-    solves: int = 0        # linear systems solved for this start, all attempts
 
     @property
     def converged(self) -> bool:
@@ -554,9 +555,9 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
 
     # the end polish: the arrivals the stop rule left unpolished
     polish(np.flatnonzero(status == 0))
-    return [TrackedPath(x[i] if code < AT_INFINITY else None, STATUSES[code],
-                        int(steps[i]), float(residual[i]), float(cond[i]),
-                        solves=int(solves[i]))
+    return [TrackedPath(status=STATUSES[code], steps=int(steps[i]), solves=int(solves[i]),
+                        residual=float(residual[i]), cond=float(cond[i]),
+                        endpoint=x[i] if code < AT_INFINITY else None)
             for i, code in enumerate(status.tolist())]
 
 
@@ -614,10 +615,10 @@ def track(start: LineConditions, start_solutions, target: LineConditions,
 def _coincident_clusters(paths: list[TrackedPath]) -> list[list[int]]:
     """Greedy clusters of converged endpoints closer than DISTINCT_TOL: each
     path not yet taken, in order, collects every later untaken path close to it."""
-    idx = [i for i, p in enumerate(paths) if p.converged and p.end is not None]
+    idx = [i for i, p in enumerate(paths) if p.converged and p.endpoint is not None]
     members: dict[int, list[int]] = {}
     taken = set()
-    for a, b in close_pairs([paths[i].end for i in idx], DISTINCT_TOL):
+    for a, b in close_pairs([paths[i].endpoint for i in idx], DISTINCT_TOL):
         if a not in taken and b not in taken:
             members.setdefault(a, [idx[a]]).append(idx[b])
             taken.add(b)
@@ -645,7 +646,7 @@ class TrackResult:
         """The distinct paths' endpoints as one read-only (N, 6) stack, each
         row put through ``normalize_endpoint`` once: the lines ``track``
         certifies."""
-        stack = normalize_endpoint(np.reshape([p.end for p in self.distinct_paths], (-1, 6)))
+        stack = normalize_endpoint(np.reshape([p.endpoint for p in self.distinct_paths], (-1, 6)))
         stack.flags.writeable = False
         return stack
 
@@ -737,9 +738,11 @@ def regular_tetrahedron_lines() -> list[AffineFlat]:
 
 @dataclass
 class DoublingRow:
+    """One stage of the ladder: a row of `doubling --format json`, field by field."""
+
     stage: int                 # number of incidence conditions replaced
-    target_count: int          # 2^stage * 2
-    real_count: int
+    target: int                # 2^stage * 2
+    real: int                  # real lines found
     converged: int
     radii: tuple[Fraction, ...]
     halvings: int
@@ -752,13 +755,13 @@ class DoublingResult:
 
     @property
     def counts(self) -> list[int]:
-        return [row.real_count for row in self.rows]
+        return [row.real for row in self.rows]
 
     @property
     def misses(self) -> list[str]:
         """Each stage whose real count misses its target, named."""
-        return [f"stage {r.stage}: {r.real_count} real lines, target {r.target_count}"
-                for r in self.rows if r.real_count != r.target_count]
+        return [f"stage {r.stage}: {r.real} real lines, target {r.target}"
+                for r in self.rows if r.real != r.target]
 
 
 MAX_HALVINGS = 20  # radius halvings per stage in "auto" mode
@@ -805,15 +808,12 @@ def doubling_experiment(radii="auto", seed: int = 0) -> DoublingResult:
         missed = []
         for stage, radii, result in zip(pending, stage_radii,
                                         solve_tangency(conditions, seed)):
-            target_count = 2 << stage
-            real_count = result.reality().real_count
-            if (auto and stage > 0 and real_count != target_count
-                    and halvings[stage] < MAX_HALVINGS):
+            row = DoublingRow(stage, 2 << stage, result.reality().real_count,
+                              result.converged_count, radii, halvings[stage])
+            if auto and stage > 0 and row.real != row.target and halvings[stage] < MAX_HALVINGS:
                 halvings[stage] += 1
                 missed.append(stage)
             else:
-                rows[stage] = DoublingRow(stage, target_count, real_count,
-                                          result.converged_count, radii,
-                                          halvings[stage])
+                rows[stage] = row
         pending = missed
     return DoublingResult([rows[stage] for stage in range(5)], exact_count)

@@ -95,6 +95,17 @@ def test_closed_stdout_is_an_output_error(argv):
     assert "output error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["tetra", "track", "verify"])
+def test_a_directory_for_a_file_is_an_input_error(capsys, tmp_path, command):
+    # a path that names a directory cannot be opened: exit 3, no traceback
+    argv = {"tetra": ["tetra", "1/10", "1/20", "--output", str(tmp_path)],
+            "track": ["track", "--scene", make_scene_file(tmp_path, "lines.json", edge_scene()),
+                      "--path-log", str(tmp_path)],
+            "verify": ["verify", str(tmp_path)]}[command]
+    code, _, err = run(capsys, *argv)
+    assert code == 3 and err.startswith("input error: ")
+
+
 def test_counts_table_json(capsys):
     code, out, _ = run(capsys, "counts", "--table", "--format", "json")
     rows = json.loads(out)
@@ -334,6 +345,23 @@ def test_track_path_log_jsonl(capsys, tmp_path):
         assert len(rec["endpoint"]) == 6
 
 
+def edge_scene() -> Scene:
+    """Incidence with four edge lines of the regular tetrahedron: two paths."""
+    lines = [ln.to_projective() for ln in regular_tetrahedron_lines()]
+    return Scene(3, flats=[(f"L{i}", ln) for i, ln in enumerate(lines, 1)])
+
+
+def test_track_path_log_lines_are_tracked_path_records(capsys, tmp_path):
+    # each line is the path's index, then its record's fields in order
+    scene_path = make_scene_file(tmp_path, "lines.json", edge_scene())
+    log_path = tmp_path / "paths.jsonl"
+    code, _, _ = run(capsys, "track", "--scene", scene_path, "--path-log", str(log_path))
+    keys = ["index", *(f.name for f in dataclasses.fields(tracker.TrackedPath))]
+    records = [json.loads(line) for line in log_path.read_text().splitlines()]
+    assert code == 0 and len(records) == 2
+    assert all(list(rec) == keys for rec in records)
+
+
 def test_track_path_log_counts_solves(capsys, tmp_path):
     scene = Scene(3, quadrics=list(family(TetraParams.of(F(1, 10), F(1, 20)))))
     scene_path = make_scene_file(tmp_path, "scene.json", scene)
@@ -503,6 +531,19 @@ def test_track_exits_4_on_a_suspected_path_jump(capsys, tmp_path):
     cert = json.loads(cert_path.read_text())
     assert cert["counts"]["total"] == 31
     assert cert["metadata"]["paths"]["suspected_jumps"] == 1
+
+
+def test_path_log_names_the_path_a_suspected_jump_reached(capsys, tmp_path):
+    # the scene of test_track_exits_4_on_a_suspected_path_jump: path 7, the
+    # path stderr names, duplicates path 5, and no other path duplicates one
+    scene = scaled_quadric_scene("scaled/quadric/4", F(1, 1000))
+    scene_path = make_scene_file(tmp_path, "scene.json", scene)
+    log_path = tmp_path / "paths.jsonl"
+    code, _, err = run(capsys, "track", "--scene", scene_path, "--seed", "251779371",
+                       "--output", str(tmp_path / "cert.json"), "--path-log", str(log_path))
+    paths = [json.loads(line) for line in log_path.read_text().splitlines()]
+    assert code == 4 and "path 7: suspected jump onto path 5" in err
+    assert [p["duplicate_of"] for p in paths] == [None] * 7 + [5] + [None] * 24
 
 
 def track_and_verify(capsys, tmp_path, scene: Scene, seed: int) -> tuple[int, str, int, str]:
@@ -1203,6 +1244,15 @@ def test_doubling_json(capsys):
     assert data["exact_stage0"] == 2
 
 
+def test_doubling_json_rows_are_doubling_rows(capsys):
+    # each row is a DoublingRow's fields, in order, its radii as rationals
+    code, out, _ = run(capsys, "doubling", "--format", "json", "--seed", "0")
+    rows = [{**dataclasses.asdict(r), "radii": [encode_rational(x) for x in r.radii]}
+            for r in tracker.doubling_experiment("auto", 0).rows]
+    assert code == 0
+    assert [list(r.items()) for r in json.loads(out)["rows"]] == [list(r.items()) for r in rows]
+
+
 def test_doubling_zero_radii_rejected(capsys):
     code, _, err = run(capsys, "doubling", "--radii", "0,0,0,0")
     assert code == 3 and "> 0" in err
@@ -1329,3 +1379,10 @@ def test_readme_flags_are_accepted():
     # and every flag a command accepts is documented
     documented = accepted - {"--help", "--version"}
     assert documented <= flags, sorted(documented - flags)
+
+
+def test_readme_path_log_keys_are_the_logs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (listed,) = re.findall(r'`\{("index"[^}]*)\}`', readme)
+    fields = [f.name for f in dataclasses.fields(tracker.TrackedPath)]
+    assert re.findall(r'"(\w+)"', listed) == ["index", *fields]

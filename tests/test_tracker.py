@@ -149,7 +149,7 @@ def test_constant_homotopy_returns_start_points():
     paths = track(start, starts, start, seed=3)
     assert all(p.converged for p in paths)
     for p, x in zip(paths, starts):
-        assert chordal_distance(p.end, x) < 1e-12
+        assert chordal_distance(p.endpoint, x) < 1e-12
 
 
 def test_a_tracked_path_is_built_once():
@@ -176,7 +176,7 @@ def test_endpoints_are_the_normalized_distinct_endpoints():
     distinct = res.distinct_paths
     assert res.endpoints.shape == (len(distinct), 6) and len(distinct) == 32
     for row, p in zip(res.endpoints, distinct):
-        assert np.array_equal(row, normalize_endpoint(p.end))
+        assert np.array_equal(row, normalize_endpoint(p.endpoint))
     assert res.reality().is_real == classify_real(res.endpoints).is_real
 
 
@@ -246,9 +246,9 @@ def test_round_trip_tracking():
     system_b = tetra_system(P20)
     forth = track(system_a, starts, system_b, seed=8)
     assert all(p.converged for p in forth)
-    back = track(system_b, [p.end for p in forth], system_a, seed=9)
+    back = track(system_b, [p.endpoint for p in forth], system_a, seed=9)
     assert all(p.converged for p in back)
-    assert match_endpoints([p.end for p in back], list(starts)) < 1e-8
+    assert match_endpoints([p.endpoint for p in back], list(starts)) < 1e-8
 
 
 def test_seed_determinism():
@@ -257,7 +257,7 @@ def test_seed_determinism():
     res2 = solve_tangency(system, seed=77)
     for a, b in zip(res1.paths, res2.paths):
         assert a.steps == b.steps
-        assert np.array_equal(a.end, b.end)
+        assert np.array_equal(a.endpoint, b.endpoint)
 
 
 # -- reality classification ---------------------------------------------------
@@ -316,7 +316,7 @@ def test_doubling_experiment_auto(monkeypatch):
     result = doubling_experiment("auto", seed=5)
     assert result.counts == [2, 4, 8, 16, 32]
     assert result.exact_stage0_count == 2
-    assert result.rows[0].real_count == result.exact_stage0_count
+    assert result.rows[0].real == result.exact_stage0_count
     # stages 0-3 keep an incidence condition; stage 4, four cylinder
     # tangencies, is a parameter homotopy from the closed-form family
     assert policies == ["total-degree"] * 4 + ["tetra"]
@@ -390,7 +390,7 @@ def test_doubling_huge_radii_reported_honestly():
     # huge cylinders break the small-radius hypothesis; counts may fall short
     # but must still be consistent and never exceed the bound
     for row in result.rows:
-        assert 0 <= row.real_count <= row.target_count
+        assert 0 <= row.real <= row.target
 
 
 def test_doubling_rejects_nonpositive_radii():
@@ -455,7 +455,7 @@ def test_batch_tracks_each_path_as_alone():
     for x, p in zip(starts, together):
         (alone,) = track(start, [x], target, seed)
         assert alone.status == p.status and alone.steps == p.steps
-        assert np.max(np.abs(alone.end - p.end)) < 1e-12
+        assert np.max(np.abs(alone.endpoint - p.endpoint)) < 1e-12
 
 
 def test_singular_start_fails_alone():
@@ -468,10 +468,10 @@ def test_singular_start_fails_alone():
     zero = padded[-1]
     # its stage-0 Jacobian is singular, which no smaller step cures: the
     # path ends after one step
-    assert zero.status == "diverged" and zero.end is None and zero.steps == 1
+    assert zero.status == "diverged" and zero.endpoint is None and zero.steps == 1
     for a, b in zip(plain, padded):
         assert a.status == b.status and a.steps == b.steps
-        assert np.array_equal(a.end, b.end)
+        assert np.array_equal(a.endpoint, b.endpoint)
 
 
 def test_path_solves_sum_to_solved_systems(monkeypatch):
@@ -599,7 +599,7 @@ def test_sphere_paths_end_at_infinity_once(lockstep_passes, name):
     assert len(res.endpoints) == 12 and res.converged_count == 12
     others = [p for p in res.paths if not p.converged]
     assert len(others) == 20
-    assert all(p.status == "at-infinity" and p.end is None for p in others)
+    assert all(p.status == "at-infinity" and p.endpoint is None for p in others)
     assert passes == [32]  # no path is re-tracked
 
 
@@ -611,14 +611,14 @@ def assert_stops_surplus_paths(passes, seed, spheres, shift=(0, 0, 0)):
     assert passes == [32]  # no path is re-tracked
     unbounded = track_spheres(seed, spheres, shift)
     assert len(stopped.endpoints) == 12
-    assert [p.end.tobytes() for p in stopped.distinct_paths] == \
-        [p.end.tobytes() for p in unbounded.distinct_paths]
+    assert [p.endpoint.tobytes() for p in stopped.distinct_paths] == \
+        [p.endpoint.tobytes() for p in unbounded.distinct_paths]
     assert [p.steps for p in stopped.paths if p.converged] == \
         [p.steps for p in unbounded.paths if p.converged]
     assert max(p.steps for p in stopped.paths) < max(p.steps for p in unbounded.paths)
     others = [p for p in stopped.paths if not p.converged]
     assert len(others) == 20 and "surplus" in {p.status for p in others}
-    assert all(p.status in ("surplus", "at-infinity") and p.end is None for p in others)
+    assert all(p.status in ("surplus", "at-infinity") and p.endpoint is None for p in others)
     return stopped, unbounded
 
 
@@ -767,7 +767,7 @@ def test_path_to_a_regular_far_endpoint_is_kept():
     (path,) = track(far_root_system(1.0), [np.ones(6)],
                     far_root_system([eps / (1 + eps)] * 2 + [1e-4]), seed=0)
     assert path.converged and path.steps > 30
-    assert abs(path.end[3] / path.end[0] - (1 + eps) / eps) < 1e-3
+    assert abs(path.endpoint[3] / path.endpoint[0] - (1 + eps) / eps) < 1e-3
 
 
 def test_no_path_ends_at_infinity_without_spheres(monkeypatch):
@@ -833,7 +833,8 @@ def assert_same_paths(batched, alone):
     for a, b in zip(batched, alone):
         assert (a.status, a.steps, a.solves, a.duplicate_of) == \
             (b.status, b.steps, b.solves, b.duplicate_of)
-        assert (a.end is None and b.end is None) or np.array_equal(a.end, b.end)
+        assert (a.endpoint is None and b.endpoint is None) or \
+            np.array_equal(a.endpoint, b.endpoint)
 
 
 def test_batch_of_systems_tracks_each_as_alone():
@@ -877,13 +878,14 @@ def test_singular_start_leaves_other_homotopies_alone():
     padded = (start, np.vstack([starts, np.zeros(6)]), target)
     first, second = tracker._track_batch([padded, doubled], seed)
     zero = first[-1]
-    assert zero.status == "diverged" and zero.end is None and zero.steps == 1
+    assert zero.status == "diverged" and zero.endpoint is None and zero.steps == 1
     for batched, alone in zip((first[:-1], second), (track(start, starts, target, seed),
                                                    track(*doubled, seed))):
         assert len(batched) == len(alone)
         for a, b in zip(batched, alone):
             assert (a.status, a.steps, a.duplicate_of) == (b.status, b.steps, b.duplicate_of)
-            assert (a.end is None and b.end is None) or np.array_equal(a.end, b.end)
+            assert (a.endpoint is None and b.endpoint is None) or \
+            np.array_equal(a.endpoint, b.endpoint)
     assert [p.duplicate_of for p in second if p.duplicate_of is not None] == [0]
 
 

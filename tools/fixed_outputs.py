@@ -24,8 +24,8 @@ The ops, each run in process through ``quadtangents.cli.main``:
   paths take lines and leave no nonreal line without its conjugate (exit 4).
 
 Every ``track`` op, the CSV one included, also writes ``--path-log``, so
-each path's status, steps, solves, residual, cond and endpoint are compared
-too.  The inputs come from ``perfbench.workloads``, as perfbench draws them.
+each path's record, every field of its ``tracker.TrackedPath``, is
+compared too.  The inputs come from ``perfbench.workloads``, as perfbench draws them.
 Each op leaves its output file, if it writes one, and a ``.txt`` record of
 its command line, exit code, stdout and stderr, all under OUTDIR; command lines
 name files relative to OUTDIR, so two runs write the same bytes.  Compare a

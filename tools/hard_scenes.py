@@ -12,13 +12,14 @@ The first matrix is scaled by 10^-6, 10^-3 and 1 at program seeds 0..9, and
 by 10^3 and 10^6 at seed 0.  The scaled-up runs crawl toward the work
 budget, so for them ``tracker.MAX_STEPS`` is patched to ``SCALED_UP_STEPS``,
 well above the longest unscaled path (60 steps on these scenes); each set's
-header prints the budget it runs with.  Each run is solved as
-`track --seed <seed>` solves it, and one line gives its certified line
-count, its root bound, its paths by status, its lockstep rounds (predictor
-calls, over all passes), its longest path in steps, and the exit code that
-`track`'s rule (``scenes.solution_issues`` + ``scenes.path_issues``) gives
-it.  Each set ends with a line counting its complete runs, its runs that
-lose lines and those of them that exit 0, and its runs that list more lines
+header prints the budget it runs with.  Each run is `track --seed <seed>`
+itself, called in process through ``quadtangents.cli.main`` with its
+stderr captured, on the scene written to a temporary directory.  One line
+gives the run's certified line count, root bound and paths by status (from
+its certificate), its lockstep rounds (predictor calls, over all passes),
+its longest path in steps (from its path log) and `track`'s exit code.
+Each set ends with a line counting its complete runs, its runs that lose
+lines and those of them that exit 0, and its runs that list more lines
 than the root bound.  Deterministic: runs on the same sources agree line for
 line, so a change is compared with its parent by diffing the outputs.
 
@@ -27,8 +28,12 @@ line, so a change is compared with its parent by diffing the outputs.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import random
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,16 +41,10 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench.workloads import random_symmetric  # noqa: E402
-from quadtangents import tracker  # noqa: E402
+from quadtangents import cli, tracker  # noqa: E402
 from quadtangents.exactnum import RatMatrix  # noqa: E402
 from quadtangents.quadrics import Quadric  # noqa: E402
-from quadtangents.scenes import (  # noqa: E402
-    PATH_KEYS,
-    Scene,
-    path_issues,
-    solution_issues,
-    solution_residuals,
-)
+from quadtangents.scenes import PATH_KEYS, Scene, write_json  # noqa: E402
 from sphere_sweep import counted, scene as sweep_scene  # noqa: E402
 
 SCENES = range(10)
@@ -70,19 +69,19 @@ FAMILIES = [("quadric", quadric_scene), ("sphere", sphere_scene)]
 def run(quadrics: list[Quadric], seed: int, rounds: list[int]) -> tuple:
     """(lines, root bound, status tally, rounds, longest path, exit code) of
     `track --seed seed` on the scene of ``quadrics``."""
-    scene = Scene(3, quadrics=quadrics)
     rounds[0] = 0
-    result = tracker.solve_tangency(scene.conditions, seed=seed)
-    vectors = result.endpoints
-    statuses = [p.status for p in result.paths]
-    tally = {"total": len(statuses), **{key: statuses.count(status)
-                                        for status, key in PATH_KEYS.items()}}
-    issues = (solution_issues(scene, vectors, result.reality().is_real,
-                              solution_residuals(scene, vectors))
-              + path_issues(scene, len(vectors), tally))
-    return (len(vectors), scene.conditions.root_bound,
-            [tally[key] for key in PATH_KEYS.values()], rounds[0],
-            max(p.steps for p in result.paths), 4 if issues else 0)
+    with tempfile.TemporaryDirectory() as tmp:
+        scene, cert, log = (str(Path(tmp, name))
+                            for name in ("scene.json", "cert.json", "paths.jsonl"))
+        write_json(scene, Scene(3, quadrics=quadrics).to_dict())
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["track", "--scene", scene, "--seed", str(seed),
+                             "--output", cert, "--path-log", log])
+        written = json.loads(Path(cert).read_text())
+        steps = [json.loads(line)["steps"] for line in Path(log).read_text().splitlines()]
+    metadata = written["metadata"]
+    return (written["counts"]["total"], metadata["root_bound"],
+            [metadata["paths"][key] for key in PATH_KEYS.values()], rounds[0], max(steps), code)
 
 
 def main() -> int:
