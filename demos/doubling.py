@@ -9,8 +9,8 @@ attained by real solutions.
 The experiment uses the edge lines of a regular tetrahedron (the projective
 coordinate tetrahedron puts two edges at infinity, where no Euclidean
 cylinder exists).  Stage 0 is cross-checked against the exact transversal
-solver; the radii are found automatically by halving until each stage
-reaches its target count.
+solver; every cylinder has radius 1/10, small enough for each stage to
+reach its target count.
 """
 
 from fractions import Fraction as F

@@ -129,7 +129,7 @@ def build_parser() -> _Parser:
     p.add_argument("--format", **TABLE_FORMAT)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--auto", action="store_true", default=True,
-                       help="search radii by halving from 1/10 (default)")
+                       help="cylinders of radius 1/10 (default)")
     group.add_argument("--radii", default=None,
                        help='four comma-separated rationals, e.g. "1/10,1/10,1/10,1/10"')
 
@@ -163,7 +163,8 @@ def _parse_range(spec: str) -> list[int]:
 
 def cmd_counts(args) -> int:
     if args.table:
-        ns = _parse_range(args.n) if args.n is not None else list(range(3, 10))
+        ns = (_parse_range(args.n) if args.n is not None
+              else list(range(args.k + 2, args.k + 9)))
     elif args.n is None:
         raise SceneFormatError("counts needs k and n (or --table)")
     else:
@@ -312,10 +313,7 @@ def cmd_track(args) -> int:
 def cmd_doubling(args) -> int:
     radii = "auto"
     if args.radii is not None:
-        parts = [p.strip() for p in args.radii.split(",")]
-        if len(parts) != 4:
-            raise SceneFormatError("--radii needs four comma-separated values")
-        radii = [rational(p) for p in parts]
+        radii = [rational(p.strip()) for p in args.radii.split(",")]
     result = doubling_experiment(radii, args.seed)
     if args.format == "json":
         write_json(args.output, {

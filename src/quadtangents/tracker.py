@@ -745,7 +745,6 @@ class DoublingRow:
     real: int                  # real lines found
     converged: int
     radii: tuple[Fraction, ...]
-    halvings: int
 
 
 @dataclass
@@ -764,56 +763,29 @@ class DoublingResult:
                 for r in self.rows if r.real != r.target]
 
 
-MAX_HALVINGS = 20  # radius halvings per stage in "auto" mode
-
-
 def doubling_experiment(radii="auto", seed: int = 0) -> DoublingResult:
     """Replace incidence conditions by cylinder tangencies one at a time.
 
-    Stage i surrounds the first i tetrahedron edge lines with distance-r_i
+    Stage i surrounds the first i tetrahedron edge lines with distance-r_j
     cylinders and keeps incidence conditions on the rest; each tangency
     doubles the solution count, so small enough radii give 2, 4, 8, 16, 32
-    real lines at stages 0..4.  All stages are solved together, in one
-    lockstep batch.  In "auto" mode every radius starts at 1/10, and the
-    stages that miss their target count are solved again, together, with
-    their radii halved (at most MAX_HALVINGS times); explicit radii are
-    used as given, and a stage that misses its target is reported honestly.
-    Every stage is solved with ``seed``.
+    real lines at stages 0..4.  "auto" takes radius 1/10 for every
+    cylinder.  The four cylinder conditions are built once, all stages are
+    solved together in one lockstep batch with ``seed``, and a stage that
+    misses its target count is reported as it stands (``misses``).
     """
+    if radii == "auto":
+        radii = [Fraction(1, 10)] * 4
+    radii = [Fraction(r) for r in radii]
+    if len(radii) != 4 or any(r <= 0 for r in radii):
+        raise ValueError("need four cylinder radii > 0")
     lines = regular_tetrahedron_lines()
     proj = [ln.to_projective() for ln in lines]
-    exact = transversals_to_4_lines(proj)
-    exact_count = exact.real_count if not exact.infinite else -1
-
-    auto = isinstance(radii, str) and radii == "auto"
-    if not auto:
-        fixed = [Fraction(r) for r in radii]
-        if len(fixed) != 4 or any(r <= 0 for r in fixed):
-            raise ValueError("need four cylinder radii > 0")
-
-    # each distinct (line, radius) cylinder condition is built once
-    tangent_to_cylinder = functools.cache(lambda j, r: TangentTo(cylinder(lines[j], r)))
-    # every stage at once; then the stages that missed their target again,
-    # together, at half their radius
-    halvings = [0] * 5
-    rows: dict[int, DoublingRow] = {}
-    pending = list(range(5))
-    while pending:
-        stage_radii = [tuple([Fraction(1, 10) / 2 ** halvings[stage]] * stage) if auto
-                       else tuple(fixed[:stage]) for stage in pending]
-        conditions = [LineConditions.compile(
-            (j, tangent_to_cylinder(j, radii[j]) if j < stage
-             else Meets(proj[j].dual()))
-            for j in range(4)) for stage, radii in zip(pending, stage_radii)]
-        missed = []
-        for stage, radii, result in zip(pending, stage_radii,
-                                        solve_tangency(conditions, seed)):
-            row = DoublingRow(stage, 2 << stage, result.reality().real_count,
-                              result.converged_count, radii, halvings[stage])
-            if auto and stage > 0 and row.real != row.target and halvings[stage] < MAX_HALVINGS:
-                halvings[stage] += 1
-                missed.append(stage)
-            else:
-                rows[stage] = row
-        pending = missed
-    return DoublingResult([rows[stage] for stage in range(5)], exact_count)
+    cylinders = [TangentTo(cylinder(ln, r)) for ln, r in zip(lines, radii)]
+    incidences = [Meets(p.dual()) for p in proj]
+    conditions = [LineConditions.compile(enumerate(cylinders[:stage] + incidences[stage:]))
+                  for stage in range(5)]
+    rows = [DoublingRow(stage, 2 << stage, result.reality().real_count,
+                        result.converged_count, tuple(radii[:stage]))
+            for stage, result in enumerate(solve_tangency(conditions, seed))]
+    return DoublingResult(rows, transversals_to_4_lines(proj).real_count)

@@ -322,32 +322,29 @@ def test_doubling_experiment_auto(monkeypatch):
     assert policies == ["total-degree"] * 4 + ["tetra"]
 
 
-def test_doubling_reruns_only_the_stages_that_miss(monkeypatch):
-    # stages 2 and 4 are made to miss their count once, at radius 1/10: only
-    # they run again, together, at radius 1/20
-    batches, missed = [], set()
+def test_doubling_reports_an_auto_stage_that_misses(monkeypatch):
+    # stage 2 is made to miss its count at radius 1/10: no stage is solved
+    # again, and the miss is reported
+    batches = []
     solve, reality = tracker.solve_tangency, tracker.TrackResult.reality
 
     def recorded(conditions, *args):
         batches.append([c.root_bound for c in conditions])
         return solve(conditions, *args)
 
-    def miss_once(result):
+    def miss_stage_2(result):
         rep = reality(result)
-        bound = result.conditions.root_bound
-        if bound in (8, 32) and bound not in missed:
-            missed.add(bound)
+        if result.conditions.root_bound == 8:
             rep = dataclasses.replace(rep, is_real=[False] + rep.is_real[1:])
         return rep
 
     monkeypatch.setattr(tracker, "solve_tangency", recorded)
-    monkeypatch.setattr(tracker.TrackResult, "reality", miss_once)
+    monkeypatch.setattr(tracker.TrackResult, "reality", miss_stage_2)
     result = doubling_experiment("auto", seed=5)
-    assert batches == [[2, 4, 8, 16, 32], [8, 32]]
-    assert result.counts == [2, 4, 8, 16, 32]
-    assert [row.halvings for row in result.rows] == [0, 0, 1, 0, 1]
-    assert result.rows[2].radii == (F(1, 20),) * 2
-    assert result.rows[3].radii == (F(1, 10),) * 3
+    assert batches == [[2, 4, 8, 16, 32]]
+    assert result.counts == [2, 4, 7, 16, 32]
+    assert result.rows[2].radii == (F(1, 10),) * 2
+    assert result.misses == ["stage 2: 7 real lines, target 8"]
 
 
 def test_doubling_builds_each_cylinder_once(monkeypatch):

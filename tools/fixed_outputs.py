@@ -21,7 +21,11 @@ The ops, each run in process through ``quadtangents.cli.main``:
   lines naming each lost path, and ``verify``'s verdict.  Two are
   perfbench ``sphere-scenes`` ops that lose a path after all 12 lines are
   certified (exit 0); four are scenes with Q1 scaled by 10^-6 whose lost
-  paths take lines and leave no nonreal line without its conjugate (exit 4).
+  paths take lines and leave no nonreal line without its conjugate (exit 4);
+- ``doubling --radii 1,1,1,1 --seed 3``, as a table and as JSON: cylinders
+  that wide miss stages 3 and 4, which it names (exit 4);
+- ``track`` on a scene whose Q1 has rank 1, so that every line is tangent
+  to it (exit 3, before any path is tracked).
 
 Every ``track`` op, the CSV one included, also writes ``--path-log``, so
 each path's record, every field of its ``tracker.TrackedPath``, is
@@ -52,6 +56,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench.workloads import (  # noqa: E402
+    diagonal,
     iter_inputs,
     random_sphere,
     random_symmetric,
@@ -82,6 +87,7 @@ EXIT_RULE_SCALED = [("scaled/quadric/4", random_symmetric, 9),
                     ("scaled/quadric/7", random_symmetric, 3),
                     ("scaled/quadric/7", random_symmetric, 4),
                     ("sweep/4", random_sphere, 2)]
+DOUBLING_MISS = ["doubling", "--radii", "1,1,1,1", "--seed", "3"]
 
 
 def record(name: str, argv: list[str]) -> int:
@@ -166,6 +172,16 @@ def main() -> int:
              "--output", f"{stem}.cert.json"], stem)))
         codes.append(record(f"{stem}.verify",
                             ["verify", f"{stem}.cert.json", "--scene", f"{stem}.scene.json"]))
+    Path("doubling-miss").mkdir(exist_ok=True)
+    codes.append(record("doubling-miss/table", DOUBLING_MISS))
+    codes.append(record("doubling-miss/json", [*DOUBLING_MISS, "--format", "json"]))
+    Path("input-error").mkdir(exist_ok=True)
+    rng = random.Random("rank-one")
+    scene = scene_dict([diagonal([1, 0, 0, 0])] + [random_symmetric(rng) for _ in range(3)])
+    Path("input-error/rank-one.scene.json").write_text(json.dumps(scene))
+    codes.append(record("input-error/rank-one.track", with_path_log(
+        ["track", "--scene", "input-error/rank-one.scene.json",
+         "--output", "input-error/rank-one.cert.json"], "input-error/rank-one")))
     print(f"{len(codes)} commands, {sum(c != 0 for c in codes)} with a nonzero exit; "
           f"outputs in {outdir}")
     return 0
