@@ -301,19 +301,9 @@ def certificate(scene: Scene, vectors, real, residuals, seed: int | None,
 
 
 @dataclass
-class VerificationIssue:
-    solution: int | None
-    message: str
-
-    def __str__(self) -> str:  # as `verify` prints it
-        where = "" if self.solution is None else f"solution {self.solution}: "
-        return where + self.message
-
-
-@dataclass
 class VerificationReport:
     passed: bool
-    issues: list[VerificationIssue]
+    issues: list[str]  # as `verify` prints them
     max_residual: float
 
     def summary(self) -> str:
@@ -324,39 +314,37 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def solution_issues(scene: Scene, vectors, flags, residuals) -> list[VerificationIssue]:
+def solution_issues(scene: Scene, vectors, flags, residuals) -> list[str]:
     """The issues of a scene's solutions (``vectors``, None where unread),
     their ``flags`` and their ``solution_residuals`` rows: a row above
     ``RESIDUAL_TOL`` or NaN; among the rest, two closer than
     ``DISTINCT_TOL``, a boolean flag that ``classify_real`` contradicts, or
     a nonreal one with no conjugate; and more solutions than the root bound."""
-    issues: list[VerificationIssue] = []
+    issues: list[str] = []
     within = []  # (position, vector) of each solution within RESIDUAL_TOL
     for i, (vec, res) in enumerate(zip(vectors, residuals)):
         if vec is None:
             continue
         over = [f"{key} {r:.3e}" for key, r in res.items() if not r <= RESIDUAL_TOL]
         if over:
-            issues.append(VerificationIssue(
-                i, f"residual exceeds tolerance {RESIDUAL_TOL:.3e}: {', '.join(over)}"))
+            issues.append(f"solution {i}: residual exceeds tolerance "
+                          f"{RESIDUAL_TOL:.3e}: {', '.join(over)}")
         else:
             within.append((i, vec))
     if within:
         index, vecs = zip(*within)
         for a, b in close_pairs(vecs, DISTINCT_TOL):
-            issues.append(VerificationIssue(
-                index[b], f"coincides with solution {index[a]}"))
+            issues.append(f"solution {index[b]}: coincides with solution {index[a]}")
         reality = classify_real(vecs)
-        issues += [VerificationIssue(i, "reality flag disagrees with the coordinates")
+        issues += [f"solution {i}: reality flag disagrees with the coordinates"
                    for i, real in zip(index, reality.is_real)
                    if isinstance(flags[i], bool) and flags[i] != real]
-        issues += [VerificationIssue(index[k], "nonreal, with no conjugate solution")
+        issues += [f"solution {index[k]}: nonreal, with no conjugate solution"
                    for k in reality.unpaired]
     if (len(scene.quadrics) + len(scene.flats) == 4
             and len(vectors) > scene.conditions.root_bound):
-        issues.append(VerificationIssue(
-            None, f"{len(vectors)} solutions exceed the root bound "
-                  f"{scene.conditions.root_bound}"))
+        issues.append(f"{len(vectors)} solutions exceed the root bound "
+                      f"{scene.conditions.root_bound}")
     return issues
 
 
@@ -365,7 +353,7 @@ PATH_KEYS = {"converged": "converged", "diverged": "diverged", "at-infinity": "a
              "surplus": "surplus", "path-jump-suspected": "suspected_jumps"}
 
 
-def path_issues(scene: Scene, total: int, paths) -> list[VerificationIssue]:
+def path_issues(scene: Scene, total: int, paths) -> list[str]:
     """The issues of ``metadata.paths`` of a run listing ``total`` lines of
     ``scene``: it must tally ``total`` converged paths as integer counts
     under ``PATH_KEYS`` that sum to its ``total``; and short of the root
@@ -376,12 +364,10 @@ def path_issues(scene: Scene, total: int, paths) -> list[VerificationIssue]:
     if (not isinstance(paths, dict) or sorted(paths) != sorted(keys)
             or not all(map(_is_json_int, paths.values())) or paths["converged"] != total
             or sum(paths[key] for key in PATH_KEYS.values()) != paths["total"]):
-        return [VerificationIssue(None, f"metadata.paths {paths!r} is not a tally of "
-                                        f"{total} converged paths")]
+        return [f"metadata.paths {paths!r} is not a tally of {total} converged paths"]
     lost, bound = paths["diverged"] + paths["suspected_jumps"], scene.conditions.root_bound
     if total < bound and (lost or not total):
-        return [VerificationIssue(
-            None, f"{total} of root bound {bound} lines listed, {lost} path(s) lost")]
+        return [f"{total} of root bound {bound} lines listed, {lost} path(s) lost"]
     return []
 
 
@@ -425,35 +411,33 @@ def verify_certificate(obj: dict,
     if scene.n != 3:
         raise SceneFormatError(
             f"verification needs a scene in P^3, got one in P^{scene.n}")
-    issues: list[VerificationIssue] = []
+    issues: list[str] = []
     embedded_hash = scene_hash(scene)
     if obj["scene_hash"] != embedded_hash:
-        issues.append(VerificationIssue(None, "scene hash does not match embedded scene"))
+        issues.append("scene hash does not match embedded scene")
     if expected_scene is not None and scene_hash(expected_scene) != embedded_hash:
-        issues.append(VerificationIssue(None, "certificate was issued for a different scene"))
+        issues.append("certificate was issued for a different scene")
     if tolerances != TOLERANCES:
-        issues.append(VerificationIssue(
-            None, f"declared tolerances {tolerances} are not the verifier's "
-                  f"{TOLERANCES}"))
+        issues.append(f"declared tolerances {tolerances} are not the verifier's "
+                      f"{TOLERANCES}")
 
     flags = [sol.get("real") for sol in solutions]
     vectors = []  # each solution's vector, or None where it cannot be read
     for i, sol in enumerate(solutions):
         index = sol.get("index")
         if not _is_json_int(index) or index != i:
-            issues.append(VerificationIssue(i, f"index {index!r} is not its position {i}"))
+            issues.append(f"solution {i}: index {index!r} is not its position {i}")
         if not isinstance(flags[i], bool):
-            issues.append(VerificationIssue(i, f"reality flag {flags[i]!r} is not a boolean"))
+            issues.append(f"solution {i}: reality flag {flags[i]!r} is not a boolean")
         recorded = sol.get("residual")
         if not _is_json_number(recorded) or not 0 <= recorded <= RESIDUAL_TOL:
-            issues.append(VerificationIssue(
-                i, f"recorded residual {recorded!r} is not a number in "
-                   f"[0, {RESIDUAL_TOL:.0e}]"))
+            issues.append(f"solution {i}: recorded residual {recorded!r} is not a "
+                          f"number in [0, {RESIDUAL_TOL:.0e}]")
         try:
             vectors.append(decode_plucker_numeric(sol["plucker"]))
         except (KeyError, SceneFormatError) as exc:
             vectors.append(None)
-            issues.append(VerificationIssue(i, f"unreadable solution: {exc}"))
+            issues.append(f"solution {i}: unreadable solution: {exc}")
     rows = iter(solution_residuals(scene, [vec for vec in vectors if vec is not None]))
     residuals = [None if vec is None else next(rows) for vec in vectors]
     worst = max([0.0, *(r for res in residuals if res for r in res.values())])
@@ -463,35 +447,30 @@ def verify_certificate(obj: dict,
     n_real = sum(flag is True for flag in flags)
     derived = {"total": (total, "solution list"), "real": (n_real, "solution flags"),
                "nonreal": (total - n_real, "solution flags")}
-    issues += [VerificationIssue(None, f"unknown count {key!r}")
-               for key in counts if key not in derived]
+    issues += [f"unknown count {key!r}" for key in counts if key not in derived]
     for key, (value, source) in derived.items():
         if key not in counts:
-            issues.append(VerificationIssue(None, f"counts.{key} is missing"))
+            issues.append(f"counts.{key} is missing")
         elif not _is_json_int(counts[key]):
-            issues.append(VerificationIssue(
-                None, f"counts.{key} {counts[key]!r} is not an integer"))
+            issues.append(f"counts.{key} {counts[key]!r} is not an integer")
         elif counts[key] != value:
-            issues.append(VerificationIssue(None, f"counts.{key} differs from {source}"))
+            issues.append(f"counts.{key} differs from {source}")
     metadata = obj.get("metadata")
     if isinstance(metadata, dict) and "paths" in metadata:
         issues += path_issues(scene, total, metadata["paths"])
     if obj.get("params") is not None:
         if total != 32:
-            issues.append(VerificationIssue(
-                None, f"closed-form certificate lists {total} of 32 lines"))
+            issues.append(f"closed-form certificate lists {total} of 32 lines")
         try:
             params = TetraParams.of(obj["params"]["alpha"], obj["params"]["beta"])
         except (KeyError, TypeError) as exc:
             raise SceneFormatError(f"bad closed-form params {obj['params']!r}") from exc
         if (scene.flats or [q.matrix for q in scene.quadrics]
                 != [q.matrix for q in family(params)]):
-            issues.append(VerificationIssue(
-                None, "params do not name the family of the embedded scene"))
+            issues.append("params do not name the family of the embedded scene")
         real, _ = reality_count(params)
         if n_real != real:
-            issues.append(VerificationIssue(
-                None, f"{n_real} lines flagged real, the closed form has {real}"))
+            issues.append(f"{n_real} lines flagged real, the closed form has {real}")
     return VerificationReport(not issues, issues, worst)
 
 

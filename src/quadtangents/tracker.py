@@ -758,8 +758,13 @@ class DoublingResult:
 
     @property
     def misses(self) -> list[str]:
-        """Each stage whose real count misses its target, named."""
-        return [f"stage {r.stage}: {r.real} real lines, target {r.target}"
+        """Each stage whose real count misses its target, named with how many
+        of its paths converged: all of them when the cylinders are too wide
+        for real lines, fewer when paths were lost.  A stage tracks as many
+        paths as its target, and real <= converged, so a stage that loses a
+        path always misses its target."""
+        return [f"stage {r.stage}: {r.real} real lines, target {r.target} "
+                f"({r.converged} of {r.target} paths converged)"
                 for r in self.rows if r.real != r.target]
 
 

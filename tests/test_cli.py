@@ -1296,7 +1296,7 @@ def test_doubling_names_a_stage_that_misses_its_target(capsys, monkeypatch):
     assert code == 0 and err == ""
     monkeypatch.setattr(tracker.TrackResult, "reality", miss_stage_3)
     code, out, err = run(capsys, *argv)
-    assert code == 4 and err == "stage 3: 15 real lines, target 16\n"
+    assert code == 4 and err == "stage 3: 15 real lines, target 16 (16 of 16 paths converged)\n"
     assert [row.split()[2] for row in out.splitlines()[1:6]] == ["2", "4", "8", "15", "32"]
 
 
@@ -1311,8 +1311,17 @@ def test_doubling_auto_names_a_stage_that_misses_its_target(capsys, monkeypatch)
 
     monkeypatch.setattr(tracker.TrackResult, "reality", miss_stage_2)
     code, out, err = run(capsys, "doubling", "--seed", "5")
-    assert code == 4 and err == "stage 2: 7 real lines, target 8\n"
+    assert code == 4 and err == "stage 2: 7 real lines, target 8 (8 of 8 paths converged)\n"
     assert out.splitlines()[3].split()[3] == "1/10,1/10"
+
+
+def test_doubling_tells_wide_cylinders_from_lost_paths(capsys):
+    # cylinders of radius 1 are too wide for stage 3's real lines, though
+    # every path converges; stage 4 also loses four paths
+    code, _, err = run(capsys, "doubling", "--radii", "1,1,1,1", "--seed", "3")
+    assert code == 4 and err == (
+        "stage 3: 14 real lines, target 16 (16 of 16 paths converged)\n"
+        "stage 4: 20 real lines, target 32 (28 of 32 paths converged)\n")
 
 
 # -- transversals -------------------------------------------------------------

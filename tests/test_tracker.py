@@ -344,7 +344,7 @@ def test_doubling_reports_an_auto_stage_that_misses(monkeypatch):
     assert batches == [[2, 4, 8, 16, 32]]
     assert result.counts == [2, 4, 7, 16, 32]
     assert result.rows[2].radii == (F(1, 10),) * 2
-    assert result.misses == ["stage 2: 7 real lines, target 8"]
+    assert result.misses == ["stage 2: 7 real lines, target 8 (8 of 8 paths converged)"]
 
 
 def test_doubling_builds_each_cylinder_once(monkeypatch):
