@@ -118,8 +118,9 @@ def build_parser() -> _Parser:
     p.add_argument("--beta", default=None)
 
     p = command("track", SOLVING_OPTIONS,
-                "track paths to a target scene: from the 32 closed-form tangents for "
-                "four tangencies, else from 2^#tangencies * 2 total-degree starts")
+                "solve a target scene: four spheres by elimination, other four "
+                "tangencies by tracking from the 32 closed-form tangents, else from "
+                "2^#tangencies * 2 total-degree starts")
     p.add_argument("--scene", required=True, help="scene JSON file")
     p.add_argument("--path-log", default=None,
                    help="write one JSON line per tracked path to this file")
@@ -250,7 +251,7 @@ def cmd_tetra(args) -> int:
     print(f"{cert['counts']['total']} solutions, {cert['counts']['real']} real, "
           f"max residual {max(s['residual'] for s in cert['solutions']):.3e}",
           file=sys.stderr)
-    return _exit_by_rule(solution_issues(scene, vectors, flags, residuals))
+    return _exit_by_rule(solution_issues(scene, vectors, flags, residuals)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -281,29 +282,31 @@ def cmd_track(args) -> int:
     if args.path_log:
         _write_path_log(args.path_log, result.paths)
     vectors = result.endpoints
-    reality = result.reality()  # the numbers written, as `verify` reads them
     residuals = solution_residuals(scene, vectors)
+    # the flags are the rule's, from the numbers written, as `verify` reads them
+    issues, flags = solution_issues(scene, vectors, [None] * len(vectors), residuals)
     statuses = [p.status for p in result.paths]
     tally = {"total": len(statuses), **{key: statuses.count(status)
                                         for status, key in PATH_KEYS.items()}}
     cert = certificate(
-        scene, vectors, reality.is_real, residuals, args.seed,
+        scene, vectors, flags, residuals, args.seed,
         extras=[{"path": {"status": p.status, "steps": p.steps}}
                 for p in result.distinct_paths],
         metadata={"start_policy": result.start_policy,
                   "root_bound": scene.conditions.root_bound, "paths": tally})
     _write_certificate(cert, args)
+    if result.fallback:
+        print(f"four spheres tracked from the tetra start: {result.fallback}", file=sys.stderr)
     print(f"{len(vectors)} certified endpoints of {tally['total']} paths, "
-          f"{reality.real_count} real, {tally['at_infinity']} at infinity, "
-          f"{tally['surplus']} surplus", file=sys.stderr)
+          f"{cert['counts']['real']} real, {tally['at_infinity']} at infinity",
+          file=sys.stderr)
     # the certificate is written either way, so that it can be inspected
     for i, p in enumerate(result.paths):
         if p.status == "path-jump-suspected":
             print(f"path {i}: suspected jump onto path {p.duplicate_of}", file=sys.stderr)
         elif p.status == "diverged":
             print(f"path {i}: diverged after {p.steps} steps", file=sys.stderr)
-    return _exit_by_rule(solution_issues(scene, vectors, reality.is_real, residuals)
-                         + path_issues(scene, len(vectors), tally))
+    return _exit_by_rule(issues + path_issues(scene, len(vectors), tally))
 
 
 # ---------------------------------------------------------------------------

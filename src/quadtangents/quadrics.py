@@ -193,14 +193,19 @@ class TangentTo:
         return form
 
     @property
-    def is_sphere(self) -> bool:
-        """Whether Q[1:, 1:] is a nonzero multiple of I (scaled and
-        imaginary-radius spheres included), tested on the exact entries, so
-        on the numbers an array gave, before any rounding."""
-        block = [row[1:] for row in self.quadric.matrix.to_rows()[1:]]
-        c = block[0][0]
-        return len(block) == 3 and c != 0 and all(
-            block[i][j] == (c if i == j else 0) for i in range(3) for j in range(3))
+    def sphere(self) -> tuple[tuple[Fraction, ...], Fraction] | None:
+        """The exact centre c and squared radius r^2 of the sphere
+        |x - c|^2 = r^2 when Q is a nonzero multiple k of [[|c|^2 - r^2,
+        -c^T], [-c, I]] (scaled and imaginary-radius spheres included), else
+        None.  Read from the exact entries, so from the numbers an array
+        gave, before any rounding."""
+        rows = self.quadric.matrix.to_rows()
+        k = rows[1][1] if len(rows) == 4 else 0
+        if k == 0 or any(rows[i][j] != (k if i == j else 0)
+                         for i in range(1, 4) for j in range(1, 4)):
+            return None
+        centre = tuple(-x / k for x in rows[0][1:])
+        return centre, sum(x * x for x in centre) - rows[0][0] / k
 
 
 @dataclass(frozen=True)
@@ -238,7 +243,7 @@ class LineConditions:
     lin: np.ndarray          # (m, 6) complex, zero for quadratic rows
     scale: np.ndarray        # (m,) norm of each row's coefficients; 1 for plucker
     degree: np.ndarray       # (m,) 2 or 1
-    sphere: np.ndarray       # (m,) True for a tangency to a sphere
+    spheres: tuple           # (m,) a sphere tangency's exact (centre, r^2), else None
 
     @classmethod
     def compile(cls, conditions) -> "LineConditions":
@@ -247,29 +252,29 @@ class LineConditions:
         m = len(conditions) + 1
         quad = np.zeros((m, 6, 6))
         lin = np.zeros((m, 6), dtype=complex)
-        scale, degree, sphere = np.ones(m), np.full(m, 2), np.zeros(m, bool)
+        scale, degree, spheres = np.ones(m), np.full(m, 2), [None] * m
         for i, (_, cond) in enumerate(conditions):
             if not isinstance(cond, (TangentTo, Meets)):
                 raise TypeError("conditions must be TangentTo or Meets")
             if cond.degree == 2:
                 quad[i] = cond.form()
                 scale[i] = np.linalg.norm(quad[i])
-                sphere[i] = cond.is_sphere
+                spheres[i] = cond.sphere
             else:
                 lin[i] = cond.coefficients()
                 scale[i] = np.linalg.norm(lin[i])
             degree[i] = cond.degree
         quad[-1] = PLUCKER_FORM
         labels = tuple(label for label, _ in conditions) + ("plucker",)
-        return cls(labels, quad, lin, scale, degree, sphere)
+        return cls(labels, quad, lin, scale, degree, tuple(spheres))
 
     @property
     def root_bound(self) -> int:
         """The generic root count of four line conditions: 3 * 2^(n-1) = 12
         when all four are tangencies to spheres (Sottile and Theobald, "Lines
-        tangent to 2n-2 spheres in R^n", 2002; ``TangentTo.is_sphere``,
-        decided when compiling), else 2^(#tangency) * 2."""
-        if len(self.labels) == 5 and self.sphere[:-1].all():
+        tangent to 2n-2 spheres in R^n", 2002; ``TangentTo.sphere``,
+        read when compiling), else 2^(#tangency) * 2."""
+        if len(self.labels) == 5 and None not in self.spheres[:-1]:
             return sphere_tangent_line_count(3)
         return (1 << int(np.sum(self.degree[:-1] == 2))) * 2
 

@@ -314,43 +314,49 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def solution_issues(scene: Scene, vectors, flags, residuals) -> list[str]:
+def solution_issues(scene: Scene, vectors, flags,
+                    residuals) -> tuple[list[str], list[bool | None]]:
     """The issues of a scene's solutions (``vectors``, None where unread),
     their ``flags`` and their ``solution_residuals`` rows: a row above
     ``RESIDUAL_TOL`` or NaN; among the rest, two closer than
     ``DISTINCT_TOL``, a boolean flag that ``classify_real`` contradicts, or
-    a nonreal one with no conjugate; and more solutions than the root bound."""
+    a nonreal one with no conjugate; and more solutions than the root bound.
+    Also returns the flags the rule derives, ``classify_real``'s for each
+    read vector (None where unread): the flags `track` writes."""
     issues: list[str] = []
-    within = []  # (position, vector) of each solution within RESIDUAL_TOL
-    for i, (vec, res) in enumerate(zip(vectors, residuals)):
-        if vec is None:
-            continue
-        over = [f"{key} {r:.3e}" for key, r in res.items() if not r <= RESIDUAL_TOL]
+    read = [i for i, vec in enumerate(vectors) if vec is not None]
+    within = []  # the position of each solution within RESIDUAL_TOL
+    for i in read:
+        over = [f"{key} {r:.3e}" for key, r in residuals[i].items() if not r <= RESIDUAL_TOL]
         if over:
             issues.append(f"solution {i}: residual exceeds tolerance "
                           f"{RESIDUAL_TOL:.3e}: {', '.join(over)}")
         else:
-            within.append((i, vec))
+            within.append(i)
+    derived = [None] * len(vectors)
+    if read:
+        reality = classify_real([vectors[i] for i in read])
+        for i, real in zip(read, reality.is_real):
+            derived[i] = real
     if within:
-        index, vecs = zip(*within)
-        for a, b in close_pairs(vecs, DISTINCT_TOL):
-            issues.append(f"solution {index[b]}: coincides with solution {index[a]}")
-        reality = classify_real(vecs)
+        if within != read:  # conjugates pair only among solutions within tolerance
+            reality = classify_real([vectors[i] for i in within])
+        for a, b in close_pairs([vectors[i] for i in within], DISTINCT_TOL):
+            issues.append(f"solution {within[b]}: coincides with solution {within[a]}")
         issues += [f"solution {i}: reality flag disagrees with the coordinates"
-                   for i, real in zip(index, reality.is_real)
-                   if isinstance(flags[i], bool) and flags[i] != real]
-        issues += [f"solution {index[k]}: nonreal, with no conjugate solution"
+                   for i in within if isinstance(flags[i], bool) and flags[i] != derived[i]]
+        issues += [f"solution {within[k]}: nonreal, with no conjugate solution"
                    for k in reality.unpaired]
     if (len(scene.quadrics) + len(scene.flats) == 4
             and len(vectors) > scene.conditions.root_bound):
         issues.append(f"{len(vectors)} solutions exceed the root bound "
                       f"{scene.conditions.root_bound}")
-    return issues
+    return issues, derived
 
 
 # a `track` certificate's metadata.paths key for each status a path ends with
 PATH_KEYS = {"converged": "converged", "diverged": "diverged", "at-infinity": "at_infinity",
-             "surplus": "surplus", "path-jump-suspected": "suspected_jumps"}
+             "path-jump-suspected": "suspected_jumps"}
 
 
 def path_issues(scene: Scene, total: int, paths) -> list[str]:
@@ -441,7 +447,7 @@ def verify_certificate(obj: dict,
     rows = iter(solution_residuals(scene, [vec for vec in vectors if vec is not None]))
     residuals = [None if vec is None else next(rows) for vec in vectors]
     worst = max([0.0, *(r for res in residuals if res for r in res.values())])
-    issues += solution_issues(scene, vectors, flags, residuals)
+    issues += solution_issues(scene, vectors, flags, residuals)[0]
 
     total = len(solutions)
     n_real = sum(flag is True for flag in flags)

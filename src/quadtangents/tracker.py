@@ -1,4 +1,5 @@
-"""Numerical homotopy continuation for line systems in P^3.
+"""Numerical homotopy continuation for line systems in P^3, and elimination
+for four spheres.
 
 A target problem is four conditions on a line -- tangency to a quadric
 (quadratic in Pluecker coordinates) or incidence with a line (linear) --
@@ -75,8 +76,6 @@ one of these:
   converged            polished at t = 1 to a residual below RESIDUAL_TOL;
   at-infinity          heading to a line at infinity, ended in flight
                        (below);
-  surplus              still running when its homotopy met its root bound,
-                       stopped there (below);
   diverged             anything else without a certified endpoint: step
                        underflow, a singular Jacobian at an accepted point
                        (ended at once, as no smaller step can cure it),
@@ -85,10 +84,10 @@ one of these:
                        endpoint), or a polish that misses the tolerance;
   path-jump-suspected  converged onto an endpoint an earlier path holds.
 
-At-infinity test.  Four spheres have 12 tangent lines, not 32: the other
-paths go to lines at infinity tangent to the absolute conic (Sottile and
-Theobald, "Lines tangent to 2n-2 spheres in R^n", 2002), where the tracker
-would grind down to step underflow.  On those paths the share of the line's
+At-infinity test.  Four spheres have 12 tangent lines, not 32: tracked from
+the tetra start, the other paths go to lines at infinity tangent to the
+absolute conic (Sottile and Theobald, "Lines tangent to 2n-2 spheres in
+R^n", 2002), where the tracker would grind down to step underflow.  On those paths the share of the line's
 direction, rho = |(p01, p02, p03)| / |p|, decays like (1 - t)^(1/2), while
 on a path to a finite line it tends to a constant.  From 1 - t = 1e-2 on,
 the valuation d log rho / d log(1 - t) is measured over each decade of
@@ -110,21 +109,26 @@ root bound: no path is in excess.  The random gamma alone makes this start
 sound (Sommese and Wampler, "The Numerical Solution of Systems of
 Polynomials Arising in Engineering and Science", 2005).
 
-Stop rule.  ``solve_tangency`` passes each system's root bound (12 for
-four spheres against 32 tetra starts, the path count otherwise).  Every
-member of a parameter family has at most the family's generic number of
-isolated nonsingular roots, and each one ends exactly one path (Morgan and
-Sommese 1989, above).  So once at least the bound of a homotopy's paths
-have reached t = 1, they are polished (the end polish, once per path), and
-if exactly the bound of them are converged, pairwise distinct and
-nonsingular (cond * RESIDUAL_TOL < 1), no running path can reach another
-isolated root: those paths end as surplus.  More than the bound of such
-endpoints would mean the bound does not hold, and nothing stops.  ``track``
-and the cluster retrack (``_track_batch``) pass no bound, so their paths
-never stop early.
+Four spheres are solved without paths.  Their 12 common tangents (Sottile
+and Theobald 2002, above) come from the reduction of Macdonald, Pach and
+Theobald ("Common tangents to four unit balls in R^3", Discrete Comput.
+Geom. 26, 2001).  With centre c_0 moved exactly to the origin, a line of
+direction d and foot p (p . d = 0) is tangent to all four spheres iff
+2 (d . d) C p = b(d) and |p|^2 = r_0^2, where C holds the other centres as
+rows and b_i(d) = (|c_i|^2 - r_i^2 + r_0^2)(d . d) - (c_i . d)^2.  With
+U(d) = adj(C) b(d), eliminating p leaves the cubic d . U(d) = 0 and the
+quartic |U(d)|^2 = 4 r_0^2 det(C)^2 (d . d)^2 in P^2, which meet in 12
+points.  In a random orthogonal chart d = R (x, y, 1), drawn from the seed,
+their resultant in x has degree 12; it is interpolated from 7x7 Sylvester
+determinants at the 13th roots of unity, each root x takes as y the
+cubic's root where the quartic is smallest, and p = U(d) / (2 (d . d)
+det C).  The line through (1, c_0 + p) and (0, d) takes one Newton step
+and the polish of a path's endpoint.  Coplanar centres (det C = 0), a resultant of degree
+below 12, a polish that misses, or fewer than 12 distinct lines send the
+system to the tetra start instead, and its result names why.
 
-Determinism: gamma is drawn from a seeded generator, and the start data
-are fixed; a fixed seed reproduces every path.
+Determinism: gamma and the chart are drawn from seeded generators, and the
+start data are fixed; a fixed seed reproduces every path and every line.
 """
 
 from __future__ import annotations
@@ -132,6 +136,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -205,8 +210,8 @@ INFINITY_DECADES = 3
 
 # _track_lockstep's status codes: 0 until the path ends, at its polish at t = 1
 # or, from AT_INFINITY on, short of t = 1 with no endpoint
-STATUSES = ("", "converged", "diverged", "at-infinity", "diverged", "surplus")
-CONVERGED, MISSED, AT_INFINITY, DIVERGED, SURPLUS = range(1, 6)
+STATUSES = ("", "converged", "diverged", "at-infinity", "diverged")
+CONVERGED, MISSED, AT_INFINITY, DIVERGED = range(1, 5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,7 +219,7 @@ class TrackedPath:
     """One continuation path, built once, where it ends; its index is its start's.
     `track --path-log` writes these fields, in order: a new counter is one field."""
 
-    status: str            # "converged" | "at-infinity" | "surplus" | "diverged"; or,
+    status: str            # "converged" | "at-infinity" | "diverged"; or,
                            # by the retrack, "path-jump-suspected"
     steps: int
     solves: int            # linear systems solved for this start, all attempts
@@ -448,15 +453,11 @@ def _polish(h: _Homotopy, x, system, rows, solves):
 
 
 def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
-                    steps=(FIRST_STEP, MAX_STEP), bounds=None) -> list[TrackedPath]:
+                    steps=(FIRST_STEP, MAX_STEP)) -> list[TrackedPath]:
     """Track all start points together, one stacked solve per stage, with
     ``steps`` = (first step, largest step).  Start i belongs to the
-    homotopy ``system[i]``; ``system`` is grouped (non-decreasing).
-
-    ``bounds``, if given, holds each homotopy's root bound (positive); a
-    homotopy with more paths than its bound stops its running paths as
-    surplus once it holds that many certified endpoints (the module
-    docstring's stop rule).  A path's status is written once, where it ends."""
+    homotopy ``system[i]``; ``system`` is grouped (non-decreasing).  A
+    path's status is written once, where it ends."""
     first_step, max_step = steps
     n = len(starts)
     x = starts.copy()
@@ -468,16 +469,6 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
     status = np.zeros(n, dtype=int)  # an index into STATUSES, 0 until the path ends
     mark = np.full((n, 2), np.nan)  # (log(1 - t), log rho) at the last decade mark
     decades = np.zeros(n, dtype=int)  # decades in a row up to it with rho ~ (1 - t)^(1/2)
-    # the homotopies the stop rule may still end early (none without bounds)
-    homotopies = len(h.quad)
-    bounds = np.full(homotopies, n) if bounds is None else np.asarray(bounds)
-    watch = bounds < np.bincount(system, minlength=homotopies)
-    residual = np.full(n, np.inf)
-    cond = np.full(n, np.inf)
-
-    def polish(rows):  # the arrivals ``rows`` end at their polish at t = 1
-        residual[rows], cond[rows] = _polish(h, x, system, rows, solves)
-        status[rows] = np.where(residual[rows] < RESIDUAL_TOL, CONVERGED, MISSED)
 
     while True:
         # a path within min_step of t = 1 is there up to roundoff: it has
@@ -490,24 +481,6 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
         if ended.any():
             status[ended] = np.where((step[ended] < MIN_STEP) & (decades[ended] > 0),
                                      AT_INFINITY, DIVERGED)
-        if watch.any():
-            # the stop rule: polish, together, the new arrivals at t = 1 of
-            # every watched homotopy that has at least its bound of them
-            arrived = ~short & (status < AT_INFINITY)
-            due = watch & (np.bincount(system[arrived], minlength=homotopies) >= bounds)
-            new = np.flatnonzero(arrived & (status == 0) & due[system])
-            if new.size:
-                polish(new)
-                # converged, and nonsingular: its error of about cond times
-                # the residual still pins the point down; a homotopy's count
-                # moves only when one of its arrivals is polished.  More than
-                # the bound would mean the bound does not hold
-                certified = (status == CONVERGED) & (cond * RESIDUAL_TOL < 1)
-                full = watch & (np.bincount(system[certified], minlength=homotopies) == bounds)
-                for k in np.flatnonzero(full):
-                    if not close_pairs(x[certified & (system == k)], DISTINCT_TOL):
-                        watch[k] = False
-                        status[running & (status == 0) & (system == k)] = SURPLUS
         rows = np.flatnonzero(running & (status == 0))  # less those ended above
         if not rows.size:
             break
@@ -553,27 +526,28 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
             status[new[decades[new] >= INFINITY_DECADES]] = AT_INFINITY
             mark[late[first | decade]] = point[first | decade]
 
-    # the end polish: the arrivals the stop rule left unpolished
-    polish(np.flatnonzero(status == 0))
+    # the arrivals at t = 1 end at their polish
+    residual, cond = np.full(n, np.inf), np.full(n, np.inf)
+    rows = np.flatnonzero(status == 0)
+    residual[rows], cond[rows] = _polish(h, x, system, rows, solves)
+    status[rows] = np.where(residual[rows] < RESIDUAL_TOL, CONVERGED, MISSED)
     return [TrackedPath(status=STATUSES[code], steps=int(steps[i]), solves=int(solves[i]),
                         residual=float(residual[i]), cond=float(cond[i]),
                         endpoint=x[i] if code < AT_INFINITY else None)
             for i, code in enumerate(status.tolist())]
 
 
-def _track_batch(homotopies, seed: int, root_bounds=None) -> list[list[TrackedPath]]:
+def _track_batch(homotopies, seed: int) -> list[list[TrackedPath]]:
     """Track each (start system, start solutions, target system) triple of
     ``homotopies``, all paths of all of them as one lockstep batch, with
     gamma drawn from ``seed``; every path takes the steps and reaches the
     endpoint it would alone.
 
-    With ``root_bounds`` (one per homotopy) a homotopy stops its surplus
-    paths once it holds its bound of certified endpoints; without, every
-    path runs to its end.  Starts are scaled to unit norm (an all-zero one
-    is kept, and fails at its first step).  Every path is tracked once,
-    except endpoints of one homotopy closer than the distinctness
-    tolerance: those are tracked again, together, with RETRACK_STEPS and no
-    bound, and any that still coincide are flagged as suspected path jumps
+    Starts are scaled to unit norm (an all-zero one is kept, and fails at
+    its first step).  Every path is tracked once, except endpoints of one
+    homotopy closer than the distinctness tolerance: those are tracked
+    again, together, with RETRACK_STEPS, and any that still coincide are
+    flagged as suspected path jumps
     (``duplicate_of``, an index into the same homotopy's paths) rather than
     silently counted as multiple solutions.
     """
@@ -585,7 +559,7 @@ def _track_batch(homotopies, seed: int, root_bounds=None) -> list[list[TrackedPa
     system = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
     offsets = [0, *itertools.accumulate(len(g) for g in groups)]
     spans = list(zip(offsets, offsets[1:]))
-    paths = _track_lockstep(h, starts, system, (FIRST_STEP, MAX_STEP), root_bounds)
+    paths = _track_lockstep(h, starts, system, (FIRST_STEP, MAX_STEP))
 
     def clusters():  # per homotopy: its offset, and a cluster of its paths
         return [(lo, cluster) for lo, hi in spans
@@ -607,7 +581,7 @@ def _track_batch(homotopies, seed: int, root_bounds=None) -> list[list[TrackedPa
 def track(start: LineConditions, start_solutions, target: LineConditions,
           seed: int = 0) -> list[TrackedPath]:
     """Track every start solution of the five-row system ``start`` to
-    ``target``: a batch of one homotopy with no root bound, its coinciding
+    ``target``: a batch of one homotopy, its coinciding
     endpoints re-tracked and deduplicated as ``_track_batch`` describes."""
     return _track_batch([(start, start_solutions, target)], seed)[0]
 
@@ -633,7 +607,8 @@ def _coincident_clusters(paths: list[TrackedPath]) -> list[list[int]]:
 class TrackResult:
     conditions: LineConditions
     paths: list[TrackedPath]
-    start_policy: str
+    start_policy: str        # "elimination", "tetra" or "total-degree"
+    fallback: str | None = None  # why four spheres were tracked, not eliminated
 
     @property
     def distinct_paths(self) -> list[TrackedPath]:
@@ -690,31 +665,135 @@ def tetra_start() -> tuple[LineConditions, np.ndarray]:
     return START_PARAMS.conditions, tangents
 
 
+# the resultant has degree 12 when its x^12 coefficient exceeds this share
+# of its largest one
+DEGREE_TOL = 1e-9
+
+
+def _times(p, q):
+    """Products of stacked polynomials, coefficients on the last axis."""
+    out = np.zeros(np.broadcast_shapes(p.shape[:-1], q.shape[:-1])
+                   + (p.shape[-1] + q.shape[-1] - 1,), dtype=complex)
+    for i in range(q.shape[-1]):
+        out[..., i:i + p.shape[-1]] += p * q[..., i:i + 1]
+    return out
+
+
+def _in_y(forms, r0_sq, chart, x):
+    """The direction d = chart (x, y, 1) at each x, as (d_y, d_0) with d =
+    d_y y + d_0, and the cubic d . U(d) and the quartic |U(d)|^2 -
+    4 r0_sq (d . d)^2 there as polynomials in y, highest power first; U(d)'s
+    components are the quadratic ``forms`` over det C."""
+    e, a = chart[:, 1], np.outer(x, chart[:, 0]) + chart[:, 2]
+    fe = forms @ e
+    d = np.stack(np.broadcast_arrays(e, a), axis=-1)
+    u = np.stack(np.broadcast_arrays(fe @ e, 2 * a @ fe.T,
+                                     np.einsum("ni,kij,nj->nk", a, forms, a)), axis=-1)
+    dd = _times(d, d).sum(axis=1)
+    return d, _times(d, u).sum(axis=1), _times(u, u).sum(axis=1) - 4 * r0_sq * _times(dd, dd)
+
+
+def _eliminate(conditions: LineConditions, seed: int) -> list[TrackedPath] | str:
+    """The 12 tangent lines of four spheres, by the module docstring's
+    elimination, as converged paths of no step, polished on
+    ``conditions``; or, where elimination cannot give them, why."""
+    (c0, r0_sq), *others = conditions.spheres[:4]
+    # C's rows and the (d . d) coefficients of b(d), scaled by lam to integers
+    rows = [[a - b for a, b in zip(c, c0)] for c, _ in others]
+    shift = [sum(a * a for a in row) - r_sq + r0_sq for row, (_, r_sq) in zip(rows, others)]
+    lam = math.lcm(*(x.denominator for x in itertools.chain(*rows, shift)))
+    rows = [[int(a * lam) for a in row] for row in rows]
+    shift = [int(x * lam * lam) for x in shift]
+    adj = [[rows[(j + 1) % 3][(k + 1) % 3] * rows[(j + 2) % 3][(k + 2) % 3]
+            - rows[(j + 1) % 3][(k + 2) % 3] * rows[(j + 2) % 3][(k + 1) % 3]
+            for j in range(3)] for k in range(3)]  # adj(C)[k][j]: a cross product
+    det = sum(a * b for a, b in zip(rows[0], (adj[k][0] for k in range(3))))
+    if det == 0:
+        return "coplanar centres"
+    # U_k(d) / det C = d^T forms[k] d, exact in integers, rounded once by
+    # the division (lam scales C by lam, U by lam^4 and det C by lam^3)
+    forms = np.array([[[sum(adj[k][i] * (shift[i] * (a == b) - rows[i][a] * rows[i][b])
+                            for i in range(3)) / (lam * det) for b in range(3)]
+                       for a in range(3)] for k in range(3)])
+    chart = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))[0]
+    unity = np.exp(2j * np.pi * np.arange(13) / 13)
+    _, cubic, quartic = _in_y(forms, float(r0_sq), chart, unity)
+    sylvester = np.zeros((13, 7, 7), dtype=complex)
+    for i in range(4):
+        sylvester[:, i, i:i + 4] = cubic
+    for i in range(3):
+        sylvester[:, 4 + i, i:i + 5] = quartic
+    # the resultant's coefficients, lowest first: the inverse DFT of its
+    # values at the 13th roots of unity (a 13x13 product; numpy.fft would
+    # be one more module to load).  The scene is real
+    resultant = (np.linalg.det(sylvester) @ unity[:, None] ** -np.arange(13)).real / 13
+    if not abs(resultant[12]) > DEGREE_TOL * np.max(np.abs(resultant)):
+        return "resultant of degree below 12"
+    d, cubic, quartic = _in_y(forms, float(r0_sq), chart, np.roots(resultant[::-1]))
+    companion = np.zeros((12, 3, 3), dtype=complex)
+    companion[:, 1, 0] = companion[:, 2, 1] = 1
+    # a cubic that drops its degree at a root (a chart of measure zero)
+    # gives no finite y there, and that line's polish misses
+    with np.errstate(divide="ignore", invalid="ignore"):
+        companion[:, 0] = -cubic[:, 1:] / cubic[:, :1]
+    y = np.linalg.eigvals(np.nan_to_num(companion))
+    size = np.abs(np.sum([c[:, None] * y ** (4 - m) for m, c in enumerate(quartic.T)], axis=0))
+    y = np.take_along_axis(y, np.argmin(size, axis=1)[:, None], axis=1)
+    d = d[..., 0] * y + d[..., 1]
+    foot = np.array([float(c) for c in c0]) + (
+        np.einsum("ni,kij,nj->nk", d, forms, d) / (2 * np.sum(d * d, axis=1))[:, None])
+    # the line through (1, foot) and (0, d)
+    moment = np.stack([foot[:, i] * d[:, j] - foot[:, j] * d[:, i]
+                       for i, j in ((0, 1), (0, 2), (1, 2))], axis=1)
+    x = _unit(np.concatenate([d, moment], axis=1))
+    # one Newton step on the scene's own rows, as the corrector takes, then
+    # the polish of a path's endpoint: elimination leaves residuals near
+    # 1e-13, which the polish alone would keep
+    h, rows = _Homotopy.of([(conditions, conditions)], 1.0), np.arange(12)
+    solves, system = np.zeros(12, dtype=int), np.zeros(12, dtype=int)
+    jac, value = h.at(system).newton(x, np.ones(12), x.conj())
+    x = x + _solve(jac, -value, solves, rows)[0]
+    residual, cond = _polish(h, x, system, rows, solves)
+    if not np.all(residual < RESIDUAL_TOL):
+        return "a polish missed"
+    if close_pairs(x, DISTINCT_TOL):
+        return "fewer than 12 distinct lines"
+    return [TrackedPath("converged", 0, int(solves[i]), float(residual[i]), float(cond[i]), x[i])
+            for i in range(12)]
+
+
 def solve_tangency(conditions: LineConditions | Sequence[LineConditions],
                    seed: int = 0) -> TrackResult | TrackBatch:
-    """Solve a four-condition line system by continuation, or a sequence of
-    them in one lockstep batch (a ``TrackBatch``); each system's result is
-    the one it gives alone.
+    """Solve a four-condition line system, or a sequence of them (a
+    ``TrackBatch``); each system's result is the one it gives alone.
 
-    Four tangency conditions are tracked from the 32 closed-form tangents
-    of the start family ("tetra"); any other problem from a total-degree
-    start ("total-degree").  ``TrackResult.start_policy`` names the start.
-    Each system's ``root_bound`` is passed to the stop rule, so four
-    spheres stop their surplus paths once their 12 lines are certified.
+    Four spheres are solved by elimination ("elimination").  Other four
+    tangencies, and four spheres where elimination falls back
+    (``TrackResult.fallback`` says why), are tracked from the 32
+    closed-form tangents of the start family ("tetra"); any other problem
+    from a total-degree start ("total-degree").  All the systems tracked
+    run as one lockstep batch.  ``TrackResult.start_policy`` names the
+    route.
     """
     one = isinstance(conditions, LineConditions)
-    homotopies, setups = [], []
-    for c in [conditions] if one else conditions:
+    systems = [conditions] if one else list(conditions)
+    results, homotopies, tracked = [None] * len(systems), [], []
+    for k, c in enumerate(systems):
         if len(c.labels) != 5:  # four conditions and the Pluecker row
             raise ValueError("tracking needs exactly 4 conditions, "
                              f"got {len(c.labels) - 1}")
+        lines = _eliminate(c, seed) if None not in c.spheres[:-1] else None
+        if isinstance(lines, list):
+            results[k] = TrackResult(c, lines, "elimination")
+            continue
         policy = "tetra" if np.all(c.degree == 2) else "total-degree"
         start, starts = tetra_start() if policy == "tetra" else total_degree_start(c)
         homotopies.append((start, starts, c))
-        setups.append((c, policy))
-    paths = (_track_batch(homotopies, seed, [c.root_bound for c, _ in setups])
-             if homotopies else [])
-    batch = TrackBatch(TrackResult(c, p, policy) for (c, policy), p in zip(setups, paths))
+        tracked.append((k, policy, lines))  # lines: None, or why elimination fell back
+    paths = _track_batch(homotopies, seed) if homotopies else []
+    for (k, policy, fallback), p in zip(tracked, paths):
+        results[k] = TrackResult(systems[k], p, policy, fallback)
+    batch = TrackBatch(results)
     return batch[0] if one else batch
 
 

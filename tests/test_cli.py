@@ -434,9 +434,22 @@ def test_track_deterministic_output(capsys, tmp_path):
     assert out1 == out2
 
 
-def test_track_exits_4_on_a_nonreal_line_without_its_conjugate(capsys, tmp_path):
+def track_four_spheres(monkeypatch):
+    """Make `track` solve its scene by tracking from the tetra start, as
+    ``tracker.solve_tangency`` does when elimination falls back: the
+    tracker's own result, whose lost paths the exit rule must catch."""
+    def tracked(conditions, seed=0):
+        paths = tracker.track(*tracker.tetra_start(), conditions, seed)
+        return tracker.TrackResult(conditions, paths, "tetra")
+
+    monkeypatch.setattr(cli, "solve_tangency", tracked)
+
+
+def test_track_exits_4_on_a_nonreal_line_without_its_conjugate(capsys, tmp_path, monkeypatch):
     # test_finite_paths_decaying_like_infinite_ones_are_kept's spheres moved by
-    # (100, 100, 0): 11 lines, one of them nonreal and missing its conjugate
+    # (100, 100, 0), tracked: 11 lines, one of them nonreal and missing its
+    # conjugate
+    track_four_spheres(monkeypatch)
     spheres = [((26, 40, -4), 57), ((13, 14, -50), 35),
                ((64, -27, 30), 26), ((11, 52, -27), 58)]
     scene = Scene(3, quadrics=[sphere((x + 3200, y + 3200, z), r)
@@ -507,10 +520,10 @@ def test_track_ends_a_path_out_of_budget_diverged(capsys, tmp_path, monkeypatch)
 @pytest.mark.parametrize("scene_name", ["long-finite-path", "budget"])
 def test_track_path_log_counts_match_the_certificate(capsys, tmp_path, monkeypatch,
                                                      scene_name):
-    # a sphere scene ends paths at infinity and as surplus, and the x10^4
-    # scene at 100 steps ends paths out of budget: the path log, the
-    # certificate's metadata.paths and the stderr line count the same paths,
-    # and none that ended short of t = 1 has an endpoint
+    # a sphere scene is eliminated into 12 converged paths of no step, and
+    # the x10^4 scene at 100 steps ends paths out of budget: the path log,
+    # the certificate's metadata.paths and the stderr line count the same
+    # paths, and none that ended short of t = 1 has an endpoint
     if scene_name == "budget":
         monkeypatch.setattr(tracker, "MAX_STEPS", 100)
         seed, scene = 3, scaled_quadric_scene("quadric/scaled", F(10**4))
@@ -526,18 +539,18 @@ def test_track_path_log_counts_match_the_certificate(capsys, tmp_path, monkeypat
     assert json.loads(cert_path.read_text())["metadata"]["paths"] == {
         "total": len(paths), "converged": status["converged"],
         "diverged": status["diverged"], "at_infinity": status["at-infinity"],
-        "surplus": status["surplus"], "suspected_jumps": status["path-jump-suspected"]}
+        "suspected_jumps": status["path-jump-suspected"]}
     line = re.search(r"(\d+) certified endpoints of (\d+) paths, \d+ real, "
-                     r"(\d+) at infinity, (\d+) surplus", err)
+                     r"(\d+) at infinity", err)
     assert [int(n) for n in line.groups()] == [
-        status["converged"], len(paths), status["at-infinity"], status["surplus"]]
-    ended = [p for p in paths if p["status"] in ("at-infinity", "surplus")
+        status["converged"], len(paths), status["at-infinity"]]
+    ended = [p for p in paths if p["status"] == "at-infinity"
              or (p["status"] == "diverged" and p["steps"] == tracker.MAX_STEPS)]
-    assert ended and all(p["endpoint"] is None for p in ended)
+    assert all(p["endpoint"] is None for p in ended)
     if scene_name == "budget":
-        assert status["diverged"] == len(ended)
+        assert ended and status["diverged"] == len(ended)
     else:
-        assert status["at-infinity"] and status["surplus"]
+        assert status == {"converged": 12} and {p["steps"] for p in paths} == {0}
 
 
 def test_track_exits_4_on_a_suspected_path_jump(capsys, tmp_path):
@@ -593,9 +606,11 @@ LOST_AT_THE_ROOT_BOUND = {
 
 
 @pytest.mark.parametrize("name", LOST_AT_THE_ROOT_BOUND)
-def test_track_passes_a_lost_path_once_the_root_bound_is_reached(capsys, tmp_path, name):
-    # the path is named, but a run that holds its root bound of lines can
-    # have lost none of them
+def test_track_passes_a_lost_path_once_the_root_bound_is_reached(capsys, tmp_path,
+                                                                monkeypatch, name):
+    # tracked, the path is named, but a run that holds its root bound of
+    # lines can have lost none of them
+    track_four_spheres(monkeypatch)
     seed, spheres, named = LOST_AT_THE_ROOT_BOUND[name]
     scene = Scene(3, quadrics=[sphere(c, r) for c, r in spheres])
     code, err, verified, out = track_and_verify(capsys, tmp_path, scene, seed)
@@ -606,11 +621,13 @@ def test_track_passes_a_lost_path_once_the_root_bound_is_reached(capsys, tmp_pat
 
 @pytest.mark.parametrize("stream, seed", [("scaled/quadric/4", 9), ("scaled/quadric/7", 3),
                                           ("scaled/quadric/7", 4), ("sweep/4", 2)])
-def test_track_fails_a_run_whose_lost_paths_took_lines(capsys, tmp_path, stream, seed):
+def test_track_fails_a_run_whose_lost_paths_took_lines(capsys, tmp_path, monkeypatch,
+                                                      stream, seed):
     # Q1 scaled by 10^-6: two paths of a quadric scene (one of sweep sphere
-    # scene 4) end diverged, and no nonreal line is left without its
-    # conjugate, so only the path tally shows that lines are missing
+    # scene 4, tracked) end diverged, and no nonreal line is left without
+    # its conjugate, so only the path tally shows that lines are missing
     if stream == "sweep/4":
+        track_four_spheres(monkeypatch)
         q1, *others = [sphere(c, r) for c, r in [((-35, 45, 26), 45), ((43, -31, 41), 47),
                                                  ((4, -25, -2), 40), ((5, 2, 7), 21)]]
         scene = Scene(3, quadrics=[Quadric(q1.matrix.scaled(F(1, 10**6))), *others])
@@ -623,6 +640,48 @@ def test_track_fails_a_run_whose_lost_paths_took_lines(capsys, tmp_path, stream,
     assert len(re.findall(r"path \d+: diverged after \d+ steps", err)) == lost
     assert code == 4 and err.splitlines()[-1] == issue
     assert verified == 4 and out.splitlines() == ["FAIL (1 issue(s))", f"  {issue}"]
+
+
+@pytest.mark.parametrize("factor", [F(10**6), F(1, 10**6)], ids=["times-1e6", "over-1e6"])
+def test_track_lists_every_line_of_four_spheres_with_a_scaled_sphere(capsys, tmp_path,
+                                                                     factor):
+    # sweep sphere scene 2 with Q1 scaled: the scale reaches no centre or
+    # radius, and all 12 lines are listed (tracked at x 10^-6 and seed 3, it
+    # listed a 13th, at infinity; at x 10^6 its paths crawled)
+    q1, *others = [sphere(c, r) for c, r in SPHERE_SCENES["plain-2"][1]]
+    scene = Scene(3, quadrics=[Quadric(q1.matrix.scaled(factor)), *others])
+    code, err, verified, out = track_and_verify(capsys, tmp_path, scene, 3)
+    assert code == 0 and err.startswith("12 certified endpoints of 12 paths")
+    assert verified == 0 and out.startswith("PASS")
+
+
+def test_track_says_when_four_spheres_fall_back_to_tracking(capsys, tmp_path):
+    # coplanar centres: det C = 0, so the scene is tracked from the tetra start
+    spheres = [((33, -38, 0), 52), ((-1, -61, 0), 62), ((-9, 40, 0), 33),
+               ((-18, 35, 0), 26)]
+    scene = Scene(3, quadrics=[sphere(c, r) for c, r in spheres])
+    scene_path = make_scene_file(tmp_path, "scene.json", scene)
+    code, out, err = run(capsys, "track", "--scene", scene_path, "--seed", "3")
+    assert code == 0
+    assert err.splitlines()[0] == "four spheres tracked from the tetra start: coplanar centres"
+    cert = json.loads(out)
+    assert cert["metadata"]["start_policy"] == "tetra" and cert["counts"]["total"] == 12
+    assert cert["metadata"]["paths"]["total"] == 32
+
+
+def test_track_writes_the_same_sphere_certificate_for_the_same_seed(capsys, tmp_path):
+    seed, spheres = SPHERE_SCENES["plain"]
+    scene_path = make_scene_file(tmp_path, "scene.json",
+                                 Scene(3, quadrics=[sphere(c, r) for c, r in spheres]))
+    written = []
+    for k in range(2):
+        cert_path = tmp_path / f"cert-{k}.json"
+        code, _, _ = run(capsys, "track", "--scene", scene_path, "--seed", str(seed),
+                         "--output", str(cert_path))
+        assert code == 0
+        written.append(cert_path.read_bytes())
+    assert written[0] == written[1]
+    assert json.loads(written[0])["metadata"]["start_policy"] == "elimination"
 
 
 # -- verify -------------------------------------------------------------------
@@ -946,12 +1005,12 @@ def test_recorded_residual_is_the_one_verify_re_evaluates(certificates):
 
 # edits of a `track` certificate's metadata.paths, each of which `verify` rejects
 PATH_TALLY_EDITS = {
-    "count-as-string": lambda paths: paths.update(surplus=str(paths["surplus"])),
-    "count-as-float": lambda paths: paths.update(surplus=float(paths["surplus"])),
+    "count-as-string": lambda paths: paths.update(at_infinity=str(paths["at_infinity"])),
+    "count-as-float": lambda paths: paths.update(at_infinity=float(paths["at_infinity"])),
     "count-as-boolean": lambda paths: paths.update(diverged=False),
-    "counts-off-total": lambda paths: paths.update(surplus=paths["surplus"] + 1),
+    "counts-off-total": lambda paths: paths.update(at_infinity=paths["at_infinity"] + 1),
     "converged-off-lines": lambda paths: paths.update(converged=paths["converged"] - 1,
-                                                      surplus=paths["surplus"] + 1),
+                                                      at_infinity=paths["at_infinity"] + 1),
     "key-missing": lambda paths: paths.pop("suspected_jumps"),
     "key-extra": lambda paths: paths.update(singular=0),
 }
@@ -1224,10 +1283,10 @@ def test_certificates_match_their_schema(capsys, tmp_path):
     cert = json.loads(out)
     assert code == 0 and cert["counts"]["total"] == 12
     assert cert["metadata"]["root_bound"] == 12
-    assert cert["metadata"]["paths"] == {"total": 32, "converged": 12, "diverged": 0,
-                                         "at_infinity": 0, "surplus": 20,
-                                         "suspected_jumps": 0}
-    assert "0 at infinity, 20 surplus" in err
+    assert cert["metadata"]["start_policy"] == "elimination"
+    assert cert["metadata"]["paths"] == {"total": 12, "converged": 12, "diverged": 0,
+                                         "at_infinity": 0, "suspected_jumps": 0}
+    assert "of 12 paths" in err and "0 at infinity" in err
     validator.validate(cert)
 
     del cert["solutions"][0]["plucker"]["coords"]["01"]

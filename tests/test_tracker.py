@@ -558,13 +558,14 @@ def solve_spheres(seed, spheres, shift=(0, 0, 0)) -> tracker.TrackResult:
 
 
 def sphere_homotopy(spheres, shift=(0, 0, 0)):
-    """The (start system, starts, target) that ``solve_spheres`` tracks."""
+    """The (start system, starts, target) that four spheres are tracked on
+    when elimination falls back."""
     return *tetra_start(), sphere_system(spheres, shift)
 
 
 def track_spheres(seed, spheres, shift=(0, 0, 0)) -> tracker.TrackResult:
-    """``solve_spheres`` through ``track``: the same homotopy, but no root
-    bound, so no path stops before the at-infinity test or t = 1 ends it."""
+    """Four spheres tracked from the tetra start through ``track``, as
+    ``solve_tangency`` tracks them when elimination falls back."""
     paths = track(*sphere_homotopy(spheres, shift), seed=seed)
     return tracker.TrackResult(sphere_system(spheres, shift), paths, "tetra")
 
@@ -600,87 +601,45 @@ def test_sphere_paths_end_at_infinity_once(lockstep_passes, name):
     assert passes == [32]  # no path is re-tracked
 
 
-def assert_stops_surplus_paths(passes, seed, spheres, shift=(0, 0, 0)):
-    """Once the 12 lines are certified the other paths stop: the same 12
-    endpoints as ``track``, bit for bit, from the same paths, in fewer
-    rounds and one pass.  Returns both results."""
-    stopped = solve_spheres(seed, spheres, shift)
-    assert passes == [32]  # no path is re-tracked
-    unbounded = track_spheres(seed, spheres, shift)
-    assert len(stopped.endpoints) == 12
-    assert [p.endpoint.tobytes() for p in stopped.distinct_paths] == \
-        [p.endpoint.tobytes() for p in unbounded.distinct_paths]
-    assert [p.steps for p in stopped.paths if p.converged] == \
-        [p.steps for p in unbounded.paths if p.converged]
-    assert max(p.steps for p in stopped.paths) < max(p.steps for p in unbounded.paths)
-    others = [p for p in stopped.paths if not p.converged]
-    assert len(others) == 20 and "surplus" in {p.status for p in others}
-    assert all(p.status in ("surplus", "at-infinity") and p.endpoint is None for p in others)
-    return stopped, unbounded
-
-
 @pytest.mark.parametrize("name", sorted(SPHERE_SCENES))
-def test_sphere_scenes_stop_surplus_paths(lockstep_passes, name):
-    assert_stops_surplus_paths(lockstep_passes, *SPHERE_SCENES[name])
+def test_four_spheres_are_eliminated_to_the_tracked_lines(lockstep_passes, name):
+    # the 12 lines, each a converged path of no step, are the 12 that
+    # tracking from the tetra start finds; no path is tracked
+    res = solve_spheres(*SPHERE_SCENES[name])
+    assert lockstep_passes == [] and res.start_policy == "elimination"
+    assert res.fallback is None
+    assert [(p.status, p.steps) for p in res.paths] == [("converged", 0)] * 12
+    assert all(p.residual < RESIDUAL_TOL for p in res.paths)
+    assert match_endpoints(res.endpoints, track_spheres(*SPHERE_SCENES[name]).endpoints) < 1e-9
 
 
-def test_repeated_start_does_not_count_twice_toward_the_bound():
-    # the first start to converge, given twice, reaches its line twice:
-    # 12 arrivals hold only 11 distinct lines, so nothing stops there
-    seed, spheres = SPHERE_SCENES["plain"]
-    start, starts, target = sphere_homotopy(spheres)
-    alone = track(start, starts, target, seed)
-    first = min((p.steps, i) for i, p in enumerate(alone) if p.converged)[1]
-    (paths,) = tracker._track_batch([(start, np.vstack([starts, starts[first]]), target)],
-                                    seed, [12])
-    distinct = [p for p in paths if p.converged and p.duplicate_of is None]
-    assert len(distinct) == 12
-    assert paths[-1].status == "path-jump-suspected" and paths[-1].duplicate_of == first
+def test_shifted_sweep_scene_64_has_its_twelve_lines():
+    # moved by (100, 100, 0), tracking loses a nonreal line here; the exact
+    # (Sturm) count of its resultant is 12 lines, 4 of them real
+    spheres = [((26, 40, -4), 57), ((13, 14, -50), 35), ((64, -27, 30), 26),
+               ((11, 52, -27), 58)]
+    res = solve_spheres(1548815776, spheres, shift=(100, 100, 0))
+    assert res.start_policy == "elimination" and len(res.endpoints) == 12
+    reality = res.reality()
+    assert reality.real_count == 4 and not reality.unpaired
 
 
-def test_singular_endpoint_does_not_count_toward_the_bound(monkeypatch):
-    # an endpoint whose cond reaches 1 / RESIDUAL_TOL is not nonsingular:
-    # with one such among the 12 lines only 11 count, nothing stops, and
-    # every other path runs on to its at-infinity end
-    polish, singular = tracker._polish, []
-
-    def flagged(h, x, system, rows, solves):
-        residual, cond = polish(h, x, system, rows, solves)
-        singular[:] = singular or rows[:1]
-        cond[rows == singular[0]] = 1 / RESIDUAL_TOL
-        return residual, cond
-
-    monkeypatch.setattr(tracker, "_polish", flagged)
-    res = solve_spheres(*SPHERE_SCENES["plain"])
-    flagged_path = res.paths[singular[0]]
-    assert flagged_path.converged and flagged_path.cond == 1 / RESIDUAL_TOL
-    assert len(res.endpoints) == 12
-    assert all(p.status == "at-infinity" for p in res.paths if not p.converged)
-
-
-def test_more_certified_endpoints_than_the_bound_stop_nothing():
-    # a bound that two lines reached in the same round overshoot together is
-    # not the count of this system's roots: no path stops, as without one
-    seed, spheres = SPHERE_SCENES["plain"]
-    start, starts, target = sphere_homotopy(spheres)
-    alone = track(start, starts, target, seed)
-    arrivals = sorted(p.steps for p in alone if p.converged)
-    bound = next(b for b in range(1, 12) if arrivals[b - 1] == arrivals[b])
-    (paths,) = tracker._track_batch([(start, starts, target)], seed, [bound])
-    assert_same_paths(paths, alone)
+def test_coplanar_centres_fall_back_to_tracking(lockstep_passes):
+    spheres = [((33, -38, 0), 52), ((-1, -61, 0), 62), ((-9, 40, 0), 33),
+               ((-18, 35, 0), 26)]
+    res = solve_spheres(3, spheres)
+    assert (res.start_policy, res.fallback) == ("tetra", "coplanar centres")
+    assert lockstep_passes == [32] and len(res.endpoints) == 12
+    assert [p.steps for p in res.paths] == [p.steps for p in track_spheres(3, spheres).paths]
 
 
 def test_diverged_path_is_tracked_once(lockstep_passes):
-    passes = lockstep_passes
     seed, spheres = SPHERE_SCENES["plain"]
     start, starts, target = sphere_homotopy(spheres)
     padded = np.vstack([starts, np.zeros(6)])  # diverges at its first step
-    for bounds in ([12], None):
-        passes.clear()
-        (paths,) = tracker._track_batch([(start, padded, target)],
-                                        seed, bounds)
-        assert sum(p.converged for p in paths) == 12 and paths[-1].status == "diverged"
-        assert passes == [33]  # with or without a bound: no retrack
+    paths = track(start, padded, target, seed)
+    assert sum(p.converged for p in paths) == 12 and paths[-1].status == "diverged"
+    assert lockstep_passes == [33]  # no retrack
 
 
 @pytest.mark.parametrize("seed, spheres, lost", [
@@ -694,7 +653,7 @@ def test_path_near_a_fixed_patch_infinity_converges_in_one_pass(
     # patch (|x| ~ 4e6 near t = 0.039 in the first scene, where tracking on
     # that patch underflowed, on a tight retrack too); on the moving patch
     # it is never near its patch's hyperplane, and it reaches the 12th line
-    res = solve_spheres(seed, spheres)
+    res = track_spheres(seed, spheres)
     assert lockstep_passes == [32]
     path = res.paths[lost]
     assert path.converged and len(res.endpoints) == 12
@@ -715,18 +674,18 @@ def test_far_sphere_scene_keeps_its_finite_lines(lockstep_passes):
     # them lie on paths whose valuation is near 1/2 for two decades
     spheres = [((-3, 55, -34), 24), ((-38, 28, -51), 45),
                ((-26, 59, -47), 60), ((38, 44, -20), 25)]
-    res, unbounded = assert_stops_surplus_paths(lockstep_passes, 568561213, spheres,
-                                                shift=(100, 100, 0))
+    res = track_spheres(568561213, spheres, shift=(100, 100, 0))
+    assert lockstep_passes == [32]  # no path is re-tracked
     assert len(res.endpoints) == 12
     assert all(rho(v) < 1e-2 for v in res.endpoints)
-    assert all(p.status == "at-infinity" for p in unbounded.paths if not p.converged)
+    assert all(p.status == "at-infinity" for p in res.paths if not p.converged)
 
 
 def test_finite_paths_decaying_like_infinite_ones_are_kept():
     # two finite tangents here have rho = 7.5e-3, reached along paths whose
     # rho falls like (1 - t)^0.3 for three decades: a valuation above 1/4
     # would end them at infinity
-    res = solve_spheres(1548815776, [((26, 40, -4), 57), ((13, 14, -50), 35),
+    res = track_spheres(1548815776, [((26, 40, -4), 57), ((13, 14, -50), 35),
                                      ((64, -27, 30), 26), ((11, 52, -27), 58)])
     assert len(res.endpoints) == 12
     assert sum(rho(v) < 1e-2 for v in res.endpoints) == 2
@@ -739,7 +698,7 @@ def raw_system(quad, lin) -> LineConditions:
     scale = np.sqrt(np.sum(np.abs(quad) ** 2, axis=(1, 2)) + np.sum(np.abs(lin) ** 2, axis=1))
     degree = np.where(np.any(quad != 0, axis=(1, 2)), 2, 1)
     return LineConditions(tuple(f"row_{i}" for i in range(5)), quad, lin, scale, degree,
-                          np.zeros(5, bool))
+                          (None,) * 5)
 
 
 def far_root_system(a) -> LineConditions:
@@ -792,27 +751,6 @@ def test_no_path_ends_at_infinity_without_spheres(monkeypatch):
     assert statuses == {"converged"}
 
 
-def test_no_surplus_without_spheres(monkeypatch):
-    # a general scene's bound, and each doubling stage's, is its path count:
-    # nothing is watched, so nothing stops early
-    statuses, watched = set(), []
-    track_lockstep = tracker._track_lockstep
-
-    def recorded(h, starts, system, steps, bounds=None):
-        paths = track_lockstep(h, starts, system, steps, bounds)
-        if bounds is not None:
-            watched.extend(np.asarray(bounds) < np.bincount(system))
-        statuses.update(p.status for p in paths)
-        return paths
-
-    monkeypatch.setattr(tracker, "_track_lockstep", recorded)
-    for seed in (12, 21):
-        solve_tangency(random_quadric_system(seed), seed=seed)
-    doubling_experiment("auto", seed=0)
-    assert len(watched) == 2 + 5 and not any(watched)
-    assert "surplus" not in statuses
-
-
 # -- batches of several homotopies --------------------------------------------
 
 
@@ -835,34 +773,24 @@ def assert_same_paths(batched, alone):
 
 
 def test_batch_of_systems_tracks_each_as_alone():
-    # total-degree and closed-form starts, and paths stopped as surplus
+    # total-degree and closed-form starts, and four spheres eliminated
     sphere_conditions = sphere_system(SPHERE_SCENES["plain"][1])
     systems = doubling_stages() + [random_quadric_system(12), sphere_conditions]
     seed = 5
     batch = solve_tangency(systems, seed)
-    assert [r.start_policy for r in batch] == ["total-degree"] * 4 + ["tetra"] * 3
-    assert len(batch.paths) == 62 + 32 + 32
-    statuses = {p.status for p in batch.paths}
-    assert {"converged", "surplus"} <= statuses
+    assert [r.start_policy for r in batch] == (["total-degree"] * 4 + ["tetra"] * 2
+                                               + ["elimination"])
+    assert len(batch.paths) == 62 + 32 + 12
     for system, result in zip(systems, batch):
         alone = solve_tangency(system, seed)
         assert_same_paths(result.paths, alone.paths)
 
-    # without a bound, paths ending at infinity, batched with another scene
+    # paths ending at infinity, batched with another scene
     homotopies = [_tetra_to_random_scene(12), sphere_homotopy(SPHERE_SCENES["plain"][1])]
     together = tracker._track_batch(homotopies, seed)
     assert {"converged", "at-infinity"} <= {p.status for p in together[1]}
     for homotopy, paths in zip(homotopies, together):
         assert_same_paths(paths, track(*homotopy, seed))
-
-
-def test_batch_of_sphere_scenes_stops_each_as_alone():
-    # two watched homotopies, whose arrivals are polished in one call
-    systems = [sphere_system(SPHERE_SCENES[name][1]) for name in ("plain", "plain-2")]
-    seed = 5
-    for system, result in zip(systems, solve_tangency(systems, seed)):
-        assert "surplus" in {p.status for p in result.paths}
-        assert_same_paths(result.paths, solve_tangency(system, seed).paths)
 
 
 def test_singular_start_leaves_other_homotopies_alone():
@@ -1023,7 +951,8 @@ def test_zero_linear_blocks_are_skipped_without_moving_a_value():
 
 
 # each path's steps, linear systems and status on a criterion-8 scene (scene
-# 7) and on a sphere scene with paths to infinity, stopped and converged:
+# 7) and on a sphere scene tracked from the tetra start, with paths to
+# infinity and converged:
 # any change to the order of a path's arithmetic moves some of them
 PINNED_PATHS = {
     "criterion-8 scene 7": (
@@ -1033,22 +962,22 @@ PINNED_PATHS = {
          124, 54, 146, 81, 140, 61, 63, 187, 55, 61, 131, 110, 117, 132, 82],
         "c" * 32),
     "long-finite-path": (
-        [58, 13, 59, 52, 43, 12, 16, 44, 19, 49, 33, 32, 57, 64, 24, 52, 45, 53, 53,
+        [58, 13, 59, 52, 43, 12, 16, 44, 19, 49, 33, 32, 57, 100, 24, 52, 45, 53, 53,
          64, 43, 47, 28, 44, 45, 59, 19, 31, 30, 57, 58, 61],
-        [397, 90, 404, 356, 293, 84, 112, 295, 132, 334, 231, 223, 391, 448, 168,
+        [397, 90, 404, 356, 293, 84, 112, 295, 132, 334, 231, 223, 391, 691, 168,
          351, 302, 363, 358, 447, 289, 318, 195, 295, 306, 405, 133, 216, 209, 390,
          393, 417],
-        "iciiicciciccisciiiiciiciiiccciii"),
+        "iciiiccicicciiciiiiciiciiiccciii"),
 }
 
 
 @pytest.mark.parametrize("name", PINNED_PATHS)
 def test_paths_keep_their_pinned_steps_and_solves(name):
     if name == "long-finite-path":
-        result = solve_spheres(*SPHERE_SCENES[name])
+        result = track_spheres(*SPHERE_SCENES[name])
     else:
         result = solve_tangency(random_quadric_system(1007), seed=7)
-    codes = {"converged": "c", "at-infinity": "i", "surplus": "s"}
+    codes = {"converged": "c", "at-infinity": "i"}
     steps, solves, statuses = PINNED_PATHS[name]
     assert [p.steps for p in result.paths] == steps
     assert [p.solves for p in result.paths] == solves

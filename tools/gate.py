@@ -24,13 +24,15 @@ command lines name files relative to OUTDIR (``fixed/``'s relative to
   of ``doubling``; ``doubling --auto --format json`` at seeds 0..19; a
   ``tetra`` and a ``track`` CSV certificate, and ``verify`` without
   ``--scene``; ``tetra`` at three numeric edges of the closed form
-  (``EDGE_TETRA``); the exit-rule set, six ``track`` runs that lose a path,
-  each followed by ``verify --scene``: two perfbench sphere-scenes ops
-  complete at the root bound (exit 0), and four scenes with Q1 x 10^-6
-  whose lost paths take lines (exit 4); ``doubling --radii 1,1,1,1 --seed
-  3`` as a table and as JSON, whose cylinders are too wide for stages 3
-  and 4 (exit 4); and ``track`` on a scene whose Q1 has rank 1 (exit 3).
-  Every ``track`` also writes its ``--path-log``.
+  (``EDGE_TETRA``); the exit-rule set, six ``track`` runs on which
+  tracking loses a path, each followed by ``verify --scene``: two
+  perfbench sphere-scenes ops, complete at the root bound, and four
+  scenes with Q1 x 10^-6 whose lost paths take lines (the three quadric
+  scenes exit 4; sphere scenes are solved by elimination, with no path);
+  ``doubling --radii 1,1,1,1 --seed 3`` as a table and as JSON, whose
+  cylinders are too wide for stages 3 and 4 (exit 4); and ``track`` on a
+  scene whose Q1 has rank 1 (exit 3).  Every ``track`` also writes its
+  ``--path-log``.
 - ``sweep/`` and ``sweep-shifted/``: the sphere sweeps.  Scene i draws
   four spheres from ``random.Random(f"sweep/{i}")`` with perfbench's
   ``random_sphere``, then its program seed; the sweeps are scenes 0..349,
@@ -51,9 +53,10 @@ Each scene of a sweep or hard set is ``track --seed S --output ...
 set's ``summary.txt`` has a header naming the set and its step budget,
 then one line per run:
 
-    scene seed lines bound converged diverged at_infinity surplus suspected_jumps mean longest exit
+    scene seed lines bound TALLY... mean longest exit
 
-(lines and root bound from the certificate, its ``metadata.paths`` tally,
+(lines and root bound from the certificate, its ``metadata.paths`` tally
+under TREE's ``scenes.PATH_KEYS`` keys, in their order,
 the mean and the longest path's steps from the path log, and ``track``'s
 exit code; a path steps in every round from the first until it ends, so
 the longest path is the run's round count when no cluster retrack runs).
@@ -90,8 +93,9 @@ STREAMS = [("closed-form", 6), ("quadric-scenes", 6), ("sphere-scenes", 6),
 EDGE_TETRA = [("1/10", "1/10000000000000000"),
               ("0.171572875253810", "0.171572875253810"),
               ("1/10", "1/100000")]
-# (workload, stream, op index) of perfbench ops that lose a path once all
-# their lines are certified: a suspected jump, and a diverged path
+# (workload, stream, op index) of perfbench sphere ops whose tracking lost a
+# path once all their lines were certified: a suspected jump, and a
+# diverged path
 EXIT_RULE_OPS = [("sphere-scenes", "seed-20", 180), ("sphere-scenes", "seed-11", 241)]
 # (name prefix, family, scene, program seed) of hard scenes with Q1 x 10^-6
 # whose diverged paths take their lines with them
@@ -106,18 +110,20 @@ KNOWN_SEED = (64, 1548815776)
 SCALES = [(-6, range(10)), (-3, range(10)), (0, range(10)), (3, range(1)), (6, range(1))]
 # the work budget of the scaled-up runs, in steps per path
 SCALED_UP_STEPS = 1000
-TALLY = ("converged", "diverged", "at_infinity", "surplus", "suspected_jumps")
 KEPT_UNITS = ("count", "solves/path", "steps/path", "ratio")
 BLAS_THREADS = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                      "MKL_NUM_THREADS")}
 
 
 def load(tree: Path) -> None:
-    """Import TREE's ``cli``, ``tracker`` and perfbench ``workloads``."""
-    global cli, tracker, workloads
+    """Import TREE's ``cli``, ``tracker`` and perfbench ``workloads``, and
+    take TALLY, the ``metadata.paths`` keys a summary lists, from its
+    ``scenes.PATH_KEYS``."""
+    global cli, tracker, workloads, TALLY
     sys.path[:0] = [str(tree / "src"), str(tree)]
     from perfbench import workloads
-    from quadtangents import cli, tracker
+    from quadtangents import cli, scenes, tracker
+    TALLY = tuple(scenes.PATH_KEYS.values())
 
 
 def record(name: str, argv: list[str]) -> int:
