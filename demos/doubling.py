@@ -35,7 +35,7 @@ print(f"cylinder around U1 at r=1/10: signature {q.signature} "
 
 # %% run the ladder
 
-result = doubling_experiment("auto", seed=5)
+result = doubling_experiment(seed=5)
 print("\nstage  cylinders  target  real found  radii")
 for row in result.rows:
     radii = ",".join(str(r) for r in row.radii) or "-"

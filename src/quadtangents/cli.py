@@ -55,7 +55,7 @@ from .tetra32 import (
     reality_flags,
     verify_solution,  # noqa: F401  (perfbench traces this binding)
 )
-from .tracker import doubling_experiment, solve_tangency
+from .tracker import AUTO_RADII, doubling_experiment, solve_tangency
 
 EXIT_OK = 0
 EXIT_DEGENERATE = 2
@@ -314,9 +314,8 @@ def cmd_track(args) -> int:
 
 
 def cmd_doubling(args) -> int:
-    radii = "auto"
-    if args.radii is not None:
-        radii = [rational(p.strip()) for p in args.radii.split(",")]
+    radii = (AUTO_RADII if args.radii is None
+             else [rational(p.strip()) for p in args.radii.split(",")])
     result = doubling_experiment(radii, args.seed)
     if args.format == "json":
         write_json(args.output, {

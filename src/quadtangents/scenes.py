@@ -267,7 +267,7 @@ def solution_residuals(scene: Scene, vectors) -> list[dict[str, float]]:
 
 
 def certificate(scene: Scene, vectors, real, residuals, seed: int | None,
-                extras=None, params: dict | None = None,
+                extras, params: dict | None = None,
                 metadata: dict | None = None) -> dict:
     """The certificate of ``scene``'s solutions ``vectors``, given each
     one's flag and ``solution_residuals`` row, as its JSON object: one entry
@@ -282,7 +282,7 @@ def certificate(scene: Scene, vectors, real, residuals, seed: int | None,
                   "residual": float(max(row.values())),
                   **extra}
                  for i, (vec, flag, row, extra) in enumerate(
-                     zip(vectors, real, residuals, extras or [{}] * len(vectors)))]
+                     zip(vectors, real, residuals, extras))]
     n_real = sum(sol["real"] for sol in solutions)
     scene_dict = scene.to_dict()
     return {

@@ -84,19 +84,20 @@ one of these:
                        endpoint), or a polish that misses the tolerance;
   path-jump-suspected  converged onto an endpoint an earlier path holds.
 
-At-infinity test.  Four spheres have 12 tangent lines, not 32: tracked from
-the tetra start, the other paths go to lines at infinity tangent to the
-absolute conic (Sottile and Theobald, "Lines tangent to 2n-2 spheres in
-R^n", 2002), where the tracker would grind down to step underflow.  On those paths the share of the line's
-direction, rho = |(p01, p02, p03)| / |p|, decays like (1 - t)^(1/2), while
-on a path to a finite line it tends to a constant.  From 1 - t = 1e-2 on,
-the valuation d log rho / d log(1 - t) is measured over each decade of
-1 - t on accepted points (no extra solve).  Three decades in a row within
-1/8 of 1/2 end the path as at-infinity, and so does step underflow right
-after one such decade.  This is a cheap late-t test instead of a Cauchy
-endgame (Morgan, Sommese and Wampler, Numer. Math. 1991); rho itself is
-never thresholded, because finite tangents of a scene far from the origin
-have rho near 1e-2 too.
+At-infinity test.  Three spheres with a quadric or a line, and four spheres
+whose elimination falls back (below), have fewer finite tangent lines than
+paths: the rest go to lines at infinity tangent to the absolute conic
+(Sottile and Theobald, "Lines tangent to 2n-2 spheres in R^n", 2002), where
+the tracker would grind down to step underflow.  On those paths the share
+of the line's direction, rho = |(p01, p02, p03)| / |p|, decays like
+(1 - t)^(1/2), while on a path to a finite line it tends to a constant.
+From 1 - t = 1e-2 on, the valuation d log rho / d log(1 - t) is measured
+over each decade of 1 - t on accepted points (no extra solve).  Three
+decades in a row within 1/8 of 1/2 end the path as at-infinity, and so
+does step underflow right after one such decade.  This is a cheap late-t
+test instead of a Cauchy endgame (Morgan, Sommese and Wampler, Numer.
+Math. 1991); rho itself is never thresholded, because finite tangents of a
+scene far from the origin have rho near 1e-2 too.
 
 The problem picks the start.  Four tangencies are a parameter homotopy
 (Morgan and Sommese, "Coefficient-parameter polynomial continuation", 1989)
@@ -123,9 +124,10 @@ their resultant in x has degree 12; it is interpolated from 7x7 Sylvester
 determinants at the 13th roots of unity, each root x takes as y the
 cubic's root where the quartic is smallest, and p = U(d) / (2 (d . d)
 det C).  The line through (1, c_0 + p) and (0, d) takes one Newton step
-and the polish of a path's endpoint.  Coplanar centres (det C = 0), a resultant of degree
-below 12, a polish that misses, or fewer than 12 distinct lines send the
-system to the tetra start instead, and its result names why.
+and the polish of a path's endpoint.  Coplanar centres (det C = 0), a
+resultant of degree below 12 (fewer than 12 roots from np.roots), a missed
+polish or fewer than 12 distinct lines (where a near-zero x^12 coefficient
+leads) send the system to the tetra start instead; its result names why.
 
 Determinism: gamma and the chart are drawn from seeded generators, and the
 start data are fixed; a fixed seed reproduces every path and every line.
@@ -174,7 +176,7 @@ def total_degree_start(conditions: LineConditions) -> tuple[LineConditions, np.n
     roots = [(1.0, -1.0) if d == 2 else (1.0,) for d in conditions.degree]
     starts = np.array([(*combo, 1.0) for combo in itertools.product(*roots)], dtype=complex)
     start = LineConditions(tuple(f"start_{j}" for j in range(m)), quad, lin,
-                           np.full(m, np.sqrt(2)), conditions.degree, np.zeros(m, bool))
+                           np.full(m, np.sqrt(2)), conditions.degree, (None,) * m)
     return start, starts
 
 
@@ -665,11 +667,6 @@ def tetra_start() -> tuple[LineConditions, np.ndarray]:
     return START_PARAMS.conditions, tangents
 
 
-# the resultant has degree 12 when its x^12 coefficient exceeds this share
-# of its largest one
-DEGREE_TOL = 1e-9
-
-
 def _times(p, q):
     """Products of stacked polynomials, coefficients on the last axis."""
     out = np.zeros(np.broadcast_shapes(p.shape[:-1], q.shape[:-1])
@@ -727,9 +724,10 @@ def _eliminate(conditions: LineConditions, seed: int) -> list[TrackedPath] | str
     # values at the 13th roots of unity (a 13x13 product; numpy.fft would
     # be one more module to load).  The scene is real
     resultant = (np.linalg.det(sylvester) @ unity[:, None] ** -np.arange(13)).real / 13
-    if not abs(resultant[12]) > DEGREE_TOL * np.max(np.abs(resultant)):
+    roots = np.roots(resultant[::-1])
+    if len(roots) < 12:
         return "resultant of degree below 12"
-    d, cubic, quartic = _in_y(forms, float(r0_sq), chart, np.roots(resultant[::-1]))
+    d, cubic, quartic = _in_y(forms, float(r0_sq), chart, roots)
     companion = np.zeros((12, 3, 3), dtype=complex)
     companion[:, 1, 0] = companion[:, 2, 1] = 1
     # a cubic that drops its degree at a root (a chart of measure zero)
@@ -847,19 +845,21 @@ class DoublingResult:
                 for r in self.rows if r.real != r.target]
 
 
-def doubling_experiment(radii="auto", seed: int = 0) -> DoublingResult:
+# `doubling --auto`'s cylinder radii
+AUTO_RADII = (Fraction(1, 10),) * 4
+
+
+def doubling_experiment(radii=AUTO_RADII, seed: int = 0) -> DoublingResult:
     """Replace incidence conditions by cylinder tangencies one at a time.
 
     Stage i surrounds the first i tetrahedron edge lines with distance-r_j
     cylinders and keeps incidence conditions on the rest; each tangency
     doubles the solution count, so small enough radii give 2, 4, 8, 16, 32
-    real lines at stages 0..4.  "auto" takes radius 1/10 for every
-    cylinder.  The four cylinder conditions are built once, all stages are
-    solved together in one lockstep batch with ``seed``, and a stage that
-    misses its target count is reported as it stands (``misses``).
+    real lines at stages 0..4.  The four cylinder conditions are built
+    once, all stages are solved together in one lockstep batch with
+    ``seed``, and a stage that misses its target count is reported as it
+    stands (``misses``).
     """
-    if radii == "auto":
-        radii = [Fraction(1, 10)] * 4
     radii = [Fraction(r) for r in radii]
     if len(radii) != 4 or any(r <= 0 for r in radii):
         raise ValueError("need four cylinder radii > 0")

@@ -161,7 +161,7 @@ def test_criterion_4_tracker_consistency(announce):
 def test_criterion_5_doubling(announce):
     announce["label"] = "5 doubling experiment counts 2,4,8,16,32"
     announce["passed"] = False
-    result = doubling_experiment("auto", seed=5)
+    result = doubling_experiment(seed=5)
     assert result.counts == [2, 4, 8, 16, 32]
     assert result.exact_stage0_count == 2
     assert result.rows[0].real == result.exact_stage0_count

@@ -42,7 +42,7 @@ from quadtangents.scenes import (
 from quadtangents.tetra32 import TetraParams, family
 from quadtangents.tracker import regular_tetrahedron_lines
 from test_demos import source_env
-from test_tracker import SPHERE_SCENES, sphere
+from test_tracker import MIRROR_SPHERES, SPHERE_SCENES, sphere
 
 
 def run(capsys, *argv):
@@ -346,7 +346,7 @@ def test_a_quadric_of_rank_one_is_an_input_error(capsys, tmp_path):
     assert code == 3 and out == "" and "tangency_Q1 holds on every line" in err
     cert_path = tmp_path / "cert.json"
     write_json(str(cert_path), certificate(scene, [np.ones(6)], [True],
-                                           [{"tangency_Q1": 0.0}], None))
+                                           [{"tangency_Q1": 0.0}], None, extras=[{}]))
     code, _, err = run(capsys, "verify", str(cert_path), "--scene", scene_path)
     assert code == 3 and "tangency_Q1 holds on every line" in err
 
@@ -667,6 +667,75 @@ def test_track_says_when_four_spheres_fall_back_to_tracking(capsys, tmp_path):
     cert = json.loads(out)
     assert cert["metadata"]["start_policy"] == "tetra" and cert["counts"]["total"] == 12
     assert cert["metadata"]["paths"]["total"] == 32
+
+
+def test_track_exits_4_on_the_mirror_coplanar_scene(capsys, tmp_path):
+    # tracked from the tetra start, 6 paths diverge and 8 lines are listed
+    # of root bound 12; every start tried lists the same 8
+    # (test_mirror_coplanar_scene_has_the_same_eight_lines_from_every_start),
+    # so the exit most likely reads the generic bound, not a lost line
+    scene = Scene(3, quadrics=[sphere(c, r) for c, r in MIRROR_SPHERES])
+    scene_path = make_scene_file(tmp_path, "scene.json", scene)
+    code, out, err = run(capsys, "track", "--scene", scene_path, "--seed", "3")
+    err = err.splitlines()
+    assert code == 4 and json.loads(out)["counts"] == {"total": 8, "real": 8, "nonreal": 0}
+    assert err[:2] == ["four spheres tracked from the tetra start: coplanar centres",
+                       "8 certified endpoints of 32 paths, 8 real, 18 at infinity"]
+    assert len(re.findall(r"path \d+: diverged after \d+ steps", "\n".join(err))) == 6
+    assert err[-1] == "8 of root bound 12 lines listed, 6 path(s) lost"
+
+
+def zero_leading_coefficient(monkeypatch):
+    """The resultant's x^12 coefficient is exactly 0: np.roots gives 11 roots."""
+    roots = np.roots
+    monkeypatch.setattr(np, "roots", lambda p: roots(np.concatenate([[0.0], p[1:]])))
+
+
+def on_the_elimination_polish(change):
+    """Wrap ``tracker._polish`` so that ``change(x, residual)`` acts on what
+    its call from ``_eliminate`` leaves, and on no other call."""
+    def wrap(monkeypatch):
+        polish = tracker._polish
+
+        def wrapped(h, x, *args):
+            residual, cond = polish(h, x, *args)
+            if sys._getframe(1).f_code is tracker._eliminate.__code__:
+                change(x, residual)
+            return residual, cond
+
+        monkeypatch.setattr(tracker, "_polish", wrapped)
+    return wrap
+
+
+def miss_one(x, residual):
+    residual[0] = 1.0
+
+
+def repeat_one(x, residual):
+    x[0] = x[1]
+
+
+@pytest.mark.parametrize("force, fallback", [
+    (zero_leading_coefficient, "resultant of degree below 12"),
+    (on_the_elimination_polish(miss_one), "a polish missed"),
+    (on_the_elimination_polish(repeat_one), "fewer than 12 distinct lines"),
+], ids=["degree", "polish", "distinct"])
+def test_each_elimination_fallback_tracks_the_twelve_lines(capsys, tmp_path, monkeypatch,
+                                                           force, fallback):
+    seed, spheres = SPHERE_SCENES["plain"]
+    scene = Scene(3, quadrics=[sphere(c, r) for c, r in spheres])
+    tracked = tracker.TrackResult(scene.conditions, tracker.track(
+        *tracker.tetra_start(), scene.conditions, seed), "tetra")
+    force(monkeypatch)
+    res = tracker.solve_tangency(scene.conditions, seed)
+    assert (res.start_policy, res.fallback) == ("tetra", fallback)
+    assert len(res.endpoints) == 12
+    assert np.array_equal(res.endpoints, tracked.endpoints)
+    scene_path = make_scene_file(tmp_path, "scene.json", scene)
+    code, out, err = run(capsys, "track", "--scene", scene_path, "--seed", str(seed))
+    assert code == 0
+    assert err.splitlines()[0] == f"four spheres tracked from the tetra start: {fallback}"
+    assert json.loads(out)["counts"]["total"] == 12
 
 
 def test_track_writes_the_same_sphere_certificate_for_the_same_seed(capsys, tmp_path):
@@ -1249,7 +1318,7 @@ def test_verify_rejects_non_certificates(capsys, tmp_path):
 def test_verify_names_a_scene_outside_p3(capsys, tmp_path):
     scene = Scene(4, quadrics=[Quadric(RatMatrix.identity(5))])
     # one real solution, all six coordinates 1.0, with a residual row of 0.0
-    cert = certificate(scene, [np.ones(6)], [True], [{"Q0": 0.0}], None)
+    cert = certificate(scene, [np.ones(6)], [True], [{"Q0": 0.0}], None, extras=[{}])
     cert_path = tmp_path / "cert.json"
     write_json(str(cert_path), cert)
     code, _, err = run(capsys, "verify", str(cert_path))
@@ -1329,7 +1398,7 @@ def test_doubling_json_rows_are_doubling_rows(capsys):
     # each row is a DoublingRow's fields, in order, its radii as rationals
     code, out, _ = run(capsys, "doubling", "--format", "json", "--seed", "0")
     rows = [{**dataclasses.asdict(r), "radii": [encode_rational(x) for x in r.radii]}
-            for r in tracker.doubling_experiment("auto", 0).rows]
+            for r in tracker.doubling_experiment(seed=0).rows]
     assert code == 0
     assert [list(r.items()) for r in json.loads(out)["rows"]] == [list(r.items()) for r in rows]
 

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from quadtangents import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -25,7 +27,8 @@ def test_gate_runs_a_sweep_scene_through_track(tmp_path, monkeypatch):
     gate = load_gate()
     monkeypatch.chdir(tmp_path)
     matrices, seed = gate.sweep_scene(0, (0, 0, 0))
-    assert gate.scene_set("sweep", "sweep scene 0", [(0, matrices, seed)]) == [0]
+    scene = gate.workloads.scene_dict(matrices)
+    assert gate.scene_set("sweep", "sweep scene 0", [(0, scene, seed)]) == [0]
     cert = json.loads(Path("sweep/scene-0.cert.json").read_text())
     assert cert["counts"]["total"] == 12 and cert["metadata"]["root_bound"] == 12
     assert cli.main(["verify", "sweep/scene-0.cert.json",
@@ -37,6 +40,26 @@ def test_gate_runs_a_sweep_scene_through_track(tmp_path, monkeypatch):
     assert int(line[-2]) == max(steps)
     assert Path("sweep/scene-0.track.txt").read_text().startswith(
         f"$ quadtangents track --scene sweep/scene-0.scene.json --seed {seed} ")
+
+
+@pytest.mark.parametrize("kind, lines, bound, at_infinity",
+                         [("quadric", 24, 32, 8), ("line", 12, 16, 4)])
+def test_gate_runs_a_mix_scene_through_track(tmp_path, monkeypatch, kind, lines, bound,
+                                             at_infinity):
+    # three spheres and a quadric or a line: the tracker's root bound
+    # overstates the finite count, and every other path ends at infinity
+    gate = load_gate()
+    monkeypatch.chdir(tmp_path)
+    scene, seed = gate.mix_scene(kind, 0)
+    assert [len(scene["quadrics"]), len(scene["flats"])] == ([4, 0] if kind == "quadric"
+                                                             else [3, 1])
+    assert gate.scene_set(f"mix-{kind}", "mix scene 0", [(0, scene, seed)]) == [0]
+    cert = json.loads(Path(f"mix-{kind}/scene-0.cert.json").read_text())
+    assert cert["metadata"]["start_policy"] == ("tetra" if kind == "quadric" else "total-degree")
+    assert (cert["counts"]["total"], cert["metadata"]["root_bound"]) == (lines, bound)
+    assert cert["metadata"]["paths"]["at_infinity"] == at_infinity
+    summary = Path(f"mix-{kind}/summary.txt").read_text().splitlines()
+    assert summary[-2].startswith("# 0 of 1 runs complete, 1 lose lines (1 of them exit 0)")
 
 
 def test_gate_refuses_an_outdir_that_holds_files(tmp_path):

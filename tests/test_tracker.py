@@ -135,6 +135,19 @@ def test_total_degree_start_solves_its_system():
     assert np.max(start.residual_table(sols)) < 1e-12
 
 
+@pytest.mark.parametrize("stage", range(5))
+def test_total_degree_start_is_a_system_like_any_other(stage):
+    # four linear rows (stage 0), doubling's mixed stages, and four
+    # quadratic rows (stage 4): the start's root bound is its start count,
+    # and solving the start gives back its start points
+    start, starts = total_degree_start(doubling_stages()[stage])
+    assert start.spheres == (None,) * 5
+    assert start.root_bound == len(starts) == 2 << stage
+    res = solve_tangency(start, seed=0)
+    assert res.converged_count == len(starts)
+    assert match_endpoints(res.endpoints, starts) < 1e-9
+
+
 def test_tetra_start_satisfies_its_system():
     conditions, starts = tetra_start()
     assert len(starts) == 32
@@ -313,7 +326,7 @@ def test_doubling_experiment_auto(monkeypatch):
         return batch
 
     monkeypatch.setattr(tracker, "solve_tangency", recorded)
-    result = doubling_experiment("auto", seed=5)
+    result = doubling_experiment(seed=5)
     assert result.counts == [2, 4, 8, 16, 32]
     assert result.exact_stage0_count == 2
     assert result.rows[0].real == result.exact_stage0_count
@@ -340,7 +353,7 @@ def test_doubling_reports_an_auto_stage_that_misses(monkeypatch):
 
     monkeypatch.setattr(tracker, "solve_tangency", recorded)
     monkeypatch.setattr(tracker.TrackResult, "reality", miss_stage_2)
-    result = doubling_experiment("auto", seed=5)
+    result = doubling_experiment(seed=5)
     assert batches == [[2, 4, 8, 16, 32]]
     assert result.counts == [2, 4, 7, 16, 32]
     assert result.rows[2].radii == (F(1, 10),) * 2
@@ -633,6 +646,30 @@ def test_coplanar_centres_fall_back_to_tracking(lockstep_passes):
     assert [p.steps for p in res.paths] == [p.steps for p in track_spheres(3, spheres).paths]
 
 
+# coplanar centres with mirror symmetry (units of 1/32): radii 5/4 at
+# (0, 0, 0), (2, 0, 0) and (0, 2, 0), and 25/16 at (2, 2, 0)
+MIRROR_SPHERES = [((0, 0, 0), 40), ((64, 0, 0), 40), ((0, 64, 0), 40), ((64, 64, 0), 50)]
+
+
+def test_mirror_coplanar_scene_has_the_same_eight_lines_from_every_start():
+    # the tetra start, the total-degree start and a parameter homotopy from
+    # an eliminated generic scene's 12 lines each list the same 8 real
+    # lines, short of the generic root bound 12
+    target = sphere_system(MIRROR_SPHERES)
+    seed, spheres = SPHERE_SCENES["plain"]
+    generic = solve_spheres(seed, spheres)
+    assert generic.start_policy == "elimination"
+    runs = [("tetra", *tetra_start(), 3), ("total-degree", *total_degree_start(target), 0),
+            ("parameter", generic.conditions, generic.endpoints, 0)]
+    results = [tracker.TrackResult(target, track(start, starts, target, seed=s), policy)
+               for policy, start, starts, s in runs]
+    assert target.root_bound == 12
+    assert [len(r.endpoints) for r in results] == [8, 8, 8]
+    assert results[0].reality().real_count == 8
+    for res in results[1:]:
+        assert match_endpoints(res.endpoints, results[0].endpoints) < 1e-9
+
+
 def test_diverged_path_is_tracked_once(lockstep_passes):
     seed, spheres = SPHERE_SCENES["plain"]
     start, starts, target = sphere_homotopy(spheres)
@@ -747,7 +784,7 @@ def test_no_path_ends_at_infinity_without_spheres(monkeypatch):
         return res
 
     monkeypatch.setattr(tracker, "solve_tangency", recorded)
-    assert doubling_experiment("auto", seed=5).counts == [2, 4, 8, 16, 32]
+    assert doubling_experiment(seed=5).counts == [2, 4, 8, 16, 32]
     assert statuses == {"converged"}
 
 

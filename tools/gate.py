@@ -24,19 +24,26 @@ command lines name files relative to OUTDIR (``fixed/``'s relative to
   of ``doubling``; ``doubling --auto --format json`` at seeds 0..19; a
   ``tetra`` and a ``track`` CSV certificate, and ``verify`` without
   ``--scene``; ``tetra`` at three numeric edges of the closed form
-  (``EDGE_TETRA``); the exit-rule set, six ``track`` runs on which
-  tracking loses a path, each followed by ``verify --scene``: two
-  perfbench sphere-scenes ops, complete at the root bound, and four
-  scenes with Q1 x 10^-6 whose lost paths take lines (the three quadric
-  scenes exit 4; sphere scenes are solved by elimination, with no path);
-  ``doubling --radii 1,1,1,1 --seed 3`` as a table and as JSON, whose
-  cylinders are too wide for stages 3 and 4 (exit 4); and ``track`` on a
-  scene whose Q1 has rank 1 (exit 3).  Every ``track`` also writes its
-  ``--path-log``.
+  (``EDGE_TETRA``); the exit-rule set, ``track`` runs each followed by
+  ``verify --scene``: two perfbench sphere-scenes ops and a sweep scene
+  with Q1 x 10^-6, all three eliminated (exit 0; tracked, before
+  elimination, each lost a path), three quadric scenes with Q1 x 10^-6
+  whose lost paths take lines (exit 4), and two four-sphere scenes with
+  coplanar centres, which elimination cannot serve, tracked from the
+  tetra start (``COPLANAR``: 12 lines, exit 0; and a mirror-symmetric
+  scene, 8 lines, exit 4); ``doubling --radii 1,1,1,1 --seed 3`` as a
+  table and as JSON, whose cylinders are too wide for stages 3 and 4
+  (exit 4); and ``track`` on a scene whose Q1 has rank 1 (exit 3).  Every
+  ``track`` also writes its ``--path-log``.
 - ``sweep/`` and ``sweep-shifted/``: the sphere sweeps.  Scene i draws
   four spheres from ``random.Random(f"sweep/{i}")`` with perfbench's
   ``random_sphere``, then its program seed; the sweeps are scenes 0..349,
   and scenes 0..99 with every centre moved by (100, 100, 0).
+- ``mix-quadric/`` and ``mix-line/``: the three-sphere mixes, which the
+  tracker solves.  Scene i draws three spheres from
+  ``random.Random(f"mix-KIND/{i}")`` with ``random_sphere``, then a
+  ``random_symmetric`` quadric, or a line through two points of the
+  spheres' centre grid, then its program seed; scenes 0..99 of each.
 - ``hard-quadric-1eP/`` and ``hard-sphere-1eP/``: the hard-scene sets,
   ten scenes each with Q1 scaled by 10^P.  Quadric scene i is four
   ``random_symmetric`` draws from ``random.Random(f"scaled/quadric/{i}")``,
@@ -47,7 +54,7 @@ command lines name files relative to OUTDIR (``fixed/``'s relative to
   --seed 1 --seconds 5 --trace 1`` run in TREE, those in count or per-path
   units (the converged ratio is converged lines per path).
 
-Each scene of a sweep or hard set is ``track --seed S --output ...
+Each scene of a sweep, mix or hard set is ``track --seed S --output ...
 --path-log ...`` on its scene file, and leaves ``NAME.scene.json``,
 ``NAME.cert.json``, ``NAME.paths.jsonl`` and ``NAME.track.txt``.  The
 set's ``summary.txt`` has a header naming the set and its step budget,
@@ -94,16 +101,27 @@ EDGE_TETRA = [("1/10", "1/10000000000000000"),
               ("0.171572875253810", "0.171572875253810"),
               ("1/10", "1/100000")]
 # (workload, stream, op index) of perfbench sphere ops whose tracking lost a
-# path once all their lines were certified: a suspected jump, and a
-# diverged path
+# path once all their lines were certified, a suspected jump and a diverged
+# path, before four spheres were eliminated
 EXIT_RULE_OPS = [("sphere-scenes", "seed-20", 180), ("sphere-scenes", "seed-11", 241)]
 # (name prefix, family, scene, program seed) of hard scenes with Q1 x 10^-6
-# whose diverged paths take their lines with them
+# whose diverged paths take their lines with them (the sphere scene's, once
+# tracked, now eliminated)
 EXIT_RULE_SCALED = [("scaled-quadric-4", "quadric", 4, 9), ("scaled-quadric-7", "quadric", 7, 3),
                     ("scaled-quadric-7", "quadric", 7, 4), ("sweep-4", "sphere", 4, 2)]
+# (name, spheres as (centre, radius) in units of 1/32, program seed) of
+# four-sphere scenes with coplanar centres: tests/test_tracker.py's
+# test_coplanar_centres_fall_back_to_tracking's, and one with mirror
+# symmetry, whose tracking lists 8 lines of root bound 12
+COPLANAR = [("coplanar-fallback", [((33, -38, 0), 52), ((-1, -61, 0), 62),
+                                   ((-9, 40, 0), 33), ((-18, 35, 0), 26)], 3),
+            ("coplanar-mirror", [((0, 0, 0), 40), ((64, 0, 0), 40), ((0, 64, 0), 40),
+                                 ((64, 64, 0), 50)], 3)]
 DOUBLING_MISS = ["doubling", "--radii", "1,1,1,1", "--seed", "3"]
 # (directory, scene count, centre shift) of each sweep
 SWEEPS = [("sweep", 350, (0, 0, 0)), ("sweep-shifted", 100, (100, 100, 0))]
+# the fourth condition of each three-sphere mix, and its scene count
+MIXES, MIX_SCENES = ("quadric", "line"), 100
 # a known scene's program seed, so a run can check that it draws the sweep
 KNOWN_SEED = (64, 1548815776)
 # (power of ten scaling Q1, program seeds) of each hard set
@@ -163,10 +181,31 @@ def sweep_scene(i: int, shift) -> tuple[list, int]:
     for _ in range(4):
         m = workloads.random_sphere(rng)
         c = [d - x for x, d in zip(m[0][1:], shift)]
-        r2 = sum(x * x for x in m[0][1:]) - m[0][0]
-        spheres.append([[sum(x * x for x in c) - r2, *(-x for x in c)]]
-                       + [[-c[k]] + [int(k == j) for j in range(3)] for k in range(3)])
+        spheres.append(sphere_matrix(c, sum(x * x for x in m[0][1:]) - m[0][0]))
     return spheres, rng.randrange(2 ** 31)
+
+
+def sphere_matrix(c, r2) -> list:
+    """The matrix of the sphere |x - c|^2 = r2."""
+    return ([[sum(x * x for x in c) - r2, *(-x for x in c)]]
+            + [[-c[k]] + [int(k == j) for j in range(3)] for k in range(3)])
+
+
+def mix_scene(kind: str, i: int) -> tuple[dict, int]:
+    """Mix scene i of ``kind`` and its program seed: three perfbench
+    spheres, then a random quadric, or the line through two points drawn
+    as ``random_sphere`` draws centres."""
+    rng = random.Random(f"mix-{kind}/{i}")
+    matrices = [workloads.random_sphere(rng) for _ in range(3)]
+    if kind == "quadric":
+        scene = workloads.scene_dict(matrices + [workloads.random_symmetric(rng)])
+    else:
+        points = [[1] + [Fraction(rng.randint(-64, 64), 32) for _ in range(3)]
+                  for _ in range(2)]
+        scene = workloads.scene_dict(matrices)
+        scene["flats"] = [{"label": "L1", "kind": "span",
+                           "matrix": [list(map(workloads.encode, row)) for row in zip(*points)]}]
+    return scene, rng.randrange(2 ** 31)
 
 
 def hard_scene(family: str, i: int, power: int) -> list:
@@ -218,6 +257,10 @@ def fixed_set() -> list[int]:
                      int(op.argv[op.argv.index("--seed") + 1])))
     runs += [(f"{prefix}-seed-{seed}", workloads.scene_dict(hard_scene(family, i, -6)), seed)
              for prefix, family, i, seed in EXIT_RULE_SCALED]
+    runs += [(name, workloads.scene_dict([sphere_matrix([Fraction(x, 32) for x in c],
+                                                        Fraction(r, 32) ** 2)
+                                          for c, r in spheres]), seed)
+             for name, spheres, seed in COPLANAR]
     for name, scene, seed in runs:
         stem = f"exit-rule/{name}"
         codes.append(track_run(stem, scene, seed))
@@ -238,16 +281,17 @@ def fixed_set() -> list[int]:
 
 
 def scene_set(name: str, header: str, runs) -> list[int]:
-    """Run `track` on each (scene, matrices, program seed) of ``runs`` into
-    directory ``name`` and write its ``summary.txt``; returns the exit codes."""
+    """Run `track` on each (scene index, scene dict, program seed) of
+    ``runs`` into directory ``name`` and write its ``summary.txt``; returns
+    the exit codes."""
     Path(name).mkdir()
     lines = [f"# {header}, MAX_STEPS {tracker.MAX_STEPS}",
              f"scene seed lines bound {' '.join(TALLY)} mean longest exit"]
     codes, longest, totals = [], [], Counter()
     complete = losing = silent = over = 0
-    for i, matrices, seed in runs:
+    for i, scene, seed in runs:
         stem = f"{name}/scene-{i}"
-        codes.append(code := track_run(stem, workloads.scene_dict(matrices), seed))
+        codes.append(code := track_run(stem, scene, seed))
         cert = json.loads(Path(f"{stem}.cert.json").read_text())
         steps = [json.loads(line)["steps"]
                  for line in Path(f"{stem}.paths.jsonl").read_text().splitlines()]
@@ -294,14 +338,21 @@ def gate(tree: Path, outdir: Path) -> int:
     os.chdir("..")
     for name, scenes, shift in SWEEPS:
         sets[name] = scene_set(name, f"sweep scenes 0..{scenes - 1}, centres shifted by "
-                               f"{shift}", ((i, *sweep_scene(i, shift)) for i in range(scenes)))
+                               f"{shift}", ((i, workloads.scene_dict(spheres), seed)
+                                            for i in range(scenes)
+                                            for spheres, seed in [sweep_scene(i, shift)]))
+    for kind in MIXES:
+        sets[f"mix-{kind}"] = scene_set(
+            f"mix-{kind}", f"mix scenes 0..{MIX_SCENES - 1}, three spheres and a {kind}",
+            ((i, *mix_scene(kind, i)) for i in range(MIX_SCENES)))
     budget = tracker.MAX_STEPS
     for family, (power, seeds) in itertools.product(("quadric", "sphere"), SCALES):
         tracker.MAX_STEPS = SCALED_UP_STEPS if power > 0 else budget
         sets[f"hard-{family}-1e{power}"] = scene_set(
             f"hard-{family}-1e{power}",
             f"{family} scenes 0..9, Q1 x 10^{power}, seeds {seeds[0]}..{seeds[-1]}",
-            ((i, hard_scene(family, i, power), seed) for i in range(10) for seed in seeds))
+            ((i, workloads.scene_dict(hard_scene(family, i, power)), seed)
+             for i in range(10) for seed in seeds))
     tracker.MAX_STEPS = budget
     perfbench_counters(tree)
     for name, codes in sets.items():
