@@ -33,7 +33,7 @@ target_params = TetraParams.of("1/10", "1/20")
 system = target_params.conditions  # the family's four tangencies, compiled
 result = solve_tangency(system, seed=7)  # starts from the closed form
 print(f"{result.converged_count}/32 paths converged; "
-      f"max endpoint residual {result.max_residual():.2e}")
+      f"max endpoint residual {max(p.residual for p in result.distinct_paths):.2e}")
 
 closed_form = [s.numeric() for s in enumerate_tangents(target_params)]
 print(f"{agreeing(result.endpoints, closed_form)}/32 endpoints agree with "

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -100,11 +101,12 @@ def encode_complex(z) -> object:
 
 
 def decode_complex(v) -> complex:
-    if _is_json_number(v):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2 and all(map(_is_json_number, v)):
-        return complex(v[0], v[1])
-    raise SceneFormatError(f"expected a number or [re, im] pair, got {v!r}")
+    """A JSON number or [re, im] pair of them, each within float range: not
+    the NaN or Infinity that Python's json reads, nor a larger integer."""
+    parts = v if isinstance(v, list) and len(v) == 2 else [v]
+    if all(_is_json_number(x) and abs(x) <= sys.float_info.max for x in parts):
+        return complex(*parts)
+    raise SceneFormatError(f"expected a finite number or [re, im] pair, got {v!r}")
 
 
 def _objects(value, what: str) -> list[dict]:
@@ -490,7 +492,8 @@ def write_text(path, text: str) -> None:
 
 
 def write_json(path, obj) -> None:
-    write_text(path, json.dumps(obj, indent=2, allow_nan=False))
+    """Write ``obj`` as one JSON line, by json's C encoder (an ``indent`` bypasses it)."""
+    write_text(path, json.dumps(obj, allow_nan=False))
 
 
 def read_json(path) -> dict:

@@ -635,10 +635,6 @@ class TrackResult:
         """``classify_real`` of the ``endpoints`` stack, one flag per row."""
         return classify_real(self.endpoints)
 
-    def max_residual(self) -> float:
-        res = [p.residual for p in self.paths if p.converged]
-        return max(res) if res else float("inf")
-
 
 class TrackBatch(list):
     """The results of systems solved in one batch, in order."""

@@ -333,14 +333,14 @@ def test_criterion_8_random_scene_robustness(announce):
         res = solve_tangency(LineConditions.compile(enumerate(conds)),
                              seed=scene_idx)
         rep = res.reality()
+        worst = max((p.residual for p in res.distinct_paths), default=float("inf"))
         ok = (res.converged_count == 32
               and len(res.endpoints) == 32
-              and res.max_residual() < 1e-10
+              and worst < 1e-10
               and rep.nonreal_count % 2 == 0
               and not rep.unpaired)
         if not ok:
-            failures.append((scene_idx, res.converged_count,
-                             res.max_residual(), rep.nonreal_count))
+            failures.append((scene_idx, res.converged_count, worst, rep.nonreal_count))
     if failures:
         print("failing scenes:", failures)
     assert len(failures) == 0, f"{len(failures)} of 100 scenes failed"

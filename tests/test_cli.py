@@ -839,6 +839,14 @@ def _forge_nan_coordinates(cert):
     cert["solutions"][0]["plucker"]["coords"]["01"] = float("nan")
 
 
+def _forge_infinite_imaginary_part(cert):
+    cert["solutions"][0]["plucker"]["coords"]["01"] = [0.5, float("inf")]
+
+
+def _forge_integer_past_float_range(cert):
+    cert["solutions"][0]["plucker"]["coords"]["01"] = 10 ** 400
+
+
 def _forge_nonreal_flagged_real(cert):
     # (1/5, 1/5) has 16 real and 16 nonreal lines: claim 32 real
     for sol in cert["solutions"]:
@@ -978,12 +986,16 @@ FORGED_ISSUE = {_forge_line_in_p4: "solution 3: unreadable solution",
                 _forge_missing_index: "solution 0: index None is not its position 0",
                 _forge_null_scene_hash: "scene hash does not match embedded scene",
                 _forge_bool_coordinate: "solution 0: unreadable solution",
+                _forge_nan_coordinates: "solution 0: unreadable solution",
+                _forge_infinite_imaginary_part: "solution 0: unreadable solution",
+                _forge_integer_past_float_range: "solution 0: unreadable solution",
                 **{forge: "declared tolerances" for forge in FORGED_TOLERANCES}}
 
 
 @pytest.mark.parametrize("forge", [
     _forge_arbitrary_coordinates, _forge_trimmed, _forge_repeated_solution,
-    *FORGED_TOLERANCES, _forge_nan_coordinates, _forge_nonreal_flagged_real,
+    *FORGED_TOLERANCES, _forge_nan_coordinates, _forge_infinite_imaginary_part,
+    _forge_integer_past_float_range, _forge_nonreal_flagged_real,
     _forge_nonreal_count, _forge_params, _forge_params_of_other_scene,
     _forge_lines_at_infinity, _forge_line_in_p4, _forge_point_in_p3,
     _forge_real_flag_as_string, _forge_nonreal_flag_as_number, _forge_unknown_count,
@@ -1006,6 +1018,20 @@ def test_verify_rejects_forged_certificate(capsys, tmp_path, forge):
     code, out, _ = run(capsys, "verify", str(cert_path))
     assert code == 4 and out.startswith("FAIL")
     assert FORGED_ISSUE.get(forge, "") in out
+
+
+def test_verify_reads_a_nan_coordinate_without_warnings(capsys, tmp_path):
+    # json reads the literal NaN; verify reports the solution unreadable and
+    # writes nothing on stderr (no numpy warning from normalizing it)
+    cert_path = tmp_path / "cert.json"
+    run(capsys, "tetra", "1/10", "1/20", "--output", str(cert_path))
+    cert = json.loads(cert_path.read_text())
+    _forge_nan_coordinates(cert)
+    cert_path.write_text(json.dumps(cert))
+    proc = subprocess.run([sys.executable, "-m", "quadtangents", "verify", str(cert_path)],
+                          capture_output=True, text=True, env=source_env())
+    assert proc.returncode == 4 and proc.stderr == ""
+    assert "solution 0: unreadable solution" in proc.stdout
 
 
 def test_verify_derives_reality_from_coordinates(capsys, tmp_path):
@@ -1323,6 +1349,24 @@ def test_verify_names_a_scene_outside_p3(capsys, tmp_path):
     write_json(str(cert_path), cert)
     code, _, err = run(capsys, "verify", str(cert_path))
     assert code == 3 and "needs a scene in P^3" in err
+
+
+def test_write_json_writes_one_compact_line(capsys, tmp_path):
+    # json's C encoder, which an indent would bypass: the text is
+    # json.dumps's, one line that reads back equal
+    obj = {"a": [1, 2.5, [0.1, -3e-17]], "b": {"c": None, "d": "1/3", "e": True}}
+    path = tmp_path / "obj.json"
+    write_json(str(path), obj)
+    text = path.read_text()
+    assert text == json.dumps(obj, allow_nan=False) + "\n" and text.count("\n") == 1
+    assert json.loads(text) == obj
+    write_json("-", obj)
+    assert capsys.readouterr().out == text
+    with pytest.raises(ValueError):
+        write_json(str(tmp_path / "nan.json"), {"x": float("nan")})
+    cert_path = tmp_path / "cert.json"
+    assert run(capsys, "tetra", "1/10", "1/20", "--output", str(cert_path))[0] == 0
+    assert len(cert_path.read_text().splitlines()) == 1
 
 
 # -- certificate schema ---------------------------------------------------------

@@ -225,7 +225,7 @@ def test_random_real_scene_counts():
     res = solve_tangency(random_quadric_system(12), seed=12)
     assert res.converged_count == 32
     assert len(res.endpoints) == 32
-    assert res.max_residual() < 1e-10
+    assert max(p.residual for p in res.distinct_paths) < 1e-10
     rep = res.reality()
     assert rep.real_count + rep.nonreal_count == 32
     assert rep.nonreal_count % 2 == 0 and not rep.unpaired

@@ -33,8 +33,11 @@ command lines name files relative to OUTDIR (``fixed/``'s relative to
   tetra start (``COPLANAR``: 12 lines, exit 0; and a mirror-symmetric
   scene, 8 lines, exit 4); ``doubling --radii 1,1,1,1 --seed 3`` as a
   table and as JSON, whose cylinders are too wide for stages 3 and 4
-  (exit 4); and ``track`` on a scene whose Q1 has rank 1 (exit 3).  Every
-  ``track`` also writes its ``--path-log``.
+  (exit 4); ``track`` on a scene whose Q1 has rank 1 (exit 3); and the
+  JSON of the commands that take no scene (``SCENELESS``): ``counts 1 3``
+  and ``counts --table``, and ``transversals`` of the tetrahedron and of
+  the moment curve at 0, 1, 2, 3.  Every ``track`` also writes its
+  ``--path-log``.
 - ``sweep/`` and ``sweep-shifted/``: the sphere sweeps.  Scene i draws
   four spheres from ``random.Random(f"sweep/{i}")`` with perfbench's
   ``random_sphere``, then its program seed; the sweeps are scenes 0..349,
@@ -118,6 +121,11 @@ COPLANAR = [("coplanar-fallback", [((33, -38, 0), 52), ((-1, -61, 0), 62),
             ("coplanar-mirror", [((0, 0, 0), 40), ((64, 0, 0), 40), ((0, 64, 0), 40),
                                  ((64, 64, 0), 50)], 3)]
 DOUBLING_MISS = ["doubling", "--radii", "1,1,1,1", "--seed", "3"]
+# (record name, argv) of the commands that take no scene, each writing JSON
+SCENELESS = [("counts/single", ["counts", "1", "3", "--format", "json"]),
+             ("counts/table", ["counts", "--table", "--format", "json"]),
+             ("transversals/tetrahedron", ["transversals", "--tetrahedron"]),
+             ("transversals/moment", ["transversals", "--moment", "0,1,2,3"])]
 # (directory, scene count, centre shift) of each sweep
 SWEEPS = [("sweep", 350, (0, 0, 0)), ("sweep-shifted", 100, (100, 100, 0))]
 # the fourth condition of each three-sphere mix, and its scene count
@@ -277,6 +285,9 @@ def fixed_set() -> list[int]:
     codes.append(record("input-error/rank-one.track", with_path_log(
         ["track", "--scene", "input-error/rank-one.scene.json",
          "--output", "input-error/rank-one.cert.json"], "input-error/rank-one")))
+    for name, argv in SCENELESS:
+        Path(name).parent.mkdir(exist_ok=True)
+        codes.append(record(name, argv))
     return codes
 
 
