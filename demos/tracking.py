@@ -32,7 +32,7 @@ def agreeing(first, second, tol=1e-9) -> int:
 target_params = TetraParams.of("1/10", "1/20")
 system = target_params.conditions  # the family's four tangencies, compiled
 result = solve_tangency(system, seed=7)  # starts from the closed form
-print(f"{result.converged_count}/32 paths converged; "
+print(f"{len(result.endpoints)}/32 paths converged; "
       f"max endpoint residual {max(p.residual for p in result.distinct_paths):.2e}")
 
 closed_form = [s.numeric() for s in enumerate_tangents(target_params)]

@@ -63,7 +63,6 @@ from .tetra32 import (
 )
 from .tracker import (
     DoublingResult,
-    TrackBatch,
     TrackResult,
     TrackedPath,
     doubling_experiment,

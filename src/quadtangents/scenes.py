@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exactnum import RatMatrix, rational, subsets
+from .exactnum import RatMatrix, ShapeError, rational, subsets
 from .grassmann import (
     DISTINCT_TOL,
     REAL_TOL,
@@ -219,12 +219,14 @@ class Scene:
         for i, q in enumerate(_objects(obj.get("quadrics", []), "scene quadrics")):
             label = q.get("label", f"Q{i + 1}")
             m = decode_matrix(q.get("matrix"))
-            if not m.is_symmetric:
-                raise SceneFormatError(f"quadric {label!r} matrix is not symmetric")
+            try:
+                quadric = Quadric(m, label=label)
+            except ShapeError as exc:
+                raise SceneFormatError(f"quadric {label!r} matrix is not symmetric") from exc
             if "n" in q and (not _is_json_int(q["n"]) or q["n"] != m.rows - 1):
                 raise SceneFormatError(f"quadric {label!r} declares n={q['n']!r} "
                                        f"but has a {m.rows}x{m.cols} matrix")
-            quadrics.append(Quadric(m, label=label))
+            quadrics.append(quadric)
         flats = []
         for i, f in enumerate(_objects(obj.get("flats", []), "scene flats")):
             label = f.get("label", f"L{i + 1}")

@@ -46,29 +46,23 @@ Pluecker form, both starts; building a homotopy from any other raises
 ValueError), so each point costs one real matmul of the start's and
 target's forms, stacked, against x viewed as (6, 2) real pairs; J, H and
 dH/dt follow elementwise.  The linear blocks enter only when some row of
-the batch is linear: four tangencies have none, and adding their zero
+the homotopy is linear: four tangencies have none, and adding their zero
 blocks would change no value, at most the sign of a zero.  H is weighted
 as (1 - t) gamma S + t T, never as gamma S + t (T - gamma S), which
 cancels as t -> 1 far from the origin.
 
-Tracking is lockstep: all paths of a batch -- one homotopy, or many with
-their own start and target systems -- advance together as one (P, 6) array
-with their own t, step size and counters, and every predictor stage,
-corrector iteration and polish iteration is one stacked 6x6 solve over the
-paths still live.  A round's rows are narrowed only when one of them fails
-or finishes; until then every stage and iteration reuses them as they are.
-The homotopies of a batch are stacked as (S, 72, 6) real forms and
-(S, 2, 6, 6) complex tensors; each path carries the index of its homotopy,
-and the paths of one homotopy stay together.  Tensors are gathered per path
-only while the live paths of a call span several homotopies (once a round,
-and again when rows are narrowed); paths of one homotopy, and so every
-batch of one, broadcast its tensors.  The stacked matmul (one small product
-per point, never one GEMM over all points) and the stacked solve reproduce
-the one-point arithmetic bit for bit, so each path keeps the steps and
-endpoint it would have alone, and its solve count unless a singular batch
-mate sends a stack to the one-by-one fallback of ``_solve``; a path leaves
-each loop as soon as it is done, and a singular Jacobian or non-finite
-prediction fails only its own path.
+Tracking is lockstep: all paths of a homotopy advance together as one
+(P, 6) array with their own t, step size and counters, and every predictor
+stage, corrector iteration and polish iteration is one stacked 6x6 solve
+over the paths still live, against the homotopy's tensors broadcast.  A
+round's rows are narrowed only when one of them fails or finishes; until
+then every stage and iteration reuses them as they are.  The stacked matmul
+(one small product per point, never one GEMM over all points) and the
+stacked solve reproduce the one-point arithmetic bit for bit, so each path
+keeps the steps and endpoint it would have alone, and its solve count
+unless a singular path sends a stack to the one-by-one fallback of
+``_solve``; a path leaves each loop as soon as it is done, and a singular
+Jacobian or non-finite prediction fails only its own path.
 
 Every path ends once, and its record (an immutable ``TrackedPath``) is built
 there; the cluster retrack only replaces a record by a new one.  A status is
@@ -139,7 +133,6 @@ import dataclasses
 import functools
 import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -237,58 +230,37 @@ class TrackedPath:
 
 @dataclass
 class _Homotopy:
-    """H(x,t) = (1-t) gamma S(x) + t T(x) for a stack of (start, target)
-    pairs of five-row ``LineConditions``, at a stack of points with one t
-    each, and each point's patch row v (the module docstring's moving
-    patch): row 5 of every Jacobian is v, and row 5 of H and dH/dt is 0.
+    """H(x,t) = (1-t) gamma S(x) + t T(x) for a start S and a target T,
+    five-row ``LineConditions`` each, at a stack of points with one t each,
+    and each point's patch row v (the module docstring's moving patch):
+    row 5 of every Jacobian is v, and row 5 of H and dH/dt is 0.
 
-    ``quad`` stacks each pair's real forms, with the zero patch row
-    appended, as one (72, 6) matrix, the rows of S's then of T's, so one
-    real matmul per point against x viewed as (6, 2) real pairs gives
-    A = S.quad x and B = T.quad x; everything else is elementwise.  ``lin``
-    holds (gamma S, T)'s, and ``scale`` and ``degree`` T's, for its
-    residual.  ``linear`` records whether any pair of the stack has a
-    linear row; without one, the all-zero ``lin`` blocks are never added,
-    which changes no value (at most the sign of a zero).  The tensors are
-    either broadcast over the points or hold one pair per point."""
+    ``quad`` stacks the real forms, with the zero patch row appended, as one
+    (72, 6) matrix, the rows of S's then of T's, so one real matmul per
+    point against x viewed as (6, 2) real pairs gives A = S.quad x and
+    B = T.quad x; everything else is elementwise.  ``lin`` holds
+    (gamma S, T)'s, and ``scale`` and ``degree`` T's, for its residual.
+    ``linear`` records whether S or T has a linear row; without one, the
+    all-zero ``lin`` blocks are never added, which changes no value (at most
+    the sign of a zero).  The tensors are broadcast over the points."""
 
-    quad: np.ndarray   # (..., 72, 6) real
-    lin: np.ndarray    # (..., 2, 6, 6) complex
+    quad: np.ndarray   # (72, 6) real
+    lin: np.ndarray    # (2, 6, 6) complex
     gamma: complex
-    scale: np.ndarray  # (..., 5) the target's
-    degree: np.ndarray  # (..., 5) the target's
+    scale: np.ndarray  # (5,) the target's
+    degree: np.ndarray  # (5,) the target's
     linear: bool
 
     @classmethod
-    def of(cls, pairs, gamma: complex) -> _Homotopy:
-        """The homotopies of (start, target) system pairs, stacked."""
-        quad = np.array([(s.quad, t.quad) for s, t in pairs])
+    def of(cls, start: LineConditions, target: LineConditions, gamma: complex) -> _Homotopy:
+        quad = np.array([start.quad, target.quad])
         if np.iscomplexobj(quad) and np.any(quad.imag):
             raise ValueError("quadratic forms must be real")
-        patch = [(0, 0), (0, 0), (0, 1), (0, 0)]  # row 5, the patch row, is 0
+        patch = [(0, 0), (0, 1), (0, 0)]  # row 5, the patch row, is 0
         quad = np.pad(quad.real, patch + [(0, 0)])
-        lin = np.pad(np.array([(gamma * s.lin, t.lin) for s, t in pairs], dtype=complex),
-                     patch)
-        return cls(quad.reshape(len(pairs), 72, 6), lin, gamma,
-                   np.array([t.scale for _, t in pairs]),
-                   np.array([t.degree for _, t in pairs]), bool(np.any(lin)))
-
-    def _take(self, index) -> _Homotopy:
-        return _Homotopy(self.quad[index], self.lin[index], self.gamma,
-                         self.scale[index], self.degree[index], self.linear)
-
-    def at(self, systems: np.ndarray) -> _Homotopy:
-        """The homotopy of points of the given pairs of the stack (grouped):
-        views of one pair's tensors, broadcast, when all points share it;
-        tensors gathered per point only when they span several."""
-        if systems.size and systems[0] == systems[-1]:
-            return self._take(systems[0])
-        return self._take(systems)
-
-    def rows(self, keep: np.ndarray) -> _Homotopy:
-        """The homotopy of the points ``keep`` (a mask) of those this one is
-        evaluated at: itself when its tensors are broadcast."""
-        return self if self.quad.ndim == 2 else self._take(keep)
+        lin = np.pad(np.array([gamma * start.lin, target.lin], dtype=complex), patch)
+        return cls(quad.reshape(72, 6), lin, gamma, target.scale, target.degree,
+                   bool(np.any(lin)))
 
     def _contract(self, x):
         """quad @ x per point, one stacked real matmul (never one GEMM over
@@ -305,7 +277,7 @@ class _Homotopy:
         s, u = (1 - t)[:, None, None], t[:, None, None]
         k = m = (s * self.gamma) * a + u * b
         if self.linear:
-            k = m + (s * self.lin[..., 0, :, :] + u * self.lin[..., 1, :, :])
+            k = m + (s * self.lin[0] + u * self.lin[1])
         jac = k + m
         jac[:, 5] = v
         return a, b, k, jac
@@ -321,7 +293,7 @@ class _Homotopy:
         a, b, _, jac = self._combine(x, t, v)
         d = b - self.gamma * a
         if self.linear:
-            d += self.lin[..., 1, :, :] - self.lin[..., 0, :, :]
+            d += self.lin[1] - self.lin[0]
         return jac, (d @ x[..., None])[..., 0]
 
     def residual(self, x, value):
@@ -377,7 +349,6 @@ def _predict(h: _Homotopy, x, t, step, solves, rows):
             stuck = ~solved
         if not solved.all():
             index, x, t, step, v, rows, *k = (a[solved] for a in (index, x, t, step, v, rows, *k))
-            h = h.rows(solved)
     k1, k2, k3, k4 = k
     pred[index] = x + (step / 6)[:, None] * (k1 + 2 * k2 + 2 * k3 + k4)
     return pred, stuck
@@ -399,7 +370,6 @@ def _correct(h: _Homotopy, x, t, v, solves, rows, live):
             if not live.any():
                 break
             index, x, t, v, rows = (a[live] for a in (index, x, t, v, rows))
-            h = h.rows(live)
         jac, value = h.newton(x, t, v)
         dx, live = _solve(jac, -value, solves, rows)
         x = x + dx
@@ -414,7 +384,7 @@ def _correct(h: _Homotopy, x, t, v, solves, rows, live):
     return out, ok, first
 
 
-def _polish(h: _Homotopy, x, system, rows, solves):
+def _polish(h: _Homotopy, x, rows, solves):
     """Newton on the target at t = 1 for the points ``rows`` (ascending),
     in place, until each one's residual (``_Homotopy.residual``) is below
     RESIDUAL_TOL, for at most ENDPOINT_ITERS iterations.  Returns
@@ -422,16 +392,15 @@ def _polish(h: _Homotopy, x, system, rows, solves):
     already within the tolerance is left as it is, so polishing again
     changes no bit."""
 
-    def at_one(rows):  # the target's homotopy, Jacobian and value at x[rows]
-        hr = h.at(system[rows])
-        return (hr, *hr.newton(x[rows], np.ones(len(rows)), x[rows].conj()))
+    def at_one(rows):  # the target's Jacobian and value at x[rows]
+        return h.newton(x[rows], np.ones(len(rows)), x[rows].conj())
 
     live = rows
     for _ in range(ENDPOINT_ITERS):
         if not live.size:
             break
-        hl, jac, value = at_one(live)
-        far = ~(hl.residual(x[live], value) < RESIDUAL_TOL)
+        jac, value = at_one(live)
+        far = ~(h.residual(x[live], value) < RESIDUAL_TOL)
         live = live[far]
         if not live.size:
             break
@@ -441,7 +410,7 @@ def _polish(h: _Homotopy, x, system, rows, solves):
         x[live] += dx[ok]
     if not rows.size:
         return np.zeros(0), np.zeros(0)
-    hr, jac, value = at_one(rows)
+    jac, value = at_one(rows)
     try:
         cond = np.linalg.cond(jac)
     except np.linalg.LinAlgError:  # an SVD failed: only its row is inf
@@ -451,15 +420,13 @@ def _polish(h: _Homotopy, x, system, rows, solves):
                 cond[k] = np.linalg.cond(a)
             except np.linalg.LinAlgError:
                 pass
-    return hr.residual(x[rows], value), cond
+    return h.residual(x[rows], value), cond
 
 
-def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
-                    steps=(FIRST_STEP, MAX_STEP)) -> list[TrackedPath]:
+def _track_lockstep(h: _Homotopy, starts: np.ndarray, steps) -> list[TrackedPath]:
     """Track all start points together, one stacked solve per stage, with
-    ``steps`` = (first step, largest step).  Start i belongs to the
-    homotopy ``system[i]``; ``system`` is grouped (non-decreasing).  A
-    path's status is written once, where it ends."""
+    ``steps`` = (first step, largest step).  A path's status is written
+    once, where it ends."""
     first_step, max_step = steps
     n = len(starts)
     x = starts.copy()
@@ -488,9 +455,8 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
             break
         step[rows] = np.minimum(step[rows], 1.0 - t[rows])
         s, t0, x0 = step[rows], t[rows], x[rows]
-        hr = h.at(system[rows])
-        pred, stuck = _predict(hr, x0, t0, s, solves, rows)
-        corr, accept, error = _correct(hr, pred, t0 + s, x0.conj(), solves, rows,
+        pred, stuck = _predict(h, x0, t0, s, solves, rows)
+        corr, accept, error = _correct(h, pred, t0 + s, x0.conj(), solves, rows,
                                        np.all(np.isfinite(pred), axis=-1))
         steps[rows] += 1
         good, bad = rows[accept], rows[~accept]
@@ -531,7 +497,7 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
     # the arrivals at t = 1 end at their polish
     residual, cond = np.full(n, np.inf), np.full(n, np.inf)
     rows = np.flatnonzero(status == 0)
-    residual[rows], cond[rows] = _polish(h, x, system, rows, solves)
+    residual[rows], cond[rows] = _polish(h, x, rows, solves)
     status[rows] = np.where(residual[rows] < RESIDUAL_TOL, CONVERGED, MISSED)
     return [TrackedPath(status=STATUSES[code], steps=int(steps[i]), solves=int(solves[i]),
                         residual=float(residual[i]), cond=float(cond[i]),
@@ -539,53 +505,35 @@ def _track_lockstep(h: _Homotopy, starts: np.ndarray, system: np.ndarray,
             for i, code in enumerate(status.tolist())]
 
 
-def _track_batch(homotopies, seed: int) -> list[list[TrackedPath]]:
-    """Track each (start system, start solutions, target system) triple of
-    ``homotopies``, all paths of all of them as one lockstep batch, with
-    gamma drawn from ``seed``; every path takes the steps and reaches the
-    endpoint it would alone.
-
-    Starts are scaled to unit norm (an all-zero one is kept, and fails at
-    its first step).  Every path is tracked once, except endpoints of one
-    homotopy closer than the distinctness tolerance: those are tracked
-    again, together, with RETRACK_STEPS, and any that still coincide are
-    flagged as suspected path jumps
-    (``duplicate_of``, an index into the same homotopy's paths) rather than
-    silently counted as multiple solutions.
-    """
-    rng = np.random.default_rng(seed)
-    gamma = complex(np.exp(2j * np.pi * rng.random()))
-    h = _Homotopy.of([(start, target) for start, _, target in homotopies], gamma)
-    groups = [np.array(x, dtype=complex).reshape(len(x), 6) for _, x, _ in homotopies]
-    starts = _unit(np.concatenate(groups))
-    system = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
-    offsets = [0, *itertools.accumulate(len(g) for g in groups)]
-    spans = list(zip(offsets, offsets[1:]))
-    paths = _track_lockstep(h, starts, system, (FIRST_STEP, MAX_STEP))
-
-    def clusters():  # per homotopy: its offset, and a cluster of its paths
-        return [(lo, cluster) for lo, hi in spans
-                for cluster in _coincident_clusters(paths[lo:hi])]
-
-    first = clusters()
-    if first:
-        indices = sorted(lo + i for lo, cluster in first for i in cluster)
-        again = _track_lockstep(h, starts[indices], system[indices], RETRACK_STEPS)
-        for i, p in zip(indices, again):
-            paths[i] = dataclasses.replace(p, solves=p.solves + paths[i].solves)
-        for lo, (keep, *others) in clusters():
-            for i in others:
-                paths[lo + i] = dataclasses.replace(
-                    paths[lo + i], status="path-jump-suspected", duplicate_of=keep)
-    return [paths[lo:hi] for lo, hi in spans]
-
-
 def track(start: LineConditions, start_solutions, target: LineConditions,
           seed: int = 0) -> list[TrackedPath]:
     """Track every start solution of the five-row system ``start`` to
-    ``target``: a batch of one homotopy, its coinciding
-    endpoints re-tracked and deduplicated as ``_track_batch`` describes."""
-    return _track_batch([(start, start_solutions, target)], seed)[0]
+    ``target``, all paths as one lockstep batch, with gamma drawn from
+    ``seed``; every path takes the steps and reaches the endpoint it would
+    alone.
+
+    Starts are scaled to unit norm (an all-zero one is kept, and fails at
+    its first step).  Every path is tracked once, except endpoints closer
+    than the distinctness tolerance: those are tracked again, together,
+    with RETRACK_STEPS, and any that still coincide are flagged as
+    suspected path jumps (``duplicate_of``, the index of the path kept)
+    rather than silently counted as multiple solutions.
+    """
+    rng = np.random.default_rng(seed)
+    h = _Homotopy.of(start, target, complex(np.exp(2j * np.pi * rng.random())))
+    starts = _unit(np.reshape(np.array(start_solutions, dtype=complex), (-1, 6)))
+    paths = _track_lockstep(h, starts, (FIRST_STEP, MAX_STEP))
+    first = _coincident_clusters(paths)
+    if first:
+        indices = sorted(i for cluster in first for i in cluster)
+        again = _track_lockstep(h, starts[indices], RETRACK_STEPS)
+        for i, p in zip(indices, again):
+            paths[i] = dataclasses.replace(p, solves=p.solves + paths[i].solves)
+        for keep, *others in _coincident_clusters(paths):
+            for i in others:
+                paths[i] = dataclasses.replace(paths[i], status="path-jump-suspected",
+                                               duplicate_of=keep)
+    return paths
 
 
 def _coincident_clusters(paths: list[TrackedPath]) -> list[list[int]]:
@@ -609,7 +557,7 @@ def _coincident_clusters(paths: list[TrackedPath]) -> list[list[int]]:
 class TrackResult:
     conditions: LineConditions
     paths: list[TrackedPath]
-    start_policy: str        # "elimination", "tetra" or "total-degree"
+    start_policy: str        # "elimination", "tetra", "total-degree" or "split"
     fallback: str | None = None  # why four spheres were tracked, not eliminated
 
     @property
@@ -627,27 +575,9 @@ class TrackResult:
         stack.flags.writeable = False
         return stack
 
-    @property
-    def converged_count(self) -> int:
-        return sum(1 for p in self.paths if p.converged)
-
     def reality(self) -> RealityReport:
         """``classify_real`` of the ``endpoints`` stack, one flag per row."""
         return classify_real(self.endpoints)
-
-
-class TrackBatch(list):
-    """The results of systems solved in one batch, in order."""
-
-    @property
-    def paths(self) -> list[TrackedPath]:
-        """Every path of the batch, system by system."""
-        return [p for result in self for p in result.paths]
-
-    @property
-    def endpoints(self) -> list[np.ndarray]:
-        """Every system's distinct endpoints, system by system."""
-        return [v for result in self for v in result.endpoints]
 
 
 # the closed-form start family, inside the region where all 32 lines are real
@@ -739,56 +669,50 @@ def _eliminate(conditions: LineConditions, seed: int) -> list[TrackedPath] | str
     # the line through (1, foot) and (0, d)
     moment = np.stack([foot[:, i] * d[:, j] - foot[:, j] * d[:, i]
                        for i, j in ((0, 1), (0, 2), (1, 2))], axis=1)
-    x = _unit(np.concatenate([d, moment], axis=1))
-    # one Newton step on the scene's own rows, as the corrector takes, then
-    # the polish of a path's endpoint: elimination leaves residuals near
-    # 1e-13, which the polish alone would keep
-    h, rows = _Homotopy.of([(conditions, conditions)], 1.0), np.arange(12)
-    solves, system = np.zeros(12, dtype=int), np.zeros(12, dtype=int)
-    jac, value = h.at(system).newton(x, np.ones(12), x.conj())
+    return _settle(conditions, _unit(np.concatenate([d, moment], axis=1)))
+
+
+def _settle(conditions: LineConditions, x) -> list[TrackedPath] | str:
+    """The lines of ``conditions`` at the unit-norm points ``x``, as
+    converged paths of no step: one Newton step on the system's own rows,
+    as the corrector takes, then the polish of a path's endpoint, since
+    lines computed in floats have residuals near 1e-13, which the polish
+    alone would keep.  Or, unless all of them are certified and distinct,
+    why not."""
+    n = len(x)
+    h, rows, solves = _Homotopy.of(conditions, conditions, 1.0), np.arange(n), np.zeros(n, int)
+    jac, value = h.newton(x, np.ones(n), x.conj())
     x = x + _solve(jac, -value, solves, rows)[0]
-    residual, cond = _polish(h, x, system, rows, solves)
+    residual, cond = _polish(h, x, rows, solves)
     if not np.all(residual < RESIDUAL_TOL):
         return "a polish missed"
     if close_pairs(x, DISTINCT_TOL):
-        return "fewer than 12 distinct lines"
+        return f"fewer than {n} distinct lines"
     return [TrackedPath("converged", 0, int(solves[i]), float(residual[i]), float(cond[i]), x[i])
-            for i in range(12)]
+            for i in range(n)]
 
 
-def solve_tangency(conditions: LineConditions | Sequence[LineConditions],
-                   seed: int = 0) -> TrackResult | TrackBatch:
-    """Solve a four-condition line system, or a sequence of them (a
-    ``TrackBatch``); each system's result is the one it gives alone.
+def solve_tangency(conditions: LineConditions, seed: int = 0) -> TrackResult:
+    """Solve a four-condition line system.
 
     Four spheres are solved by elimination ("elimination").  Other four
     tangencies, and four spheres where elimination falls back
     (``TrackResult.fallback`` says why), are tracked from the 32
     closed-form tangents of the start family ("tetra"); any other problem
-    from a total-degree start ("total-degree").  All the systems tracked
-    run as one lockstep batch.  ``TrackResult.start_policy`` names the
-    route.
+    from a total-degree start ("total-degree").  ``TrackResult.start_policy``
+    names the route; ``doubling_experiment``'s split stages are the one
+    other ("split").
     """
-    one = isinstance(conditions, LineConditions)
-    systems = [conditions] if one else list(conditions)
-    results, homotopies, tracked = [None] * len(systems), [], []
-    for k, c in enumerate(systems):
-        if len(c.labels) != 5:  # four conditions and the Pluecker row
-            raise ValueError("tracking needs exactly 4 conditions, "
-                             f"got {len(c.labels) - 1}")
-        lines = _eliminate(c, seed) if None not in c.spheres[:-1] else None
-        if isinstance(lines, list):
-            results[k] = TrackResult(c, lines, "elimination")
-            continue
-        policy = "tetra" if np.all(c.degree == 2) else "total-degree"
-        start, starts = tetra_start() if policy == "tetra" else total_degree_start(c)
-        homotopies.append((start, starts, c))
-        tracked.append((k, policy, lines))  # lines: None, or why elimination fell back
-    paths = _track_batch(homotopies, seed) if homotopies else []
-    for (k, policy, fallback), p in zip(tracked, paths):
-        results[k] = TrackResult(systems[k], p, policy, fallback)
-    batch = TrackBatch(results)
-    return batch[0] if one else batch
+    if len(conditions.labels) != 5:  # four conditions and the Pluecker row
+        raise ValueError("tracking needs exactly 4 conditions, "
+                         f"got {len(conditions.labels) - 1}")
+    lines = _eliminate(conditions, seed) if None not in conditions.spheres[:-1] else None
+    if isinstance(lines, list):
+        return TrackResult(conditions, lines, "elimination")
+    policy = "tetra" if np.all(conditions.degree == 2) else "total-degree"
+    start, starts = tetra_start() if policy == "tetra" else total_degree_start(conditions)
+    # lines: None, or why elimination fell back
+    return TrackResult(conditions, track(start, starts, conditions, seed), policy, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -845,15 +769,45 @@ class DoublingResult:
 AUTO_RADII = (Fraction(1, 10),) * 4
 
 
+def _split(lines, target: LineConditions, row: int, degenerate: np.ndarray,
+           radius: Fraction) -> TrackResult | None:
+    """The lines of ``target`` split from ``lines``, those of the system
+    that meets the axis of the cylinder of ``target``'s row ``row`` instead.
+
+    ``degenerate`` is that cylinder's form at radius 0, A (the incidence
+    with the axis, squared: rank 1), and its form at ``radius`` r is
+    exactly A + r^2 B.  Each line x0 meets the axis, a double root at
+    r = 0, and splits as x0 +- r lambda w: w spans the kernel of the
+    Jacobian of the other rows and the patch row conj(x0), and lambda^2 =
+    -x0^T B x0 / w^T A w.  The split points are settled on ``target``
+    (``_settle``) as converged paths of no step ("split"); None unless all
+    2 len(lines) of them are certified and distinct."""
+    r = float(radius)
+    b = (target.quad[row] - degenerate) / r ** 2
+    jac = 2 * (target.quad @ lines[:, None, :, None])[..., 0] + target.lin
+    jac[:, row] = lines.conj()
+    w = np.linalg.svd(jac)[2][:, -1].conj()
+    lam = np.sqrt(-np.einsum("ni,ij,nj->n", lines, b, lines)
+                  / np.einsum("ni,ij,nj->n", w, degenerate, w))
+    step = (r * lam)[:, None] * w
+    paths = _settle(target, _unit(np.stack([lines + step, lines - step], axis=1).reshape(-1, 6)))
+    return TrackResult(target, paths, "split") if isinstance(paths, list) else None
+
+
 def doubling_experiment(radii=AUTO_RADII, seed: int = 0) -> DoublingResult:
     """Replace incidence conditions by cylinder tangencies one at a time.
 
     Stage i surrounds the first i tetrahedron edge lines with distance-r_j
     cylinders and keeps incidence conditions on the rest; each tangency
     doubles the solution count, so small enough radii give 2, 4, 8, 16, 32
-    real lines at stages 0..4.  The four cylinder conditions are built
-    once, all stages are solved together in one lockstep batch with
-    ``seed``, and a stage that misses its target count is reported as it
+    real lines at stages 0..4.  The ladder follows the paper's
+    degeneration: at radius 0, tangency to a cylinder is meeting its axis,
+    counted twice, so each line of stage i splits into two of stage i + 1
+    (``_split``).  Stage 0 is tracked from its total-degree start with
+    ``seed``.  A later stage is split while every stage before it has all
+    its lines, certified and distinct, and the split gives all of its own;
+    from the first stage where that fails, each stage is tracked alone with
+    ``seed``.  A stage that misses its target count is reported as it
     stands (``misses``).
     """
     radii = [Fraction(r) for r in radii]
@@ -862,10 +816,18 @@ def doubling_experiment(radii=AUTO_RADII, seed: int = 0) -> DoublingResult:
     lines = regular_tetrahedron_lines()
     proj = [ln.to_projective() for ln in lines]
     cylinders = [TangentTo(cylinder(ln, r)) for ln, r in zip(lines, radii)]
+    axes = [TangentTo(cylinder(ln, 0)) for ln in lines]
     incidences = [Meets(p.dual()) for p in proj]
-    conditions = [LineConditions.compile(enumerate(cylinders[:stage] + incidences[stage:]))
-                  for stage in range(5)]
+    results, splitting = [], False
+    for stage in range(5):
+        conditions = LineConditions.compile(enumerate(cylinders[:stage] + incidences[stage:]))
+        result = (_split(results[-1].endpoints, conditions, stage - 1, axes[stage - 1].form(),
+                         radii[stage - 1]) if stage and splitting else None)
+        if result is None:
+            result = solve_tangency(conditions, seed)
+            splitting = stage == 0 and len(result.endpoints) == 2
+        results.append(result)
     rows = [DoublingRow(stage, 2 << stage, result.reality().real_count,
-                        result.converged_count, tuple(radii[:stage]))
-            for stage, result in enumerate(solve_tangency(conditions, seed))]
+                        len(result.endpoints), tuple(radii[:stage]))
+            for stage, result in enumerate(results)]
     return DoublingResult(rows, transversals_to_4_lines(proj).real_count)

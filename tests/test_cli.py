@@ -693,13 +693,14 @@ def zero_leading_coefficient(monkeypatch):
 
 def on_the_elimination_polish(change):
     """Wrap ``tracker._polish`` so that ``change(x, residual)`` acts on what
-    its call from ``_eliminate`` leaves, and on no other call."""
+    its call from ``_eliminate``'s ``_settle`` leaves, and on no other call
+    (``_split`` settles its lines through ``_settle`` too)."""
     def wrap(monkeypatch):
         polish = tracker._polish
 
         def wrapped(h, x, *args):
             residual, cond = polish(h, x, *args)
-            if sys._getframe(1).f_code is tracker._eliminate.__code__:
+            if sys._getframe(2).f_code is tracker._eliminate.__code__:
                 change(x, residual)
             return residual, cond
 

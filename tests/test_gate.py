@@ -28,18 +28,21 @@ def test_gate_runs_a_sweep_scene_through_track(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     matrices, seed = gate.sweep_scene(0, (0, 0, 0))
     scene = gate.workloads.scene_dict(matrices)
-    assert gate.scene_set("sweep", "sweep scene 0", [(0, scene, seed)]) == [0]
-    cert = json.loads(Path("sweep/scene-0.cert.json").read_text())
+    # a hard set runs each scene under several seeds: each run keeps its files
+    runs = [(0, scene, seed), (0, scene, seed + 1)]
+    assert gate.scene_set("sweep", "sweep scene 0", runs) == [0, 0]
+    assert len(list(Path("sweep").glob("scene-0-seed-*.cert.json"))) == 2
+    stem = f"sweep/scene-0-seed-{seed}"
+    cert = json.loads(Path(f"{stem}.cert.json").read_text())
     assert cert["counts"]["total"] == 12 and cert["metadata"]["root_bound"] == 12
-    assert cli.main(["verify", "sweep/scene-0.cert.json",
-                     "--scene", "sweep/scene-0.scene.json"]) == 0
+    assert cli.main(["verify", f"{stem}.cert.json", "--scene", f"{stem}.scene.json"]) == 0
     steps = [json.loads(line)["steps"]
-             for line in Path("sweep/scene-0.paths.jsonl").read_text().splitlines()]
+             for line in Path(f"{stem}.paths.jsonl").read_text().splitlines()]
     line = Path("sweep/summary.txt").read_text().splitlines()[2].split()
     assert line[:4] == ["0", str(seed), "12", "12"] and line[-1] == "0"
     assert int(line[-2]) == max(steps)
-    assert Path("sweep/scene-0.track.txt").read_text().startswith(
-        f"$ quadtangents track --scene sweep/scene-0.scene.json --seed {seed} ")
+    assert Path(f"{stem}.track.txt").read_text().startswith(
+        f"$ quadtangents track --scene {stem}.scene.json --seed {seed} ")
 
 
 @pytest.mark.parametrize("kind, lines, bound, at_infinity",
@@ -54,7 +57,7 @@ def test_gate_runs_a_mix_scene_through_track(tmp_path, monkeypatch, kind, lines,
     assert [len(scene["quadrics"]), len(scene["flats"])] == ([4, 0] if kind == "quadric"
                                                              else [3, 1])
     assert gate.scene_set(f"mix-{kind}", "mix scene 0", [(0, scene, seed)]) == [0]
-    cert = json.loads(Path(f"mix-{kind}/scene-0.cert.json").read_text())
+    cert = json.loads(Path(f"mix-{kind}/scene-0-seed-{seed}.cert.json").read_text())
     assert cert["metadata"]["start_policy"] == ("tetra" if kind == "quadric" else "total-degree")
     assert (cert["counts"]["total"], cert["metadata"]["root_bound"]) == (lines, bound)
     assert cert["metadata"]["paths"]["at_infinity"] == at_infinity

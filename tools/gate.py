@@ -59,7 +59,9 @@ command lines name files relative to OUTDIR (``fixed/``'s relative to
 
 Each scene of a sweep, mix or hard set is ``track --seed S --output ...
 --path-log ...`` on its scene file, and leaves ``NAME.scene.json``,
-``NAME.cert.json``, ``NAME.paths.jsonl`` and ``NAME.track.txt``.  The
+``NAME.cert.json``, ``NAME.paths.jsonl`` and ``NAME.track.txt``, where
+NAME is ``scene-I-seed-S`` for scene I: every run of a set keeps its own
+files, the ten seeds of a hard scene included.  The
 set's ``summary.txt`` has a header naming the set and its step budget,
 then one line per run:
 
@@ -301,7 +303,7 @@ def scene_set(name: str, header: str, runs) -> list[int]:
     codes, longest, totals = [], [], Counter()
     complete = losing = silent = over = 0
     for i, scene, seed in runs:
-        stem = f"{name}/scene-{i}"
+        stem = f"{name}/scene-{i}-seed-{seed}"
         codes.append(code := track_run(stem, scene, seed))
         cert = json.loads(Path(f"{stem}.cert.json").read_text())
         steps = [json.loads(line)["steps"]
