@@ -210,24 +210,22 @@ class TangentTo:
 class Meets:
     """Condition: the line meets the given line (dual Pluecker hyperplane)."""
 
-    flat: object  # DualFlat, ProjFlat, or length-6 dual coordinate vector
+    flat: ProjFlat | DualFlat
 
     degree = 1
 
     def coefficients(self) -> np.ndarray:
         f = self.flat
-        if isinstance(f, (ProjFlat, DualFlat)):
-            k = f.k if isinstance(f, ProjFlat) else f.n - f.hyperplanes.cols
-            if (k, f.n) != (1, 3):
-                raise ValueError("incidence condition needs a line in P^3, "
-                                 f"got a {k}-flat in P^{f.n}")
-            if isinstance(f, ProjFlat):
-                f = f.dual()
-            return np.array([complex(c) for c in dual_plucker(f).coords])
-        v = np.asarray(f, dtype=complex)
-        if v.shape != (6,):
-            raise ValueError("incidence condition needs 6 dual coordinates")
-        return v
+        if not isinstance(f, (ProjFlat, DualFlat)):
+            raise ValueError("incidence condition needs a line in P^3, "
+                             f"got {type(f).__name__}")
+        k = f.k if isinstance(f, ProjFlat) else f.n - f.hyperplanes.cols
+        if (k, f.n) != (1, 3):
+            raise ValueError("incidence condition needs a line in P^3, "
+                             f"got a {k}-flat in P^{f.n}")
+        if isinstance(f, ProjFlat):
+            f = f.dual()
+        return np.array([complex(c) for c in dual_plucker(f).coords])
 
 
 @dataclass(frozen=True, eq=False)

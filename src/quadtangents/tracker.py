@@ -738,7 +738,7 @@ class DoublingRow:
     """One stage of the ladder: a row of `doubling --format json`, field by field."""
 
     stage: int                 # number of incidence conditions replaced
-    target: int                # 2^stage * 2
+    target: int                # the stage's root bound, 2^stage * 2
     real: int                  # real lines found
     converged: int
     radii: tuple[Fraction, ...]
@@ -769,28 +769,24 @@ class DoublingResult:
 AUTO_RADII = (Fraction(1, 10),) * 4
 
 
-def _split(lines, target: LineConditions, row: int, degenerate: np.ndarray,
-           radius: Fraction) -> TrackResult | None:
-    """The lines of ``target`` split from ``lines``, those of the system
-    that meets the axis of the cylinder of ``target``'s row ``row`` instead.
+def _split(source: TrackResult, target: LineConditions, row: int) -> TrackResult | None:
+    """The lines of ``target`` split from those of ``source``, whose row
+    ``row`` is the incidence c with the axis of ``target``'s cylinder F.
 
-    ``degenerate`` is that cylinder's form at radius 0, A (the incidence
-    with the axis, squared: rank 1), and its form at ``radius`` r is
-    exactly A + r^2 B.  Each line x0 meets the axis, a double root at
-    r = 0, and splits as x0 +- r lambda w: w spans the kernel of the
-    Jacobian of the other rows and the patch row conj(x0), and lambda^2 =
-    -x0^T B x0 / w^T A w.  The split points are settled on ``target``
-    (``_settle``) as converged paths of no step ("split"); None unless all
-    2 len(lines) of them are certified and distinct."""
-    r = float(radius)
-    b = (target.quad[row] - degenerate) / r ** 2
-    jac = 2 * (target.quad @ lines[:, None, :, None])[..., 0] + target.lin
-    jac[:, row] = lines.conj()
-    w = np.linalg.svd(jac)[2][:, -1].conj()
-    lam = np.sqrt(-np.einsum("ni,ij,nj->n", lines, b, lines)
-                  / np.einsum("ni,ij,nj->n", w, degenerate, w))
-    step = (r * lam)[:, None] * w
-    paths = _settle(target, _unit(np.stack([lines + step, lines - step], axis=1).reshape(-1, 6)))
+    At radius 0, F is exactly A = q q^T, q = c / |(c_12, c_13, c_23)|: the
+    incidence, squared.  Each line x0 (q . x0 = 0) splits as x0 +- mu w: w
+    spans the kernel of the Jacobian of ``target``'s other rows and the
+    patch row conj(x0), and mu^2 = -x0^T F x0 / (q . w)^2.  The split
+    points are settled on ``target`` (``_settle``) as converged paths of no
+    step ("split"); None unless all of them are certified and distinct."""
+    x = source.endpoints
+    c = source.conditions.lin[row]
+    q = c / np.linalg.norm(c[3:])
+    jac = _Homotopy.of(target, target, 1.0).newton(x, np.ones(len(x)), x.conj())[0]
+    w = np.linalg.svd(np.delete(jac, row, axis=1))[2][:, -1].conj()
+    mu = np.sqrt(-np.einsum("ni,ij,nj->n", x, target.quad[row], x) / (w @ q) ** 2)
+    step = mu[:, None] * w
+    paths = _settle(target, _unit(np.stack([x + step, x - step], axis=1).reshape(-1, 6)))
     return TrackResult(target, paths, "split") if isinstance(paths, list) else None
 
 
@@ -802,8 +798,10 @@ def doubling_experiment(radii=AUTO_RADII, seed: int = 0) -> DoublingResult:
     doubles the solution count, so small enough radii give 2, 4, 8, 16, 32
     real lines at stages 0..4.  The ladder follows the paper's
     degeneration: at radius 0, tangency to a cylinder is meeting its axis,
-    counted twice, so each line of stage i splits into two of stage i + 1
-    (``_split``).  Stage 0 is tracked from its total-degree start with
+    counted twice, so each line x0 of stage i splits into two of stage
+    i + 1, x0 +- mu w with mu^2 = -x0^T F x0 / (q . w)^2 (``_split``; F is
+    the new cylinder's form, A = q q^T its form at radius 0, q its axis's
+    incidence row).  Stage 0 is tracked from its total-degree start with
     ``seed``.  A later stage is split while every stage before it has all
     its lines, certified and distinct, and the split gives all of its own;
     from the first stage where that fails, each stage is tracked alone with
@@ -816,18 +814,16 @@ def doubling_experiment(radii=AUTO_RADII, seed: int = 0) -> DoublingResult:
     lines = regular_tetrahedron_lines()
     proj = [ln.to_projective() for ln in lines]
     cylinders = [TangentTo(cylinder(ln, r)) for ln, r in zip(lines, radii)]
-    axes = [TangentTo(cylinder(ln, 0)) for ln in lines]
     incidences = [Meets(p.dual()) for p in proj]
     results, splitting = [], False
     for stage in range(5):
         conditions = LineConditions.compile(enumerate(cylinders[:stage] + incidences[stage:]))
-        result = (_split(results[-1].endpoints, conditions, stage - 1, axes[stage - 1].form(),
-                         radii[stage - 1]) if stage and splitting else None)
+        result = _split(results[-1], conditions, stage - 1) if stage and splitting else None
         if result is None:
             result = solve_tangency(conditions, seed)
             splitting = stage == 0 and len(result.endpoints) == 2
         results.append(result)
-    rows = [DoublingRow(stage, 2 << stage, result.reality().real_count,
+    rows = [DoublingRow(stage, result.conditions.root_bound, result.reality().real_count,
                         len(result.endpoints), tuple(radii[:stage]))
             for stage, result in enumerate(results)]
     return DoublingResult(rows, transversals_to_4_lines(proj).real_count)

@@ -280,7 +280,7 @@ def mixed_conditions(rng) -> LineConditions:
     return LineConditions.compile([
         ("dense", TangentTo(m[0] + m[0].T)),
         ("exact", TangentTo(Quadric.from_diagonal([F(1, 3), -1, 2, F(-7, 5)]))),
-        ("meets", Meets(rng.standard_normal(6) + 1j * rng.standard_normal(6))),
+        ("meets", Meets(ProjFlat.from_points(rng.integers(-9, 10, size=(2, 4)).tolist()))),
         ("other", TangentTo(m[1] + m[1].T))])
 
 
@@ -296,6 +296,12 @@ def test_residual_table_rows_have_the_one_vector_bits(n, dtype):
     assert table.shape == (n, 5) and table.dtype == np.abs(vectors).dtype
     for v, row in zip(vectors, table):
         assert np.array_equal(row, one_vector_residuals(conditions, v))
+
+
+@pytest.mark.parametrize("flat", [np.ones(6), [1, 0, 0, 0, 0, 1]])
+def test_meets_takes_only_a_line(flat):
+    with pytest.raises(ValueError, match="needs a line in P\\^3"):
+        Meets(flat).coefficients()
 
 
 def test_tangent_to_rounds_its_form_once(monkeypatch):

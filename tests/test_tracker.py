@@ -369,9 +369,9 @@ def test_doubling_builds_each_cylinder_once(monkeypatch):
 
     monkeypatch.setattr(tracker, "cylinder", counted)
     doubling_experiment([F(1, 10)] * 4, seed=6)
-    # stages 1..4 use 1 + 2 + 3 + 4 cylinders, on 4 distinct (line, radius),
-    # and each split the axis of one of them, its cylinder of radius 0
-    assert built == [F(1, 10)] * 4 + [0] * 4
+    # stages 1..4 use 1 + 2 + 3 + 4 cylinders, on 4 distinct (line, radius);
+    # a split reads its cylinder's radius-0 form from the axis's incidence row
+    assert built == [F(1, 10)] * 4
 
 
 def test_doubling_rounds_each_cylinder_form_once(monkeypatch):
@@ -384,9 +384,8 @@ def test_doubling_rounds_each_cylinder_form_once(monkeypatch):
 
     monkeypatch.setattr(quadrics, "tangency_form", counted)
     doubling_experiment([F(1, 10)] * 4, seed=6)
-    # the 10 cylinder tangencies of stages 1..4 share 4 compiled forms, and
-    # the 4 splits each round the form of one cylinder of radius 0
-    assert len(forms) == 8 and len({id(q) for q in forms}) == 8
+    # the 10 cylinder tangencies of stages 1..4 share 4 compiled forms
+    assert len(forms) == 4 and len({id(q) for q in forms}) == 4
 
 
 def test_doubling_explicit_radii():
@@ -823,10 +822,21 @@ def splits(monkeypatch):
     return returned
 
 
-@pytest.mark.parametrize("radius", [F(1, 10), F(1, 2)])
+def test_radius_zero_cylinder_form_is_the_squared_incidence():
+    # the split's A = q q^T, q the axis's incidence row over the norm of its
+    # last three coordinates, is the radius-0 cylinder's exact form, rounded
+    for ln in regular_tetrahedron_lines():
+        c = Meets(ln.to_projective().dual()).coefficients()
+        q = c / np.linalg.norm(c[3:])
+        form = TangentTo(cylinder(ln, 0)).form()
+        assert np.max(np.abs(form - np.outer(q, q))) <= 1e-15
+
+
+@pytest.mark.parametrize("radius", [F(1, 10), F(1, 2), F(1, 1000)])
 def test_split_stages_are_the_tracked_lines(splits, radius):
     # every stage after the tracked stage 0 is split from the one before, as
-    # converged paths of no step, onto the lines that tracking it finds
+    # converged paths of no step, onto the lines that tracking it finds; at
+    # radius 1/1000, (F - A) / r^2 in floats would have cancelled
     assert doubling_experiment([radius] * 4, seed=5).counts == [2, 4, 8, 16, 32]
     assert [r.start_policy for r in splits] == ["split"] * 4
     for result, conditions in zip(splits, doubling_stages(radius)[1:]):

@@ -33,11 +33,13 @@ command lines name files relative to OUTDIR (``fixed/``'s relative to
   tetra start (``COPLANAR``: 12 lines, exit 0; and a mirror-symmetric
   scene, 8 lines, exit 4); ``doubling --radii 1,1,1,1 --seed 3`` as a
   table and as JSON, whose cylinders are too wide for stages 3 and 4
-  (exit 4); ``track`` on a scene whose Q1 has rank 1 (exit 3); and the
-  JSON of the commands that take no scene (``SCENELESS``): ``counts 1 3``
-  and ``counts --table``, and ``transversals`` of the tetrahedron and of
-  the moment curve at 0, 1, 2, 3.  Every ``track`` also writes its
-  ``--path-log``.
+  (exit 4); ``doubling --seed 0 --format json`` at the radii
+  ``DOUBLING_RADII``: 1/1000 and (1/10, 1/2, 1/3, 1/5), split at every
+  stage (exit 0), and 3/4, whose stage 3 split misses (exit 4); ``track``
+  on a scene whose Q1 has rank 1 (exit 3); and the JSON of the commands
+  that take no scene (``SCENELESS``): ``counts 1 3`` and ``counts
+  --table``, and ``transversals`` of the tetrahedron and of the moment
+  curve at 0, 1, 2, 3.  Every ``track`` also writes its ``--path-log``.
 - ``sweep/`` and ``sweep-shifted/``: the sphere sweeps.  Scene i draws
   four spheres from ``random.Random(f"sweep/{i}")`` with perfbench's
   ``random_sphere``, then its program seed; the sweeps are scenes 0..349,
@@ -123,6 +125,12 @@ COPLANAR = [("coplanar-fallback", [((33, -38, 0), 52), ((-1, -61, 0), 62),
             ("coplanar-mirror", [((0, 0, 0), 40), ((64, 0, 0), 40), ((0, 64, 0), 40),
                                  ((64, 64, 0), 50)], 3)]
 DOUBLING_MISS = ["doubling", "--radii", "1,1,1,1", "--seed", "3"]
+# (record name, radii) of doubling ladders at seed 0 beyond --auto's, as
+# JSON: 1/1000, where (F - A) / r^2 in floats would cancel, and mixed
+# radii, each split at every stage (exit 0); and 3/4, where stage 3's split
+# misses and stages 3 and 4 are tracked (exit 4)
+DOUBLING_RADII = [("thin", "1/1000,1/1000,1/1000,1/1000"), ("mixed", "1/10,1/2,1/3,1/5"),
+                  ("wide", "3/4,3/4,3/4,3/4")]
 # (record name, argv) of the commands that take no scene, each writing JSON
 SCENELESS = [("counts/single", ["counts", "1", "3", "--format", "json"]),
              ("counts/table", ["counts", "--table", "--format", "json"]),
@@ -279,6 +287,10 @@ def fixed_set() -> list[int]:
     Path("doubling-miss").mkdir()
     codes.append(record("doubling-miss/table", DOUBLING_MISS))
     codes.append(record("doubling-miss/json", [*DOUBLING_MISS, "--format", "json"]))
+    Path("doubling-radii").mkdir()
+    codes += [record(f"doubling-radii/{name}",
+                     ["doubling", "--radii", radii, "--seed", "0", "--format", "json"])
+              for name, radii in DOUBLING_RADII]
     Path("input-error").mkdir()
     rng = random.Random("rank-one")
     scene = [workloads.diagonal([1, 0, 0, 0])] + [workloads.random_symmetric(rng)
