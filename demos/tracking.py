@@ -60,7 +60,7 @@ for v in result.endpoints:
     p = PluckerVector(1, 3, tuple(w))
     worst_rel = max(worst_rel, check_plucker_relations(p))
     for cond in conditions:
-        form = cond.form()
+        form = cond.form
         worst_tan = max(worst_tan, float(abs(w @ form @ w) / np.linalg.norm(form)))
 print(f"worst Pluecker residual {worst_rel:.2e}, worst tangency {worst_tan:.2e}")
 

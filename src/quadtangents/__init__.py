@@ -10,7 +10,6 @@ from .exactnum import (
     DimensionError,
     LinearSolution,
     RatMatrix,
-    Rational,
     ShapeError,
     Surd,
     det,

@@ -76,9 +76,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
+def _seed(text: str) -> int:
+    """--seed's type: an integer >= 0, the seeds numpy's generators take."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 # the options several subcommands share; each subcommand takes those it uses
 SHARED_OPTIONS = {
-    "--seed": {"type": int, "default": 0,
+    "--seed": {"type": _seed, "default": 0,
                "help": "seed for every random choice (default 0)"},
     "--format": {"choices": ("json", "csv"), "default": None,
                  "help": "certificate format (default json)"},

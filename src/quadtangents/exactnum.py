@@ -21,8 +21,6 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 
 class DimensionError(ValueError):
     """Matrix dimensions do not fit the requested operation."""

@@ -141,12 +141,8 @@ def is_tangent(q: Quadric, p: PluckerVector):
     if form.rows != len(p.coords):
         raise DimensionError("coordinate count does not match tangency form")
     if p.is_exact:
-        total = Fraction(0)
-        for i in range(form.rows):
-            row = form.row(i)
-            total = total + p.coords[i] * sum(
-                (row[j] * p.coords[j] for j in range(form.cols)), Fraction(0))
-        return total
+        return sum((p.coords[i] * form[i, j] * p.coords[j]
+                    for i in range(form.rows) for j in range(form.cols)), Fraction(0))
     m = form.to_numpy().astype(complex)
     v = np.asarray(p.coords, dtype=complex)
     return row_residuals(v @ m @ v, v, np.linalg.norm(m), 2)[0]
@@ -179,24 +175,21 @@ class TangentTo:
             exact = RatMatrix(4, 4, tuple(map(Fraction, entries)))
             object.__setattr__(self, "quadric", Quadric(exact))
 
+    @cached_property
     def form(self) -> np.ndarray:
         """The real 6x6 tangency form: the exact wedge^2 Q, rounded once.
         Computed once per condition and shared read-only."""
-        return self._form
-
-    @cached_property
-    def _form(self) -> np.ndarray:
         form = tangency_form(self.quadric, 1).to_numpy()
         form.flags.writeable = False
         return form
 
-    @property
+    @cached_property
     def sphere(self) -> tuple[tuple[Fraction, ...], Fraction] | None:
         """The exact centre c and squared radius r^2 of the sphere
         |x - c|^2 = r^2 when Q is a nonzero multiple k of [[|c|^2 - r^2,
         -c^T], [-c, I]] (scaled and imaginary-radius spheres included), else
         None.  Read from the exact entries, so from the numbers an array
-        gave, before any rounding."""
+        gave, before any rounding; computed once per condition."""
         rows = self.quadric.matrix.to_rows()
         k = rows[1][1] if len(rows) == 4 else 0
         if k == 0 or any(rows[i][j] != (k if i == j else 0)
@@ -214,7 +207,9 @@ class Meets:
 
     degree = 1
 
+    @cached_property
     def coefficients(self) -> np.ndarray:
+        """The incidence row, computed once per condition and shared read-only."""
         f = self.flat
         if not isinstance(f, (ProjFlat, DualFlat)):
             raise ValueError("incidence condition needs a line in P^3, "
@@ -225,7 +220,9 @@ class Meets:
                              f"got a {k}-flat in P^{f.n}")
         if isinstance(f, ProjFlat):
             f = f.dual()
-        return np.array([complex(c) for c in dual_plucker(f).coords])
+        coefficients = np.array([complex(c) for c in dual_plucker(f).coords])
+        coefficients.flags.writeable = False
+        return coefficients
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,22 +240,24 @@ class LineConditions:
 
     @classmethod
     def compile(cls, conditions) -> "LineConditions":
-        """Compile ``(label, TangentTo | Meets)`` pairs, in order."""
+        """Compile ``(label, TangentTo | Meets)`` pairs, in order; a row that
+        holds on every line (its coefficients all zero) is a ValueError."""
         conditions = list(conditions)
         m = len(conditions) + 1
         quad = np.zeros((m, 6, 6))
         lin = np.zeros((m, 6), dtype=complex)
         scale, degree, spheres = np.ones(m), np.full(m, 2), [None] * m
-        for i, (_, cond) in enumerate(conditions):
+        for i, (label, cond) in enumerate(conditions):
             if not isinstance(cond, (TangentTo, Meets)):
                 raise TypeError("conditions must be TangentTo or Meets")
             if cond.degree == 2:
-                quad[i] = cond.form()
-                scale[i] = np.linalg.norm(quad[i])
-                spheres[i] = cond.sphere
+                quad[i], spheres[i] = cond.form, cond.sphere
             else:
-                lin[i] = cond.coefficients()
-                scale[i] = np.linalg.norm(lin[i])
+                lin[i] = cond.coefficients
+            scale[i] = np.linalg.norm(quad[i] if cond.degree == 2 else lin[i])
+            if scale[i] == 0:
+                raise ValueError(f"condition {label} holds on every line: "
+                                 "its coefficients are all zero")
             degree[i] = cond.degree
         quad[-1] = PLUCKER_FORM
         labels = tuple(label for label, _ in conditions) + ("plucker",)

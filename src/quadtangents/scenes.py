@@ -176,18 +176,11 @@ class Scene:
 
     @cached_property
     def conditions(self) -> LineConditions:
-        """Tangency to every quadric and incidence with every flat, compiled
-        once.  A row whose coefficients are all zero (a tangency to a quadric
-        of rank <= 1, whose wedge^2 Q vanishes) holds on every line: a
-        ValueError naming its condition."""
-        conditions = LineConditions.compile(
+        """Every quadric's tangency and every flat's incidence, compiled once
+        (``LineConditions.compile`` rejects a row holding on every line)."""
+        return LineConditions.compile(
             [(f"tangency_{q.label}", TangentTo(q)) for q in self.quadrics]
             + [(f"incidence_{label}", Meets(f)) for label, f in self.flats])
-        for label, scale in zip(conditions.labels, conditions.scale.tolist()):
-            if scale == 0:
-                raise ValueError(f"condition {label} holds on every line: "
-                                 "its coefficients are all zero")
-        return conditions
 
     def to_dict(self) -> dict:
         flats = []
@@ -398,9 +391,9 @@ def verify_certificate(obj: dict,
     as ``reality_count``.
     A missing or mistyped field (``seed`` is an integer or null), or a
     scene not in P^3, raises SceneFormatError; a scene condition that holds
-    on every line (``Scene.conditions``), ValueError; degenerate ``params``,
-    DegeneracyError.  ``generator``, the rest of ``metadata`` and solution
-    extras are not read.
+    on every line (``LineConditions.compile``), ValueError; degenerate
+    ``params``, DegeneracyError.  ``generator``, the rest of ``metadata``
+    and solution extras are not read.
     """
     if not isinstance(obj, dict) or obj.get("schema") != CERTIFICATE_SCHEMA:
         raise SceneFormatError(

@@ -138,6 +138,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .exactnum import rational
 from .grassmann import (
     DISTINCT_TOL,
     RESIDUAL_TOL,
@@ -808,7 +809,7 @@ def doubling_experiment(radii=AUTO_RADII, seed: int = 0) -> DoublingResult:
     ``seed``.  A stage that misses its target count is reported as it
     stands (``misses``).
     """
-    radii = [Fraction(r) for r in radii]
+    radii = [rational(r) for r in radii]
     if len(radii) != 4 or any(r <= 0 for r in radii):
         raise ValueError("need four cylinder radii > 0")
     lines = regular_tetrahedron_lines()

@@ -1290,6 +1290,84 @@ def test_track_names_a_flat_that_is_not_a_line_in_p3(capsys, tmp_path, flat, mes
     assert code == 3 and message in err
 
 
+def tetra_scene_dict() -> dict:
+    return Scene(3, quadrics=list(family(TetraParams.of(F(1, 10), F(1, 10))))).to_dict()
+
+
+def _scene_not_an_object(scene):
+    return [scene]
+
+
+def _scene_duplicate_labels(scene):
+    scene["quadrics"][1]["label"] = "Q1"
+
+
+def _scene_asymmetric_quadric(scene):
+    scene["quadrics"][0]["matrix"][0][1] = "7"
+
+
+def _scene_plane_flat(scene):
+    scene["flats"] = [{"label": "P", "kind": "plane", "matrix": LINE}]
+
+
+def _scene_matrix_five(scene):
+    scene["quadrics"][0]["matrix"] = 5
+
+
+def _scene_matrix_empty(scene):
+    scene["quadrics"][0]["matrix"] = []
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_scene_not_an_object, "scene must be a JSON object"),
+    (_scene_duplicate_labels, "scene labels must be unique"),
+    (_scene_asymmetric_quadric, "quadric 'Q1' matrix is not symmetric"),
+    (_scene_plane_flat, "flat 'P' has unknown kind 'plane'"),
+    (_scene_matrix_five, "bad matrix: 'int' object is not iterable"),
+    (_scene_matrix_empty, "bad matrix: list index out of range"),
+], ids=["not-an-object", "duplicate-labels", "asymmetric-quadric", "plane-flat",
+        "matrix-five", "matrix-empty"])
+def test_track_names_a_malformed_scene(capsys, tmp_path, edit, message):
+    scene = tetra_scene_dict()
+    scene = edit(scene) or scene
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps(scene))
+    code, out, err = run(capsys, "track", "--scene", str(scene_path))
+    assert code == 3 and out == "" and err == f"input error: {message}\n"
+
+
+def test_track_names_a_scene_file_that_is_not_json(capsys, tmp_path):
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text("{not json")
+    code, out, err = run(capsys, "track", "--scene", str(scene_path))
+    assert code == 3 and out == "" and err.startswith(f"input error: invalid JSON in {scene_path}")
+
+
+def test_scene_matrix_numbers_decode_exactly():
+    # a JSON number is read at its exact value: 0.5 is 1/2, and 0.05 is the
+    # binary double nearest 1/20, not 1/20
+    scene = tetra_scene_dict()
+    scene["quadrics"][0]["matrix"][0][0] = 0.5
+    scene["quadrics"][0]["matrix"][3][3] = 0.05
+    rows = Scene.from_dict(scene).quadrics[0].matrix.to_rows()
+    assert rows[0][0] == F(1, 2)
+    assert rows[3][3] == F(0.05) == F(3602879701896397, 72057594037927936) != F(1, 20)
+
+
+def test_track_and_verify_a_scene_of_dual_flats(capsys, tmp_path):
+    # each edge line given by two planes through it: the scene file holds
+    # "dual" flats, and track and verify --scene read it back
+    lines = [ln.to_projective().dual() for ln in regular_tetrahedron_lines()]
+    scene_path = make_scene_file(
+        tmp_path, "dual.json", Scene(3, flats=[(f"L{i}", ln) for i, ln in enumerate(lines, 1)]))
+    assert {f["kind"] for f in json.loads(Path(scene_path).read_text())["flats"]} == {"dual"}
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "track", "--scene", scene_path, "--output", str(cert_path))
+    assert code == 0 and json.loads(cert_path.read_text())["counts"]["total"] == 2
+    code, out, _ = run(capsys, "verify", str(cert_path), "--scene", scene_path)
+    assert code == 0 and out.startswith("PASS")
+
+
 # a certificate field replaced by a value of the wrong JSON type
 MALFORMED = {
     "solution-entry": (("solutions", 0), "x"),
@@ -1350,6 +1428,34 @@ def test_verify_names_a_scene_outside_p3(capsys, tmp_path):
     write_json(str(cert_path), cert)
     code, _, err = run(capsys, "verify", str(cert_path))
     assert code == 3 and "needs a scene in P^3" in err
+
+
+def _drop_counts(cert):
+    del cert["counts"]
+
+
+def _drop_a_coordinate(cert):
+    del cert["solutions"][0]["plucker"]["coords"]["01"]
+
+
+def _drop_the_solutions(cert):
+    cert["solutions"] = []
+    cert["counts"] = {"total": 0, "real": 0, "nonreal": 0}
+
+
+@pytest.mark.parametrize("edit, code, message", [
+    (_drop_counts, 3, "input error: certificate misses field 'counts'"),
+    (_drop_a_coordinate, 4, "solution 0: unreadable solution: bad Pluecker vector: '01'"),
+    (_drop_the_solutions, 4, "closed-form certificate lists 0 of 32 lines"),
+], ids=["counts", "coordinate", "solutions"])
+def test_verify_names_a_certificate_missing_a_part(capsys, tmp_path, edit, code, message):
+    cert_path = tmp_path / "cert.json"
+    run(capsys, "tetra", "1/10", "1/20", "--output", str(cert_path))
+    cert = json.loads(cert_path.read_text())
+    edit(cert)
+    cert_path.write_text(json.dumps(cert))
+    got, out, err = run(capsys, "verify", str(cert_path))
+    assert got == code and message in (out if code == 4 else err)
 
 
 def test_write_json_writes_one_compact_line(capsys, tmp_path):
@@ -1525,6 +1631,33 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["counts", "--bogus"])
     assert exc.value.code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["tetra", "1/10", "1/20"], ["track", "--scene", "s.json"], ["doubling"]],
+    ids=lambda argv: argv[0])
+def test_a_negative_seed_is_a_usage_error(capsys, argv):
+    # numpy's generators take seeds >= 0, and every command shares one domain
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-1"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 3 and "argument --seed: expected an integer >= 0, got '-1'" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["counts", "1"], "counts needs k and n (or --table)"),
+    (["tetra", "1/10"], "tetra needs alpha and beta"),
+    (["transversals", "--moment", "0,1,2"], "--moment needs four curve parameters")],
+    ids=["counts", "tetra", "transversals"])
+def test_a_missing_argument_is_an_input_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and err == f"input error: {message}\n"
+
+
+def test_track_names_a_scene_outside_p3(capsys, tmp_path):
+    scene = Scene(4, quadrics=[Quadric(RatMatrix.identity(5))] * 4)
+    code, out, err = run(capsys, "track", "--scene", make_scene_file(tmp_path, "p4.json", scene))
+    assert code == 3 and out == "" and err == "input error: tracking requires a scene in P^3\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -301,24 +301,46 @@ def test_residual_table_rows_have_the_one_vector_bits(n, dtype):
 @pytest.mark.parametrize("flat", [np.ones(6), [1, 0, 0, 0, 0, 1]])
 def test_meets_takes_only_a_line(flat):
     with pytest.raises(ValueError, match="needs a line in P\\^3"):
-        Meets(flat).coefficients()
+        Meets(flat).coefficients
 
 
 def test_tangent_to_rounds_its_form_once(monkeypatch):
+    # form, sphere and coefficients are computed when first read, then the
+    # same read-only object is shared by every compile
     calls = []
-    form_ = quadrics.tangency_form
+    form_, dual_ = quadrics.tangency_form, quadrics.dual_plucker
 
     def counted(q, k):
-        calls.append(k)
+        calls.append("form")
         return form_(q, k)
 
+    def counted_dual(f):
+        calls.append("dual")
+        return dual_(f)
+
     monkeypatch.setattr(quadrics, "tangency_form", counted)
-    cond = TangentTo(Quadric.from_diagonal([1, F(-1, 3), 2, -5]))
-    first = cond.form()
-    LineConditions.compile([("a", cond), ("b", cond)])
-    assert cond.form() is first and calls == [1]
-    assert not first.flags.writeable
+    monkeypatch.setattr(quadrics, "dual_plucker", counted_dual)
+    cond = TangentTo(Quadric.from_diagonal([-4, 1, 1, 1]))
+    meets = Meets(ProjFlat(RatMatrix.from_rows([[1, 0], [0, 1], [0, 0], [0, 0]])))
+    first, sphere, coefficients = cond.form, cond.sphere, meets.coefficients
+    assert sphere == ((0, 0, 0), 4)
+    for _ in range(2):
+        LineConditions.compile([("a", cond), ("b", cond), ("c", meets)])
+    assert cond.form is first and cond.sphere is sphere
+    assert meets.coefficients is coefficients and calls == ["form", "dual"]
+    assert not first.flags.writeable and not coefficients.flags.writeable
     assert np.array_equal(first, tangency_form(cond.quadric, 1).to_numpy())
+
+
+@pytest.mark.parametrize("diagonal", [[1, 0, 0, 0], [0, 0, 0, 0]])
+def test_compile_rejects_a_row_that_holds_on_every_line(diagonal):
+    # a rank <= 1 quadric's wedge^2 Q is 0, so its tangency row is 0, from a
+    # scene or not; no such system reaches the tracker
+    flat = TangentTo(Quadric.from_diagonal(diagonal))
+    sphere = TangentTo(Quadric.from_diagonal([-1, 1, 1, 1]))
+    with pytest.raises(ValueError, match="^condition flat holds on every line: "
+                       "its coefficients are all zero$"):
+        LineConditions.compile([("sphere", sphere), ("flat", flat)])
 
 
 def exact_form(rows) -> np.ndarray:
@@ -334,14 +356,14 @@ def test_tangent_to_forms_are_the_exact_wedge_rounded_once():
     for _ in range(20):
         m = rng.uniform(-1, 1, size=(4, 4))
         floats = (m + m.T) / 2
-        assert np.array_equal(TangentTo(floats).form(), exact_form(floats.tolist()))
+        assert np.array_equal(TangentTo(floats).form, exact_form(floats.tolist()))
     fractions = [[F(1, 3), F(2, 7), F(-5, 11), F(1, 13)],
                  [F(2, 7), F(-3, 17), F(4, 19), F(6, 23)],
                  [F(-5, 11), F(4, 19), F(7, 29), F(-8, 31)],
                  [F(1, 13), F(6, 23), F(-8, 31), F(9, 37)]]
     cond = TangentTo(fractions)
     assert cond.quadric.matrix.to_rows() == fractions
-    assert np.array_equal(cond.form(), exact_form(fractions))
+    assert np.array_equal(cond.form, exact_form(fractions))
 
 
 def test_tangent_to_rejects_asymmetric_and_non_finite_arrays():

@@ -102,10 +102,10 @@ def test_root_bound_counts_sphere_tangents():
         near = quadric([[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1 + eps]])
         assert line_system(spheres[:3] + [near]).root_bound == 32
     big = quadric([[-1, 0, 0, 0], [0, 10**20, 0, 0], [0, 0, 10**20, 0], [0, 0, 0, 10**20 + 1]])
-    assert np.array_equal(TangentTo(big.quadric).form()[3:, 3:],
-                          TangentTo(big.quadric).form()[3, 3] * np.eye(3))
+    assert np.array_equal(TangentTo(big.quadric).form[3:, 3:],
+                          TangentTo(big.quadric).form[3, 3] * np.eye(3))
     assert line_system(spheres[:3] + [big]).root_bound == 32
-    flat = quadric([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    flat = quadric([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
     assert line_system(spheres[:3] + [flat]).root_bound == 32
     assert [c.root_bound for c in doubling_stages()] == [2, 4, 8, 16, 32]
 
@@ -216,7 +216,7 @@ def test_endpoints_satisfy_target_conditions():
         p = PluckerVector(1, 3, tuple(w))
         assert check_plucker_relations(p) < 1e-9
         for cond in conditions:
-            form = cond.form()
+            form = cond.form
             raw = abs(w @ form @ w) / np.linalg.norm(form)
             assert raw < 1e-9
 
@@ -826,10 +826,19 @@ def test_radius_zero_cylinder_form_is_the_squared_incidence():
     # the split's A = q q^T, q the axis's incidence row over the norm of its
     # last three coordinates, is the radius-0 cylinder's exact form, rounded
     for ln in regular_tetrahedron_lines():
-        c = Meets(ln.to_projective().dual()).coefficients()
+        c = Meets(ln.to_projective().dual()).coefficients
         q = c / np.linalg.norm(c[3:])
-        form = TangentTo(cylinder(ln, 0)).form()
+        form = TangentTo(cylinder(ln, 0)).form
         assert np.max(np.abs(form - np.outer(q, q))) <= 1e-15
+
+
+def test_doubling_radii_are_exact():
+    # radii are read as every exact input is (exactnum.rational): a float
+    # is refused, not taken at its binary value
+    with pytest.raises(TypeError, match="cannot coerce float to an exact rational"):
+        doubling_experiment([0.1] * 4)
+    with pytest.raises(TypeError, match="cannot coerce float"):
+        TetraParams.of(0.1, 0.05)
 
 
 @pytest.mark.parametrize("radius", [F(1, 10), F(1, 2), F(1, 1000)])
@@ -1014,9 +1023,9 @@ def test_paths_keep_their_pinned_steps_and_solves(name):
 
 def test_quadratic_forms_are_real():
     q = np.diag([1.0, 1.0, 1.0, -1.0])
-    assert TangentTo(q.astype(complex)).form().dtype == float
+    assert TangentTo(q.astype(complex)).form.dtype == float
     with pytest.raises(ValueError, match="real"):
-        TangentTo(q + 1e-3j * np.eye(4)).form()
+        TangentTo(q + 1e-3j * np.eye(4)).form
     with pytest.raises(ValueError, match="real"):
         line_system([TangentTo(q * 1j)] * 4)
     # the tracker takes only real forms, start or target: a nonreal one
