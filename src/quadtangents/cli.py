@@ -125,9 +125,9 @@ def build_parser() -> _Parser:
     p.add_argument("--beta", default=None)
 
     p = command("track", SOLVING_OPTIONS,
-                "solve a target scene: four spheres by elimination, other four "
-                "tangencies by tracking from the 32 closed-form tangents, else from "
-                "2^#tangencies * 2 total-degree starts")
+                "solve a target scene: four spheres by elimination, four lines by "
+                "their pencil, other four tangencies by tracking from the 32 "
+                "closed-form tangents, else from 2^#tangencies * 2 total-degree starts")
     p.add_argument("--scene", required=True, help="scene JSON file")
     p.add_argument("--path-log", default=None,
                    help="write one JSON line per tracked path to this file")
@@ -302,8 +302,10 @@ def cmd_track(args) -> int:
         metadata={"start_policy": result.start_policy,
                   "root_bound": scene.conditions.root_bound, "paths": tally})
     _write_certificate(cert, args)
-    if result.fallback:
-        print(f"four spheres tracked from the tetra start: {result.fallback}", file=sys.stderr)
+    if result.fallback:  # elimination falls back to the tetra start, the pencil to total-degree
+        spheres_or_lines = "spheres" if result.start_policy == "tetra" else "lines"
+        print(f"four {spheres_or_lines} tracked from the {result.start_policy} start: "
+              f"{result.fallback}", file=sys.stderr)
     print(f"{len(vectors)} certified endpoints of {tally['total']} paths, "
           f"{cert['counts']['real']} real, {tally['at_infinity']} at infinity",
           file=sys.stderr)

@@ -386,9 +386,10 @@ def verify_certificate(obj: dict,
     on the solutions decoded and their re-evaluated residuals; ``counts``
     holds exactly the integers ``total``, ``real`` and ``nonreal``, which
     match the solutions and their flags; ``path_issues``, when the
-    certificate has ``metadata.paths``; and, with ``params`` (closed
-    form), the scene is exactly that family member and has 32 lines split
-    as ``reality_count``.
+    certificate has ``metadata.paths``, and otherwise, for four
+    conditions, as many lines as ``LineConditions.root_bound``; and, with
+    ``params`` (closed form), the scene is exactly that family member and
+    has 32 lines split as ``reality_count``.
     A missing or mistyped field (``seed`` is an integer or null), or a
     scene not in P^3, raises SceneFormatError; a scene condition that holds
     on every line (``LineConditions.compile``), ValueError; degenerate
@@ -461,6 +462,9 @@ def verify_certificate(obj: dict,
     metadata = obj.get("metadata")
     if isinstance(metadata, dict) and "paths" in metadata:
         issues += path_issues(scene, total, metadata["paths"])
+    elif len(scene.quadrics) + len(scene.flats) == 4 and total < scene.conditions.root_bound:
+        issues.append(f"{total} of root bound {scene.conditions.root_bound} lines listed, "
+                      "with no metadata.paths tally to account for the rest")
     if obj.get("params") is not None:
         if total != 32:
             issues.append(f"closed-form certificate lists {total} of 32 lines")

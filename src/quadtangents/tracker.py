@@ -1,5 +1,5 @@
-"""Numerical homotopy continuation for line systems in P^3, and elimination
-for four spheres.
+"""Numerical homotopy continuation for line systems in P^3, elimination
+for four spheres, and the pencil of four lines.
 
 A target problem is four conditions on a line -- tangency to a quadric
 (quadratic in Pluecker coordinates) or incidence with a line (linear) --
@@ -122,6 +122,11 @@ and the polish of a path's endpoint.  Coplanar centres (det C = 0), a
 resultant of degree below 12 (fewer than 12 roots from np.roots), a missed
 polish or fewer than 12 distinct lines (where a near-zero x^12 coefficient
 leads) send the system to the tetra start instead; its result names why.
+
+Four lines are solved without paths too, by the pencil that their
+incidence rows' kernel spans (``_pencil``).  Rank-deficient rows (four
+lines of one regulus), a double root or a failed settle send them to the
+total-degree start instead; its result names why.
 
 Determinism: gamma and the chart are drawn from seeded generators, and the
 start data are fixed; a fixed seed reproduces every path and every line.
@@ -254,12 +259,11 @@ class _Homotopy:
 
     @classmethod
     def of(cls, start: LineConditions, target: LineConditions, gamma: complex) -> _Homotopy:
-        quad = np.array([start.quad, target.quad])
-        if np.iscomplexobj(quad) and np.any(quad.imag):
+        if any(np.iscomplexobj(s.quad) and np.any(s.quad.imag) for s in (start, target)):
             raise ValueError("quadratic forms must be real")
-        patch = [(0, 0), (0, 1), (0, 0)]  # row 5, the patch row, is 0
-        quad = np.pad(quad.real, patch + [(0, 0)])
-        lin = np.pad(np.array([gamma * start.lin, target.lin], dtype=complex), patch)
+        quad, lin = np.zeros((2, 6, 6, 6)), np.zeros((2, 6, 6), dtype=complex)
+        quad[0, :5], quad[1, :5] = start.quad.real, target.quad.real  # row 5, the patch row, is 0
+        lin[0, :5], lin[1, :5] = gamma * start.lin, target.lin
         return cls(quad.reshape(72, 6), lin, gamma, target.scale, target.degree,
                    bool(np.any(lin)))
 
@@ -558,8 +562,8 @@ def _coincident_clusters(paths: list[TrackedPath]) -> list[list[int]]:
 class TrackResult:
     conditions: LineConditions
     paths: list[TrackedPath]
-    start_policy: str        # "elimination", "tetra", "total-degree" or "split"
-    fallback: str | None = None  # why four spheres were tracked, not eliminated
+    start_policy: str        # "elimination", "pencil", "tetra", "total-degree" or "split"
+    fallback: str | None = None  # why elimination or the pencil fell back to tracking
 
     @property
     def distinct_paths(self) -> list[TrackedPath]:
@@ -670,18 +674,19 @@ def _eliminate(conditions: LineConditions, seed: int) -> list[TrackedPath] | str
     # the line through (1, foot) and (0, d)
     moment = np.stack([foot[:, i] * d[:, j] - foot[:, j] * d[:, i]
                        for i, j in ((0, 1), (0, 2), (1, 2))], axis=1)
-    return _settle(conditions, _unit(np.concatenate([d, moment], axis=1)))
+    return _settle(_Homotopy.of(conditions, conditions, 1.0),
+                   _unit(np.concatenate([d, moment], axis=1)))
 
 
-def _settle(conditions: LineConditions, x) -> list[TrackedPath] | str:
-    """The lines of ``conditions`` at the unit-norm points ``x``, as
-    converged paths of no step: one Newton step on the system's own rows,
-    as the corrector takes, then the polish of a path's endpoint, since
-    lines computed in floats have residuals near 1e-13, which the polish
-    alone would keep.  Or, unless all of them are certified and distinct,
-    why not."""
+def _settle(h: _Homotopy, x) -> list[TrackedPath] | str:
+    """The lines of a system at the unit-norm points ``x``, as converged
+    paths of no step, ``h`` being the system's homotopy to itself: one
+    Newton step on the system's own rows, as the corrector takes, then the
+    polish of a path's endpoint, since lines computed in floats have
+    residuals near 1e-13, which the polish alone would keep.  Or, unless
+    all of them are certified and distinct, why not."""
     n = len(x)
-    h, rows, solves = _Homotopy.of(conditions, conditions, 1.0), np.arange(n), np.zeros(n, int)
+    rows, solves = np.arange(n), np.zeros(n, int)
     jac, value = h.newton(x, np.ones(n), x.conj())
     x = x + _solve(jac, -value, solves, rows)[0]
     residual, cond = _polish(h, x, rows, solves)
@@ -693,26 +698,49 @@ def _settle(conditions: LineConditions, x) -> list[TrackedPath] | str:
             for i in range(n)]
 
 
+def _pencil(conditions: LineConditions) -> list[TrackedPath] | str:
+    """The 2 lines meeting four lines as converged paths of no step, or why
+    not: the roots of a s^2 + 2 b s t + c t^2 on the pencil s u + t v that
+    spans the incidence rows' kernel (u, v orthonormal, from one SVD), with
+    a = u P u, b = u P v, c = v P v for the Pluecker form P, taken as
+    (q : a) and (c : q), q = -(b + sqrt(b^2 - a c)) on the branch that does
+    not cancel, so that a root at either end of the chart is kept."""
+    _, sigma, vh = np.linalg.svd(conditions.lin[:4])
+    if sigma[3] <= sigma[0] * 6 * np.finfo(float).eps:  # numpy's matrix_rank tolerance
+        return "rank-deficient incidence rows"
+    pencil = vh[4:].conj()  # orthonormal rows u, v
+    (a, b), (_, c) = pencil @ conditions.quad[-1] @ pencil.T
+    root = np.sqrt(b * b - a * c + 0j)
+    q = -(b + root if (np.conj(b) * root).real >= 0 else b - root)
+    x = np.array([[q, a], [c, q]]) @ pencil  # the roots (s : t) = (q : a) and (c : q)
+    if q == 0 or close_pairs(x, DISTINCT_TOL):
+        return "a double root"
+    return _settle(_Homotopy.of(conditions, conditions, 1.0), _unit(x))
+
+
 def solve_tangency(conditions: LineConditions, seed: int = 0) -> TrackResult:
     """Solve a four-condition line system.
 
-    Four spheres are solved by elimination ("elimination").  Other four
-    tangencies, and four spheres where elimination falls back
-    (``TrackResult.fallback`` says why), are tracked from the 32
-    closed-form tangents of the start family ("tetra"); any other problem
-    from a total-degree start ("total-degree").  ``TrackResult.start_policy``
-    names the route; ``doubling_experiment``'s split stages are the one
-    other ("split").
+    Four spheres are solved by elimination ("elimination"), four lines by
+    their pencil ("pencil").  Other four tangencies, and four spheres where
+    elimination falls back, are tracked from the 32 closed-form tangents of
+    the start family ("tetra"); any other problem, and four lines where the
+    pencil falls back, from a total-degree start ("total-degree").
+    ``TrackResult.start_policy`` names the route, and ``fallback`` why one
+    fell back; ``doubling_experiment``'s split stages are the one other ("split").
     """
     if len(conditions.labels) != 5:  # four conditions and the Pluecker row
         raise ValueError("tracking needs exactly 4 conditions, "
                          f"got {len(conditions.labels) - 1}")
-    lines = _eliminate(conditions, seed) if None not in conditions.spheres[:-1] else None
+    route, lines = None, None  # lines: the lines, or why their route fell back
+    if None not in conditions.spheres[:-1]:
+        route, lines = "elimination", _eliminate(conditions, seed)
+    elif np.all(conditions.degree[:-1] == 1):
+        route, lines = "pencil", _pencil(conditions)
     if isinstance(lines, list):
-        return TrackResult(conditions, lines, "elimination")
+        return TrackResult(conditions, lines, route)
     policy = "tetra" if np.all(conditions.degree == 2) else "total-degree"
     start, starts = tetra_start() if policy == "tetra" else total_degree_start(conditions)
-    # lines: None, or why elimination fell back
     return TrackResult(conditions, track(start, starts, conditions, seed), policy, lines)
 
 
@@ -783,11 +811,12 @@ def _split(source: TrackResult, target: LineConditions, row: int) -> TrackResult
     x = source.endpoints
     c = source.conditions.lin[row]
     q = c / np.linalg.norm(c[3:])
-    jac = _Homotopy.of(target, target, 1.0).newton(x, np.ones(len(x)), x.conj())[0]
+    h = _Homotopy.of(target, target, 1.0)
+    jac = h.newton(x, np.ones(len(x)), x.conj())[0]
     w = np.linalg.svd(np.delete(jac, row, axis=1))[2][:, -1].conj()
     mu = np.sqrt(-np.einsum("ni,ij,nj->n", x, target.quad[row], x) / (w @ q) ** 2)
     step = mu[:, None] * w
-    paths = _settle(target, _unit(np.stack([x + step, x - step], axis=1).reshape(-1, 6)))
+    paths = _settle(h, _unit(np.stack([x + step, x - step], axis=1).reshape(-1, 6)))
     return TrackResult(target, paths, "split") if isinstance(paths, list) else None
 
 
@@ -802,12 +831,13 @@ def doubling_experiment(radii=AUTO_RADII, seed: int = 0) -> DoublingResult:
     counted twice, so each line x0 of stage i splits into two of stage
     i + 1, x0 +- mu w with mu^2 = -x0^T F x0 / (q . w)^2 (``_split``; F is
     the new cylinder's form, A = q q^T its form at radius 0, q its axis's
-    incidence row).  Stage 0 is tracked from its total-degree start with
-    ``seed``.  A later stage is split while every stage before it has all
-    its lines, certified and distinct, and the split gives all of its own;
-    from the first stage where that fails, each stage is tracked alone with
-    ``seed``.  A stage that misses its target count is reported as it
-    stands (``misses``).
+    incidence row).  Stage 0 is solved by its pencil (``solve_tangency``,
+    which tracks it from its total-degree start with ``seed`` where the
+    pencil falls back).  A later stage is split while every stage before it
+    has all its lines, certified and distinct, and the split gives all of
+    its own; from the first stage where that fails, each stage is tracked
+    alone with ``seed``.  A stage that misses its target count is reported
+    as it stands (``misses``).
     """
     radii = [rational(r) for r in radii]
     if len(radii) != 4 or any(r <= 0 for r in radii):

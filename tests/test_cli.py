@@ -307,8 +307,9 @@ def test_track_lines_only_scene(capsys, tmp_path):
     code, out, _ = run(capsys, "track", "--scene", scene_path)
     cert = json.loads(out)
     assert code == 0 and cert["counts"]["total"] == 2
-    assert cert["metadata"]["start_policy"] == "total-degree"
+    assert cert["metadata"]["start_policy"] == "pencil"
     assert cert["metadata"]["root_bound"] == 2
+    certificate_validator().validate(cert)
 
 
 def test_track_mixed_cylinder_scene(capsys, tmp_path):
@@ -1121,6 +1122,40 @@ def test_verify_rejects_an_edited_path_tally(certificates, edit):
     assert not report.passed
     assert [str(issue) for issue in report.issues] == [
         f"metadata.paths {cert['metadata']['paths']!r} is not a tally of 12 converged paths"]
+
+
+def _forge_emptied_closed_form(cert):
+    # no params, so no closed-form count, and no lines
+    cert["params"], cert["solutions"] = None, []
+    _renumber(cert)
+
+
+def _forge_dropped_lines_and_tally(cert):
+    del cert["solutions"][20:], cert["metadata"]
+    _renumber(cert)
+
+
+@pytest.mark.parametrize("forge, command, issue", [
+    (_forge_emptied_closed_form, ("tetra", "1/10", "1/20"), "0 of root bound 32"),
+    (_forge_dropped_lines_and_tally, ("track", "--seed", "0"), "20 of root bound 32")])
+def test_verify_rejects_a_short_certificate_with_no_path_tally(capsys, tmp_path, forge,
+                                                                command, issue):
+    # short of the root bound, only a metadata.paths tally can account for
+    # the missing lines; a certificate without one fails.  `track` runs on
+    # the closed-form member's scene, and is verified against it
+    cert_path = tmp_path / "cert.json"
+    scene = []
+    if command[0] == "track":
+        scene = ["--scene", make_scene_file(tmp_path, "scene.json", Scene(
+            3, quadrics=list(family(TetraParams.of(F(1, 10), F(1, 20))))))]
+    assert run(capsys, *command, *scene, "--output", str(cert_path))[0] == 0
+    assert run(capsys, "verify", str(cert_path), *scene)[0] == 0
+    cert = json.loads(cert_path.read_text())
+    forge(cert)
+    cert_path.write_text(json.dumps(cert))
+    code, out, _ = run(capsys, "verify", str(cert_path), *scene)
+    assert code == 4 and out.splitlines()[1:] == [
+        f"  {issue} lines listed, with no metadata.paths tally to account for the rest"]
 
 
 # -- mutation test: one change at a time to a valid certificate

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import random
 import re
 from fractions import Fraction as F
 from pathlib import Path
@@ -17,7 +18,7 @@ from quadtangents.grassmann import (
 )
 from quadtangents import quadrics, tracker
 from quadtangents.exactnum import RatMatrix
-from quadtangents.quadrics import LineConditions, Quadric, cylinder, is_tangent
+from quadtangents.quadrics import AffineFlat, LineConditions, Quadric, cylinder, is_tangent
 from quadtangents.tetra32 import TetraParams, enumerate_tangents, family
 from quadtangents.tracker import (
     Meets,
@@ -304,6 +305,71 @@ def test_tetrahedron_transversals_one_at_infinity():
     assert at_infinity.tolist().count(True) == 1
 
 
+# -- four lines by their pencil --------------------------------------------------
+
+
+def four_lines(name) -> list:
+    """The coordinate tetrahedron's four edges, the regular tetrahedron's
+    (doubling's stage 0), or four lines through random rational points."""
+    if name == "tetrahedron":
+        return grassmann.tetrahedron_lines()
+    if name == "regular":
+        return [ln.to_projective() for ln in regular_tetrahedron_lines()]
+    rng = random.Random(f"four-lines/{name}")
+
+    def point():
+        return [F(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(3)]
+
+    return [AffineFlat.from_point_directions(point(), [point()]).to_projective()
+            for _ in range(4)]
+
+
+@pytest.mark.parametrize("name", ["tetrahedron", "regular", *range(30)])
+def test_pencil_gives_the_tracked_lines(name):
+    # the pencil's lines are those that tracking from the total-degree start
+    # finds, and as many and as real as the exact transversals
+    lines = four_lines(name)
+    conditions = line_system(Meets(ln.dual()) for ln in lines)
+    res = solve_tangency(conditions, seed=0)
+    assert (res.start_policy, res.fallback) == ("pencil", None)
+    assert [(p.status, p.steps) for p in res.paths] == [("converged", 0)] * 2
+    tracked = track(*total_degree_start(conditions), conditions, seed=0)
+    assert [p.status for p in tracked] == ["converged"] * 2
+    assert match_endpoints(res.endpoints, [p.endpoint for p in tracked]) <= 1e-10
+    exact = grassmann.transversals_to_4_lines(lines)
+    assert (exact.count, exact.real_count) == (2, res.reality().real_count)
+
+
+@pytest.mark.parametrize("lines, reason", [
+    # x = a, z = a y for a = 0..3, four lines of one regulus of z = x y: the
+    # incidence rows have rank 3, and every line of the other regulus meets
+    # all four
+    ([((a, 0, 0), (0, 1, a)) for a in range(4)], "rank-deficient incidence rows"),
+    # three of them, and a line through the origin in z = 0, tangent to
+    # z = x y there: the x-axis is a double transversal
+    ([((0, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 1, 1)), ((2, 0, 0), (0, 1, 2)),
+      ((0, 0, 0), (1, 1, 0))], "a double root")])
+def test_pencil_falls_back_to_the_total_degree_start(lines, reason):
+    conditions = line_system(
+        Meets(AffineFlat.from_point_directions(p, [d]).to_projective().dual())
+        for p, d in lines)
+    res = solve_tangency(conditions, seed=0)
+    assert (res.start_policy, res.fallback) == ("total-degree", reason)
+    assert_same_paths(res.paths, track(*total_degree_start(conditions), conditions, seed=0))
+
+
+def test_homotopy_stacks_the_forms_with_a_zero_patch_row():
+    # the layout np.pad builds, byte for byte: the forms with a zero patch row
+    target, gamma = doubling_stages()[2], complex(0.6, 0.8)
+    start, _ = total_degree_start(target)
+    h = tracker._Homotopy.of(start, target, gamma)
+    patch = [(0, 0), (0, 1), (0, 0)]
+    quad = np.pad(np.array([start.quad, target.quad]), patch + [(0, 0)]).reshape(72, 6)
+    lin = np.pad(np.array([gamma * start.lin, target.lin]), patch)
+    assert h.quad.tobytes() == quad.tobytes() and h.lin.tobytes() == lin.tobytes()
+    assert h.linear
+
+
 def test_conjugate_pairing_across_random_scenes():
     for seed in (21, 22, 23):
         res = solve_tangency(random_quadric_system(seed), seed=seed)
@@ -329,9 +395,9 @@ def test_doubling_experiment_auto(monkeypatch):
     assert result.counts == [2, 4, 8, 16, 32]
     assert result.exact_stage0_count == 2
     assert result.rows[0].real == result.exact_stage0_count
-    # stage 0, four incidence conditions, is tracked from its total-degree
-    # start; every later stage is split from the one before
-    assert policies == ["total-degree"]
+    # stage 0, four incidence conditions, is solved by its pencil; every
+    # later stage is split from the one before
+    assert policies == ["pencil"]
 
 
 def test_doubling_reports_an_auto_stage_that_misses(monkeypatch):
@@ -871,7 +937,7 @@ def test_a_stage_the_split_misses_and_every_later_one_are_tracked_alone(splits, 
     monkeypatch.setattr(tracker, "solve_tangency", recorded)
     result = doubling_experiment([F(3, 4)] * 4, seed=0)
     assert [r is None for r in splits] == [False, False, True]
-    assert [r.start_policy for r in tracked] == ["total-degree", "total-degree", "tetra"]
+    assert [r.start_policy for r in tracked] == ["pencil", "total-degree", "tetra"]
     assert result.counts == [2, 4, 8, 14, 32]
     assert [row.converged for row in result.rows] == [2, 4, 8, 16, 32]
     stages = doubling_stages(F(3, 4))

@@ -35,7 +35,12 @@ command lines name files relative to OUTDIR (``fixed/``'s relative to
   table and as JSON, whose cylinders are too wide for stages 3 and 4
   (exit 4); ``doubling --seed 0 --format json`` at the radii
   ``DOUBLING_RADII``: 1/1000 and (1/10, 1/2, 1/3, 1/5), split at every
-  stage (exit 0), and 3/4, whose stage 3 split misses (exit 4); ``track``
+  stage (exit 0), and 3/4, whose stage 3 split misses (exit 4); the
+  four-line set, ``track --seed 0`` each followed by ``verify --scene``
+  (``LINE_SCENES`` and one random rational scene): the coordinate and the
+  regular tetrahedron's edges and the random scene, which the pencil
+  solves (exit 0), and four lines of one regulus and a scene with a double
+  transversal, which fall back to the total-degree start (exit 4); ``track``
   on a scene whose Q1 has rank 1 (exit 3); and the JSON of the commands
   that take no scene (``SCENELESS``): ``counts 1 3`` and ``counts
   --table``, and ``transversals`` of the tetrahedron and of the moment
@@ -124,6 +129,21 @@ COPLANAR = [("coplanar-fallback", [((33, -38, 0), 52), ((-1, -61, 0), 62),
                                    ((-9, 40, 0), 33), ((-18, 35, 0), 26)], 3),
             ("coplanar-mirror", [((0, 0, 0), 40), ((64, 0, 0), 40), ((0, 64, 0), 40),
                                  ((64, 64, 0), 50)], 3)]
+# (name, each line's two points (x0, x, y, z)) of four-line scenes, each
+# `track --seed 0` then `verify --scene`, beside one drawn by
+# ``random_lines``: the coordinate tetrahedron's edges, one of whose two
+# transversals lies at infinity, and the regular tetrahedron's (doubling's
+# stage 0), which the pencil solves (exit 0); the lines x = a, z = a y,
+# a = 0..3, of one regulus of z = x y, whose incidence rows have rank 3, and
+# three of them with a line tangent to z = x y, whose two transversals
+# coincide: the pencil falls back to the total-degree start (exit 4)
+CORNERS = [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]
+LINE_SCENES = [("tetrahedron", [([0, 1, 0, 0], [0, 0, 1, 0]), ([0, 0, 1, 0], [0, 0, 0, 1]),
+                                ([1, 0, 0, 0], [0, 0, 0, 1]), ([1, 0, 0, 0], [0, 1, 0, 0])]),
+               ("regular-tetrahedron", list(zip(CORNERS, CORNERS[1:] + CORNERS[:1]))),
+               ("regulus", [([1, a, 0, 0], [1, a, 1, a]) for a in range(4)]),
+               ("double-root", [([1, 0, 0, 0], [1, 0, 1, 0]), ([1, 1, 0, 0], [1, 1, 1, 1]),
+                                ([1, 2, 0, 0], [1, 2, 1, 2]), ([1, 0, 0, 0], [1, 1, 1, 0])])]
 DOUBLING_MISS = ["doubling", "--radii", "1,1,1,1", "--seed", "3"]
 # (record name, radii) of doubling ladders at seed 0 beyond --auto's, as
 # JSON: 1/1000, where (F - A) / r^2 in floats would cancel, and mixed
@@ -216,14 +236,26 @@ def mix_scene(kind: str, i: int) -> tuple[dict, int]:
     rng = random.Random(f"mix-{kind}/{i}")
     matrices = [workloads.random_sphere(rng) for _ in range(3)]
     if kind == "quadric":
-        scene = workloads.scene_dict(matrices + [workloads.random_symmetric(rng)])
-    else:
-        points = [[1] + [Fraction(rng.randint(-64, 64), 32) for _ in range(3)]
-                  for _ in range(2)]
-        scene = workloads.scene_dict(matrices)
-        scene["flats"] = [{"label": "L1", "kind": "span",
-                           "matrix": [list(map(workloads.encode, row)) for row in zip(*points)]}]
-    return scene, rng.randrange(2 ** 31)
+        return (workloads.scene_dict(matrices + [workloads.random_symmetric(rng)]),
+                rng.randrange(2 ** 31))
+    return lines_scene(matrices, random_lines(rng, 1)), rng.randrange(2 ** 31)
+
+
+def random_lines(rng, count: int) -> list:
+    """``count`` lines, each through two points drawn as ``random_sphere``
+    draws centres."""
+    return [[[1] + [Fraction(rng.randint(-64, 64), 32) for _ in range(3)] for _ in range(2)]
+            for _ in range(count)]
+
+
+def lines_scene(matrices, lines) -> dict:
+    """The scene of quadrics ``matrices`` and the ``lines``, each given by
+    two points, as span flats L1, L2, ..."""
+    scene = workloads.scene_dict(matrices)
+    scene["flats"] = [{"label": f"L{i}", "kind": "span",
+                       "matrix": [list(map(workloads.encode, row)) for row in zip(*points)]}
+                      for i, points in enumerate(lines, 1)]
+    return scene
 
 
 def hard_scene(family: str, i: int, power: int) -> list:
@@ -282,6 +314,13 @@ def fixed_set() -> list[int]:
     for name, scene, seed in runs:
         stem = f"exit-rule/{name}"
         codes.append(track_run(stem, scene, seed))
+        codes.append(record(f"{stem}.verify",
+                            ["verify", f"{stem}.cert.json", "--scene", f"{stem}.scene.json"]))
+    Path("lines").mkdir()
+    scenes = LINE_SCENES + [("random", random_lines(random.Random("lines/random"), 4))]
+    for name, lines in scenes:
+        stem = f"lines/{name}"
+        codes.append(track_run(stem, lines_scene([], lines), 0))
         codes.append(record(f"{stem}.verify",
                             ["verify", f"{stem}.cert.json", "--scene", f"{stem}.scene.json"]))
     Path("doubling-miss").mkdir()
